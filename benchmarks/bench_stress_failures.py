@@ -1,4 +1,4 @@
-"""High-failure-rate stress benchmark: the batched failure-path event engine.
+"""High-failure-rate stress benchmark: the event engine's failure path.
 
 The paper's Algorithm-2 evaluation leans on exactly the regime where event
 processing dominates the vectorized engine: aggressive a-levels, small beta
@@ -9,17 +9,14 @@ points).  This harness pins that regime down as a benchmark:
   two-macro-Set workload (``common.stress_workload_spec``), run with elevated
   ``flip_mean``/``monitor_noise`` and a small beta so IRFailures arrive every
   few cycles per group (tens of thousands over the horizon).
-* **Contenders** — the batched engine (per-group failure runs — since PR 4
-  driven by the closed-form timeline kernels of :mod:`repro.sim.kernels` —
-  plus the heap scheduler, warm process-level level cache: the steady state
-  of any sweep), the same engine cold (cache disabled), the pre-batching
-  event loop of PR 1/2 (``run_vectorized(..., batched=False)`` with the
-  cache disabled — exactly the per-run behaviour PR 3 replaced), and the
-  reference oracle.  (``bench_kernels_store.py`` isolates kernel-on vs
-  kernel-off; here the batched contender is simply the engine default.)
-* **Contract** — all engines must agree bit-for-bit on failures, stalls, drop
-  traces and level traces *in this same run*; the speedup bar
-  (``>= 3x`` batched-warm vs. pre-batching) only counts because of it.
+* **Contenders** — the event engine (the closed-form timeline kernels of
+  :mod:`repro.sim.kernels` plus the heap scheduler) with a warm
+  process-level level cache — the steady state of any sweep — the same
+  engine cold (cache disabled), and the reference oracle.  The ledger keeps
+  the engine's historical ``batched_*`` field names.
+* **Contract** — the engine must agree with the oracle bit-for-bit on
+  failures, stalls, drop traces and level traces *in this same run*; the
+  recorded speedups only count because of it.
 * **Cross-run cache reuse** — a shared-seed beta grid through ``SweepRunner``
   (``seed_mode="shared"``: one (workload, seed) across every beta point) runs
   once with the level cache disabled and once enabled; records must be
@@ -152,49 +149,42 @@ def test_stress_failure_path(benchmark):
     def run():
         runtime = PIMRuntime(compiled, _stress_config())
 
-        # Correctness first: all three implementations against the oracle,
-        # on exactly the benchmarked scenario.
+        # Correctness first: the engine against the oracle, on exactly the
+        # benchmarked scenario.
         reference = PIMRuntime(compiled, _stress_config("reference")).run()
         clear_level_cache()
-        batched = run_vectorized(runtime, batched=True)
-        prebatch = run_vectorized(runtime, batched=False)
-        _assert_equivalent(reference, batched, "batched")
-        _assert_equivalent(reference, prebatch, "pre-batching")
+        result = run_vectorized(runtime)
+        _assert_equivalent(reference, result, "event engine")
 
         # Timings.  The level cache is warm after the runs above, so
-        # ``batched_warm`` measures the steady state of a sweep; the two
-        # ``cold`` figures disable the cache — ``prebatch_cold`` is the
-        # engine exactly as PR 1/2 shipped it.
+        # ``batched_warm`` measures the steady state of a sweep;
+        # ``batched_cold`` disables the cache.
         start = time.perf_counter()
         PIMRuntime(compiled, _stress_config("reference")).run()
         reference_seconds = time.perf_counter() - start
-        batched_warm = _best_of(lambda: run_vectorized(runtime, batched=True))
+        batched_warm = _best_of(lambda: run_vectorized(runtime))
         old_budget = set_level_cache_budget(0)
         try:
-            batched_cold = _best_of(lambda: run_vectorized(runtime, batched=True))
-            prebatch_cold = _best_of(lambda: run_vectorized(runtime, batched=False))
+            batched_cold = _best_of(lambda: run_vectorized(runtime))
         finally:
             set_level_cache_budget(old_budget)
 
-        macro_cycles = STRESS_CYCLES * len(batched.macro_results)
+        macro_cycles = STRESS_CYCLES * len(result.macro_results)
         return {
             "scenario": {
                 "workload": "stress@64 (synthetic, 2-macro sets, sequential)",
-                "loaded_macros": len(batched.macro_results),
+                "loaded_macros": len(result.macro_results),
                 "cycles": STRESS_CYCLES,
                 "beta": STRESS_BETA,
                 "flip_mean": STRESS_FLIP_MEAN,
                 "monitor_noise": STRESS_MONITOR_NOISE,
                 "seed": STRESS_SEED,
-                "failures": batched.total_failures,
-                "stall_cycles": batched.total_stall_cycles,
+                "failures": result.total_failures,
+                "stall_cycles": result.total_stall_cycles,
             },
             "reference_seconds": reference_seconds,
-            "prebatch_cold_seconds": prebatch_cold,
             "batched_cold_seconds": batched_cold,
             "batched_warm_seconds": batched_warm,
-            "speedup_batched_vs_prebatch": prebatch_cold / batched_warm,
-            "speedup_event_engine_only": prebatch_cold / batched_cold,
             "speedup_vs_reference": reference_seconds / batched_warm,
             "batched_macro_cycles_per_sec": macro_cycles / batched_warm,
             "equivalence_asserted": True,
@@ -206,15 +196,14 @@ def test_stress_failure_path(benchmark):
 
     scenario = report["scenario"]
     print()
+    reference_seconds = report["reference_seconds"]
     print(format_table(
-        ["engine", "seconds", "vs pre-batching"],
-        [["reference loop", f"{report['reference_seconds']:.3f}",
-          format_ratio(report["reference_seconds"] / report["prebatch_cold_seconds"])],
-         ["pre-batching (PR 2)", f"{report['prebatch_cold_seconds']:.3f}", "1.00x"],
-         ["batched, cold cache", f"{report['batched_cold_seconds']:.3f}",
-          format_ratio(1.0 / report["speedup_event_engine_only"])],
-         ["batched, warm cache", f"{report['batched_warm_seconds']:.3f}",
-          format_ratio(1.0 / report["speedup_batched_vs_prebatch"])]],
+        ["engine", "seconds", "vs reference"],
+        [["reference loop", f"{reference_seconds:.3f}", "1.00x"],
+         ["event engine, cold cache", f"{report['batched_cold_seconds']:.3f}",
+          format_ratio(reference_seconds / report["batched_cold_seconds"])],
+         ["event engine, warm cache", f"{report['batched_warm_seconds']:.3f}",
+          format_ratio(report["speedup_vs_reference"])]],
         title=f"Stress scenario: {scenario['failures']} failures over "
               f"{scenario['cycles']} cycles x {scenario['loaded_macros']} macros "
               "(BENCH_runtime.json: stress)"))
@@ -228,12 +217,10 @@ def test_stress_failure_path(benchmark):
           str(cache["records_identical"])]],
         title="Shared-seed beta-grid sweep: cross-run level-cache reuse"))
 
-    # Correctness bars hold in every mode; the perf bars only in the full
+    # Correctness bars hold in every mode; the perf bar only in the full
     # configuration (smoke horizons have too little failure work to amortize).
     assert report["equivalence_asserted"]
     assert cache["records_identical"]
     assert cache["cache_hits"] > 0
     if not SMOKE:
-        assert report["speedup_batched_vs_prebatch"] >= 3.0, report
-        assert report["speedup_event_engine_only"] >= 1.5, report
         assert cache["speedup"] > 1.0, cache

@@ -105,13 +105,14 @@ def update_bench_runtime(sections: Dict[str, object]) -> Dict[str, object]:
     the engine/sweep sections, ``bench_stress_failures`` the ``stress``
     section); merging instead of overwriting keeps every section current with
     its own harness.  Every write also stamps the top-level ``"recorded"``
-    map with the producing git commit and an ISO-8601 UTC date per section
-    (kept *outside* the section payloads, whose schemas stay untouched), so
-    the ledger reads as a perf trajectory: each section says which commit
-    produced it and when.  Smoke passes (short horizons, truncated grids)
-    merge in memory but never persist — their numbers would overwrite the
-    trajectory with meaningless values on every CI sanity run.  Returns the
-    merged report.
+    map with the producing git commit, an ISO-8601 UTC date and the
+    machine's ``cpu_count`` per section (kept *outside* the section
+    payloads, whose schemas stay untouched), so the ledger reads as a perf
+    trajectory: each section says which commit produced it, when, and on how
+    many cores — numbers from different core counts are not comparable.
+    Smoke passes (short horizons, truncated grids) merge in memory but never
+    persist — their numbers would overwrite the trajectory with meaningless
+    values on every CI sanity run.  Returns the merged report.
     """
     try:
         with open(BENCH_RUNTIME_PATH) as handle:
@@ -121,6 +122,7 @@ def update_bench_runtime(sections: Dict[str, object]) -> Dict[str, object]:
     stamp = {
         "commit": _git_commit(),
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "cpu_count": os.cpu_count(),
     }
     recorded = report.setdefault("recorded", {})
     for name, section in sections.items():

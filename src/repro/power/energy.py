@@ -16,7 +16,6 @@ the nominal operating point and the signoff activity draws the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -144,83 +143,20 @@ class EnergyModel:
                 self.dynamic_power(voltage, frequency, activity) * cycle_time
         breakdown.elapsed_time += cycle_time
 
-    def accumulate_cycles(self, breakdown: EnergyBreakdown, voltage: float,
-                          frequency: float, activity: np.ndarray, macs_per_cycle: float,
-                          stalled: Optional[np.ndarray] = None) -> None:
-        """Batched :meth:`accumulate_cycle` over a span at one operating point.
-
-        ``activity`` holds the per-cycle Rtog values of the span; ``stalled``
-        (optional boolean array of the same shape) marks cycles spent in a
-        recompute stall.  The span's energy is accumulated array-at-a-time —
-        up to floating-point summation order, the result matches calling
-        :meth:`accumulate_cycle` once per cycle.
-        """
-        activity = np.asarray(activity, dtype=np.float64)
-        n = activity.size
-        if n == 0:
-            return
-        cycle_time = 1.0 / frequency
-        breakdown.static_energy += self.static_power(voltage) * cycle_time * n
-        if stalled is None:
-            effective_activity = float(activity.sum())
-            worked = n
-        else:
-            stalled = np.asarray(stalled, dtype=bool)
-            weights = np.where(stalled, self.STALL_DYNAMIC_FRACTION, 1.0)
-            effective_activity = float((activity * weights).sum())
-            worked = int(n - stalled.sum())
-        breakdown.dynamic_energy += \
-            self._k_dynamic * effective_activity * voltage ** 2 * frequency * cycle_time
-        breakdown.completed_macs += macs_per_cycle * worked
-        breakdown.elapsed_time += cycle_time * n
-
-    def accumulate_trace(self, breakdown: EnergyBreakdown, voltages: np.ndarray,
-                         frequencies: np.ndarray, activity: np.ndarray,
-                         macs_per_cycle: float,
-                         stalled: Optional[np.ndarray] = None) -> None:
-        """Batched accumulation with *per-cycle* operating points.
-
-        Used by the vectorized engine when a macro's group changed V-f levels
-        during the horizon: ``voltages``/``frequencies`` give the operating
-        point of every cycle.  Per cycle, dynamic energy is
-        ``k_dyn * act * V^2 * f * (1/f) = k_dyn * act * V^2`` and static energy
-        is ``k_static * V / f``, so the whole trace reduces to three dot
-        products.
-        """
-        activity = np.asarray(activity, dtype=np.float64)
-        voltages = np.asarray(voltages, dtype=np.float64)
-        frequencies = np.asarray(frequencies, dtype=np.float64)
-        n = activity.size
-        if n == 0:
-            return
-        inverse_f = 1.0 / frequencies
-        if stalled is None:
-            effective_activity = activity
-            worked = n
-        else:
-            stalled = np.asarray(stalled, dtype=bool)
-            effective_activity = activity * np.where(stalled,
-                                                     self.STALL_DYNAMIC_FRACTION, 1.0)
-            worked = int(n - stalled.sum())
-        breakdown.dynamic_energy += \
-            self._k_dynamic * float(np.dot(effective_activity, voltages ** 2))
-        breakdown.static_energy += self._k_static * float(np.dot(voltages, inverse_f))
-        breakdown.completed_macs += macs_per_cycle * worked
-        breakdown.elapsed_time += float(inverse_f.sum())
-
     def accumulate_trace_rows(self, voltages: np.ndarray, frequencies: np.ndarray,
                               activity_rows: np.ndarray,
                               macs_per_cycle_rows: np.ndarray,
                               stalled_rows: np.ndarray) -> list:
-        """Row-batched :meth:`accumulate_trace` for macros sharing V/f traces.
+        """Energy of macros sharing per-cycle V/f traces, one row each.
 
         ``activity_rows``/``stalled_rows`` are ``(rows, cycles)`` blocks (one
         row per macro of a group), ``voltages``/``frequencies`` the group's
         shared per-cycle operating point.  Returns one fresh
-        :class:`EnergyBreakdown` per row.  The per-row dot products become one
-        matrix-vector product and the ``V^2`` / ``1/f`` vectors are computed
-        once per group instead of once per macro; results match per-row
-        :meth:`accumulate_trace` up to floating-point summation order.
+        :class:`EnergyBreakdown` per row.  Per cycle, dynamic energy is
+        ``k_dyn * act * V^2 * f * (1/f) = k_dyn * act * V^2`` and static
+        energy is ``k_static * V / f``, so the whole trace reduces to one
+        matrix-vector product, one dot product and one sum; results match
+        looped :meth:`accumulate_cycle` up to floating-point summation order.
         """
         voltages = np.asarray(voltages, dtype=np.float64)
         activity_rows = np.asarray(activity_rows, dtype=np.float64)

@@ -136,47 +136,6 @@ class IRMonitor:
                 del self.readings[:len(self.readings) - self.max_readings]
         return failure
 
-    def sample_batch(self, start_cycle: int, effective_voltages: np.ndarray,
-                     threshold_voltage: float) -> np.ndarray:
-        """Vectorized :meth:`sample` over consecutive cycles.
-
-        ``effective_voltages[i]`` is the group's effective voltage at cycle
-        ``start_cycle + i``; returns the boolean failure array.  Readings are
-        captured only when ``record_readings`` is on (bounded by
-        ``max_readings``), so long horizons stay allocation-free.
-        """
-        effective_voltages = np.asarray(effective_voltages, dtype=np.float64)
-        n = effective_voltages.size
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if self.sensing_noise > 0:
-            if start_cycle < self._next_cycle:
-                raise ValueError(
-                    f"monitor noise stream already advanced past cycle {start_cycle}")
-            if start_cycle > self._next_cycle:
-                # Skipped cycles still consume their draws (stream stays
-                # aligned with the cycle index).
-                self._rng.normal(0.0, self.sensing_noise,
-                                 size=start_cycle - self._next_cycle)
-                self._next_cycle = start_cycle
-        noise = self.noise_for_cycles(n)
-        sensed = effective_voltages + noise
-        failures = sensed < threshold_voltage + self.min_voltage_margin
-        self._samples += n
-        self._failures += int(failures.sum())
-        if self.record_readings:
-            capture = range(n)
-            if self.max_readings is not None:
-                capture = range(max(0, n - self.max_readings), n)
-            for i in capture:
-                self.readings.append(IRMonitorReading(
-                    cycle=start_cycle + i,
-                    effective_voltage=float(effective_voltages[i]),
-                    threshold_voltage=threshold_voltage, failure=bool(failures[i])))
-            if self.max_readings is not None and len(self.readings) > self.max_readings:
-                del self.readings[:len(self.readings) - self.max_readings]
-        return failures
-
     # ------------------------------------------------------------------ #
     # statistics
     # ------------------------------------------------------------------ #

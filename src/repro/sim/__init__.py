@@ -3,7 +3,6 @@
 from .compiler import CompiledWorkload, CompilerConfig, compile_workload
 from .engine import ENGINES, run_vectorized
 from .ensemble import run_ensemble
-from .kernels import active_kernel, set_kernel
 from .level_cache import (
     attach_shared_store,
     clear_level_cache,
@@ -12,13 +11,7 @@ from .level_cache import (
     set_level_cache_budget,
 )
 from .results import GroupResult, MacroResult, SimulationResult, assemble_result
-from .runtime import (
-    CONTROLLERS,
-    PIMRuntime,
-    RuntimeConfig,
-    simulate,
-    simulate_ensemble,
-)
+from .runtime import CONTROLLERS, PIMRuntime, RuntimeConfig, simulate
 from .scheduler import OperatorSchedule, SchedulePhase, schedule_operators
 from .trace import (
     OperatorRtogProfile,
@@ -29,9 +22,9 @@ from .trace import (
 
 __all__ = [
     "CompilerConfig", "CompiledWorkload", "compile_workload",
-    "RuntimeConfig", "PIMRuntime", "simulate", "simulate_ensemble",
+    "RuntimeConfig", "PIMRuntime", "simulate",
     "CONTROLLERS", "ENGINES",
-    "run_vectorized", "run_ensemble", "active_kernel", "set_kernel",
+    "run_vectorized", "run_ensemble",
     "attach_shared_store", "clear_level_cache", "detach_shared_store",
     "level_cache_stats", "set_level_cache_budget",
     "SimulationResult", "MacroResult", "GroupResult", "assemble_result",

@@ -17,7 +17,8 @@ array expression over the precomputed ``(n_macros, cycles)`` activity matrix:
   *candidate failure cycles* per (group, level) are precomputable with one
   vectorized compare + ``nonzero``;
 * energy reduces to dot products of activity against per-cycle ``V^2`` and
-  ``1/f`` vectors (:meth:`~repro.power.energy.EnergyModel.accumulate_trace`).
+  ``1/f`` vectors (:meth:`~repro.power.energy.EnergyModel.\
+accumulate_trace_rows`).
 
 Event processing is split by *recompute-stall coupling*.  Stalls propagate
 within a failing macro's logical Set, so a group whose Sets all live inside its
@@ -48,17 +49,12 @@ that and computes the scalar record fields closed-form per level-stable span
 from cached prefix sums and row statistics
 (:meth:`_VectorizedEngine._materialize_scalar`).
 
-Two baselines are retained for measurement and triangulation: the pre-kernel
-batched loop — per-member candidate pointers advanced with ``bisect``, the
-PR-3 implementation — as ``kernel=False``
-(:meth:`_VectorizedEngine._run_group_batched`, measured by
-``benchmarks/bench_kernels_store.py``), and the pre-batching event loop — a
-per-event scan over all groups with per-member ``searchsorted`` queries — as
-``batched=False`` (measured by ``benchmarks/bench_stress_failures.py``).
-
-Bit-for-bit equivalence with the reference engine (same seed, same failures,
+This is the one event path; the reference loop in :mod:`repro.sim.runtime`
+is its oracle.  Bit-for-bit equivalence with it (same seed, same failures,
 same stalls, same level traces; energy equal up to floating-point summation
-order) is enforced by ``tests/test_sim_engine.py``.
+order) is enforced by ``tests/test_sim_engine.py`` and the oracle chain of
+``tests/test_kernels.py``, and golden sweep records
+(``tests/test_golden_records.py``) pin the outputs themselves.
 """
 
 from __future__ import annotations
@@ -208,15 +204,9 @@ class _LazyLevelStreams:
 
 
 class _VectorizedEngine:
-    """One simulation run, event-driven.  Built fresh per :meth:`run` call.
+    """One simulation run, event-driven.  Built fresh per :meth:`run` call."""
 
-    ``batched=False`` selects the pre-batching event loop (per-event scan over
-    all groups, per-member ``searchsorted`` queries), kept as the measured
-    baseline of the batched failure path.
-    """
-
-    def __init__(self, runtime: "PIMRuntime", batched: bool = True,
-                 use_kernel: bool = True) -> None:
+    def __init__(self, runtime: "PIMRuntime") -> None:
         self.runtime = runtime
         self.cfg = runtime.config
         self.compiled = runtime.compiled
@@ -224,8 +214,6 @@ class _VectorizedEngine:
         self.ir_model = runtime.ir_model
         self.energy_model = runtime.energy_model
         self.n = self.cfg.cycles
-        self.batched = batched
-        self.use_kernel = use_kernel and batched
 
     # ------------------------------------------------------------------ #
     # setup
@@ -299,8 +287,8 @@ class _VectorizedEngine:
 
         # Stall-coupling analysis: a group is *independent* when every logical
         # Set touching its rows lives entirely inside the group, so its failure
-        # timeline cannot interact with any other group's and can be processed
-        # in one batched per-group pass.  Sets that straddle group boundaries
+        # timeline cannot interact with any other group's and resolves in one
+        # per-group timeline-kernel pass.  Sets that straddle group boundaries
         # couple all their groups into the heap-scheduled event loop.
         coupled = set()
         for rows in self.set_rows.values():
@@ -608,12 +596,11 @@ class _VectorizedEngine:
         fail_rows = self._fail_mask(gid, entry.pair, entry.drop_rows)
         lo, _ = self.group_rows[gid]
         shift = self.row_shift
-        mask = (1 << shift) - 1
         merged = []
         for set_rows in self._group_sets(gid):
             c_idx, r_idx = np.nonzero(fail_rows[set_rows - lo].T)
             keys = (c_idx.astype(np.int64) << shift) | set_rows[r_idx]
-            merged.append(MergedCandidates(keys, keys.tolist(), shift, mask))
+            merged.append(MergedCandidates(keys.tolist(), shift))
         entry.merged = merged
         return entry
 
@@ -642,165 +629,6 @@ class _VectorizedEngine:
             if j < len(lst) and lst[j] < best:
                 best = lst[j]
         return best
-
-    # ------------------------------------------------------------------ #
-    # batched per-group failure runs (independent groups)
-    # ------------------------------------------------------------------ #
-    def _run_group_batched(self, gid: int) -> None:
-        """Process a stall-independent group's entire event timeline.
-
-        Applies the group's whole run of failure events in one pass: per-member
-        candidate pointers advance monotonically (``bisect`` with a moving low
-        bound — candidates behind ``scan_from`` or inside a recompute window
-        are dead permanently, since both bounds only grow), and Algorithm 2 is
-        driven through the controller's closed-form batch API.  Failure cycles
-        keep the reference loop's exact member visit order and within-cycle
-        stall suppression.
-        """
-        n = self.n
-        recompute = self.cfg.recompute_cycles
-        stepping = self.stepping
-        controller = self.controller
-        lo, hi = self.group_rows[gid]
-        m_count = hi - lo
-        members = range(m_count)
-        stall_end = self.stall_end
-        set_rows, set_of_row = self.set_rows, self.set_of_row
-        fail_counts = self.fail_counts
-        s_rows, s_starts = self.stall_log_rows, self.stall_log_starts
-        f_rows, f_cycles = self.fail_log_rows, self.fail_log_cycles
-        break_cycles = self.break_cycles[gid]
-        break_levels = self.break_levels[gid]
-
-        level = self.level[gid]
-        caches: Dict[int, LevelEntry] = {level: self.cur_cache[gid]}
-        lists = caches[level].fail_lists
-        scan_from = self.scan_from[gid]
-        synced = self.synced[gid]
-        next_sched = self.next_sched[gid]
-
-        # Per-member incremental candidate pointers, kept *per level* so the
-        # frequent safe <-> a-level flips reuse each level's pointer state.
-        # All bounds (scan_from, stall windows) only ever grow, so a pointer
-        # whose candidate already clears the new bound needs no bisect at all,
-        # and each level's lists are consumed at most once over the run.
-        ptrs: Dict[int, Tuple[List[int], List[int]]] = {}
-
-        def bind(to_level: int, from_cycle: int) -> Tuple[List[int], List[int]]:
-            entry = ptrs.get(to_level)
-            if entry is None:
-                idxs = [0] * m_count
-                next_c = [n] * m_count
-                for m in members:
-                    lst = lists[m]
-                    bound = stall_end[lo + m]
-                    if bound < from_cycle:
-                        bound = from_cycle
-                    j = bisect_left(lst, bound)
-                    idxs[m] = j
-                    next_c[m] = lst[j] if j < len(lst) else n
-                entry = (idxs, next_c)
-                ptrs[to_level] = entry
-            else:
-                idxs, next_c = entry
-                for m in members:
-                    bound = stall_end[lo + m]
-                    if bound < from_cycle:
-                        bound = from_cycle
-                    if next_c[m] < bound:
-                        lst = lists[m]
-                        j = bisect_left(lst, bound, idxs[m])
-                        idxs[m] = j
-                        next_c[m] = lst[j] if j < len(lst) else n
-            return entry
-
-        idxs, next_c = bind(level, scan_from)
-
-        while True:
-            f = min(next_c) if next_c else n
-            if stepping and next_sched <= f:
-                if next_sched >= n:
-                    break
-                s = next_sched
-                _, new_level, gap = controller.advance_to_transition(gid)
-                synced = s
-                next_sched = s + gap
-                if new_level != level:
-                    level = new_level
-                    break_cycles.append(s)
-                    break_levels.append(new_level)
-                    cache = caches.get(new_level)
-                    if cache is None:
-                        cache = self._cache(gid, new_level)
-                        caches[new_level] = cache
-                    lists = cache.fail_lists
-                    scan_from = s
-                    idxs, next_c = bind(new_level, s)
-                continue
-            if f >= n:
-                break
-
-            # Failure cycle f, members visited in row order (the reference
-            # loop's order): a failure stalls its whole Set immediately for
-            # later rows, which suppresses their sample this cycle.
-            group_failed = False
-            for m in members:
-                if next_c[m] != f:
-                    continue
-                row = lo + m
-                if stall_end[row] <= f:
-                    group_failed = True
-                    fail_counts[row] += 1
-                    f_rows.append(row)
-                    f_cycles.append(f)
-                    if recompute > 0:
-                        for member_row in set_rows[set_of_row[row]]:
-                            start = f + 1 if member_row <= row else f
-                            end = start + recompute
-                            s_rows.append(member_row)
-                            s_starts.append(start)
-                            if end > stall_end[member_row]:
-                                stall_end[member_row] = end
-                # Consume this member's cycle-f candidate.
-                lst = lists[m]
-                bound = stall_end[row]
-                if bound < f + 1:
-                    bound = f + 1
-                j = bisect_left(lst, bound, idxs[m] + 1)
-                idxs[m] = j
-                next_c[m] = lst[j] if j < len(lst) else n
-            scan_from = f + 1
-            if recompute > 0 and group_failed:
-                # Members stalled by this cycle's failures (including earlier
-                # rows whose windows start next cycle) jump past the window.
-                for m in members:
-                    nc = next_c[m]
-                    if nc < n and nc < stall_end[lo + m]:
-                        lst = lists[m]
-                        j = bisect_left(lst, stall_end[lo + m], idxs[m])
-                        idxs[m] = j
-                        next_c[m] = lst[j] if j < len(lst) else n
-            if stepping and group_failed:
-                _, new_level, gap = controller.advance_and_fail(gid, f - synced)
-                synced = f + 1
-                next_sched = f + 1 + gap
-                if new_level != level:
-                    level = new_level
-                    break_cycles.append(f + 1)
-                    break_levels.append(new_level)
-                    cache = caches.get(new_level)
-                    if cache is None:
-                        cache = self._cache(gid, new_level)
-                        caches[new_level] = cache
-                    lists = cache.fail_lists
-                    idxs, next_c = bind(new_level, scan_from)
-
-        # Write back for the common controller flush and materialization.
-        self.level[gid] = level
-        self.cur_cache[gid] = caches[level]
-        self.scan_from[gid] = scan_from
-        self.synced[gid] = synced
-        self.next_sched[gid] = next_sched
 
     # ------------------------------------------------------------------ #
     # closed-form kernel paths (independent groups)
@@ -1422,124 +1250,16 @@ class _VectorizedEngine:
                 self._process_failure_cycle_heap(cycle, fail_gids, heap, gpos)
 
     # ------------------------------------------------------------------ #
-    # pre-batching event loop (kept as the measured baseline)
-    # ------------------------------------------------------------------ #
-    def _query_next_fail_scan(self, gid: int) -> int:
-        """Pre-batching query: per-member ``np.searchsorted`` scan."""
-        lo, _ = self.group_rows[gid]
-        base = self.scan_from[gid]
-        best = self.n
-        for local, cycles in enumerate(self.cur_cache[gid].fail_cycles):
-            first = max(base, self.stall_end[lo + local])
-            if first >= best:
-                continue
-            j = cycles.searchsorted(first)
-            if j < cycles.size and cycles[j] < best:
-                best = int(cycles[j])
-        return best
-
-    def _apply_scheduled_scan(self, gid: int, cycle: int) -> None:
-        self.controller.advance_nofail(gid, cycle - self.synced[gid])
-        self.synced[gid] = cycle
-        self.next_sched[gid] = cycle + self.controller.cycles_to_next_transition(gid)
-        new_level = self.controller.state(gid).level
-        if new_level != self.level[gid]:
-            self.level[gid] = new_level
-            self.cur_cache[gid] = self._cache(gid, new_level)
-            self.break_cycles[gid].append(cycle)
-            self.break_levels[gid].append(new_level)
-            self.scan_from[gid] = cycle
-            self.next_fail[gid] = self._query_next_fail_scan(gid)
-
-    def _process_failure_cycle_scan(self, cycle: int, fail_gids: List[int]) -> None:
-        recompute = self.cfg.recompute_cycles
-        stall_end = self.stall_end
-        group_of_row = self.group_of_row
-        failed_groups: List[int] = []
-        affected: set = set()
-        for gid in fail_gids:
-            fail_cycles = self.cur_cache[gid].fail_cycles
-            lo, _ = self.group_rows[gid]
-            group_failed = False
-            for local, cycles in enumerate(fail_cycles):
-                row = lo + local
-                if stall_end[row] > cycle:
-                    continue
-                j = cycles.searchsorted(cycle)
-                if j >= cycles.size or cycles[j] != cycle:
-                    continue
-                group_failed = True
-                self.fail_counts[row] += 1
-                self.fail_log_rows.append(row)
-                self.fail_log_cycles.append(cycle)
-                for member_row in self.set_rows[self.set_of_row[row]]:
-                    if recompute > 0:
-                        start = cycle + 1 if member_row <= row else cycle
-                        end = start + recompute
-                        self.stall_log_rows.append(member_row)
-                        self.stall_log_starts.append(start)
-                        if end > stall_end[member_row]:
-                            stall_end[member_row] = end
-                    affected.add(group_of_row[member_row])
-            if group_failed:
-                failed_groups.append(gid)
-            self.scan_from[gid] = cycle + 1
-            affected.add(gid)
-
-        if self.stepping:
-            for gid in failed_groups:
-                self.controller.advance_nofail(gid, cycle - self.synced[gid])
-                self.controller.step(gid, ir_failure=True)
-                self.synced[gid] = cycle + 1
-                new_level = self.controller.state(gid).level
-                if new_level != self.level[gid]:
-                    self.level[gid] = new_level
-                    self.cur_cache[gid] = self._cache(gid, new_level)
-                    self.break_cycles[gid].append(cycle + 1)
-                    self.break_levels[gid].append(new_level)
-                self.next_sched[gid] = \
-                    cycle + 1 + self.controller.cycles_to_next_transition(gid)
-        for gid in affected:
-            self.next_fail[gid] = self._query_next_fail_scan(gid)
-
-    def _run_events_scan(self) -> None:
-        n = self.n
-        next_sched, next_fail = self.next_sched, self.next_fail
-        for gid in self.groups:
-            next_fail[gid] = self._query_next_fail_scan(gid)
-        while True:
-            next_cycle = n
-            for gid in self.groups:
-                sched, fail = next_sched[gid], next_fail[gid]
-                if sched < next_cycle:
-                    next_cycle = sched
-                if fail < next_cycle:
-                    next_cycle = fail
-            if next_cycle >= n:
-                break
-            for gid in self.groups:
-                if next_sched[gid] == next_cycle:
-                    self._apply_scheduled_scan(gid, next_cycle)
-            fail_gids = [gid for gid in self.groups if next_fail[gid] == next_cycle]
-            if fail_gids:
-                self._process_failure_cycle_scan(next_cycle, fail_gids)
-
-    # ------------------------------------------------------------------ #
     # event dispatch
     # ------------------------------------------------------------------ #
     def _run_events(self) -> None:
-        if self.batched:
-            for gid in self.independent_groups:
-                if not self.use_kernel:
-                    self._run_group_batched(gid)
-                elif self.stepping:
-                    self._run_group_span_kernel(gid)
-                else:
-                    self._run_group_kernel(gid)
-            if self.coupled_groups:
-                self._run_events_heap(self.coupled_groups)
-        else:
-            self._run_events_scan()
+        for gid in self.independent_groups:
+            if self.stepping:
+                self._run_group_span_kernel(gid)
+            else:
+                self._run_group_kernel(gid)
+        if self.coupled_groups:
+            self._run_events_heap(self.coupled_groups)
         self._finish_events()
 
     def _finish_events(self) -> None:
@@ -1597,9 +1317,9 @@ class _VectorizedEngine:
         """Trace-free materialization (``RuntimeConfig.traces == "none"``).
 
         Computes every scalar record field closed-form per level-stable span
-        from cached aggregates — per-(group, level) drop prefix sums and
-        row maxima (:class:`LevelEntry`), activity prefix sums and row stats
-        (shared through the level cache) — with per-failure stall/recompute
+        — activity prefix sums and row stats (shared through the level
+        cache), and the drop physics evaluated on the cycles each visited
+        level covers — with per-failure stall/recompute
         corrections applied from the engine's logged failure points and
         recompute windows.  No drop/level/chip trace is gathered, no stall
         mask is rebuilt, no activity copy is made; results are equivalent to
@@ -1675,9 +1395,8 @@ class _VectorizedEngine:
             prefix_rows = A_cs[lo:hi]
             act_span = prefix_rows[:, ends] - prefix_rows[:, starts]
 
-            # Per-row drop sum (prefix gathers) and worst drop (cached row
-            # maxima, restricted to the visited spans when the global argmax
-            # falls outside them) per distinct level.
+            # Per-row drop sum and worst drop over the visited spans, per
+            # distinct level.
             dsum = np.zeros(mcount)
             dpeak = np.zeros(mcount)
             for slot, level in enumerate(distinct_levels.tolist()):
@@ -1890,15 +1609,6 @@ class _VectorizedEngine:
         return self._materialize()
 
 
-def run_vectorized(runtime: "PIMRuntime", batched: bool = True,
-                   kernel: bool = True) -> SimulationResult:
-    """Run ``runtime`` on the vectorized event-driven engine.
-
-    ``batched=False`` selects the pre-batching event loop (kept as the measured
-    baseline of the batched failure path); ``kernel=False`` selects the
-    pre-kernel batched loop (per-member ``bisect`` pointers — the PR-3
-    implementation, kept as the measured baseline of the closed-form timeline
-    kernels; see ``benchmarks/bench_kernels_store.py``).  Results are
-    bit-identical on every path.
-    """
-    return _VectorizedEngine(runtime, batched=batched, use_kernel=kernel).run()
+def run_vectorized(runtime: "PIMRuntime") -> SimulationResult:
+    """Run ``runtime`` on the vectorized event-driven engine."""
+    return _VectorizedEngine(runtime).run()

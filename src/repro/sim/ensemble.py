@@ -35,10 +35,9 @@ grid point together:
   ``booster_safe``) resolve each group through the *runs-axis* timeline
   kernels (:func:`~repro.sim.kernels.select_failures_runs`, re-armed via
   :func:`~repro.sim.kernels.resume_frontiers_runs`): one call selects every
-  member's failure timeline for a Set over stacked candidate streams.
-  ``booster`` members keep their per-member span kernel (Algorithm-2 state
-  is inherently sequential per run) but run group-major so each group's
-  shared structures stay hot.  Set-coupled groups fall back to the
+  member's failure timeline for a Set.  ``booster`` members keep their
+  per-member span kernel (Algorithm-2 state is inherently sequential per
+  run) but run group-major so each group's shared structures stay hot.  Set-coupled groups fall back to the
   per-member heap scheduler unchanged.
 
 Equivalence contract: for every member, the returned
@@ -247,7 +246,7 @@ def _run_group_kernel_runs(members: List[_VectorizedEngine],
     """Runs-axis counterpart of ``_run_group_kernel`` for one group.
 
     Every member's timeline for each Set is resolved in one
-    :func:`select_failures_runs` call over the stacked candidate streams;
+    :func:`select_failures_runs` call over the members' candidate streams;
     :func:`resume_frontiers_runs` pre-peeks the batch so exhausted members
     skip selection.  Per-member decoding goes through the engine's own
     ``_apply_set_selection``, so logs, counts and stall bounds are

@@ -3,14 +3,14 @@
 Sweeps simulate the same ``(workload, seed, stress settings)`` many times —
 once per beta, per controller, per mode — and every one of those runs derives
 *identical* per-(group, level) arrays from Eq. 2: the drop rows over the
-horizon and the candidate-failure cycle sets (see
-:class:`repro.sim.engine._LevelCache`).  Only the *event dynamics* differ
-between such runs.  This module holds those arrays in a process-level LRU
-keyed on everything the physics actually depends on, so a Fig.-18 beta grid
-(or a multi-controller point) computes each group's physics once per process
-instead of once per run.  The pattern mirrors the ``flip_factor_matrix`` memo
-in :mod:`repro.workloads.generator`: entries are immutable, eviction is
-byte-budgeted, and correctness never depends on a hit.
+horizon and the candidate-failure cycle sets (see :class:`LevelEntry`).
+Only the *event dynamics* differ between such runs.  This module holds those
+arrays in a process-level LRU keyed on everything the physics actually
+depends on, so a Fig.-18 beta grid (or a multi-controller point) computes
+each group's physics once per process instead of once per run.  The pattern
+mirrors the ``flip_factor_matrix`` memo in :mod:`repro.workloads.generator`:
+entries are immutable, eviction is byte-budgeted, and correctness never
+depends on a hit.
 
 Key derivation
 --------------
@@ -75,16 +75,16 @@ class LevelEntry:
     lazily per process, so each event path only pays for what it consumes:
     ``merged`` holds the per-Set packed-key candidate streams the timeline
     kernels walk (:mod:`repro.sim.kernels`), :attr:`fail_lists` the
-    per-member plain-list mirror the heap scheduler and the pre-kernel
-    batched loop ``bisect`` over.
+    per-member plain-list mirror the coupled-group heap scheduler bisects
+    over.
     """
 
     pair: VFPair
     drop_rows: np.ndarray           #: (members, cycles) Eq.-2 drop at this pair
     #: per member, sorted candidate cycle indices — or ``None`` for a
-    #: *physics-only* entry (drop matrix and its derived statistics, no
-    #: candidate pipeline).  The ensemble engine materializes levels whose
-    #: candidates were consumed through windowed streams from such entries;
+    #: *physics-only* entry (drop matrix only, no candidate pipeline).  The
+    #: ensemble engine materializes levels whose candidates were consumed
+    #: through windowed streams from such entries;
     #: ``_VectorizedEngine._cache`` upgrades one in place on the first run
     #: that needs the candidate streams.
     fail_cycles: Optional[List[np.ndarray]]
@@ -93,9 +93,6 @@ class LevelEntry:
     #: function of the workload the entry is already keyed on.
     merged: Optional[List] = field(default=None, compare=False)
     _fail_lists: Optional[List[List[int]]] = field(default=None, compare=False)
-    _drop_prefix: Optional[np.ndarray] = field(default=None, compare=False)
-    _drop_row_stats: Optional[tuple] = field(default=None, compare=False)
-    _drop_row_order: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def fail_lists(self) -> List[List[int]]:
@@ -111,72 +108,16 @@ class LevelEntry:
             self._fail_lists = lists
         return lists
 
-    @property
-    def drop_prefix(self) -> np.ndarray:
-        """``(members, cycles + 1)`` prefix sums of :attr:`drop_rows`.
-
-        The scalar fast path turns any span's per-row drop *sum* into two
-        gathers (``prefix[:, end] - prefix[:, start]``), so trace-free runs
-        never touch the full drop matrix.  Built lazily per process and
-        memoized on the (shared) entry.
-        """
-        prefix = self._drop_prefix
-        if prefix is None:
-            rows = self.drop_rows
-            prefix = np.zeros((rows.shape[0], rows.shape[1] + 1))
-            np.cumsum(rows, axis=1, out=prefix[:, 1:])
-            prefix.setflags(write=False)
-            self._drop_prefix = prefix
-        return prefix
-
-    @property
-    def drop_row_stats(self) -> tuple:
-        """``(per-row max, per-row argmax)`` of :attr:`drop_rows`.
-
-        The scalar fast path resolves a run's worst drop per row from these:
-        when the level's visited spans cover the argmax cycle the max is
-        exact as-is, otherwise a restricted masked max is taken.  Built
-        lazily per process and memoized on the (shared) entry.
-        """
-        stats = self._drop_row_stats
-        if stats is None:
-            rows = self.drop_rows
-            if rows.size:
-                argmax = rows.argmax(axis=1)
-                peak = rows[np.arange(rows.shape[0]), argmax]
-            else:
-                argmax = np.zeros(rows.shape[0], dtype=np.int64)
-                peak = np.zeros(rows.shape[0])
-            stats = (peak, argmax)
-            self._drop_row_stats = stats
-        return stats
-
-    @property
-    def drop_row_order(self) -> np.ndarray:
-        """Per-row cycle indices sorted by *descending* drop (``int32``).
-
-        The scalar fast path finds a run's restricted worst drop by walking
-        this order until a cycle inside the visited spans appears — a few
-        gathers instead of a masked scan.  Built lazily per process and
-        memoized on the (shared) entry.
-        """
-        order = self._drop_row_order
-        if order is None:
-            order = np.ascontiguousarray(
-                np.argsort(self.drop_rows, axis=1)[:, ::-1]).astype(np.int32)
-            order.setflags(write=False)
-            self._drop_row_order = order
-        return order
-
     def nbytes_estimate(self) -> int:
         """Byte-budget charge for this entry, wherever it was built.
 
-        Drop bytes count 3x (the rows plus the lazily-built
-        :attr:`drop_prefix` and :attr:`drop_row_order`) and candidate bytes
-        7x: the arrays themselves (1x) plus the lazily-built derived forms —
-        the merged key stream with its boxed list mirror and the plain
-        ``fail_lists`` — a deliberate overestimate so derived data stays
-        inside the budget.  The engine and the shared store both charge
+        Candidate bytes count 7x: the arrays themselves (1x) plus the
+        lazily-built derived forms — the merged key lists and the plain
+        ``fail_lists``, both boxed ints — a deliberate overestimate so
+        derived data stays inside the budget.  Drop bytes count 3x, an
+        overestimate of the rows alone that is kept because, with
+        :data:`_DEFAULT_BUDGET_BYTES`, it sets the eviction pace and
+        therefore peak memory.  The engine and the shared store both charge
         through this one estimator so locally-built and backend-loaded
         entries weigh the same under LRU eviction.
         """
@@ -245,16 +186,6 @@ class ByteBudgetCache:
         self.misses += 1
         return None
 
-    def peek(self, key: Hashable) -> Optional[object]:
-        """In-memory lookup with no side effects.
-
-        Does not touch the hit/miss counters, the LRU order or the backend —
-        the ensemble engine's batch prebuild uses this to decide which
-        members still need physics derived without perturbing stats or
-        paying a backend round-trip per probe.
-        """
-        return self._entries.get(key)
-
     def _insert(self, key: Hashable, value: object, nbytes: int,
                 count_rejection: bool = True) -> None:
         if nbytes > self.budget_bytes:
@@ -320,11 +251,10 @@ class ByteBudgetCache:
 
 
 #: Default budget: comfortably holds the level caches of dozens of
-#: reference-chip runs while bounding long multi-workload sweeps.  Raised
-#: from 256 MB when the entries grew their lazily-derived forms (drop
-#: prefix sums, row stats and order for the scalar fast path) — the honest
-#: per-entry estimate roughly doubled, and a budget sized for the old
-#: estimate would thrash on failure-dense level sets.
+#: reference-chip runs while bounding long multi-workload sweeps.  Sized
+#: against :meth:`LevelEntry.nbytes_estimate` (whose 3x drop charge
+#: overestimates today's entries); the two together set how much physics a
+#: process keeps, so they change together or not at all.
 _DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 
 #: The process-level cache instance shared by every simulation engine run.

@@ -34,8 +34,8 @@ from .compiler import CompiledWorkload
 from .engine import ENGINES, run_vectorized
 from .results import SimulationResult, assemble_result
 
-__all__ = ["RuntimeConfig", "PIMRuntime", "simulate", "simulate_ensemble",
-           "CONTROLLERS", "ENGINES", "TRACE_MODES"]
+__all__ = ["RuntimeConfig", "PIMRuntime", "simulate", "CONTROLLERS",
+           "ENGINES", "TRACE_MODES"]
 
 #: Available power-control strategies.
 CONTROLLERS = ("dvfs", "booster_safe", "booster")
@@ -360,17 +360,3 @@ def simulate(compiled: CompiledWorkload, config: Optional[RuntimeConfig] = None,
     """Convenience wrapper: build a :class:`PIMRuntime` and run it."""
     return PIMRuntime(compiled, config, **kwargs).run()
 
-
-def simulate_ensemble(compiled: CompiledWorkload,
-                      configs: List[RuntimeConfig],
-                      **kwargs) -> List[SimulationResult]:
-    """Simulate all configs of one grid point in a single batched pass.
-
-    Dispatches to the ensemble engine (:mod:`repro.sim.ensemble`): setup,
-    activity generation and level physics are derived once per batch, and
-    no-level-change members resolve through the runs-axis timeline kernels.
-    Each returned result is bit-identical (discrete fields; energy to 1e-9
-    rtol) to ``simulate(compiled, cfg, **kwargs)`` for the matching config.
-    """
-    from .ensemble import run_ensemble
-    return run_ensemble(compiled, configs, **kwargs)

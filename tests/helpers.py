@@ -3,8 +3,8 @@
 Besides the operator factories, this module is the *property-test corpus* for
 the simulation engine suites: one seeded source of randomized scenarios
 (geometry x controller x mode x stress x straddling-Sets) plus the engine
-oracle chain — ``reference -> scan -> batched -> kernel -> ensemble`` — and
-the equivalence assertions the chain is judged by.  ``tests/test_kernels.py``,
+oracle chain — ``reference -> kernel -> ensemble`` — and the equivalence
+assertions the chain is judged by.  ``tests/test_kernels.py``,
 ``tests/test_sim_engine.py`` and ``tests/test_scalar_records.py`` all draw
 from here, so every suite stresses the same scenario space and a new engine
 variant only has to join the chain once.
@@ -13,7 +13,7 @@ variant only has to join the chain once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -174,10 +174,11 @@ def corpus_scenarios(count: int = 9, master_seed: int = 2025) -> Tuple[Scenario,
 # ---------------------------------------------------------------------- #
 # the engine oracle chain
 # ---------------------------------------------------------------------- #
-#: Every engine variant, oracle first.  Each later variant replaced the one
-#: before it (scan -> batched event loop -> closed-form kernels -> batched
-#: ensemble) and must stay bit-identical on discrete outcomes.
-ENGINE_VARIANTS = ("reference", "scan", "batched", "kernel", "ensemble")
+#: Every engine variant, oracle first: the reference cycle loop, the event
+#: engine per run (closed-form timeline kernels plus the coupled-group heap
+#: scheduler) and the same engine batched as an ensemble.  Every variant must
+#: stay bit-identical on discrete outcomes.
+ENGINE_VARIANTS = ("reference", "kernel", "ensemble")
 
 
 def run_engine_variant(compiled, variant: str, table=None, **kwargs):
@@ -188,24 +189,16 @@ def run_engine_variant(compiled, variant: str, table=None, **kwargs):
         return simulate(compiled, RuntimeConfig(engine="reference", **kwargs),
                         table=table)
     config = RuntimeConfig(**kwargs)
-    if variant == "scan":
-        return run_vectorized(PIMRuntime(compiled, config, table=table),
-                              batched=False)
-    if variant == "batched":
-        return run_vectorized(PIMRuntime(compiled, config, table=table),
-                              kernel=False)
     if variant == "kernel":
-        return run_vectorized(PIMRuntime(compiled, config, table=table),
-                              kernel=True)
+        return run_vectorized(PIMRuntime(compiled, config, table=table))
     if variant == "ensemble":
         return run_ensemble(compiled, [config], table=table)[0]
     raise ValueError(f"unknown engine variant {variant!r}")
 
 
-def assert_oracle_chain(compiled, table=None,
-                        variants: Sequence[str] = ENGINE_VARIANTS[1:],
-                        clear_cache: bool = True, **kwargs):
-    """Assert every requested variant reproduces the reference oracle.
+def assert_oracle_chain(compiled, table=None, clear_cache: bool = True,
+                        **kwargs):
+    """Assert every engine variant reproduces the reference oracle.
 
     Returns the reference result so callers can add scenario-specific
     assertions (e.g. that the stress actually bit).
@@ -214,7 +207,7 @@ def assert_oracle_chain(compiled, table=None,
         from repro.sim import clear_level_cache
         clear_level_cache()
     reference = run_engine_variant(compiled, "reference", table=table, **kwargs)
-    for variant in variants:
+    for variant in ENGINE_VARIANTS[1:]:
         result = run_engine_variant(compiled, variant, table=table, **kwargs)
         assert_results_equivalent(reference, result)
     return reference

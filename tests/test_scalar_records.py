@@ -5,10 +5,9 @@ full-trace path — discrete fields (failures, stalls, levels) bit-identical,
 float reductions (energy, mean drop, elapsed time) to 1e-9 rtol, and extremal
 statistics (worst drop, peak Rtog) exactly equal — across all three
 controllers, both operating modes, both sweep seed modes, the shared-corpus
-stress axes, and every engine variant (reference == scan == batched ==
-kernel == ensemble), including
-workloads whose logical Sets straddle group boundaries (the coupled-group
-heap path).
+stress axes, and every engine variant (reference == kernel == ensemble),
+including workloads whose logical Sets straddle group boundaries (the
+coupled-group heap path).
 """
 
 import numpy as np
@@ -79,14 +78,14 @@ class TestScalarEquivalence:
 
     @pytest.mark.parametrize("controller", ["booster_safe", "booster"])
     def test_engine_variants_agree(self, controller):
-        """reference == scan == batched == kernel == ensemble on scalar
-        records: every event path feeds the same scalar materialization."""
+        """reference == kernel == ensemble on scalar records: every event
+        path feeds the same scalar materialization."""
         compiled = contained_sets_workload()
         kwargs = dict(cycles=500, controller=controller, beta=4,
                       recompute_cycles=10, flip_mean=0.8, monitor_noise=0.01,
                       seed=7)
         reference = run_engine_variant(compiled, "reference", **kwargs)
-        for variant in ("scan", "batched", "kernel", "ensemble"):
+        for variant in ("kernel", "ensemble"):
             result = run_engine_variant(compiled, variant, traces="none",
                                         **kwargs)
             assert_scalar_equivalent(reference, result)

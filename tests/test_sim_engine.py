@@ -26,13 +26,14 @@ from repro.sim import (
     set_level_cache_budget,
     simulate,
 )
-from repro.sim.engine import _VectorizedEngine, run_vectorized
+from repro.sim.engine import _VectorizedEngine
 from repro.sweep import WorkloadSpec, build_compiled_workload
 from repro.workloads import flip_factor_matrix, flip_factor_sequence
 from repro.workloads.profiles import WorkloadProfile
 
 from tests.helpers import (
     FAILURE_DENSE_STRESS,
+    assert_oracle_chain,
     assert_results_equivalent,
     make_operator,
     synthetic_spec,
@@ -113,12 +114,6 @@ class TestEngineEquivalence:
             RuntimeConfig(engine="warp").validate()
 
 
-def run_unbatched(compiled, config, table=None):
-    """The pre-batching event loop (the batched path's measured baseline)."""
-    return run_vectorized(PIMRuntime(compiled, config, table=table),
-                          batched=False)
-
-
 def coupling_of(compiled, config, table=None):
     """(independent, coupled) group counts the engine derives for a workload."""
     engine = _VectorizedEngine(PIMRuntime(compiled, config, table=table))
@@ -127,22 +122,16 @@ def coupling_of(compiled, config, table=None):
 
 
 class TestFailureDenseEquivalence:
-    """Forced high-failure-density configs: batched and pre-batching event
-    loops must both reproduce the reference oracle bit-for-bit, across the
-    independent-group (batched per-group runs) and coupled-group (heap
+    """Forced high-failure-density configs: the event engine, per run and
+    batched as an ensemble, must reproduce the reference oracle bit-for-bit,
+    across the independent-group (timeline kernels) and coupled-group (heap
     scheduler) code paths."""
 
     STRESS = FAILURE_DENSE_STRESS
 
     def triangulate(self, compiled, table=None, **kwargs):
-        reference = simulate(compiled, RuntimeConfig(engine="reference", **kwargs),
-                             table=table)
-        batched = simulate(compiled, RuntimeConfig(engine="vectorized", **kwargs),
-                           table=table)
-        unbatched = run_unbatched(compiled, RuntimeConfig(**kwargs), table=table)
-        assert_results_equivalent(reference, batched)
-        assert_results_equivalent(reference, unbatched)
-        return reference
+        return assert_oracle_chain(compiled, table=table, clear_cache=False,
+                                   **kwargs)
 
     def test_high_density_mixed_sets(self, engine_compiled):
         compiled, table = engine_compiled
@@ -163,7 +152,7 @@ class TestFailureDenseEquivalence:
 
     def test_independent_groups_take_batched_path(self):
         """Group-contained Sets (sequential mapping, even tiling): every group
-        is processed by the batched per-group runner."""
+        resolves through the per-group timeline kernels."""
         compiled = build_compiled_workload(synthetic_spec("engine-independent"))
         kwargs = dict(cycles=700, **self.STRESS)
         independent, coupled = coupling_of(compiled, RuntimeConfig(**kwargs))
@@ -381,17 +370,18 @@ class TestBatchedPrimitives:
             assert value == dense[cycle]
 
     def test_monitor_batch_matches_scalar_sampling(self):
+        """The engine's batched noise stream and its vectorized failure
+        compare reproduce the scalar monitor cycle for cycle."""
+        noise = IRMonitor(sensing_noise=0.01, seed=7).noise_for_cycles(200)
         scalar = IRMonitor(sensing_noise=0.01, seed=7)
-        batch = IRMonitor(sensing_noise=0.01, seed=7, record_readings=False)
+        assert np.array_equal(noise, [scalar.noise_at(c) for c in range(200)])
+        sampler = IRMonitor(sensing_noise=0.01, seed=7)
         rng = np.random.default_rng(0)
         effective = 0.65 + rng.normal(0.0, 0.01, size=200)
-        expected = np.array([scalar.sample(c, float(effective[c]), 0.65)
-                             for c in range(200)])
-        observed = batch.sample_batch(0, effective, 0.65)
-        assert np.array_equal(expected, observed)
-        assert batch.failure_count == scalar.failure_count
-        assert batch.readings == []                      # recording disabled
-        assert len(scalar.readings) == 200
+        expected = [sampler.sample(c, float(effective[c]), 0.65)
+                    for c in range(200)]
+        assert np.array_equal(effective + noise < 0.65, expected)
+        assert sampler.failure_count == int(np.sum(expected))
 
     def test_monitor_reading_cap(self):
         monitor = IRMonitor(sensing_noise=0.0, max_readings=10)
@@ -402,25 +392,26 @@ class TestBatchedPrimitives:
         assert monitor.failure_count == 0                # counters still global
 
     def test_accumulate_cycles_matches_scalar(self):
+        """One row of the engine's per-cycle-operating-point accumulation
+        equals looped scalar accumulation."""
         model = EnergyModel()
         rng = np.random.default_rng(3)
         activity = rng.uniform(0.1, 0.9, size=300)
         stalled = rng.random(300) < 0.2
+        voltages = rng.choice([0.71, 0.68, 0.75], size=300)
+        frequencies = rng.choice([0.9e9, 1.0e9, 1.1e9], size=300)
         scalar = EnergyBreakdown()
-        for act, stall in zip(activity, stalled):
-            model.accumulate_cycle(scalar, 0.71, 0.9e9, float(act), 2.5,
-                                   stalled=bool(stall))
-        batched = EnergyBreakdown()
-        model.accumulate_cycles(batched, 0.71, 0.9e9, activity, 2.5,
-                                stalled=stalled)
-        traced = EnergyBreakdown()
-        model.accumulate_trace(traced, np.full(300, 0.71), np.full(300, 0.9e9),
-                               activity, 2.5, stalled=stalled)
-        for result in (batched, traced):
-            assert result.dynamic_energy == pytest.approx(scalar.dynamic_energy)
-            assert result.static_energy == pytest.approx(scalar.static_energy)
-            assert result.elapsed_time == pytest.approx(scalar.elapsed_time)
-            assert result.completed_macs == pytest.approx(scalar.completed_macs)
+        for act, stall, volt, freq in zip(activity, stalled, voltages,
+                                          frequencies):
+            model.accumulate_cycle(scalar, float(volt), float(freq),
+                                   float(act), 2.5, stalled=bool(stall))
+        (traced,) = model.accumulate_trace_rows(
+            voltages, frequencies, activity[np.newaxis], np.array([2.5]),
+            stalled[np.newaxis])
+        assert traced.dynamic_energy == pytest.approx(scalar.dynamic_energy)
+        assert traced.static_energy == pytest.approx(scalar.static_energy)
+        assert traced.elapsed_time == pytest.approx(scalar.elapsed_time)
+        assert traced.completed_macs == pytest.approx(scalar.completed_macs)
 
 
 def test_vectorized_results_stay_independently_mutable(fresh_level_cache):

@@ -19,10 +19,14 @@ Endpoints::
                               (``?records=0`` elides the record list)
     GET  /jobs/{id}/records   page records off the job's record store
                               (``?offset=N&limit=M``; any job state — a
-                              running job's durable records page out live;
+                              running job's durable records page out live,
+                              in append order, so offset paging stays exact
+                              when runs finish out of order;
                               ``?wait_seq=N[&wait_timeout=S]`` long-polls
                               until more than N records exist or the job
-                              comes to rest)
+                              comes to rest; a wakeup reads only the lines
+                              appended since the last read, and each
+                              line's digest is checked once)
     POST /jobs/{id}/cancel    request cancellation
     POST /jobs/{id}/resume    lift a suspended (circuit-broken) job back
                               into the queue           -> 409 not suspended

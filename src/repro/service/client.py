@@ -90,11 +90,16 @@ class _ClientCore:
                 wait_timeout: float = 10.0) -> Dict:
         """Page records off the job's durable record store (any job state).
 
-        ``wait_seq=n`` long-polls: the service holds the request until the
-        store has *more* than ``n`` records, the job comes to rest (terminal
-        or suspended — see the response's ``resting``), or ``wait_timeout``
-        seconds pass.  Stream a live job by feeding each response's ``seq``
-        back in as the next ``wait_seq``.
+        Records come in append order, so ``offset`` paging stays exact while
+        the job runs, even when runs finish out of order.  ``wait_seq=n``
+        long-polls: the service holds the request until the store has
+        *more* than ``n`` records, the job comes to rest (terminal or
+        suspended — see the response's ``resting``), or ``wait_timeout``
+        seconds pass; each wakeup reads only the newly appended store lines,
+        whose digests are checked once.  Stream a live job by advancing
+        ``offset`` and ``wait_seq`` by each page's ``count`` (a page holds
+        at most ``limit`` records) and stop once a page is ``resting`` with
+        ``total_records`` reached.
         """
         path = (f"/jobs/{job_id}/records?offset={int(offset)}"
                 f"&limit={int(limit)}")

@@ -83,6 +83,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..store import ShardedRecordStore, StoreReader
 from ..sweep import faults
 from ..sweep.records import SweepResult
 from ..sweep.runner import (PoolExecutor, SerialExecutor, SweepPass,
@@ -179,6 +180,9 @@ class _ActiveJob:
         self.strikes = 0              #: fleet rebuilds attributed to this job
         self.cancelled = False        #: cancel observed mid-round
         self.started = time.monotonic()
+        #: the records endpoint's incremental reader of this job's store
+        #: (created by the first ``records`` call; dropped with the entry).
+        self.reader = None
 
     @property
     def finished(self) -> bool:
@@ -277,6 +281,7 @@ class SweepService:
         self._lease: Optional[StateDirLease] = None
         self._lease_lost = threading.Event()
         self._records_cond = threading.Condition()
+        self._records_gen = 0         #: bumped on every records notification
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -351,6 +356,7 @@ class SweepService:
 
     def _notify_records(self) -> None:
         with self._records_cond:
+            self._records_gen += 1
             self._records_cond.notify_all()
 
     # ------------------------------------------------------------------ #
@@ -459,16 +465,26 @@ class SweepService:
         """A page of a job's records, straight off its record store.
 
         Unlike :meth:`result`, this works for *any* job state — a running
-        job's durable records page out while it executes (the scan is
+        job's durable records page out while it executes (the read is
         non-mutating, so it cannot disturb the writer) — and never
         materializes aggregates, so it stays cheap for huge sweeps.
+
+        Records are in append order (a run sits where its first record
+        landed), so ``offset`` paging stays exact while the job runs, even
+        when runs finish out of order.  An active job's pages come off one
+        shared :class:`~repro.store.StoreReader`, so each wakeup parses only
+        the lines appended since the previous read, and each line's digest
+        is checked once; a job at rest is one fresh read of its store.
 
         Long-polling: ``wait_seq=n`` blocks (up to ``wait_timeout``
         seconds, capped at 60) until the store holds *more* than ``n``
         records, or the job comes to rest (terminal or suspended) —
-        whichever is first.  A client streams a job live by passing the
-        ``seq`` of its previous response, paying one request per batch of
-        records instead of one per poll interval.
+        whichever is first.  A client streams a job live by advancing
+        ``offset`` and ``wait_seq`` by each page's ``count``, paying one
+        request per batch of records instead of one per poll interval, and
+        stops at a ``resting`` page once it has ``total_records``.
+        ``resting`` is judged before the records are read, so a resting
+        page's ``total_records`` is final.
         """
         self.registry.get(job_id)                  # KeyError for unknown ids
         offset = max(0, int(offset))
@@ -478,17 +494,21 @@ class SweepService:
             wait_seq = max(0, int(wait_seq))
             deadline = time.monotonic() + max(0.0, min(float(wait_timeout),
                                                        60.0))
+        reader = self._records_reader(job_id)
         while True:
-            records, failed = self._scan_job_records(job_id)
+            with self._records_cond:
+                generation = self._records_gen
             job = self.registry.get(job_id)
             resting = (job.state in TERMINAL_STATES
                        or job.state == "suspended")
+            records, failed = self._scan_job_records(job_id, reader)
             if deadline is None or len(records) > wait_seq or resting \
                     or time.monotonic() >= deadline:
                 break
             remaining = deadline - time.monotonic()
             with self._records_cond:
-                self._records_cond.wait(
+                self._records_cond.wait_for(
+                    lambda: self._records_gen != generation,
                     timeout=min(0.25, max(0.01, remaining)))
         page = records[offset:offset + limit]
         return {
@@ -499,13 +519,22 @@ class SweepService:
             "records": [record.to_json_dict() for record in page],
         }
 
-    def _scan_job_records(self, job_id: str) -> Tuple[List, List]:
+    def _records_reader(self, job_id: str) -> StoreReader:
+        """The active job's shared reader, or a fresh one for any other."""
+        with self._lock:
+            entry = self._active_jobs.get(job_id)
+            if entry is None:
+                return StoreReader(self.store_path(job_id))
+            if entry.reader is None:
+                entry.reader = StoreReader(self.store_path(job_id))
+            return entry.reader
+
+    def _scan_job_records(self, job_id: str,
+                          reader: StoreReader) -> Tuple[List, List]:
         store_dir = self.store_path(job_id)
         legacy = self.checkpoint_path(job_id)
         if os.path.isdir(store_dir):
-            from ..store import scan_store
-            report = scan_store(store_dir)
-            return report.records, report.failed
+            return reader.read()
         if os.path.exists(legacy) or os.path.exists(f"{legacy}.bak"):
             loaded = SweepResult.load_resumable(legacy)
             return loaded.sorted_records(), loaded.failed_runs
@@ -716,7 +745,6 @@ class SweepService:
             # the store open — an unrecoverably damaged store directory
             # fails the job visibly instead of wedging the scheduler.
             spec = SweepSpec.from_json_dict(job.spec)
-            from ..store import ShardedRecordStore
             job_store = ShardedRecordStore(store_dir, spec=spec)
             runner = SweepRunner(spec, self.fleet.executor,
                                  ensembles=options.get("ensembles", False))

@@ -12,7 +12,8 @@ integrity doctor.
 from .base import RecordStore, StoreError, open_store
 from .legacy import LegacyJSONRecordStore
 from .memory import MemoryRecordStore
-from .sharded import ShardedRecordStore, StoreScanReport, scan_store
+from .sharded import (ShardedRecordStore, StoreReader, StoreScanReport,
+                      scan_store)
 from .audit import audit_store
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "MemoryRecordStore",
     "LegacyJSONRecordStore",
     "ShardedRecordStore",
+    "StoreReader",
     "StoreScanReport",
     "scan_store",
     "audit_store",

@@ -43,6 +43,11 @@ Compaction merges the closed shards (never the one being appended), dropping
 superseded lines; it runs on demand (:meth:`compact`), from the audit CLI,
 or in a background thread once ``auto_compact_shards`` closed shards pile up.
 
+Reading never mutates: :func:`scan_store` digest-verifies every line and
+cross-checks the manifest (the audit doctor), while :class:`StoreReader`
+tails a live store, parsing only the lines appended since its last read
+(the service's records endpoint).
+
 Disk exhaustion: an append that hits ``ENOSPC`` truncates any partial line
 back to the last clean boundary and defers the outcome to an in-memory
 backlog (``disk_full_errors`` counts the hits, :meth:`disk_degraded` reports
@@ -74,7 +79,8 @@ from ..sweep.records import FailedRun, RunRecord
 from ..sweep.spec import SweepSpec
 from .base import RecordStore, StoreError
 
-__all__ = ["ShardedRecordStore", "StoreScanReport", "scan_store"]
+__all__ = ["ShardedRecordStore", "StoreReader", "StoreScanReport",
+           "scan_store"]
 
 logger = logging.getLogger("repro.store")
 
@@ -176,6 +182,17 @@ def _scan_shard(path: str) -> _ShardScan:
                     scan.intact_after_damage += 1
             offset = end
     return scan
+
+
+def _shard_names(shards_dir: str) -> List[str]:
+    """A store's shard file names in append order (none when absent)."""
+    try:
+        names = os.listdir(shards_dir)
+    except FileNotFoundError:
+        return []
+    return sorted(name for name in names
+                  if name.startswith(_SHARD_PREFIX)
+                  and name.endswith(_SHARD_SUFFIX))
 
 
 def _spec_dict(spec: Union[SweepSpec, Dict, None]) -> Optional[Dict]:
@@ -393,13 +410,7 @@ class ShardedRecordStore(RecordStore):
     # shard bookkeeping
     # ------------------------------------------------------------------ #
     def _list_shards(self) -> List[str]:
-        try:
-            names = os.listdir(self.shards_dir)
-        except FileNotFoundError:
-            return []
-        return sorted(name for name in names
-                      if name.startswith(_SHARD_PREFIX)
-                      and name.endswith(_SHARD_SUFFIX))
+        return _shard_names(self.shards_dir)
 
     def _next_shard_name(self) -> str:
         highest = 0
@@ -739,16 +750,15 @@ class ShardedRecordStore(RecordStore):
 
 
 # ---------------------------------------------------------------------- #
-# read-only scanning (audit CLI, service paging)
+# read-only scanning (audit CLI) and incremental reading (service paging)
 # ---------------------------------------------------------------------- #
 @dataclass
 class StoreScanReport:
     """A non-mutating integrity scan of a store directory.
 
     Produced by :func:`scan_store` — nothing on disk changes, so it is safe
-    against a live store (the service's records endpoint uses it) and is the
-    "diagnose" half of the audit doctor (open-for-write is the "repair"
-    half).
+    against a live store and is the "diagnose" half of the audit doctor
+    (open-for-write is the "repair" half).
     """
 
     directory: str
@@ -872,3 +882,101 @@ def scan_store(directory: str) -> StoreScanReport:
     report.superseded_lines = total_lines - sum(
         s["bad_lines"] for s in report.shards) - len(records) - len(failed)
     return report
+
+
+class StoreReader:
+    """An incremental, non-mutating reader of a (possibly live) store.
+
+    Where :func:`scan_store` re-reads and re-digests every line on each
+    call, a reader remembers a byte offset per shard and each :meth:`read`
+    parses only the *complete* lines (up to the last newline) appended
+    since the previous one — so tailing a live store costs O(new lines) per
+    read, not O(store).  Each line goes through the same digest check as
+    :func:`scan_store`, once, when the reader first reaches it; a complete
+    line with a bad digest is skipped, and a torn final line is not served
+    until its newline lands.  Later on-disk damage is caught by recovery on
+    the store's next writable open and by the audit doctor, not here.
+
+    Records come back in **append order**: a run sits at the position of
+    its first ``record`` line and carries its winning (highest-``seq``)
+    line, with a ``record`` superseding any ``failed`` line — the same
+    winners as :func:`scan_store`.  Paging by offset over that order stays
+    exact while the store grows, whatever order runs finish in.
+
+    When a shard it has read disappears, shrinks or is replaced (compaction
+    and quarantine rewrite shards), the reader drops its state and re-reads
+    from byte 0.  Thread-safe: one lock serializes reads.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.directory = os.path.abspath(os.fspath(directory))
+        self.shards_dir = os.path.join(self.directory, "shards")
+        self._lock = threading.Lock()
+        #: complete shard lines parsed (and digest-checked) so far.
+        self.parsed_lines = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        self._offsets: Dict[str, Tuple[int, int]] = {}   # name -> (inode, end)
+        self._records: List[RunRecord] = []              # append order
+        #: run_id -> (winning record seq, index into ``_records``)
+        self._winners: Dict[str, Tuple[int, int]] = {}
+        self._failed: Dict[str, Tuple[int, FailedRun]] = {}
+
+    def read(self) -> Tuple[List[RunRecord], List[FailedRun]]:
+        """``(records, failed)`` as of now, after reading the new lines."""
+        with self._lock:
+            if not self._advance():
+                self._reset()
+                self._advance()
+            failed = [entry for run_id, (_, entry) in self._failed.items()
+                      if run_id not in self._winners]
+            return list(self._records), failed
+
+    def _advance(self) -> bool:
+        """Consume the complete lines past each offset; False when a shard
+        already read has vanished, shrunk or been replaced."""
+        names = _shard_names(self.shards_dir)
+        if not set(self._offsets) <= set(names):
+            return False
+        for name in names:
+            inode, offset = self._offsets.get(name, (None, 0))
+            try:
+                with open(os.path.join(self.shards_dir, name), "rb") as handle:
+                    status = os.fstat(handle.fileno())
+                    if inode is not None and (status.st_ino != inode
+                                              or status.st_size < offset):
+                        return False
+                    if status.st_size == offset:
+                        continue
+                    handle.seek(offset)
+                    chunk = handle.read()
+            except FileNotFoundError:         # compacted away mid-read
+                if inode is not None:
+                    return False
+                continue
+            end = chunk.rfind(b"\n") + 1
+            start = 0
+            while start < end:
+                stop = chunk.index(b"\n", start) + 1
+                self.parsed_lines += 1
+                parsed, _ = _parse_line(chunk[start:stop])
+                if parsed is not None:
+                    self._take(*parsed)
+                start = stop
+            self._offsets[name] = (status.st_ino, offset + end)
+        return True
+
+    def _take(self, seq: int, kind: str, data: Dict) -> None:
+        run_id = data.get("run_id")
+        if kind == "failed":
+            if seq >= self._failed.get(run_id, (-1, None))[0]:
+                self._failed[run_id] = (seq, FailedRun.from_json_dict(data))
+            return
+        winner = self._winners.get(run_id)
+        if winner is None:
+            self._winners[run_id] = (seq, len(self._records))
+            self._records.append(RunRecord.from_json_dict(data))
+        elif seq >= winner[0]:
+            self._winners[run_id] = (seq, winner[1])
+            self._records[winner[1]] = RunRecord.from_json_dict(data)

@@ -1078,6 +1078,89 @@ class TestLongPollRecords:
         finally:
             service.shutdown(timeout=30)
 
+    def test_runs_finishing_out_of_order_page_exactly_once(self, tmp_path):
+        """A later run that completes first must not be paged again (and
+        the earlier one skipped) once the earlier run lands behind it."""
+        release = threading.Event()
+
+        class LaterFirstExecutor(SerialExecutor):
+            def imap_unordered(self, fn, runs):
+                earlier, later = runs
+                yield fn(later)
+                assert release.wait(timeout=30)
+                yield fn(earlier)
+
+        spec = tiny_spec(seeds=1)
+        service = SweepService(str(tmp_path),
+                               executor=LaterFirstExecutor()).start()
+        try:
+            client = InProcessClient(ServiceAPI(service))
+            job_id = client.submit(spec, job_key="ooo")["job_id"]
+            first = client.records(job_id, wait_seq=0, wait_timeout=30)
+            assert first["count"] == 1 and not first["resting"]
+            release.set()
+            client.wait(job_id)
+            second = client.records(job_id, offset=first["seq"])
+        finally:
+            service.shutdown(timeout=30)
+        paged = [record["run_id"]
+                 for record in first["records"] + second["records"]]
+        expected = [run.run_id for run in spec.expand()]
+        assert paged == expected[::-1]
+
+    def test_resting_page_carries_the_final_record_count(self, tmp_path,
+                                                         monkeypatch):
+        """The job's last record and ``done`` landing right after a page's
+        read must not yield a resting page that is missing that record."""
+        from repro.service import daemon
+        from repro.store import StoreReader
+
+        release = threading.Event()
+        armed = threading.Event()
+        spec = tiny_spec()
+
+        class HoldLastExecutor(SerialExecutor):
+            def imap_unordered(self, fn, runs):
+                *head, last = runs
+                for run in head:
+                    yield fn(run)
+                assert release.wait(timeout=30)
+                yield fn(last)
+
+        service = SweepService(str(tmp_path),
+                               executor=HoldLastExecutor()).start()
+
+        class LateReader(StoreReader):
+            """Lets the last run and ``done`` land right after one read."""
+
+            def read(self):
+                view = super().read()
+                if armed.is_set() and not release.is_set():
+                    release.set()
+                    service.wait_for(job_id, timeout=30)
+                return view
+
+        monkeypatch.setattr(daemon, "StoreReader", LateReader)
+        try:
+            client = InProcessClient(ServiceAPI(service))
+            job_id = client.submit(spec, job_key="stale")["job_id"]
+            seq, pages = 0, []
+            while True:
+                if seq == spec.n_runs - 1:
+                    armed.set()
+                page = client.records(job_id, offset=seq, wait_seq=seq,
+                                      wait_timeout=30)
+                pages.append(page)
+                seq += page["count"]
+                if page["resting"] and seq >= page["total_records"]:
+                    break
+        finally:
+            service.shutdown(timeout=30)
+        assert release.is_set()                 # the race was forced
+        assert seq == spec.n_runs
+        assert [page["total_records"] for page in pages
+                if page["resting"]] == [spec.n_runs]
+
     def test_wait_seq_over_http(self, tmp_path):
         service = SweepService(str(tmp_path)).start()
         http = ServiceHTTPServer(service).start()

@@ -26,6 +26,9 @@ import json
 import math
 import multiprocessing
 import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -37,6 +40,7 @@ from repro.store import (
     RecordStore,
     ShardedRecordStore,
     StoreError,
+    StoreReader,
     audit_store,
     open_store,
     scan_store,
@@ -888,3 +892,222 @@ class TestShardedDiskExhaustion:
         reopened = ShardedRecordStore(directory)
         assert len(list(reopened.iter_records())) == 2
         reopened.close()
+
+
+# --------------------------------------------------------------------- #
+# incremental reader (the service's records endpoint)
+# --------------------------------------------------------------------- #
+def _as_set(items):
+    return {json.dumps(item.to_json_dict(), sort_keys=True) for item in items}
+
+
+def _shard_lines(directory: str) -> int:
+    return sum(shard["lines"] + shard["bad_lines"]
+               for shard in scan_store(directory).shards)
+
+
+class TestStoreReader:
+    """``StoreReader`` serves the same winners as ``scan_store`` while it
+    parses each shard line once, in append order."""
+
+    @staticmethod
+    def assert_matches_scan(reader: StoreReader, directory: str):
+        records, failed = reader.read()
+        report = scan_store(directory)
+        assert _as_set(records) == _as_set(report.records)
+        assert _as_set(failed) == _as_set(report.failed)
+        return records, failed
+
+    def test_superseded_duplicate_record(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory)
+        reader = StoreReader(directory)
+        store.append(make_record(0, 0))
+        store.append(make_record(0, 1))
+        self.assert_matches_scan(reader, directory)
+        store.append(make_record(0, 0, effective_tops=-1.0))
+        records, _ = self.assert_matches_scan(reader, directory)
+        # The rerun keeps its first position and carries the newest line.
+        assert [r.seed_index for r in records] == [0, 1]
+        assert records[0].metrics["effective_tops"] == -1.0
+        assert reader.parsed_lines == 3
+        store.close()
+
+    def test_failed_line_superseded_by_record(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory)
+        reader = StoreReader(directory)
+        store.append_failed(make_failed(0, 0))
+        store.append(make_record(0, 1))
+        records, failed = self.assert_matches_scan(reader, directory)
+        assert len(records) == 1 and len(failed) == 1
+        store.append(make_record(0, 0))
+        records, failed = self.assert_matches_scan(reader, directory)
+        # A run sits at its first *record* line, not its failed one.
+        assert [r.seed_index for r in records] == [1, 0]
+        assert failed == []
+        store.close()
+
+    def test_line_without_newline_waits_until_complete(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _populated_store(directory, n=3)
+        shard = _single_shard(directory)
+        with open(shard, "r+b") as handle:     # the last write is torn
+            raw = handle.read()
+            torn = len(raw) - 9
+            handle.truncate(torn)
+        reader = StoreReader(directory)
+        records, _ = self.assert_matches_scan(reader, directory)
+        assert len(records) == 2
+        with open(shard, "ab") as handle:      # the write completes
+            handle.write(raw[torn:])
+        records, _ = self.assert_matches_scan(reader, directory)
+        assert len(records) == 3
+        assert reader.parsed_lines == 3        # the torn tail parsed once
+
+    def test_complete_line_with_bad_digest_is_skipped(self, tmp_path):
+        directory = str(tmp_path / "store")
+        _populated_store(directory, n=3)
+        shard = _single_shard(directory)
+        with open(shard, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"seed":', b'"seed":1', 1)
+        with open(shard, "wb") as handle:
+            handle.write(b"".join(lines))
+        reader = StoreReader(directory)
+        records, _ = self.assert_matches_scan(reader, directory)
+        assert [r.seed_index for r in records] == [0, 2]
+        assert reader.parsed_lines == 3
+
+    def test_shard_roll(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory, records_per_shard=2)
+        reader = StoreReader(directory)
+        for seed in range(5):
+            store.append(make_record(0, seed))
+            self.assert_matches_scan(reader, directory)
+        assert store.stats()["shards"] >= 3
+        assert reader.parsed_lines == 5
+        store.close()
+
+    def test_compaction_between_reads_rereads_from_zero(self, tmp_path):
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory, records_per_shard=2)
+        store.append_failed(make_failed(0, 0))
+        for _ in range(3):
+            store.append(make_record(0, 0))
+        store.append(make_record(0, 1))
+        store.flush()
+        reader = StoreReader(directory)
+        before, _ = self.assert_matches_scan(reader, directory)
+        parsed = reader.parsed_lines
+        assert store.compact() > 0
+        after, _ = self.assert_matches_scan(reader, directory)
+        assert _as_set(after) == _as_set(before)
+        # Every surviving line was parsed again, from byte 0.
+        assert reader.parsed_lines == parsed + _shard_lines(directory)
+        store.close()
+
+    def test_out_of_order_appends_page_exactly_once(self, tmp_path):
+        """Offset paging over append order never repeats or skips a run,
+        even when runs land out of their (point, seed) order."""
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory)
+        reader = StoreReader(directory)
+        seen = []
+        for point, seed in [(1, 1), (0, 1), (1, 0), (0, 0)]:
+            store.append(make_record(point, seed))
+            records, _ = reader.read()
+            seen.extend(records[len(seen):len(seen) + 2])
+        store.close()
+        assert [(r.point_index, r.seed_index) for r in seen] == \
+            [(1, 1), (0, 1), (1, 0), (0, 0)]
+
+    def test_concurrent_readers_share_one_reader_safely(self, tmp_path):
+        """Threads (more than cores) reading one reader while a writer
+        appends: every line is parsed once and every view is a prefix of
+        the final append order."""
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory, records_per_shard=16)
+        reader = StoreReader(directory)
+        done = threading.Event()
+        views = [[] for _ in range(6)]
+
+        def poll(seen):
+            while not done.is_set():
+                view = [r.run_id for r in reader.read()[0]]
+                if not seen or view != seen[-1]:
+                    seen.append(view)
+
+        threads = [threading.Thread(target=poll, args=(seen,))
+                   for seen in views]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for point in range(40):
+                for seed in (1, 0):
+                    store.append(make_record(point, seed))
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+            store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        final = [r.run_id for r in self.assert_matches_scan(reader,
+                                                            directory)[0]]
+        assert len(final) == 80
+        assert reader.parsed_lines == _shard_lines(directory) == 80
+        for seen in views:
+            for view in seen:
+                assert view == final[:len(view)]
+
+    def test_long_poll_stream_parses_each_line_once(self, tmp_path,
+                                                    monkeypatch):
+        """Streaming an N-record daemon job by long-poll parses N lines in
+        total; re-scanning the store per wakeup would parse ~N^2/2."""
+        from repro.service import InProcessClient, ServiceAPI, SweepService
+        from repro.service import daemon
+
+        readers = []
+
+        class CountedReader(StoreReader):
+            def __init__(self, directory):
+                super().__init__(directory)
+                readers.append(self)
+
+        gate = threading.Semaphore(0)
+
+        class SteppedExecutor(SerialExecutor):
+            """Runs one work unit per ``gate`` release."""
+
+            def imap_unordered(self, fn, runs):
+                for run in runs:
+                    assert gate.acquire(timeout=30)
+                    yield fn(run)
+
+        monkeypatch.setattr(daemon, "StoreReader", CountedReader)
+        spec = tiny_spec(betas=(10, 30, 50, 70), seeds=3)
+        service = SweepService(str(tmp_path), executor=SteppedExecutor(),
+                               checkpoint_every=1).start()
+        try:
+            client = InProcessClient(ServiceAPI(service))
+            job_id = client.submit(spec, job_key="cost")["job_id"]
+            deadline = time.monotonic() + 30
+            while job_id not in service.health()["active_jobs"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            seq = 0
+            while seq < spec.n_runs:
+                gate.release()
+                page = client.records(job_id, offset=seq, limit=4096,
+                                      wait_seq=seq, wait_timeout=30)
+                seq += page["count"]
+            client.wait(job_id)
+        finally:
+            service.shutdown(timeout=30)
+        assert len(readers) == 1               # the job's one shared reader
+        assert readers[0].parsed_lines == _shard_lines(
+            service.store_path(job_id)) == spec.n_runs

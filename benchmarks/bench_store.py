@@ -1,46 +1,40 @@
-"""Per-checkpoint persistence cost: sharded record store vs legacy JSON.
+"""Per-checkpoint persistence cost of the sharded record store.
 
 One measurement, one ``BENCH_runtime.json`` section (``store``): N synthetic
 records appended one at a time with a ``flush()`` — one durable checkpoint —
-after each.  The legacy adapter rewrites (and ``.bak``-rotates) the whole
-single-JSON blob per flush, so its per-checkpoint cost grows linearly with
-the record count; the sharded store appends one digested line and fsyncs,
-so its cost stays flat no matter how many records came before.
+after each.  The sharded store appends one digested line and fsyncs, so its
+per-checkpoint cost must stay flat no matter how many records came before.
 
-The bars, both env-overridable for runner tuning:
+The bar, env-overridable for runner tuning:
 
-* ``REPRO_BENCH_STORE_FLAT_MAX`` (default 3.0) — the sharded store's
-  late-window / early-window per-checkpoint cost ratio must stay below it
-  (flat, modulo fsync noise);
-* ``REPRO_BENCH_STORE_SPEEDUP_MIN`` (default 2.0) — in the late window the
-  sharded checkpoint must beat the legacy rewrite by at least this factor.
+* ``REPRO_BENCH_STORE_FLAT_MAX`` (default 3.0) — the late-window /
+  early-window per-checkpoint cost ratio must stay below it (flat, modulo
+  fsync noise).
 
-The same pass asserts correctness alongside the timing: both stores read
-back bit-identical record sets and the sharded store audits clean.
+The same pass asserts correctness alongside the timing: the store reads
+back every record and audits clean.
 """
 
-import json
 import os
 import time
 
 import pytest
 
 from repro.analysis import format_table
-from repro.store import LegacyJSONRecordStore, ShardedRecordStore, audit_store
+from repro.store import ShardedRecordStore, audit_store
 from repro.sweep import METRIC_NAMES, RunRecord
 
 from common import SMOKE, update_bench_runtime
 
 pytestmark = pytest.mark.perf
 
-#: Checkpoints per contender; enough for the legacy rewrite's linear growth
-#: to dominate its constant costs.
+#: Checkpoints measured; enough for any per-record growth to show in the
+#: late window.
 N_RECORDS = 150 if SMOKE else 1500
 #: Early/late measurement windows (fractions of the append stream).
 WINDOW = 0.2
 
 FLAT_MAX = float(os.environ.get("REPRO_BENCH_STORE_FLAT_MAX", "3.0"))
-SPEEDUP_MIN = float(os.environ.get("REPRO_BENCH_STORE_SPEEDUP_MIN", "2.0"))
 
 
 def _record(index: int) -> RunRecord:
@@ -77,46 +71,32 @@ def _window_ms(costs: list) -> dict:
             "growth": late / early if early > 0 else float("inf")}
 
 
-def test_store_checkpoint_cost_flat_vs_legacy(tmp_path):
+def test_store_checkpoint_cost_flat(tmp_path):
     sharded = ShardedRecordStore(str(tmp_path / "store"))
     sharded_costs = _checkpoint_costs(sharded)
-    sharded_records = [r.to_json_dict() for r in sharded.iter_records()]
+    sharded_records = list(sharded.iter_records())
     sharded.close()
 
-    legacy = LegacyJSONRecordStore(str(tmp_path / "legacy.json"))
-    legacy_costs = _checkpoint_costs(legacy)
-    legacy_records = [r.to_json_dict() for r in legacy.iter_records()]
-    legacy.close()
-
-    # Same durability semantics, same data — the timing comparison is fair.
-    assert json.dumps(sharded_records) == json.dumps(legacy_records)
-    assert len(sharded_records) == N_RECORDS
+    assert [r.to_json_dict() for r in sharded_records] \
+        == [_record(index).to_json_dict() for index in range(N_RECORDS)]
     report = audit_store(str(tmp_path / "store"))
     assert report["clean"], report
 
     sharded_win = _window_ms(sharded_costs)
-    legacy_win = _window_ms(legacy_costs)
-    speedup_late = legacy_win["late_ms"] / sharded_win["late_ms"] \
-        if sharded_win["late_ms"] > 0 else float("inf")
 
     print()
     print(format_table(
         ["store", "early ms/ckpt", "late ms/ckpt", "late/early"],
         [["sharded", f"{sharded_win['early_ms']:.3f}",
-          f"{sharded_win['late_ms']:.3f}", f"{sharded_win['growth']:.2f}x"],
-         ["legacy", f"{legacy_win['early_ms']:.3f}",
-          f"{legacy_win['late_ms']:.3f}", f"{legacy_win['growth']:.2f}x"]],
+          f"{sharded_win['late_ms']:.3f}", f"{sharded_win['growth']:.2f}x"]],
         title=f"per-checkpoint persistence cost ({N_RECORDS} records)"))
-    print(f"late-window speedup sharded over legacy: {speedup_late:.1f}x "
-          f"(bar {SPEEDUP_MIN:.1f}x); sharded growth "
-          f"{sharded_win['growth']:.2f}x (bar <{FLAT_MAX:.1f}x)")
+    print(f"sharded growth {sharded_win['growth']:.2f}x "
+          f"(bar <{FLAT_MAX:.1f}x)")
 
     update_bench_runtime({"store": {
         "n_records": N_RECORDS,
         "sharded": sharded_win,
-        "legacy": legacy_win,
-        "speedup_late": speedup_late,
-        "bars": {"flat_max": FLAT_MAX, "speedup_min": SPEEDUP_MIN},
+        "bars": {"flat_max": FLAT_MAX},
         "smoke": SMOKE,
     }})
 
@@ -124,6 +104,3 @@ def test_store_checkpoint_cost_flat_vs_legacy(tmp_path):
         f"sharded per-checkpoint cost grew {sharded_win['growth']:.2f}x "
         f"from early to late window (bar <{FLAT_MAX:.1f}x) — appends are "
         "no longer O(1)")
-    assert speedup_late >= SPEEDUP_MIN, (
-        f"late-window sharded checkpoint only {speedup_late:.2f}x faster "
-        f"than the legacy rewrite (bar {SPEEDUP_MIN:.1f}x)")

@@ -3,8 +3,9 @@
 Sweeps the Algorithm-2 beta window for IR-Booster on a QAT-trained ViT,
 simulating every grid point over a seed ensemble, in parallel across CPU
 cores, and prints each point's mean and bootstrap 95 % confidence interval.
-Also demonstrates checkpoint/resume: the sweep is saved to JSON and re-run —
-the second invocation executes nothing and aggregates identically.
+Also demonstrates checkpoint/resume: the sweep persists into a record store
+(a temporary directory) and is re-run over it — the second invocation
+executes nothing and aggregates identically.
 
 Run with:  python examples/beta_sweep_portfolio.py
 """
@@ -33,26 +34,26 @@ def main() -> None:
     print(f"{spec.n_runs} runs ({spec.n_points} grid points x {spec.seeds} seeds) "
           f"on {cores} core(s) ...")
 
-    checkpoint = os.path.join(tempfile.gettempdir(), "beta_sweep.json")
-    result = SweepRunner(spec, executor).run(save_path=checkpoint)
+    with tempfile.TemporaryDirectory(prefix="beta_sweep-") as store:
+        result = SweepRunner(spec, executor).run(store=store)
 
-    print(f"\n{'beta':>6} | {'IRFailures (mean [95% CI])':>30} | "
-          f"{'stall cycles':>12} | {'mean IR-drop (mV)':>18}")
-    for point in result.aggregate():
-        failures = point.stats["total_failures"]
-        stalls = point.stats["total_stall_cycles"]
-        drop = point.stats["mean_ir_drop"]
-        print(f"{point.axes['beta']:>6} | "
-              f"{failures.mean:8.1f} [{failures.ci_low:6.1f}, {failures.ci_high:6.1f}] | "
-              f"{stalls.mean:12.1f} | {drop.mean * 1e3:18.2f}")
+        print(f"\n{'beta':>6} | {'IRFailures (mean [95% CI])':>30} | "
+              f"{'stall cycles':>12} | {'mean IR-drop (mV)':>18}")
+        for point in result.aggregate():
+            failures = point.stats["total_failures"]
+            stalls = point.stats["total_stall_cycles"]
+            drop = point.stats["mean_ir_drop"]
+            print(f"{point.axes['beta']:>6} | "
+                  f"{failures.mean:8.1f} [{failures.ci_low:6.1f}, {failures.ci_high:6.1f}] | "
+                  f"{stalls.mean:12.1f} | {drop.mean * 1e3:18.2f}")
 
-    # Resume: every record already exists in the checkpoint, so this executes
-    # zero simulations and aggregates bit-identically.
-    resumed = SweepRunner(spec, SerialExecutor()).run(resume_from=checkpoint)
-    assert [r.run_id for r in resumed.sorted_records()] == \
-        [r.run_id for r in result.sorted_records()]
-    print(f"\nResumed from {checkpoint}: {len(resumed.records)} records, "
-          "0 re-executed.")
+        # Resume: every record already exists in the store, so this executes
+        # zero simulations and aggregates bit-identically.
+        resumed = SweepRunner(spec, SerialExecutor()).run(store=store)
+        assert [r.run_id for r in resumed.sorted_records()] == \
+            [r.run_id for r in result.sorted_records()]
+        print(f"\nResumed from {store}: {len(resumed.records)} records, "
+              "0 re-executed.")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ service: clients submit :class:`~repro.sweep.spec.SweepSpec` jobs over a
 thin REST API, a supervised executor fleet (with its shared physics store)
 stays warm across jobs, and a durable write-ahead journal makes the whole
 thing ``kill -9``-proof — a restarted daemon replays the journal, re-admits
-interrupted jobs, and resumes them from their sweep checkpoints to results
+interrupted jobs, and resumes them from their record stores to results
 bit-identical to an uninterrupted run.
 
 Modules:
@@ -20,8 +20,7 @@ Modules:
 * :mod:`~repro.service.daemon` — :class:`SweepService`: bounded admission
   queue, resident fleet, fair-share multi-job scheduler with per-job fault
   isolation, graceful drain, disk-exhaustion degraded mode, health; per-job
-  results persist in sharded record stores (:mod:`repro.store`) with legacy
-  single-JSON checkpoints migrated on first resume;
+  results persist in sharded record stores (:mod:`repro.store`);
 * :mod:`~repro.service.api` — transport-neutral router + stdlib HTTP server;
 * :mod:`~repro.service.client` — HTTP and in-process clients.
 """

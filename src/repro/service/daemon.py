@@ -61,16 +61,10 @@ On-disk layout (everything under one ``data_dir``)::
       journal.jsonl            the write-ahead job journal
       store/                   persistent shared physics store
       jobs/<job_id>/records/   per-job sharded record store (see repro.store)
-      jobs/<job_id>/checkpoint.json   legacy single-JSON checkpoints (+ .bak);
-                                      still readable — a job resumed over one
-                                      migrates into the sharded store
 
 Per-job persistence goes through :class:`repro.store.ShardedRecordStore`:
 records append as they complete and checkpoints are fsync-batched flushes,
-so checkpoint cost stays flat as jobs grow.  A data directory created by an
-older daemon (``checkpoint.json`` only) recovers seamlessly — the first
-resume seeds the sharded store from the legacy checkpoint and continues
-shard-incrementally, bit-identical to an uninterrupted run.
+so checkpoint cost stays flat as jobs grow.
 """
 
 from __future__ import annotations
@@ -501,7 +495,7 @@ class SweepService:
             job = self.registry.get(job_id)
             resting = (job.state in TERMINAL_STATES
                        or job.state == "suspended")
-            records, failed = self._scan_job_records(job_id, reader)
+            records, failed = reader.read()
             if deadline is None or len(records) > wait_seq or resting \
                     or time.monotonic() >= deadline:
                 break
@@ -529,30 +523,11 @@ class SweepService:
                 entry.reader = StoreReader(self.store_path(job_id))
             return entry.reader
 
-    def _scan_job_records(self, job_id: str,
-                          reader: StoreReader) -> Tuple[List, List]:
-        store_dir = self.store_path(job_id)
-        legacy = self.checkpoint_path(job_id)
-        if os.path.isdir(store_dir):
-            return reader.read()
-        if os.path.exists(legacy) or os.path.exists(f"{legacy}.bak"):
-            loaded = SweepResult.load_resumable(legacy)
-            return loaded.sorted_records(), loaded.failed_runs
-        return [], []
-
     def _load_job_result(self, job_id: str) -> SweepResult:
-        """A job's merged result from whichever persistence it has.
-
-        The sharded store is authoritative when present (it holds everything
-        a migrated legacy checkpoint held, plus whatever ran since); the
-        legacy single-JSON checkpoint covers pre-store data directories.
-        """
+        """A job's merged result from its record store (empty before one)."""
         store_dir = self.store_path(job_id)
-        legacy = self.checkpoint_path(job_id)
         if os.path.isdir(store_dir):
             return SweepResult.load_resumable(store_dir)
-        if os.path.exists(legacy) or os.path.exists(f"{legacy}.bak"):
-            return SweepResult.load_resumable(legacy)
         return SweepResult()
 
     #: per-job record-store damage/repair counters rolled up into health.
@@ -640,9 +615,6 @@ class SweepService:
             "record_stores": record_stores,
         }
 
-    def checkpoint_path(self, job_id: str) -> str:
-        return os.path.join(self.data_dir, "jobs", job_id, "checkpoint.json")
-
     def store_path(self, job_id: str) -> str:
         """The job's sharded record-store directory (see :mod:`repro.store`)."""
         return os.path.join(self.data_dir, "jobs", job_id, "records")
@@ -723,20 +695,12 @@ class SweepService:
                     self._active_jobs[job_id] = entry
 
     def _activate(self, job: Job) -> Optional[_ActiveJob]:
-        """Open one admitted job's persistence and plan its pending work.
-
-        A legacy ``checkpoint.json`` left by an older daemon becomes the
-        migration seed on the first resume (its records are appended to the
-        sharded store once, then execution continues shard-incrementally).
-        """
+        """Open one admitted job's record store and plan its pending work."""
         job_id = job.job_id
-        legacy = self.checkpoint_path(job_id)
         store_dir = self.store_path(job_id)
         os.makedirs(os.path.dirname(store_dir), exist_ok=True)
         self.registry.transition("running", job_id)
         options = job.options or {}
-        resume = legacy if (os.path.exists(legacy)
-                            or os.path.exists(f"{legacy}.bak")) else None
         job_store = None
         try:
             # Spec parsing sits inside the try: a journaled spec that no
@@ -749,7 +713,7 @@ class SweepService:
             runner = SweepRunner(spec, self.fleet.executor,
                                  ensembles=options.get("ensembles", False))
             sweep_pass = SweepPass(
-                runner, resume_from=resume, store=job_store,
+                runner, store=job_store,
                 checkpoint_every=options.get("checkpoint_every",
                                              self.checkpoint_every))
             pending_items = sweep_pass.prepare()

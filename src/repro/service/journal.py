@@ -15,8 +15,8 @@ One JSON object per line::
      "job_id": "j000003", "data": {...}, "sha256": "<hex>"}
 
 ``sha256`` is the digest of the line's canonical JSON (sorted keys, compact
-separators) with the ``sha256`` field removed — the same convention as sweep
-checkpoints — so any bit damage to a line is detectable.  ``seq`` increases
+separators) with the ``sha256`` field removed — the same convention as the
+record-store shards — so any bit damage to a line is detectable.  ``seq`` increases
 strictly by 1; a gap means lines were lost.
 
 Durability: each append is written, flushed, and ``fsync``'d before

@@ -1,16 +1,14 @@
 """Durable record stores for sweep results.
 
-The persistence layer under :mod:`repro.sweep`: a sweep's run records live
-in a :class:`RecordStore` — in memory, in the legacy single-JSON checkpoint
-blob, or (the durable default) in an append-only directory of checksummed
-JSONL shards that survives ``kill -9``, torn writes, flipped bytes and lost
-manifests.  :func:`open_store` maps a target (``":memory:"``, ``*.json``
-path, directory) to its backend; ``python -m repro.store.audit`` is the
-integrity doctor.
+The persistence layer under :mod:`repro.sweep`, and its only one: a sweep's
+run records live in a :class:`RecordStore` — in memory, or (the durable
+backend) in an append-only directory of checksummed JSONL shards that
+survives ``kill -9``, torn writes, flipped bytes and lost manifests.
+:func:`open_store` maps a target (``":memory:"`` or a directory) to its
+backend; ``python -m repro.store.audit`` is the integrity doctor.
 """
 
 from .base import RecordStore, StoreError, open_store
-from .legacy import LegacyJSONRecordStore
 from .memory import MemoryRecordStore
 from .sharded import (ShardedRecordStore, StoreReader, StoreScanReport,
                       scan_store)
@@ -21,7 +19,6 @@ __all__ = [
     "StoreError",
     "open_store",
     "MemoryRecordStore",
-    "LegacyJSONRecordStore",
     "ShardedRecordStore",
     "StoreReader",
     "StoreScanReport",

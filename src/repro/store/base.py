@@ -7,17 +7,12 @@ complete, flushes at checkpoint boundaries, and seals the store when the
 sweep finishes; readers iterate records back out or materialize a
 :class:`~repro.sweep.records.SweepResult` for aggregation.
 
-Three backends implement the contract:
+Two backends implement the contract:
 
 * :class:`~repro.store.memory.MemoryRecordStore` — plain lists, no
   durability; the unit-test and dry-run backend;
-* :class:`~repro.store.legacy.LegacyJSONRecordStore` — the pre-store
-  single-JSON checkpoint format, bit-compatible with
-  :meth:`~repro.sweep.records.SweepResult.save`/``load`` (every flush
-  rewrites the whole blob — O(n) per checkpoint, which is exactly why the
-  sharded backend exists);
-* :class:`~repro.store.sharded.ShardedRecordStore` — the default durable
-  backend: an append-only directory of checksummed JSONL shards with
+* :class:`~repro.store.sharded.ShardedRecordStore` — the durable backend:
+  an append-only directory of checksummed JSONL shards with
   record-incremental flush cost.
 
 Durability contract (all backends): a record passed to :meth:`append` is
@@ -26,16 +21,14 @@ Durability contract (all backends): a record passed to :meth:`append` is
 may be lost by a crash; the sweep layer re-runs them deterministically.
 
 The factory :func:`open_store` maps a persistence target to its backend:
-``":memory:"`` → memory, a ``*.json`` path → legacy, anything else (a
-directory) → sharded.  Pre-store callers that pass ``save_path="out.json"``
-therefore keep today's on-disk format unchanged.
+``":memory:"`` → memory, anything else (a directory) → sharded.
 """
 
 from __future__ import annotations
 
 import abc
 import os
-from typing import Dict, Iterable, Iterator, Optional, Set, Union
+from typing import Dict, Iterator, Optional, Set, Union
 
 from ..sweep.records import FailedRun, RunRecord, SweepResult
 from ..sweep.spec import SweepSpec
@@ -73,7 +66,7 @@ class RecordStore(abc.ABC):
 
     @abc.abstractmethod
     def flush(self) -> None:
-        """Make every append so far durable (fsync / blob rewrite / no-op)."""
+        """Make every append so far durable (fsync / no-op)."""
 
     @abc.abstractmethod
     def seal(self) -> None:
@@ -117,21 +110,6 @@ class RecordStore(abc.ABC):
                            records=list(self.iter_records()),
                            failed_runs=list(self.iter_failed()))
 
-    def seed_from(self, records: Iterable[RunRecord]) -> int:
-        """Append the records this store does not already hold; returns the
-        count.  This is the legacy→sharded migration primitive: resuming an
-        old single-JSON checkpoint into a sharded store seeds the prior
-        records once, and re-seeding from the store's own content no-ops.
-        """
-        present = self.run_ids()
-        seeded = 0
-        for record in records:
-            if record.run_id in present:
-                continue
-            self.append(record)
-            seeded += 1
-        return seeded
-
 
 def open_store(target: Union[str, "RecordStore"],
                spec: Optional[SweepSpec] = None, **kwargs) -> "RecordStore":
@@ -139,9 +117,6 @@ def open_store(target: Union[str, "RecordStore"],
 
     * an existing :class:`RecordStore` passes through unchanged;
     * ``":memory:"`` → :class:`~repro.store.memory.MemoryRecordStore`;
-    * a path ending in ``.json`` (or an existing regular file) →
-      :class:`~repro.store.legacy.LegacyJSONRecordStore`, bit-compatible
-      with the pre-store checkpoint format;
     * anything else names a directory →
       :class:`~repro.store.sharded.ShardedRecordStore` (created if missing).
 
@@ -150,12 +125,9 @@ def open_store(target: Union[str, "RecordStore"],
     """
     if isinstance(target, RecordStore):
         return target
-    from .legacy import LegacyJSONRecordStore
     from .memory import MemoryRecordStore
     from .sharded import ShardedRecordStore
     path = os.fspath(target)
     if path == ":memory:":
         return MemoryRecordStore(spec=spec)
-    if path.endswith(".json") or os.path.isfile(path):
-        return LegacyJSONRecordStore(path, spec=spec)
     return ShardedRecordStore(path, spec=spec, **kwargs)

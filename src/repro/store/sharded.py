@@ -15,18 +15,18 @@ Each shard line is one appended outcome::
     {"seq": 17, "kind": "record", "data": {<RunRecord JSON>}, "sha256": ..}
 
 ``sha256`` is the digest of the line's canonical JSON with the digest field
-removed — the same convention as the service journal and sweep checkpoints —
-so any bit damage is detectable.  ``seq`` is a store-global append counter:
-later lines supersede earlier ones with the same ``run_id`` (and a
-``record`` supersedes a ``failed`` entry), which makes duplicate appends and
-retried runs harmless by construction.
+removed — the same convention as the service journal — so any bit damage is
+detectable.  ``seq`` is a store-global append counter: later lines supersede
+earlier ones with the same ``run_id`` (and a ``record`` supersedes a
+``failed`` entry), which makes duplicate appends and retried runs harmless
+by construction.
 
 Durability: appends buffer in the OS; :meth:`flush` fsyncs the current shard
 (the acknowledgement point — the runner flushes at checkpoint boundaries)
 and rewrites the manifest under the journal's fsync-then-replace discipline.
 ``fsync_interval=n`` additionally fsyncs every ``n`` appends.  Cost per
 flush is O(appends since the last flush) + O(shard count) — flat in total
-record count, unlike the legacy whole-blob rewrite.
+record count.
 
 Recovery (every writable open): each shard is digest-scanned.  A damaged
 *final* line is a torn write — truncated back to the last good line, like
@@ -37,7 +37,10 @@ digest-verified lines *after* the damage too — journal events are ordered
 (everything after a broken line is untrustworthy) but sweep records are
 independent and self-identifying, so dropping good records would be waste.
 A missing or corrupt manifest is rebuilt from the shards — the shards, not
-the manifest, are the source of truth.
+the manifest, are the source of truth.  Recovery that drops a line voids a
+seal, so the resume re-runs what was lost.  The manifest pins the sweep's
+spec; an open pins the caller's spec over existing shards only at the first
+flush, after the runner has validated the stored records against it.
 
 Compaction merges the closed shards (never the one being appended), dropping
 superseded lines; it runs on demand (:meth:`compact`), from the audit CLI,
@@ -102,7 +105,7 @@ def _render_line(seq: int, kind: str, data: Dict) -> bytes:
     payload["sha256"] = _digest(payload, "sha256")
     # The digest canonicalizes (sorted keys) on its own, so the stored line
     # keeps `data`'s insertion order — a record round-trips key-for-key
-    # identical to what the runner appended, like the legacy blob.
+    # identical to what the runner appended.
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
 
 
@@ -275,7 +278,10 @@ class ShardedRecordStore(RecordStore):
                 self._seq = max(self._seq, seq)
         if manifest is not None:
             self._seq = max(self._seq, int(manifest.get("next_seq", 0)))
-            self._sealed = bool(manifest.get("sealed", False))
+            # A seal vouches for every record; a dropped line voids it.
+            self._sealed = bool(manifest.get("sealed", False)) and not (
+                self._counters["torn_tail_dropped"]
+                or self._counters["corrupt_lines_dropped"])
         stored_spec = manifest.get("spec") if manifest else None
         if given_spec is not None and stored_spec is not None \
                 and _canonical(given_spec) != _canonical(stored_spec):
@@ -286,6 +292,10 @@ class ShardedRecordStore(RecordStore):
         self._spec_dict = given_spec if given_spec is not None else stored_spec
         self.spec = SweepSpec.from_json_dict(self._spec_dict) \
             if self._spec_dict else None
+        # Shards the manifest does not vouch for (a rebuilt manifest, or one
+        # written without a spec) must pass the runner's validation first,
+        # so a refused resume leaves the store as it found it.
+        self._pinned_spec = stored_spec if shard_names else self._spec_dict
         if manifest_problem is not None and shard_names:
             # A store with shards but no (usable) index: self-heal from the
             # shards and make the loss visible in stats.
@@ -372,7 +382,7 @@ class ShardedRecordStore(RecordStore):
         payload = {
             "version": 1,
             "format": "sharded-record-store",
-            "spec": self._spec_dict,
+            "spec": self._pinned_spec,
             "sealed": self._sealed,
             "next_seq": self._seq,
             "records_per_shard": self.records_per_shard,
@@ -566,6 +576,7 @@ class ShardedRecordStore(RecordStore):
                 return
             # Kill-after-fsync site: flushed records must survive this.
             faults.service_fault("recordstore:flush")
+            self._pinned_spec = self._spec_dict
             self._write_manifest()
             self._counters["flushes"] += 1
             if os.path.exists(self._current_path()):
@@ -583,6 +594,7 @@ class ShardedRecordStore(RecordStore):
                     " outcome(s) are still deferred by a full disk")
             self._fsync_current()
             self._sealed = True
+            self._pinned_spec = self._spec_dict
             self._write_manifest()
 
     @property

@@ -13,8 +13,9 @@ Figs. 19/20 sweep ablation steps.  This package makes those first-class:
   :class:`~repro.sweep.runner.PoolExecutor`); workers rebuild workloads from
   specs (:mod:`repro.sweep.builders`) so nothing heavyweight crosses the pipe;
 * :class:`~repro.sweep.records.SweepResult` — per-point mean/std and bootstrap
-  confidence intervals over the seed ensemble, JSON persistence, and
-  resume-from-partial that aggregates identically to a fresh run.
+  confidence intervals over the seed ensemble, a one-way JSON export, and
+  resume from a partial record store (:mod:`repro.store`, the one
+  persistence authority) that aggregates identically to a fresh run.
 
 Serial and pool execution are bit-for-bit equivalent for the same spec and
 master seed; ``tests/test_sweep.py`` enforces the contract.

@@ -1,11 +1,11 @@
 """Deterministic fault injection for the sweep and store stack.
 
-The fault-tolerance layer (supervised executors, checkpoint integrity, store
-checksums) is only trustworthy if its failure paths are *exercised* — so this
-module provides the chaos harness that drives them: a registry of injectable
-faults, armed explicitly (programmatically or via the ``REPRO_FAULTS``
-environment variable) and **never active by default**.  Every injection site
-is a cheap no-op when nothing is armed.
+The fault-tolerance layer (supervised executors, record-store recovery,
+physics-store checksums) is only trustworthy if its failure paths are
+*exercised* — so this module provides the chaos harness that drives them: a
+registry of injectable faults, armed explicitly (programmatically or via the
+``REPRO_FAULTS`` environment variable) and **never active by default**.
+Every injection site is a cheap no-op when nothing is armed.
 
 Fault kinds
 -----------
@@ -23,9 +23,6 @@ process executes the run:
 File faults fire after a write completes, damaging it the way a disk or an
 interrupted process would:
 
-* ``"checkpoint_truncate"`` / ``"checkpoint_corrupt"`` — truncate or
-  byte-flip a just-saved sweep checkpoint (driven from
-  :meth:`~repro.sweep.records.SweepResult.save`);
 * ``"store_flip"`` — flip one byte in a just-published
   :class:`~repro.sim.shared_store.SharedPhysicsStore` ``.bin`` entry.
 
@@ -112,7 +109,6 @@ __all__ = [
     "KILL_EXIT_CODE",
     "active_plan",
     "arm_faults",
-    "checkpoint_fault",
     "current_attempt",
     "describe_run_faults",
     "disarm_faults",
@@ -133,12 +129,11 @@ __all__ = [
 KILL_EXIT_CODE = 23
 
 _RUN_KINDS = ("raise", "kill", "hang")
-_CHECKPOINT_KINDS = ("checkpoint_truncate", "checkpoint_corrupt")
 _SERVICE_KINDS = ("daemon_kill",)
 _STORE_KINDS = ("shard_torn", "shard_corrupt", "manifest_lost")
 _DEGRADED_KINDS = ("disk_full", "lease_stolen")
-_FILE_KINDS = _CHECKPOINT_KINDS + ("store_flip", "journal_torn") \
-    + _STORE_KINDS + _SERVICE_KINDS + _DEGRADED_KINDS
+_FILE_KINDS = ("store_flip", "journal_torn") + _STORE_KINDS \
+    + _SERVICE_KINDS + _DEGRADED_KINDS
 _ENV_VAR = "REPRO_FAULTS"
 
 
@@ -343,20 +338,6 @@ def _flip_byte(path: str) -> None:
         byte = handle.read(1)
         handle.seek(size // 2)
         handle.write(bytes([byte[0] ^ 0xFF]))
-
-
-def checkpoint_fault(path: str) -> None:
-    """Checkpoint-fault injection site (called after a checkpoint save)."""
-    plan = active_plan()
-    if plan is None:
-        return
-    for fault in plan.fire_file_faults(_CHECKPOINT_KINDS, path):
-        if fault.kind == "checkpoint_truncate":
-            size = os.path.getsize(path)
-            with open(path, "r+b") as handle:
-                handle.truncate(size // 2)
-        else:
-            _flip_byte(path)
 
 
 def store_fault(path: str) -> None:

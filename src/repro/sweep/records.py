@@ -1,38 +1,33 @@
-"""Sweep results: per-run records, per-point aggregates, JSON persistence.
+"""Sweep results: per-run records, per-point aggregates, JSON export.
 
 A sweep produces one :class:`RunRecord` per simulation — the scalar metrics of
 a :class:`~repro.sim.results.SimulationResult`, not its traces, so records stay
 a few hundred bytes and pickle/JSON-serialize trivially.  A
 :class:`SweepResult` collects the records of one sweep and aggregates each grid
 point's seed ensemble into mean / standard deviation / bootstrap confidence
-intervals.
+intervals.  Records persist through a record store (:mod:`repro.store`);
+JSON here is a one-way export (:meth:`RunRecord.to_json_dict`,
+:meth:`SweepResult.summary_payload`).
 
 Aggregation is *order-free*: records are sorted by ``(point_index,
 seed_index)`` before any statistics, and the bootstrap resampler is seeded from
-``(master_seed, point_index)`` only.  A resumed sweep (half the records loaded
-from a partial JSON file, half run fresh) therefore aggregates bit-for-bit the
+``(master_seed, point_index)`` only.  A resumed sweep (half the records read
+back from a partial store, half run fresh) therefore aggregates bit-for-bit the
 same as an uninterrupted one.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import faults
 from .spec import RunSpec, SweepSpec
 
 __all__ = ["RunRecord", "FailedRun", "MetricStats", "PointSummary",
            "SweepResult", "METRIC_NAMES", "bound_traceback"]
-
-logger = logging.getLogger("repro.sweep")
 
 #: Scalar metrics extracted from every simulation, in record order.
 METRIC_NAMES = (
@@ -116,7 +111,7 @@ def bound_traceback(text: str, max_lines: int = TRACEBACK_TAIL_LINES,
 class FailedRun:
     """A run quarantined after exhausting its retry budget.
 
-    Carried in :attr:`SweepResult.failed_runs` (and through checkpoints) so a
+    Carried in :attr:`SweepResult.failed_runs` (and through the store) so a
     sweep with permanent failures still completes, reports *which* runs are
     missing, and aggregates over the records it does have — instead of dying
     on the first bad run.  ``error`` is the final attempt's failure rendered
@@ -152,7 +147,7 @@ class FailedRun:
 
     @classmethod
     def from_json_dict(cls, data: Dict) -> "FailedRun":
-        # `.get` keeps pre-traceback / pre-fault checkpoints loading unchanged.
+        # `.get` keeps pre-traceback / pre-fault payloads loading unchanged.
         return cls(run_id=data["run_id"], point_index=int(data["point_index"]),
                    seed_index=int(data["seed_index"]), error=data["error"],
                    attempts=int(data["attempts"]),
@@ -202,19 +197,6 @@ def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
     return float(low), float(high)
 
 
-def _payload_digest(payload: Dict) -> str:
-    """Content digest of a checkpoint payload (excluding the digest itself).
-
-    Canonical JSON (sorted keys, no whitespace) keeps the digest stable
-    across save/load round-trips: ``repr``-exact float serialization means
-    re-serializing a parsed payload reproduces the original bytes.
-    """
-    canonical = json.dumps(
-        {key: value for key, value in payload.items() if key != "integrity"},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 @dataclass
 class SweepResult:
     """All records of one sweep plus aggregation and persistence."""
@@ -222,7 +204,7 @@ class SweepResult:
     spec: Optional[SweepSpec] = None
     records: List[RunRecord] = field(default_factory=list)
     #: runs quarantined after exhausting their retry budget (see
-    #: :class:`FailedRun`); persisted through checkpoints, excluded from
+    #: :class:`FailedRun`); persisted through the store, excluded from
     #: aggregation, surfaced by the runner's logs.
     failed_runs: List[FailedRun] = field(default_factory=list)
 
@@ -331,118 +313,20 @@ class SweepResult:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path: str) -> None:
-        """Write records (and the spec when known) to a JSON file, durably.
-
-        The write goes through a temp file + ``os.replace`` so an interrupted
-        sweep never leaves a truncated result behind, and the temp file (and,
-        on POSIX, its directory) is fsynced before the replace so a power
-        loss cannot produce an empty "checkpoint" either.  The payload
-        carries a sha256 content digest that :meth:`load` verifies, and the
-        previous checkpoint is rotated to ``<path>.bak`` so one corrupted
-        save still leaves a resumable last-good file behind.
-        """
-        payload = {
-            "version": 1,
-            "spec": self.spec.to_json_dict() if self.spec is not None else None,
-            "records": [r.to_json_dict() for r in self.sorted_records()],
-            "failed_runs": [f.to_json_dict() for f in self.failed_runs],
-        }
-        payload["integrity"] = {"algorithm": "sha256",
-                                "digest": _payload_digest(payload)}
-        tmp_path = f"{path}.tmp"
-        with open(tmp_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if os.path.exists(path):
-            os.replace(path, f"{path}.bak")
-        os.replace(tmp_path, path)
-        directory = os.path.dirname(os.path.abspath(path))
-        try:
-            dir_fd = os.open(directory, os.O_RDONLY)
-        except OSError:                       # non-POSIX / odd filesystem
-            dir_fd = None
-        if dir_fd is not None:
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        faults.checkpoint_fault(path)
-
-    @classmethod
-    def load(cls, path: str, verify: bool = True) -> "SweepResult":
-        """Load a checkpoint, verifying its content digest when present.
-
-        Raises ``ValueError`` for truncated/corrupt/digest-mismatched files
-        (``json.JSONDecodeError`` is a ``ValueError``) and ``OSError`` for
-        unreadable ones.  Pre-integrity checkpoints (no ``integrity`` key)
-        still load — there is nothing to verify against.
-        """
-        with open(path) as handle:
-            payload = json.load(handle)
-        if payload.get("version") != 1:
-            raise ValueError(f"unsupported sweep-result version in {path!r}")
-        integrity = payload.get("integrity")
-        if verify and integrity is not None:
-            digest = _payload_digest(payload)
-            if digest != integrity.get("digest"):
-                raise ValueError(
-                    f"checkpoint digest mismatch in {path!r}: file is "
-                    f"corrupt (stored {integrity.get('digest')!r}, "
-                    f"computed {digest!r})")
-        spec = SweepSpec.from_json_dict(payload["spec"]) \
-            if payload.get("spec") else None
-        records = [RunRecord.from_json_dict(r) for r in payload["records"]]
-        failed = [FailedRun.from_json_dict(f)
-                  for f in payload.get("failed_runs", ())]
-        return cls(spec=spec, records=records, failed_runs=failed)
-
     @classmethod
     def load_resumable(cls, path: str) -> "SweepResult":
-        """Load ``path`` for resuming, degrading gracefully on damage.
+        """Load the sharded record store (see :mod:`repro.store`) at ``path``.
 
-        ``path`` may also be a sharded record-store *directory* (see
-        :mod:`repro.store`): opening it runs the store's recovery — torn
-        tails truncated, corrupt shards quarantined, manifest rebuilt — and
-        returns whatever survives, which is the store's own degraded-mode
-        chain.
-
-        For a single-JSON checkpoint the fallback chain is: the checkpoint
-        itself → its rolling ``<path>.bak`` → an empty result (clean start),
-        warning at each step down.  Only when the path names nothing at all
-        does this raise ``FileNotFoundError`` — that is a caller error (a
-        bad path), not a damaged checkpoint.
+        Opening runs the store's recovery — torn tails truncated, corrupt
+        shards quarantined, manifest rebuilt — and returns whatever
+        survives.  Raises ``FileNotFoundError`` when ``path`` is not a
+        directory: that is a caller error (a bad path), not a damaged store.
         """
-        if os.path.isdir(path):
-            from ..store.sharded import ShardedRecordStore  # noqa: cyclic
-            store = ShardedRecordStore(path)
-            try:
-                return store.to_result()
-            finally:
-                store.close()
-        backup = f"{path}.bak"
-        if not os.path.exists(path) and not os.path.exists(backup):
+        if not os.path.isdir(path):
             raise FileNotFoundError(path)
+        from ..store.sharded import ShardedRecordStore  # noqa: cyclic
+        store = ShardedRecordStore(path)
         try:
-            return cls.load(path)
-        except FileNotFoundError:
-            primary_error: Exception = FileNotFoundError(path)
-        except (OSError, ValueError) as error:
-            primary_error = error
-        warnings.warn(
-            f"checkpoint {path!r} is unreadable or corrupt "
-            f"({primary_error}); falling back to {backup!r}",
-            RuntimeWarning, stacklevel=2)
-        logger.warning("checkpoint %s corrupt (%s); trying backup %s",
-                       path, primary_error, backup)
-        try:
-            return cls.load(backup)
-        except (OSError, ValueError) as error:
-            warnings.warn(
-                f"backup checkpoint {backup!r} is also unusable ({error}); "
-                "resuming from a clean start",
-                RuntimeWarning, stacklevel=2)
-            logger.warning("backup checkpoint %s unusable (%s); clean start",
-                           backup, error)
-            return cls()
+            return store.to_result()
+        finally:
+            store.close()

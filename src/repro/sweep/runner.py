@@ -15,20 +15,16 @@ seed_index)`` and workload construction is deterministic, both executors
 produce *bit-identical* records for the same spec; ``tests/test_sweep.py``
 enforces this.
 
-Resume: pass ``resume_from`` (a JSON path or loaded
-:class:`~repro.sweep.records.SweepResult`) and the runner re-executes only
-runs whose records are missing, then merges.  Aggregates of a resumed sweep
-equal a fresh run's exactly (see :mod:`repro.sweep.records`).
-
-Checkpointing: the runner consumes records through the executors' streaming
-``imap_unordered`` interface, saving to ``save_path`` every
-``checkpoint_every`` completed records (atomic temp-file + ``os.replace``)
-and — whenever ``save_path`` is set — on any executor error or interruption,
-so long sweeps survive being killed mid-executor-pass and resume from the
-last checkpoint.  Passing ``store`` instead (see :mod:`repro.store`) makes
-persistence *record-incremental*: outcomes append to a durable record store
-as they complete, checkpoints become fsync-batched flushes whose cost does
-not grow with sweep size, and a completed pass seals the store.
+Persistence, checkpointing and resume go through one authority, a record
+store (``store``; see :mod:`repro.store`).  The runner consumes records
+through the executors' streaming ``imap_unordered`` interface and appends
+each outcome to the store as it completes; ``checkpoint_every`` completed
+records trigger an fsync-batched flush whose cost does not grow with sweep
+size, any executor error or interruption flushes what completed, and a
+completed pass seals the store.  Resume: a non-empty store's records are the
+resume set — the runner re-executes only runs whose records are missing.
+Aggregates of a resumed sweep equal a fresh run's exactly (see
+:mod:`repro.sweep.records`).
 
 Fault tolerance (supervision): both executors accept a
 :class:`~repro.sweep.spec.RetryPolicy`; :class:`PoolExecutor` additionally
@@ -672,27 +668,17 @@ class SweepPass:
     """
 
     def __init__(self, runner: "SweepRunner",
-                 resume_from: Union[None, str, SweepResult] = None,
-                 save_path: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  progress: Optional[Callable[[SweepProgress], None]] = None,
                  store: Union[None, str, "RecordStoreLike"] = None) -> None:
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be a positive record count")
-        if checkpoint_every is not None and save_path is None \
-                and store is None:
-            raise ValueError("checkpoint_every requires save_path or store — "
-                             "there is nowhere to write the checkpoints")
-        if store is not None and save_path is not None:
-            raise ValueError(
-                "pass either save_path (legacy single-JSON persistence) or "
-                "store (record-store persistence), not both — one "
-                "persistence authority per pass")
+        if checkpoint_every is not None and store is None:
+            raise ValueError("checkpoint_every requires a store — there is "
+                             "nowhere to write the checkpoints")
         self.runner = runner
         self.spec = runner.spec
         self.executor = runner.executor
-        self.resume_from = resume_from
-        self.save_path = save_path
         self.checkpoint_every = checkpoint_every
         self.progress = progress
         self.store = store
@@ -712,38 +698,17 @@ class SweepPass:
     # phase 1: resume-merge and work planning
     # ------------------------------------------------------------------ #
     def prepare(self) -> Sequence[WorkItem]:
-        """Expand, resume, open persistence; returns the pending work items."""
+        """Expand, open the store, resume; returns the pending work items."""
         runner = self.runner
         self.runs = self.spec.expand()
         by_id = {run.run_id: run for run in self.runs}
 
+        prior: List[RunRecord] = []
         if self.store is not None:
             from ..store import RecordStore, open_store  # lazy: import cycle
             self.store_opened_here = not isinstance(self.store, RecordStore)
             self.record_store = open_store(self.store, spec=self.spec)
-
-        prior: List[RunRecord] = []
-        if self.resume_from is not None:
-            loaded = SweepResult.load_resumable(self.resume_from) \
-                if isinstance(self.resume_from, str) else self.resume_from
-            if loaded.failed_runs:
-                logger.info(
-                    "sweep %s: retrying %d previously quarantined run(s) "
-                    "from the resumed checkpoint", self.spec.name,
-                    len(loaded.failed_runs))
-            prior = runner._validated_prior(loaded.records, by_id)
-        if self.record_store is not None:
-            if prior:
-                seeded = self.record_store.seed_from(prior)
-                if seeded:
-                    self.record_store.flush()
-                    logger.info(
-                        "sweep %s: seeded %d record(s) from %s into the %s "
-                        "store (migration resume)", self.spec.name, seeded,
-                        self.resume_from if isinstance(self.resume_from, str)
-                        else "the in-memory result", self.record_store.kind)
-            # The store is the persistence authority: what it holds (its own
-            # prior content plus anything just seeded) is the resume set.
+            # What the store holds is the resume set.
             prior = runner._validated_prior(
                 self.record_store.iter_records(), by_id)
 
@@ -786,15 +751,11 @@ class SweepPass:
         self.completed += 1
         elapsed = time.perf_counter() - self._started
         rate = self.completed / elapsed if elapsed > 0 else 0.0
-        checkpointed = (
-            (self.save_path is not None or self.record_store is not None)
-            and self.checkpoint_every is not None
-            and self._since_checkpoint >= self.checkpoint_every)
+        # checkpoint_every implies a store (checked in __init__).
+        checkpointed = (self.checkpoint_every is not None
+                        and self._since_checkpoint >= self.checkpoint_every)
         if checkpointed:
-            if self.save_path is not None:
-                self.result.save(self.save_path)
-            if self.record_store is not None:
-                self.record_store.flush()
+            self.record_store.flush()
             self._since_checkpoint = 0
             stats = getattr(self.executor, "stats", None) \
                 or ExecutorStats()
@@ -832,8 +793,6 @@ class SweepPass:
         if self._finalized or self.result is None:
             return
         self._finalized = True
-        if self.save_path is not None:
-            self.result.save(self.save_path)
         if self.record_store is not None:
             try:
                 self.record_store.flush()
@@ -909,61 +868,40 @@ class SweepRunner:
             prior.append(record)
         return prior
 
-    def run(self, resume_from: Union[None, str, SweepResult] = None,
-            save_path: Optional[str] = None,
-            checkpoint_every: Optional[int] = None,
+    def run(self, checkpoint_every: Optional[int] = None,
             progress: Optional[Callable[[SweepProgress], None]] = None,
             should_stop: Optional[Callable[[], bool]] = None,
             store: Union[None, str, "RecordStoreLike"] = None) -> SweepResult:
         """Execute all (remaining) runs and return the merged result.
 
-        ``resume_from`` supplies records of a previous partial execution (a
-        JSON path, a sharded store directory, or an in-memory result);
-        records whose ``run_id`` belongs to this spec are kept and their runs
-        skipped.  A resumed record whose stored seed or grid point disagrees
-        with this spec's derivation (a different ``master_seed``, or an
-        edited grid reusing the same sweep name) raises rather than silently
-        mixing ensembles.  ``save_path`` persists the merged result as a
-        single JSON blob afterwards.
+        Persistence: ``store`` (a :class:`~repro.store.base.RecordStore`, a
+        directory path for the sharded backend, or ``":memory:"`` — see
+        :func:`repro.store.open_store`) is the sweep's one persistence
+        authority.  Every outcome appends as it completes,
+        ``checkpoint_every=k`` flushes (fsync + manifest) every ``k``
+        outcomes, and a full pass seals the store.  Independent of
+        ``checkpoint_every``, the outcomes completed so far are flushed even
+        if a run raises (or the process is interrupted with
+        ``KeyboardInterrupt``), so resuming picks up where execution stopped.
 
-        Persistence through a record store: ``store`` (a
-        :class:`~repro.store.base.RecordStore`, a directory path for the
-        sharded backend, ``":memory:"``, or a ``*.json`` path for the legacy
-        blob — see :func:`repro.store.open_store`) switches checkpointing
-        from whole-blob rewrites to *record-incremental* appends: every
-        outcome appends as it completes, ``checkpoint_every=k`` flushes
-        (fsync + manifest) every ``k`` outcomes, and a full pass seals the
-        store.  A non-empty store resumes implicitly (no ``resume_from``
-        needed); pairing it with an explicit ``resume_from`` *seeds* the
-        store from that source first — the legacy→sharded migration path, in
-        which the old checkpoint's records are appended once and execution
-        continues shard-incrementally.  ``store`` and ``save_path`` are
-        mutually exclusive — one persistence authority per pass.
-
-        Checkpointing (legacy path): records stream from the executor
-        (``imap_unordered``), and with ``checkpoint_every=k`` every ``k``
-        completed records trigger an atomic save to ``save_path`` — a long
-        sweep killed mid-executor-pass resumes from the last checkpoint
-        instead of restarting.  Independent of ``checkpoint_every``, when
-        ``save_path`` (or ``store``) is set the records completed so far are
-        persisted even if a run raises (or the process is interrupted with
-        ``KeyboardInterrupt``), so resuming always picks up where execution
-        stopped.
-
-        Robustness: a ``resume_from`` *path* loads through
-        :meth:`SweepResult.load_resumable` — a truncated/corrupt/digest-
-        mismatched checkpoint falls back to its rolling ``.bak`` (or a clean
-        start) with an explicit warning instead of a stack trace, and a store
-        directory runs shard recovery (torn tails truncated, corrupt shards
-        quarantined).  Runs a supervised executor quarantined (``FailedRun``)
-        land in ``result.failed_runs`` — and a resumed checkpoint's
-        quarantined runs are *retried*, not carried forward (under whatever
+        Resume: a non-empty store resumes implicitly.  Its records whose
+        ``run_id`` belongs to this spec are kept and their runs skipped; a
+        stored record whose seed or grid point disagrees with this spec's
+        derivation (a different ``master_seed``, or an edited grid reusing
+        the same sweep name) raises rather than silently mixing ensembles.
+        A sharded store directory opens through its recovery (torn tails
+        truncated, corrupt shards quarantined, a lost manifest rebuilt) and
+        refuses outright a spec other than the one its manifest pins.  Runs
+        a supervised executor quarantined (``FailedRun``) land in
+        ``result.failed_runs`` — and a resumed store's quarantined runs are
+        *retried*, not carried forward (under whatever
         :class:`RetryPolicy` *this* execution's executor carries — a fresh
-        budget, so runs exhausted under an old policy get their new chances).
+        budget, so runs exhausted under an old policy get their new
+        chances).
 
         Streaming hooks (the service layer's attachment points):
         ``progress`` is called with a :class:`SweepProgress` snapshot after
-        every consumed outcome — *after* any checkpoint save/flush it
+        every consumed outcome — *after* any checkpoint flush it
         triggered, so a callback observing ``checkpointed=True`` can rely on
         the records being durable.  ``should_stop`` is polled after each
         outcome; returning True drains the sweep cleanly — the executor
@@ -975,25 +913,23 @@ class SweepRunner:
         prepare/consume/finalize decomposition the service daemon drives
         directly when it interleaves several jobs onto one executor.
         """
-        sweep_pass = SweepPass(self, resume_from=resume_from,
-                               save_path=save_path,
-                               checkpoint_every=checkpoint_every,
+        sweep_pass = SweepPass(self, checkpoint_every=checkpoint_every,
                                progress=progress, store=store)
         pending_items = sweep_pass.prepare()
         # Custom executors predating the streaming interface only provide
         # map(); fall back to it — checkpointing then degrades to the
-        # end-of-pass (and on-error) saves.
+        # end-of-pass (and on-error) flushes.
         imap = getattr(self.executor, "imap_unordered", None)
         if imap is None and checkpoint_every is not None:
             warnings.warn(
                 f"executor {type(self.executor).__name__} has no "
                 "imap_unordered: records cannot stream, so "
                 f"checkpoint_every={checkpoint_every} degrades to a single "
-                "save after the whole pass completes", RuntimeWarning,
+                "flush after the whole pass completes", RuntimeWarning,
                 stacklevel=2)
             logger.warning(
                 "sweep %s: executor %s lacks imap_unordered; "
-                "checkpoint_every=%d degrades to end-of-pass saves",
+                "checkpoint_every=%d degrades to end-of-pass flushes",
                 self.spec.name, type(self.executor).__name__, checkpoint_every)
         stream = imap(sweep_pass.work_fn, pending_items) if imap is not None \
             else iter(self.executor.map(sweep_pass.work_fn, pending_items))

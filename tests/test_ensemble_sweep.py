@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.sim import clear_level_cache
+from repro.store import ShardedRecordStore
 from repro.sweep import (
     EnsembleSpec,
     PoolExecutor,
@@ -146,18 +147,20 @@ class TestCrossExecutorDeterminism:
             assert self.aggregates_of(result) == base_aggregates, name
 
     def test_ensemble_resume_completes_partial_groups(self, tmp_path):
-        """A checkpoint from a per-run pass resumes under ensemble batching
+        """A store from a per-run pass resumes under ensemble batching
         (partial groups) with bit-identical final records."""
         spec = mini_spec()
         clear_level_cache()
         baseline = SweepRunner(spec, SerialExecutor()).run()
-        path = str(tmp_path / "ck.json")
-        kept = baseline.sorted_records()[: len(baseline.records) // 2]
-        checkpoint = type(baseline)(spec=spec, records=list(kept))
-        checkpoint.save(path)
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory, spec=spec)
+        for record in baseline.sorted_records()[: len(baseline.records) // 2]:
+            store.append(record)
+        store.flush()
+        store.close()
         clear_level_cache()
         resumed = SweepRunner(spec, SerialExecutor(), ensembles=True) \
-            .run(resume_from=path)
+            .run(store=directory)
         assert self.records_of(resumed) == self.records_of(baseline)
 
 

@@ -8,17 +8,16 @@ The load-bearing guarantees:
   workers, hung runs — and the recovered sweep's records are *bit-identical*
   to a fault-free serial baseline;
 * permanent failures are quarantined into ``SweepResult.failed_runs``
-  (carried through checkpoints, excluded from aggregation) instead of
+  (carried through the record store, excluded from aggregation) instead of
   aborting the sweep;
-* checkpoint and store corruption is detected by content digests and
-  recovered from (``.bak`` fallback / entry re-derivation), keeping resumes
-  and shared-store sweeps equivalent to undamaged runs.
+* record-store and physics-store corruption is detected by content digests
+  and recovered from (shard quarantine / entry re-derivation), keeping
+  resumes and shared-store sweeps equivalent to undamaged runs.
 
 The headline all-faults-armed equivalence test doubles as the CI ``chaos``
 leg's core; ``REPRO_CHAOS=1`` widens the parametrization.
 """
 
-import json
 import logging
 import os
 import warnings
@@ -27,6 +26,7 @@ import pytest
 
 from repro.sim.level_cache import clear_level_cache, detach_shared_store
 from repro.sim.shared_store import SharedPhysicsStore
+from repro.store import scan_store
 from repro.sweep import (
     FailedRun,
     PoolExecutor,
@@ -135,15 +135,16 @@ class TestFaultRegistry:
         assert armed is not None
         assert armed.salt == 5 and armed.faults == plan.faults
 
-    def test_checkpoint_fault_is_counter_gated(self, tmp_path):
+    def test_shard_corrupt_fault_is_counter_gated(self, tmp_path):
         path = str(tmp_path / "f.bin")
         with open(path, "wb") as handle:
             handle.write(b"x" * 100)
-        with injected_faults(FaultSpec(kind="checkpoint_truncate", times=1)):
-            faults.checkpoint_fault(path)
-            assert os.path.getsize(path) == 50
-            faults.checkpoint_fault(path)       # budget spent: no-op
-            assert os.path.getsize(path) == 50
+        with injected_faults(FaultSpec(kind="shard_corrupt", times=1)):
+            faults.shard_corrupt_fault(path)
+            flipped = open(path, "rb").read()
+            assert flipped != b"x" * 100 and len(flipped) == 100
+            faults.shard_corrupt_fault(path)    # budget spent: no-op
+            assert open(path, "rb").read() == flipped
 
 
 # --------------------------------------------------------------------- #
@@ -178,16 +179,16 @@ class TestSerialRetryQuarantine:
 
     def test_failed_runs_survive_checkpoints_and_resume_retries_them(
             self, tmp_path, baseline):
-        path = str(tmp_path / "q.json")
+        directory = str(tmp_path / "store")
         executor = SerialExecutor(retry_policy=RetryPolicy(max_attempts=1))
         with injected_faults(FaultSpec(kind="raise", match="p0000/s001",
                                        times=99)):
-            first = SweepRunner(tiny_spec(), executor).run(save_path=path)
+            first = SweepRunner(tiny_spec(), executor).run(store=directory)
         assert len(first.failed_runs) == 1
-        assert len(SweepResult.load(path).failed_runs) == 1
+        assert len(SweepResult.load_resumable(directory).failed_runs) == 1
         # Resume with the fault gone: the quarantined run is retried, not
         # carried forward, and the merged result matches the fault-free one.
-        resumed = SweepRunner(tiny_spec(), executor).run(resume_from=path)
+        resumed = SweepRunner(tiny_spec(), executor).run(store=directory)
         assert not resumed.failed_runs
         assert records_as_dicts(resumed) == records_as_dicts(baseline)
 
@@ -250,17 +251,17 @@ class TestSupervisedPool:
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("salt", [0] + ([1, 2] if CHAOS_EXTENDED else []))
 def test_chaos_equivalence_all_faults_armed(tmp_path, salt):
-    """Worker kill + hung run + transient raise + checkpoint corruption +
-    store byte-flips, all at once: the supervised pool sweep completes via
-    retry/recovery and its records are bit-identical to a fault-free serial
-    baseline."""
+    """Worker kill + hung run + transient raise + record-shard corruption +
+    physics-store byte-flips, all at once: the supervised pool sweep
+    completes via retry/recovery and its records are bit-identical to a
+    fault-free serial baseline."""
     clear_level_cache()
     detach_shared_store()
     spec = tiny_spec(seeds=2)
     baseline = SweepRunner(spec, SerialExecutor()).run()
     clear_level_cache()
 
-    path = str(tmp_path / "chaos.json")
+    record_dir = str(tmp_path / "records")
     store_dir = str(tmp_path / "store")
     executor = PoolExecutor(processes=2, chunksize=1,
                             retry_policy=RetryPolicy(max_attempts=2),
@@ -270,14 +271,14 @@ def test_chaos_equivalence_all_faults_armed(tmp_path, salt):
         FaultSpec(kind="kill", match="p0000/s000", times=1),
         FaultSpec(kind="hang", match="p0001/s001", times=1, hang_seconds=60.0),
         FaultSpec(kind="raise", match="p0000/s001", times=1),
-        FaultSpec(kind="checkpoint_corrupt", times=1),
+        FaultSpec(kind="shard_corrupt", times=1),
         FaultSpec(kind="store_flip", times=1),
     ]
     try:
         with injected_faults(*plan, salt=salt), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             result = SweepRunner(spec, executor).run(
-                save_path=path, checkpoint_every=1)
+                store=record_dir, checkpoint_every=1)
     finally:
         clear_level_cache()
         detach_shared_store()
@@ -288,72 +289,22 @@ def test_chaos_equivalence_all_faults_armed(tmp_path, salt):
     # served (post-mortem evidence or a republished clean entry remains).
     store = SharedPhysicsStore(store_dir)
     assert store.stats()["entries"] >= 0      # index still parses
-    # The final checkpoint (or its rolling .bak) resumes to the same sweep.
+    # The record store quarantines the flipped line on reopen, and the
+    # resume re-runs what it ate.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        resumed = SweepRunner(spec, SerialExecutor()).run(resume_from=path)
+        resumed = SweepRunner(spec, SerialExecutor()).run(store=record_dir)
     assert records_as_dicts(resumed) == records_as_dicts(baseline)
+    assert scan_store(record_dir).sealed
 
 
 # --------------------------------------------------------------------- #
-# checkpoint integrity
+# checkpoint loading
 # --------------------------------------------------------------------- #
 class TestCheckpointIntegrity:
-    def test_save_writes_digest_and_load_verifies(self, tmp_path, baseline):
-        path = str(tmp_path / "r.json")
-        baseline.save(path)
-        payload = json.load(open(path))
-        assert payload["integrity"]["algorithm"] == "sha256"
-        assert records_as_dicts(SweepResult.load(path)) \
-            == records_as_dicts(baseline)
-
-    def test_flipped_byte_fails_digest(self, tmp_path, baseline):
-        path = str(tmp_path / "r.json")
-        baseline.save(path)
-        raw = open(path, "rb").read()
-        # Flip a metrics digit without breaking the JSON syntax.
-        target = raw.replace(b'"seed_index": 0', b'"seed_index": 9', 1)
-        assert target != raw
-        open(path, "wb").write(target)
-        with pytest.raises(ValueError, match="digest mismatch"):
-            SweepResult.load(path)
-
-    def test_bak_rotation_keeps_last_good(self, tmp_path, baseline):
-        path = str(tmp_path / "r.json")
-        baseline.save(path)
-        baseline.save(path)
-        assert os.path.exists(path + ".bak")
-        assert records_as_dicts(SweepResult.load(path + ".bak")) \
-            == records_as_dicts(baseline)
-
-    def test_load_resumable_fallback_chain(self, tmp_path, baseline):
-        path = str(tmp_path / "r.json")
-        baseline.save(path)
-        baseline.save(path)                    # rotate a good .bak in place
-        with open(path, "r+b") as handle:
-            handle.truncate(os.path.getsize(path) // 2)
-        with pytest.warns(RuntimeWarning, match="corrupt"):
-            recovered = SweepResult.load_resumable(path)
-        assert records_as_dicts(recovered) == records_as_dicts(baseline)
-        # Both damaged: explicit clean start, not a stack trace.
-        with open(path + ".bak", "r+b") as handle:
-            handle.truncate(10)
-        with pytest.warns(RuntimeWarning) as caught:
-            assert SweepResult.load_resumable(path).records == []
-        assert any("clean start" in str(w.message) for w in caught)
-
     def test_load_resumable_missing_is_callers_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            SweepResult.load_resumable(str(tmp_path / "nope.json"))
-
-    def test_pre_integrity_checkpoints_still_load(self, tmp_path, baseline):
-        path = str(tmp_path / "r.json")
-        baseline.save(path)
-        payload = json.load(open(path))
-        del payload["integrity"]
-        json.dump(payload, open(path, "w"))
-        assert records_as_dicts(SweepResult.load(path)) \
-            == records_as_dicts(baseline)
+            SweepResult.load_resumable(str(tmp_path / "nope"))
 
 
 # --------------------------------------------------------------------- #
@@ -366,14 +317,14 @@ class MapOnlyExecutor:
 
 def test_map_only_executor_warns_when_checkpointing_degrades(tmp_path):
     spec = tiny_spec()
-    path = str(tmp_path / "maponly.json")
     with pytest.warns(RuntimeWarning, match="imap_unordered"):
         SweepRunner(spec, MapOnlyExecutor()).run(
-            save_path=path, checkpoint_every=1)
+            store=str(tmp_path / "checkpointed"), checkpoint_every=1)
     # Without checkpoint_every there is nothing to degrade: no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        SweepRunner(spec, MapOnlyExecutor()).run(save_path=path)
+        SweepRunner(spec, MapOnlyExecutor()).run(
+            store=str(tmp_path / "unchecked"))
 
 
 # --------------------------------------------------------------------- #
@@ -390,11 +341,11 @@ class TestRetryBudgetsAndTelemetry:
         — attempt 3 clears the fault — and the merged result is bit-identical
         to the fault-free baseline.
         """
-        path = str(tmp_path / "q.json")
+        directory = str(tmp_path / "store")
         with injected_faults(FaultSpec(kind="raise", match="p0000/s001",
                                        times=2)):
             tight = SerialExecutor(retry_policy=RetryPolicy(max_attempts=2))
-            first = SweepRunner(tiny_spec(), tight).run(save_path=path)
+            first = SweepRunner(tiny_spec(), tight).run(store=directory)
             assert [f.run_id for f in first.failed_runs] == ["t/p0000/s001"]
             assert first.failed_runs[0].attempts == 2
             assert tight.stats.retries == 1
@@ -402,32 +353,30 @@ class TestRetryBudgetsAndTelemetry:
             generous = SerialExecutor(retry_policy=RetryPolicy(
                 max_attempts=3, backoff=0.001, jitter="decorrelated",
                 jitter_salt=11))
-            resumed = SweepRunner(tiny_spec(), generous).run(resume_from=path)
+            resumed = SweepRunner(tiny_spec(), generous).run(store=directory)
         assert not resumed.failed_runs
         assert generous.stats.retries == 2
         assert records_as_dicts(resumed) == records_as_dicts(baseline)
 
     def test_checkpoint_log_reports_retry_totals(self, tmp_path, caplog):
-        path = str(tmp_path / "c.json")
         executor = SerialExecutor(retry_policy=RetryPolicy(max_attempts=3))
         with injected_faults(FaultSpec(kind="raise", match="p0000/s000",
                                        times=1)):
             with caplog.at_level(logging.INFO, logger="repro.sweep"):
-                SweepRunner(tiny_spec(), executor).run(save_path=path,
-                                                       checkpoint_every=1)
+                SweepRunner(tiny_spec(), executor).run(
+                    store=str(tmp_path / "store"), checkpoint_every=1)
         lines = [r.message for r in caplog.records
                  if "checkpoint at" in r.message]
         assert lines
         assert "0 failed, 1 retried" in lines[-1]
 
     def test_checkpoint_log_reports_failure_totals(self, tmp_path, caplog):
-        path = str(tmp_path / "c.json")
         executor = SerialExecutor(retry_policy=RetryPolicy(max_attempts=1))
         with injected_faults(FaultSpec(kind="raise", match="p0000/s000",
                                        times=9)):
             with caplog.at_level(logging.INFO, logger="repro.sweep"):
-                SweepRunner(tiny_spec(), executor).run(save_path=path,
-                                                       checkpoint_every=1)
+                SweepRunner(tiny_spec(), executor).run(
+                    store=str(tmp_path / "store"), checkpoint_every=1)
         lines = [r.message for r in caplog.records
                  if "checkpoint at" in r.message]
         assert lines

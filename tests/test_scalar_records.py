@@ -161,8 +161,8 @@ class TestSweepTraces:
         assert SweepSpec.from_json_dict(data).traces == "none"
 
     def test_traces_not_part_of_point_key(self):
-        """Resuming a full-trace sweep under the fast path (or vice versa)
-        is permitted: traces change materialization, not identity."""
+        """Traces change materialization, not identity: a run sits at the
+        same grid point under either mode."""
         full_run = self.spec("full").expand()[0]
         none_run = self.spec("none").expand()[0]
         assert full_run.point_key == none_run.point_key
@@ -170,13 +170,3 @@ class TestSweepTraces:
     def test_unknown_traces_rejected(self):
         with pytest.raises(ValueError):
             self.spec("deep")
-
-    def test_resume_across_trace_modes(self, tmp_path):
-        """A checkpoint written by a full-trace sweep resumes cleanly under
-        the scalar fast path (same seeds, same grid)."""
-        path = str(tmp_path / "sweep.json")
-        full = SweepRunner(self.spec("full"), SerialExecutor())
-        full.run(save_path=path)
-        resumed = SweepRunner(self.spec("none"), SerialExecutor()) \
-            .run(resume_from=path)
-        assert len(resumed.records) == self.spec("none").n_runs

@@ -93,12 +93,9 @@ def wide_baseline():
 
 
 def service_records(data_dir: str, job_id: str) -> SweepResult:
-    """A job's persisted records: its sharded store, or a legacy checkpoint."""
-    job_dir = os.path.join(data_dir, "jobs", job_id)
-    store_dir = os.path.join(job_dir, "records")
-    if os.path.isdir(store_dir):
-        return SweepResult.load_resumable(store_dir)
-    return SweepResult.load_resumable(os.path.join(job_dir, "checkpoint.json"))
+    """A job's persisted records, read back from its record store."""
+    return SweepResult.load_resumable(
+        os.path.join(data_dir, "jobs", job_id, "records"))
 
 
 # --------------------------------------------------------------------- #

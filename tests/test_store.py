@@ -5,9 +5,6 @@ The load-bearing guarantees:
 * every backend honours the same contract — append/iter round-trips, a
   later record supersedes an earlier failure for the same run, sealed
   stores refuse writes — so the runner can treat persistence as a plug;
-* the legacy adapter stays **bit-compatible** with the single-JSON
-  checkpoint format (``SweepResult.save`` digests and ``.bak`` rotation
-  included), so old result files keep working unchanged;
 * the sharded store is a real append-only log: per-line sha256 digests,
   torn tails truncated, mid-shard corruption quarantined to ``.corrupt``
   with every intact line kept (before *and* after the damage), lost
@@ -15,7 +12,7 @@ The load-bearing guarantees:
 * ``kill -9`` at the nastiest instants — mid-append, between fsync and
   manifest, inside the shard write itself — loses **no acknowledged
   record**, and a resumed sweep is bit-identical to an uninterrupted
-  serial run, including resume from a legacy single-JSON checkpoint;
+  serial run — even when recovery had to drop a line of a sealed store;
 * the audit doctor diagnoses without mutating and repairs through the
   same recovery path a writable open uses.
 
@@ -35,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro.store import (
-    LegacyJSONRecordStore,
     MemoryRecordStore,
     RecordStore,
     ShardedRecordStore,
@@ -119,8 +115,6 @@ def baseline():
 # --------------------------------------------------------------------- #
 BACKENDS = [
     pytest.param(lambda tmp: MemoryRecordStore(), id="memory"),
-    pytest.param(lambda tmp: LegacyJSONRecordStore(str(tmp / "r.json")),
-                 id="legacy"),
     pytest.param(lambda tmp: ShardedRecordStore(str(tmp / "store")),
                  id="sharded"),
 ]
@@ -178,11 +172,11 @@ class TestStoreContract:
             store.close()
 
     @pytest.mark.parametrize("factory", BACKENDS)
-    def test_seed_from_and_to_result(self, tmp_path, factory):
+    def test_to_result_materializes_records(self, tmp_path, factory):
         store = factory(tmp_path)
         try:
-            seeded = store.seed_from([make_record(0, 0), make_record(0, 1)])
-            assert seeded == 2
+            store.append(make_record(0, 1))
+            store.append(make_record(0, 0))
             result = store.to_result()
             assert isinstance(result, SweepResult)
             assert records_as_dicts(result) == records_as_dicts(
@@ -193,73 +187,12 @@ class TestStoreContract:
     def test_open_store_factory_mapping(self, tmp_path):
         memory = open_store(":memory:")
         assert isinstance(memory, MemoryRecordStore)
-        legacy = open_store(str(tmp_path / "out.json"))
-        assert isinstance(legacy, LegacyJSONRecordStore)
-        legacy.close()
         sharded = open_store(str(tmp_path / "storedir"))
         assert isinstance(sharded, ShardedRecordStore)
         sharded.close()
         # An existing RecordStore instance passes through untouched.
         assert open_store(memory) is memory
         assert isinstance(memory, RecordStore)
-
-    def test_open_store_existing_legacy_file_without_extension(self, tmp_path):
-        """A pre-existing single-JSON file routes to the legacy adapter even
-        without a ``.json`` suffix — old checkpoints had arbitrary names."""
-        path = str(tmp_path / "checkpoint")
-        SweepResult(spec=tiny_spec()).save(path)
-        store = open_store(path)
-        try:
-            assert isinstance(store, LegacyJSONRecordStore)
-        finally:
-            store.close()
-
-
-# --------------------------------------------------------------------- #
-# legacy adapter: bit-compatible with SweepResult.save
-# --------------------------------------------------------------------- #
-class TestLegacyBitCompat:
-    def test_flush_writes_loadable_digested_checkpoint(self, tmp_path):
-        path = str(tmp_path / "r.json")
-        store = LegacyJSONRecordStore(path, spec=tiny_spec())
-        records = [make_record(0, 0), make_record(0, 1)]
-        for record in records:
-            store.append(record)
-        store.flush()
-        store.close()
-        loaded = SweepResult.load(path)       # digest-verifying load
-        assert records_as_dicts(loaded) == records_as_dicts(records)
-
-        # Byte-identical to what SweepResult.save writes directly.
-        direct = str(tmp_path / "direct.json")
-        mirror = SweepResult(spec=tiny_spec(), records=list(records))
-        mirror.save(direct)
-        assert open(path, "rb").read() == open(direct, "rb").read()
-
-    def test_flush_rotates_bak_like_save(self, tmp_path):
-        path = str(tmp_path / "r.json")
-        store = LegacyJSONRecordStore(path)
-        store.append(make_record(0, 0))
-        store.flush()
-        store.append(make_record(0, 1))
-        store.flush()
-        store.close()
-        assert os.path.exists(path + ".bak")
-        assert len(SweepResult.load(path + ".bak").records) == 1
-        assert len(SweepResult.load(path).records) == 2
-
-    def test_load_existing_adopts_prior_records(self, tmp_path):
-        path = str(tmp_path / "r.json")
-        prior = SweepResult(spec=tiny_spec(), records=[make_record(0, 0)])
-        prior.save(path)
-        store = LegacyJSONRecordStore(path, load_existing=True)
-        try:
-            assert store.run_ids() == {"t/p0000/s000"}
-            store.append(make_record(0, 1))
-            store.flush()
-        finally:
-            store.close()
-        assert len(SweepResult.load(path).records) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -291,7 +224,7 @@ class TestShardedMechanics:
 
     def test_records_roundtrip_byte_identical(self, tmp_path):
         """Stored records re-serialize to the same bytes they went in as —
-        metric insertion order included (the legacy blob preserved it)."""
+        metric insertion order included."""
         directory = str(tmp_path / "store")
         record = make_record(2, 1)
         store = ShardedRecordStore(directory)
@@ -551,33 +484,6 @@ class TestRunnerStoreIntegration:
         assert json.dumps(aggregate_rows(resumed)) \
             == json.dumps(aggregate_rows(baseline))
 
-    def test_legacy_checkpoint_migrates_into_store(self, tmp_path, baseline):
-        legacy = str(tmp_path / "legacy.json")
-        directory = str(tmp_path / "store")
-        spec = tiny_spec()
-        seen = []
-        SweepRunner(spec, SerialExecutor()).run(
-            save_path=legacy, checkpoint_every=1,
-            should_stop=lambda: len(seen) >= 2,
-            progress=lambda p: seen.append(p))
-        assert os.path.exists(legacy)
-
-        migrated = SweepRunner(spec, SerialExecutor()).run(
-            resume_from=legacy, store=directory, checkpoint_every=1)
-        assert json.dumps(records_as_dicts(migrated)) \
-            == json.dumps(records_as_dicts(baseline))
-        # The store is now the authority: it holds everything and is sealed.
-        stored = SweepResult.load_resumable(directory)
-        assert json.dumps(records_as_dicts(stored)) \
-            == json.dumps(records_as_dicts(baseline))
-        assert scan_store(directory).sealed
-
-    def test_store_and_save_path_are_mutually_exclusive(self, tmp_path):
-        runner = SweepRunner(tiny_spec(), SerialExecutor())
-        with pytest.raises(ValueError, match="one persistence authority"):
-            runner.run(store=str(tmp_path / "store"),
-                       save_path=str(tmp_path / "r.json"))
-
     def test_checkpoint_every_requires_a_destination(self):
         runner = SweepRunner(tiny_spec(), SerialExecutor())
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -587,7 +493,7 @@ class TestRunnerStoreIntegration:
 # --------------------------------------------------------------------- #
 # chaos: kill -9 at the store's named fault sites
 # --------------------------------------------------------------------- #
-def _sweep_once(store_dir, spec_dict, fault_dicts, resume_from=None):
+def _sweep_once(store_dir, spec_dict, fault_dicts):
     """Child-process body: one sweep pass persisting through the store."""
     faults.disarm_faults()
     if fault_dicts:
@@ -596,16 +502,15 @@ def _sweep_once(store_dir, spec_dict, fault_dicts, resume_from=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         SweepRunner(spec, SerialExecutor()).run(
-            store=store_dir, checkpoint_every=1, resume_from=resume_from)
+            store=store_dir, checkpoint_every=1)
     os._exit(0)
 
 
-def run_sweep_once(store_dir: str, spec: SweepSpec, fault_dicts=(),
-                   resume_from=None) -> int:
+def run_sweep_once(store_dir: str, spec: SweepSpec, fault_dicts=()) -> int:
     context = multiprocessing.get_context("fork")
     child = context.Process(
         target=_sweep_once,
-        args=(store_dir, spec.to_json_dict(), list(fault_dicts), resume_from))
+        args=(store_dir, spec.to_json_dict(), list(fault_dicts)))
     child.start()
     child.join(timeout=180)
     if child.is_alive():                      # pragma: no cover - deadline
@@ -726,31 +631,29 @@ class TestStoreChaos:
         assert report.clean and report.sealed
         assert len(report.records) == spec.n_runs
 
-    def test_kill_during_legacy_migration_then_resume(self, tmp_path,
-                                                      baseline):
-        """A crash halfway through migrating a legacy checkpoint into the
-        store restarts cleanly: the migration re-seeds (seq dedup absorbs
-        the duplicates) and the finished sweep matches the baseline."""
-        legacy = str(tmp_path / "legacy.json")
+    def test_corruption_in_a_sealed_store_reopens_it(self, tmp_path,
+                                                    baseline):
+        """A byte flipped in a completed store: recovery drops the line, so
+        the seal no longer vouches for every record.  The resume re-runs
+        the loss and seals again."""
         directory = str(tmp_path / "store")
         spec = tiny_spec()
-        seen = []
-        SweepRunner(spec, SerialExecutor()).run(
-            save_path=legacy, checkpoint_every=1,
-            should_stop=lambda: len(seen) >= 2,
-            progress=lambda p: seen.append(p))
+        faults.arm_faults(FaultSpec(kind="shard_corrupt", match="shard-"))
+        try:
+            SweepRunner(spec, SerialExecutor()).run(
+                store=directory, checkpoint_every=1)
+        finally:
+            faults.disarm_faults()
+        assert scan_store(directory).sealed
 
-        # The second migrated append dies mid-seed.
-        fault = {"kind": "daemon_kill",
-                 "match": "recordstore:append:t/p0000/s001"}
-        assert run_sweep_once(directory, spec, [fault],
-                              resume_from=legacy) == KILL_EXIT_CODE
-        assert run_sweep_once(directory, spec, [],
-                              resume_from=legacy) == 0
-        stored = SweepResult.load_resumable(directory)
-        assert json.dumps(records_as_dicts(stored)) \
+        with pytest.warns(RuntimeWarning, match="quarantining"):
+            resumed = SweepRunner(spec, SerialExecutor()).run(
+                store=directory)
+        assert json.dumps(records_as_dicts(resumed)) \
             == json.dumps(records_as_dicts(baseline))
-        assert audit_store(directory)["clean"]
+        report = scan_store(directory)
+        assert report.clean and report.sealed
+        assert len(report.records) == spec.n_runs
 
     @pytest.mark.skipif(not CHAOS_EXTENDED, reason="REPRO_CHAOS=1 only")
     def test_double_kill_then_resume(self, tmp_path, baseline):

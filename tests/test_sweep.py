@@ -5,18 +5,20 @@ The load-bearing guarantees:
 * expansion is deterministic and seeds depend only on ``(master_seed,
   point_index, seed_index)``;
 * the pool executor reproduces serial sweeps **bit-for-bit**;
-* resuming from a partial JSON file yields the same records *and* the same
-  aggregates (bootstrap CIs included) as an uninterrupted run;
+* resuming from a partial record store yields the same records *and* the
+  same aggregates (bootstrap CIs included) as an uninterrupted run;
 * a 2-point mini-sweep (the ``sweep_smoke`` marker) exercises the whole path
   within tier-1 time budgets.
 """
 
-import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.sim import CompiledWorkload
+from repro.store import ShardedRecordStore, StoreError, scan_store
+from repro.store.sharded import MANIFEST_NAME
 from repro.sweep import (
     METRIC_NAMES,
     PoolExecutor,
@@ -172,43 +174,47 @@ class TestAggregation:
 
 
 class TestPersistenceAndResume:
-    def test_save_load_roundtrip(self, tmp_path):
-        result = SweepRunner(tiny_spec(), SerialExecutor()).run()
-        path = str(tmp_path / "sweep.json")
-        result.save(path)
-        loaded = SweepResult.load(path)
-        assert loaded.spec == result.spec
-        assert records_as_dicts(loaded) == records_as_dicts(result)
-
-    def test_resume_from_partial_matches_fresh(self, tmp_path):
+    def test_resume_partial_store_matches_fresh(self, tmp_path):
         spec = tiny_spec(seeds=3)
         fresh = SweepRunner(spec, SerialExecutor()).run()
 
-        full_path = str(tmp_path / "full.json")
-        fresh.save(full_path)
-        payload = json.loads(open(full_path).read())
-        payload["records"] = payload["records"][: len(payload["records"]) // 2]
-        # The hand-edited payload no longer matches its content digest; drop
-        # it (digest-less checkpoints load like pre-integrity ones) so this
-        # stays a genuine partial *resume*, not a corruption fallback.
-        payload.pop("integrity", None)
-        partial_path = str(tmp_path / "partial.json")
-        with open(partial_path, "w") as handle:
-            json.dump(payload, handle)
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory, spec=spec)
+        for record in fresh.sorted_records()[: len(fresh.records) // 2]:
+            store.append(record)
+        store.flush()
+        store.close()
 
-        resumed = SweepRunner(spec, SerialExecutor()).run(resume_from=partial_path)
+        resumed = SweepRunner(spec, SerialExecutor()).run(store=directory)
         assert records_as_dicts(resumed) == records_as_dicts(fresh)
 
         # Aggregates (bootstrap CIs included) are bit-identical too.
         for a, b in zip(fresh.aggregate(), resumed.aggregate()):
             assert a.stats == b.stats
+        # The store pins the spec, so its content reads back aggregatable.
+        stored = SweepResult.load_resumable(directory)
+        assert stored.spec == spec
+        assert records_as_dicts(stored) == records_as_dicts(fresh)
 
     def test_resume_rejects_foreign_master_seed(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        SweepRunner(tiny_spec(master_seed=7), SerialExecutor()).run(save_path=path)
-        other = tiny_spec(master_seed=8)
+        directory = str(tmp_path / "store")
+        seen = []
+        SweepRunner(tiny_spec(master_seed=7), SerialExecutor()).run(
+            store=directory, checkpoint_every=1, progress=seen.append,
+            should_stop=lambda: len(seen) >= 2)
+        other = SweepRunner(tiny_spec(master_seed=8), SerialExecutor())
+        with pytest.raises(StoreError, match="different sweep"):
+            other.run(store=directory)
+        # Without the manifest's pin, the stored seeds refuse the resume.
+        os.unlink(os.path.join(directory, MANIFEST_NAME))
         with pytest.raises(ValueError, match="refusing to mix"):
-            SweepRunner(other, SerialExecutor()).run(resume_from=path)
+            other.run(store=directory)
+        # The refused resume left the store to its own sweep.
+        resumed = SweepRunner(tiny_spec(master_seed=7), SerialExecutor()) \
+            .run(store=directory)
+        fresh = SweepRunner(tiny_spec(master_seed=7), SerialExecutor()).run()
+        assert records_as_dicts(resumed) == records_as_dicts(fresh)
+        assert scan_store(directory).sealed
 
     @pytest.mark.parametrize("edit", [
         dict(betas=(20, 60)),
@@ -221,21 +227,25 @@ class TestPersistenceAndResume:
     def test_resume_rejects_changed_grid(self, tmp_path, edit):
         """Editing the grid or workload definition while keeping name/master
         seed must not pass stale records off as results for the new spec."""
-        path = str(tmp_path / "sweep.json")
-        SweepRunner(tiny_spec(), SerialExecutor()).run(save_path=path)
+        directory = str(tmp_path / "store")
+        SweepRunner(tiny_spec(), SerialExecutor()).run(store=directory)
+        edited = SweepRunner(tiny_spec(**edit), SerialExecutor())
+        with pytest.raises(StoreError, match="different sweep"):
+            edited.run(store=directory)
+        os.unlink(os.path.join(directory, MANIFEST_NAME))
         with pytest.raises(ValueError, match="grid changed"):
-            SweepRunner(tiny_spec(**edit), SerialExecutor()).run(resume_from=path)
+            edited.run(store=directory)
 
     def test_resume_ignores_records_of_other_sweeps(self, tmp_path):
-        path = str(tmp_path / "other.json")
-        SweepRunner(tiny_spec(name="other"), SerialExecutor()).run(save_path=path)
-        result = SweepRunner(tiny_spec(), SerialExecutor()).run(resume_from=path)
+        directory = str(tmp_path / "store")
+        SweepRunner(tiny_spec(name="other"), SerialExecutor()).run(
+            store=directory)
+        runner = SweepRunner(tiny_spec(), SerialExecutor())
+        with pytest.raises(StoreError, match="different sweep"):
+            runner.run(store=directory)
+        os.unlink(os.path.join(directory, MANIFEST_NAME))
+        result = runner.run(store=directory)
         assert len(result.records) == tiny_spec().n_runs
-
-    def test_save_path_checkpoints(self, tmp_path):
-        path = str(tmp_path / "out.json")
-        result = SweepRunner(tiny_spec(), SerialExecutor()).run(save_path=path)
-        assert records_as_dicts(SweepResult.load(path)) == records_as_dicts(result)
 
 
 @pytest.mark.sweep_smoke
@@ -282,64 +292,64 @@ class TestIncrementalCheckpointing:
         spec = tiny_spec(seeds=3)                      # 6 runs
         fresh = SweepRunner(spec, SerialExecutor()).run()
 
-        path = str(tmp_path / "checkpoint.json")
+        directory = str(tmp_path / "store")
         with pytest.raises(StopAfter):
             SweepRunner(spec, ExplodingExecutor(after=4)).run(
-                save_path=path, checkpoint_every=1)
+                store=directory, checkpoint_every=1)
 
-        partial = SweepResult.load(path)
-        assert len(partial.records) == 4               # saved before the crash
+        partial = SweepResult.load_resumable(directory)
+        assert len(partial.records) == 4               # flushed before the crash
 
-        resumed = SweepRunner(spec, SerialExecutor()).run(
-            resume_from=path, save_path=path)
+        resumed = SweepRunner(spec, SerialExecutor()).run(store=directory)
         assert records_as_dicts(resumed) == records_as_dicts(fresh)
         for a, b in zip(fresh.aggregate(), resumed.aggregate()):
             assert a.stats == b.stats
-        # The final save holds the complete sweep.
-        assert len(SweepResult.load(path).records) == spec.n_runs
+        # The store holds the complete sweep.
+        assert len(SweepResult.load_resumable(directory).records) \
+            == spec.n_runs
 
     def test_crash_without_checkpoint_every_still_saves_progress(self, tmp_path):
         """Even with no periodic interval, completed records are persisted on
-        an executor error (the finally-save kill protection)."""
+        an executor error (the finally-flush kill protection)."""
         spec = tiny_spec(seeds=2)                      # 4 runs
-        path = str(tmp_path / "on-error.json")
+        directory = str(tmp_path / "store")
         with pytest.raises(StopAfter):
-            SweepRunner(spec, ExplodingExecutor(after=3)).run(save_path=path)
-        assert len(SweepResult.load(path).records) == 3
+            SweepRunner(spec, ExplodingExecutor(after=3)).run(store=directory)
+        assert len(SweepResult.load_resumable(directory).records) == 3
 
     def test_periodic_checkpoints_written_during_pass(self, tmp_path, monkeypatch):
-        saves = []
-        original = SweepResult.save
+        flushes = []
+        original = ShardedRecordStore.flush
 
-        def counting_save(self, path):
-            saves.append(len(self.records))
-            original(self, path)
+        def counting_flush(self):
+            flushes.append(len(self.run_ids()))
+            original(self)
 
-        monkeypatch.setattr(SweepResult, "save", counting_save)
+        monkeypatch.setattr(ShardedRecordStore, "flush", counting_flush)
         spec = tiny_spec(seeds=2)                      # 4 runs
-        path = str(tmp_path / "periodic.json")
-        SweepRunner(spec, SerialExecutor()).run(save_path=path,
+        SweepRunner(spec, SerialExecutor()).run(store=str(tmp_path / "store"),
                                                 checkpoint_every=2)
-        # Two periodic saves (after 2 and 4 records) plus the finally-save.
-        assert saves == [2, 4, 4]
+        # Two periodic flushes (after 2 and 4 records) plus the finally-flush.
+        assert flushes == [2, 4, 4]
 
     def test_checkpoint_every_validation(self, tmp_path):
-        path = str(tmp_path / "x.json")
+        directory = str(tmp_path / "store")
         with pytest.raises(ValueError, match="checkpoint_every"):
-            SweepRunner(tiny_spec(), SerialExecutor()).run(save_path=path,
+            SweepRunner(tiny_spec(), SerialExecutor()).run(store=directory,
                                                            checkpoint_every=0)
         # Checkpointing without a destination is a silent no-op trap: reject.
-        with pytest.raises(ValueError, match="save_path"):
+        with pytest.raises(ValueError, match="store"):
             SweepRunner(tiny_spec(), SerialExecutor()).run(checkpoint_every=5)
 
     def test_pool_imap_streams_and_matches_serial(self, tmp_path):
         spec = tiny_spec(seeds=2)
         serial = SweepRunner(spec, SerialExecutor()).run()
-        path = str(tmp_path / "pool.json")
+        directory = str(tmp_path / "store")
         pool = SweepRunner(spec, PoolExecutor(processes=2, chunksize=1)).run(
-            save_path=path, checkpoint_every=1)
+            store=directory, checkpoint_every=1)
         assert records_as_dicts(pool) == records_as_dicts(serial)
-        assert records_as_dicts(SweepResult.load(path)) == records_as_dicts(serial)
+        assert records_as_dicts(SweepResult.load_resumable(directory)) \
+            == records_as_dicts(serial)
 
     def test_serial_imap_unordered_streams_lazily(self):
         spec = tiny_spec()
@@ -439,13 +449,13 @@ class MapOnlyExecutor:
 
 def test_map_only_executor_still_works(tmp_path):
     """Custom executors without imap_unordered keep working (checkpointing
-    degrades to the end-of-pass save)."""
+    degrades to the end-of-pass flush)."""
     spec = tiny_spec()
-    path = str(tmp_path / "maponly.json")
-    legacy = SweepRunner(spec, MapOnlyExecutor()).run(save_path=path)
+    directory = str(tmp_path / "store")
+    map_only = SweepRunner(spec, MapOnlyExecutor()).run(store=directory)
     serial = SweepRunner(spec, SerialExecutor()).run()
-    assert records_as_dicts(legacy) == records_as_dicts(serial)
-    assert len(SweepResult.load(path).records) == spec.n_runs
+    assert records_as_dicts(map_only) == records_as_dicts(serial)
+    assert len(SweepResult.load_resumable(directory).records) == spec.n_runs
 
 
 # --------------------------------------------------------------------- #
@@ -499,10 +509,10 @@ class TestRetryBackoffJitter:
 # --------------------------------------------------------------------- #
 class TestProgressStreaming:
     def test_progress_snapshots_stream_per_record(self, tmp_path):
-        path = str(tmp_path / "p.json")
         snapshots = []
         result = SweepRunner(tiny_spec(), SerialExecutor()).run(
-            save_path=path, checkpoint_every=2, progress=snapshots.append)
+            store=str(tmp_path / "store"), checkpoint_every=2,
+            progress=snapshots.append)
         assert [s.completed for s in snapshots] == [1, 2, 3, 4]
         assert all(s.total == 4 and s.failed == 0 for s in snapshots)
         assert [s.checkpointed for s in snapshots] == \
@@ -511,28 +521,29 @@ class TestProgressStreaming:
         assert all(s.runs_per_s >= 0 for s in snapshots)
 
     def test_checkpointed_flag_means_the_file_is_durable(self, tmp_path):
-        path = str(tmp_path / "p.json")
+        directory = str(tmp_path / "store")
         seen = []
 
         def probe(progress):
+            # scan_store never mutates, so it reads beside the live writer.
             if progress.checkpointed:
-                seen.append(len(SweepResult.load(path).records))
+                seen.append(len(scan_store(directory).records))
 
         SweepRunner(tiny_spec(), SerialExecutor()).run(
-            save_path=path, checkpoint_every=1, progress=probe)
+            store=directory, checkpoint_every=1, progress=probe)
         assert seen == [1, 2, 3, 4]
 
     def test_should_stop_drains_and_resume_completes(self, tmp_path):
-        path = str(tmp_path / "p.json")
+        directory = str(tmp_path / "store")
         fresh = SweepRunner(tiny_spec(), SerialExecutor()).run()
         completed = []
         partial = SweepRunner(tiny_spec(), SerialExecutor()).run(
-            save_path=path, checkpoint_every=1,
+            store=directory, checkpoint_every=1,
             progress=lambda s: completed.append(s.completed),
             should_stop=lambda: len(completed) >= 2)
         assert len(partial.records) == 2
-        assert len(SweepResult.load(path).records) == 2
+        assert len(SweepResult.load_resumable(directory).records) == 2
         resumed = SweepRunner(tiny_spec(), SerialExecutor()).run(
-            resume_from=path)
+            store=directory)
         assert [r.to_json_dict() for r in resumed.sorted_records()] == \
             [r.to_json_dict() for r in fresh.sorted_records()]

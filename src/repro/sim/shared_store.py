@@ -10,20 +10,27 @@ views** — the OS page cache makes a fleet share one physical copy.
 
 Layout (one directory per store)::
 
-    index.json     # digest -> {file, size, kind, meta, arrays[], pid}
-    <digest>.bin   # the entry's arrays, raw C-order bytes, 64-byte aligned
+    <digest>.phys  # one entry: a JSON header line, then its arrays
     stats.jsonl    # append-only event log ("store"/"hit" + pid), optional
-    .lock          # advisory flock serializing index/stats writers
 
-Consistency model — writers are *publish-only*: a ``.bin`` file is written to
-a temp name and atomically renamed, then the index is rewritten (read-merge-
-replace) under an advisory ``flock``; data files are immutable once indexed.
-Readers never lock: they see either the old or the new index (atomic
-``os.replace``), and every lookup re-validates the recorded file size before
-mapping — an index entry whose data file is missing, truncated or resized is
-*stale* and treated as a miss (correctness never depends on a hit; the engine
-just recomputes).  Two processes racing to store the same key write
-bit-identical bytes (entries are deterministic), so last-rename-wins is safe.
+Each entry file is named by its key's digest and describes itself.  Its first
+line is a JSON header — format tag, value kind, meta, each array's
+dtype/shape/offset, the payload length and one SHA-256 covering those fields
+and the payload — space-padded to a 64-byte boundary.  The payload follows:
+the arrays as raw C-order bytes, each 64-byte aligned.
+
+Consistency model — entries are immutable and published without a lock: a
+writer writes the whole file under a temp name and ``os.replace``s it onto
+``<digest>.phys``, so a reader sees either no file (a miss) or a complete
+one.  Two processes racing to store the same key write bit-identical bytes
+(entries are deterministic), so last-rename-wins is safe.  A reader checks an
+entry's length against its own header on every load and its checksum once per
+process; any damage — a header that does not parse, a wrong length, a
+checksum mismatch — quarantines the file to ``<digest>.phys.corrupt`` and
+reads as a miss, so the engine re-derives the entry and republishes it
+(correctness never depends on a hit).  A file whose header carries another
+format tag is ignored, not quarantined, and files without the ``.phys``
+suffix (an older layout's index and ``.bin`` entries) are never opened.
 
 Keys are the level cache's tuples of primitives, digested via their ``repr``.
 Keys carrying a process-local workload identity (the ``("token", n)`` /
@@ -45,7 +52,6 @@ import json
 import logging
 import os
 import tempfile
-import time
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -53,17 +59,16 @@ import numpy as np
 from ..power.vf_table import VFPair
 from .level_cache import LevelEntry
 
-try:                                        # POSIX advisory locking
-    import fcntl
-except ImportError:                         # pragma: no cover - non-POSIX
-    fcntl = None
-
-__all__ = ["SharedPhysicsStore", "StoreLockTimeout", "shareable_key"]
+__all__ = ["SharedPhysicsStore", "shareable_key"]
 
 logger = logging.getLogger("repro.sim.shared_store")
 
 _ALIGN = 64
-_FORMAT_VERSION = 1
+_SUFFIX = ".phys"
+_FORMAT = "repro-physics/2"
+#: Longest header line read, so rejecting a damaged file that lacks a newline
+#: reads at most this much.
+_MAX_HEADER = 1 << 20
 
 #: Process-local markers of :func:`~repro.sim.level_cache.workload_cache_key`
 #: — meaningless (and colliding) in any other process.
@@ -87,58 +92,6 @@ def shareable_key(key: Hashable) -> bool:
 def _digest(key: Hashable) -> str:
     """Stable content digest of a primitives-only key tuple."""
     return hashlib.sha256(repr(key).encode()).hexdigest()[:40]
-
-
-class StoreLockTimeout(TimeoutError):
-    """The store's advisory lock could not be acquired within the timeout.
-
-    A ``TimeoutError`` (hence an ``OSError``): a worker that died while
-    holding ``.lock`` releases it with its file descriptors, so a timeout
-    here means a *live* holder is wedged — the store degrades (the entry
-    stays unpublished) rather than blocking the simulation forever.
-    """
-
-
-class _Flock:
-    """Advisory exclusive lock on a file (no-op where flock is unavailable).
-
-    With a ``timeout``, acquisition polls ``LOCK_NB`` and raises
-    :class:`StoreLockTimeout` when the deadline passes instead of blocking
-    indefinitely on a wedged holder.
-    """
-
-    def __init__(self, path: str, timeout: Optional[float] = None) -> None:
-        self.path = path
-        self.timeout = timeout
-        self._handle = None
-
-    def __enter__(self) -> "_Flock":
-        if fcntl is None:
-            return self
-        self._handle = open(self.path, "a")
-        if self.timeout is None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-            return self
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fcntl.flock(self._handle.fileno(),
-                            fcntl.LOCK_EX | fcntl.LOCK_NB)
-                return self
-            except OSError:
-                if time.monotonic() >= deadline:
-                    self._handle.close()
-                    self._handle = None
-                    raise StoreLockTimeout(
-                        f"could not acquire store lock {self.path!r} "
-                        f"within {self.timeout}s")
-                time.sleep(0.01)
-
-    def __exit__(self, *exc) -> None:
-        if self._handle is not None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-            self._handle.close()
-            self._handle = None
 
 
 # ---------------------------------------------------------------------- #
@@ -194,6 +147,97 @@ def _decode(kind: str, meta: Dict, arrays: Dict[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------- #
+# the entry file format
+# ---------------------------------------------------------------------- #
+class _Damaged(Exception):
+    """An entry file that fails its own header's checks."""
+
+
+def _canonical(fields: Dict) -> bytes:
+    return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _checksum(fields: Dict, payload) -> str:
+    """SHA-256 over the header fields (canonical JSON) and the payload."""
+    digest = hashlib.sha256(_canonical(fields))
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def _pack(kind: str, meta: Dict,
+          named_arrays: List[Tuple[str, np.ndarray]]) -> bytes:
+    """An entry's file bytes: the padded header line, then the payload."""
+    specs: List[Dict] = []
+    chunks: List[bytes] = []
+    offset = 0
+    for name, array in named_arrays:
+        pad = (-offset) % _ALIGN
+        if pad:
+            chunks.append(b"\x00" * pad)
+            offset += pad
+        raw = array.tobytes()
+        specs.append({"name": name, "dtype": array.dtype.str,
+                      "shape": list(array.shape), "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    payload = b"".join(chunks)
+    fields = {"format": _FORMAT, "kind": kind, "meta": meta,
+              "arrays": specs, "payload_bytes": len(payload)}
+    header = _canonical({**fields, "sha256": _checksum(fields, payload)})
+    header += b" " * (-(len(header) + 1) % _ALIGN) + b"\n"
+    return header + payload
+
+
+def _read_header(handle) -> Optional[Tuple[Dict, int]]:
+    """``(header, payload offset)`` of an open entry file.
+
+    None when the header carries another format's tag; :class:`_Damaged`
+    when the header line is torn, does not parse or carries no tag.
+    """
+    line = handle.readline(_MAX_HEADER)
+    if not line.endswith(b"\n"):
+        raise _Damaged("torn or missing header line")
+    try:
+        header = json.loads(line)
+    except ValueError as error:         # bad JSON and bad UTF-8 alike
+        raise _Damaged(f"unparseable header ({error})") from None
+    if not isinstance(header, dict) or "format" not in header:
+        raise _Damaged("header carries no format tag")
+    if header["format"] != _FORMAT:
+        return None
+    return header, len(line)
+
+
+def _map_arrays(handle, header: Dict, start: int,
+                verify: bool) -> Dict[str, np.ndarray]:
+    """The entry's arrays as read-only views of the mapped file.
+
+    Checks the file's length against its header and, with ``verify``, the
+    checksum; raises :class:`_Damaged` on any disagreement.
+    """
+    fields = dict(header)
+    try:
+        checksum = fields.pop("sha256")
+        size = os.fstat(handle.fileno()).st_size
+        if size != start + fields["payload_bytes"]:
+            raise _Damaged(f"{size} bytes disagree with the header's length")
+        payload = np.memmap(handle, dtype=np.uint8, mode="r")[start:]
+        if verify and _checksum(fields, payload) != checksum:
+            raise _Damaged("checksum mismatch")
+        arrays: Dict[str, np.ndarray] = {}
+        for spec in fields["arrays"]:
+            shape = tuple(spec["shape"])
+            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            arrays[spec["name"]] = np.frombuffer(
+                payload, dtype=np.dtype(spec["dtype"]), count=count,
+                offset=spec["offset"]).reshape(shape)
+        return arrays
+    except (KeyError, TypeError, ValueError) as error:
+        raise _Damaged(f"header does not describe the file ({error!r})") \
+            from None
+
+
+# ---------------------------------------------------------------------- #
 # the store
 # ---------------------------------------------------------------------- #
 class SharedPhysicsStore:
@@ -210,11 +254,9 @@ class SharedPhysicsStore:
     long-lived persistent stores that do not need the audit trail.
     """
 
-    def __init__(self, directory: str, record_events: bool = True,
-                 lock_timeout: Optional[float] = 10.0) -> None:
+    def __init__(self, directory: str, record_events: bool = True) -> None:
         self.directory = directory
         self.record_events = record_events
-        self.lock_timeout = lock_timeout
         self.degraded = False
         try:
             os.makedirs(directory, exist_ok=True)
@@ -226,11 +268,7 @@ class SharedPhysicsStore:
             logger.warning("shared store directory %r unusable (%s); "
                            "degrading to process-local caching only",
                            directory, error)
-        self._index_path = os.path.join(directory, "index.json")
-        self._lock_path = os.path.join(directory, ".lock")
         self._events_path = os.path.join(directory, "stats.jsonl")
-        self._index: Dict[str, Dict] = {}
-        self._index_stat: Optional[Tuple[int, int]] = None
         #: digests this instance already logged per event kind — one audit
         #: line per (entry, process) even when an oversized-for-memory entry
         #: is re-loaded on every get.
@@ -242,35 +280,23 @@ class SharedPhysicsStore:
         self.load_hits = 0
         self.stores = 0
         self.rejected_keys = 0
-        self.stale_rejected = 0
         self.corrupt_rejected = 0
         self.load_errors = 0
         self.store_errors = 0
         self.event_log_errors = 0
-        self.lock_timeouts = 0
 
-    # ------------------------------------------------------------------ #
-    # index handling
-    # ------------------------------------------------------------------ #
-    def _read_index(self) -> Dict[str, Dict]:
-        try:
-            stat = os.stat(self._index_path)
-            with open(self._index_path) as handle:
-                data = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-        if data.get("version") != _FORMAT_VERSION:
-            return {}
-        self._index_stat = (stat.st_mtime_ns, stat.st_size)
-        return data.get("entries", {})
+    def _entry_path(self, digest: str) -> str:
+        return os.path.join(self.directory, digest + _SUFFIX)
 
-    def _refresh_index(self) -> None:
+    def _entry_names(self) -> List[str]:
+        """File names of the published entries (empty when unreadable)."""
+        if self.degraded:
+            return []
         try:
-            stat = os.stat(self._index_path)
-        except FileNotFoundError:
-            return
-        if self._index_stat != (stat.st_mtime_ns, stat.st_size):
-            self._index = self._read_index()
+            return [name for name in os.listdir(self.directory)
+                    if name.endswith(_SUFFIX)]
+        except OSError:
+            return []
 
     def _log_event(self, event: str, digest: str) -> None:
         if not self.record_events:
@@ -315,28 +341,11 @@ class SharedPhysicsStore:
                    and e["digest"] in stored_by
                    and e["pid"] not in stored_by[e["digest"]])
 
-    def _published(self, digest: str) -> bool:
-        """Whether the index lists ``digest`` *and* its data file is intact.
-
-        An index record whose data file vanished or changed size is stale —
-        treating it as published would permanently suppress re-publication
-        (the disk index can outlive a deleted ``.bin`` under concurrent
-        writers), so staleness here means "not published, write it again".
-        """
-        record = self._index.get(digest)
-        if record is None:
-            return False
-        path = os.path.join(self.directory, record["file"])
-        try:
-            return os.path.getsize(path) == record["size"]
-        except OSError:
-            return False
-
     # ------------------------------------------------------------------ #
     # backend protocol
     # ------------------------------------------------------------------ #
     def load(self, key: Hashable) -> Optional[Tuple[object, int]]:
-        """Attach an entry as read-only views; None on miss or stale index.
+        """Attach an entry as read-only views; None on a miss or damage.
 
         Best-effort by contract: any I/O failure (store directory removed
         mid-sweep, permissions, ENOSPC on the audit log) degrades to a miss
@@ -348,9 +357,8 @@ class SharedPhysicsStore:
         try:
             return self._load(key)
         except (OSError, ValueError, KeyError, TypeError) as error:
-            # OSError: directory/file gone or unreadable; ValueError/KeyError/
-            # TypeError: a corrupt index record that survived the size check
-            # (np.dtype raises TypeError on a garbage dtype string).
+            # OSError: the entry is unreadable; ValueError/KeyError/TypeError:
+            # a header that passed its checks but does not decode.
             self.load_errors += 1
             logger.debug("shared store load failed for %r: %r", key, error)
             return None
@@ -360,55 +368,40 @@ class SharedPhysicsStore:
             return None
         self.loads += 1
         digest = _digest(key)
-        record = self._index.get(digest)
-        if record is None:
-            self._refresh_index()
-            record = self._index.get(digest)
-            if record is None:
-                return None
-        path = os.path.join(self.directory, record["file"])
+        path = self._entry_path(digest)
         try:
-            if os.path.getsize(path) != record["size"]:
-                raise OSError("size mismatch")
-            mm = np.memmap(path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError):
-            # Stale index: the data file vanished or changed size after the
-            # index snapshot was taken.  Reject the entry and miss.
-            self._index.pop(digest, None)
-            self.stale_rejected += 1
-            return None
-        checksum = record.get("sha256")
-        if checksum is not None and digest not in self._verified:
-            if hashlib.sha256(mm).hexdigest() != checksum:
-                # Damaged bytes behind an intact size: quarantine the file
-                # (rename for post-mortem) so ``_published`` turns false and
-                # the entry can be re-derived and republished.  Correctness
-                # never depended on the hit — this is a miss, not an error.
-                self._quarantine(digest, path)
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            return None                     # never published: a plain miss
+        with handle:
+            try:
+                parsed = _read_header(handle)
+                if parsed is None:
+                    return None             # another format's file: ignored
+                header, start = parsed
+                arrays = _map_arrays(handle, header, start,
+                                     verify=digest not in self._verified)
+            except _Damaged as damage:
+                self._quarantine(digest, path, damage)
                 return None
-            self._verified.add(digest)
-        arrays: Dict[str, np.ndarray] = {}
-        for spec in record["arrays"]:
-            shape = tuple(spec["shape"])
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            arr = np.frombuffer(mm, dtype=dtype, count=count,
-                                offset=spec["offset"]).reshape(shape)
-            arrays[spec["name"]] = arr      # read-only view of the memmap
-        decoded = _decode(record["kind"], record["meta"], arrays)
+        self._verified.add(digest)
+        decoded = _decode(header["kind"], header["meta"], arrays)
         if decoded is None:
             return None
         self.load_hits += 1
         self._log_event("hit", digest)
         return decoded
 
-    def _quarantine(self, digest: str, path: str) -> None:
-        """Take a checksum-failed data file out of service, keeping evidence."""
+    def _quarantine(self, digest: str, path: str, damage: _Damaged) -> None:
+        """Take a damaged entry file out of service, keeping evidence.
+
+        The next producer then re-derives and republishes the entry.
+        """
         self.corrupt_rejected += 1
-        self._index.pop(digest, None)
         self._verified.discard(digest)
-        logger.warning("shared store entry %s failed its checksum; "
-                       "quarantining %s for re-derivation", digest, path)
+        logger.warning("shared store entry %s is damaged (%s); "
+                       "quarantining %s for re-derivation",
+                       digest, damage, path)
         try:
             os.replace(path, path + ".corrupt")
         except OSError:
@@ -421,22 +414,15 @@ class SharedPhysicsStore:
         """Publish an entry (idempotent; refuses process-local keys).
 
         Best-effort like :meth:`load`: publication failures (directory gone,
-        ENOSPC, permissions, a wedged ``.lock`` holder) report ``False``
-        instead of raising into the simulation — the fleet just loses sharing
-        for that entry.  Swallowed failures are counted in
-        ``stats()["store_errors"]`` (lock timeouts additionally in
-        ``stats()["lock_timeouts"]``).
+        ENOSPC, permissions) report ``False`` instead of raising into the
+        simulation — the fleet just loses sharing for that entry.  Swallowed
+        failures are counted in ``stats()["store_errors"]``.
         """
         if self.degraded:
             self.store_errors += 1
             return False
         try:
             return self._store(key, value, nbytes)
-        except StoreLockTimeout as error:
-            self.lock_timeouts += 1
-            self.store_errors += 1
-            logger.warning("shared store publish skipped: %s", error)
-            return False
         except OSError as error:
             self.store_errors += 1
             logger.debug("shared store publish failed for %r: %r", key, error)
@@ -450,105 +436,63 @@ class SharedPhysicsStore:
         if encoded is None:
             return False
         digest = _digest(key)
-        if not self._published(digest):
-            self._refresh_index()
-        if self._published(digest):
-            # Already on disk — but this process still *derived* the entry
-            # (puts only follow computation), so record it as a storer:
-            # its own later disk reloads are not cross-worker reuse.
-            self._log_event("store", digest)
-            return True
-        kind, meta, named_arrays = encoded
-
-        specs: List[Dict] = []
-        chunks: List[bytes] = []
-        offset = 0
-        for name, array in named_arrays:
-            pad = (-offset) % _ALIGN
-            if pad:
-                chunks.append(b"\x00" * pad)
-                offset += pad
-            raw = array.tobytes()
-            specs.append({"name": name, "dtype": array.dtype.str,
-                          "shape": list(array.shape), "offset": offset})
-            chunks.append(raw)
-            offset += len(raw)
-        blob = b"".join(chunks)
-
-        file_name = digest + ".bin"
-        final_path = os.path.join(self.directory, file_name)
-        fd, tmp_path = tempfile.mkstemp(dir=self.directory,
-                                        prefix=".tmp-" + digest[:8])
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_path, final_path)
-        except OSError as error:
-            self.store_errors += 1
-            logger.debug("shared store blob write failed for %s: %r",
-                         digest, error)
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            return False
-        # Chaos-harness hook (no-op unarmed): damage the published bytes the
-        # way a disk fault would, *after* the atomic rename — the checksum
-        # verification on load is what must catch it.
-        from ..sweep.faults import store_fault
-        store_fault(final_path)
-
-        record = {"file": file_name, "size": len(blob), "kind": kind,
-                  "meta": meta, "arrays": specs, "pid": os.getpid(),
-                  "sha256": hashlib.sha256(blob).hexdigest()}
-        with _Flock(self._lock_path, timeout=self.lock_timeout):
-            entries = self._read_index()
-            entries[digest] = record
-            payload = {"version": _FORMAT_VERSION, "entries": entries}
+        path = self._entry_path(digest)
+        if not os.path.exists(path):
             fd, tmp_path = tempfile.mkstemp(dir=self.directory,
-                                            prefix=".tmp-index")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self._index_path)
-            self._index = entries
+                                            prefix=".tmp-" + digest[:8])
             try:
-                stat = os.stat(self._index_path)
-                self._index_stat = (stat.st_mtime_ns, stat.st_size)
-            except FileNotFoundError:       # pragma: no cover - racing rmtree
-                self._index_stat = None
-        self.stores += 1
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(_pack(*encoded))
+                # Chaos-harness hook (no-op unarmed): damage the bytes the
+                # way a disk fault would, before the rename makes them
+                # visible — the check on load is what must catch it.
+                from ..sweep.faults import store_fault
+                store_fault(tmp_path)
+                os.replace(tmp_path, path)
+            except OSError:
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
+                raise
+            self.stores += 1
+        # Already on disk or not, this process *derived* the entry (puts
+        # only follow computation), so record it as a storer: its own later
+        # disk reloads are not cross-worker reuse.
         self._log_event("store", digest)
         return True
 
     def kind_counts(self) -> Dict[str, int]:
         """Published entry counts by kind (``"level"`` / ``"activity"``).
 
-        Lets benchmarks and tests assert that a specific physics family —
-        e.g. the ``"model"`` builder's compiled-chip activity traces —
-        actually crossed the process boundary, not just the level entries.
+        A scan of the entries' headers.  Lets benchmarks and tests assert
+        that a specific physics family — e.g. the ``"model"`` builder's
+        compiled-chip activity traces — actually crossed the process
+        boundary, not just the level entries.
         """
-        self._refresh_index()
         counts: Dict[str, int] = {}
-        for record in self._index.values():
-            kind = record.get("kind", "unknown")
-            counts[kind] = counts.get(kind, 0) + 1
+        for name in self._entry_names():
+            try:
+                with open(os.path.join(self.directory, name), "rb") as handle:
+                    parsed = _read_header(handle)
+            except (OSError, _Damaged):
+                continue                    # vanished or damaged: not served
+            if parsed is not None:
+                kind = parsed[0].get("kind", "unknown")
+                counts[kind] = counts.get(kind, 0) + 1
         return counts
 
     def stats(self) -> Dict[str, int]:
-        if not self.degraded:
-            self._refresh_index()
         return {
             "directory": self.directory,
-            "entries": len(self._index),
+            "entries": len(self._entry_names()),
             "loads": self.loads,
             "load_hits": self.load_hits,
             "stores": self.stores,
             "rejected_keys": self.rejected_keys,
-            "stale_rejected": self.stale_rejected,
             "corrupt_rejected": self.corrupt_rejected,
             "load_errors": self.load_errors,
             "store_errors": self.store_errors,
             "event_log_errors": self.event_log_errors,
-            "lock_timeouts": self.lock_timeouts,
             "degraded": self.degraded,
         }

@@ -23,8 +23,9 @@ process executes the run:
 File faults fire after a write completes, damaging it the way a disk or an
 interrupted process would:
 
-* ``"store_flip"`` — flip one byte in a just-published
-  :class:`~repro.sim.shared_store.SharedPhysicsStore` ``.bin`` entry.
+* ``"store_flip"`` — flip one byte in a
+  :class:`~repro.sim.shared_store.SharedPhysicsStore` entry file as it is
+  published (after its temp write, before the rename makes it visible).
 
 Record-store faults damage a :class:`~repro.store.ShardedRecordStore` the
 three ways an append-only shard directory can rot:
@@ -341,7 +342,7 @@ def _flip_byte(path: str) -> None:
 
 
 def store_fault(path: str) -> None:
-    """Store-fault injection site (called after a ``.bin`` entry publishes)."""
+    """Store-fault injection site (called on an entry's written temp file)."""
     plan = active_plan()
     if plan is None:
         return

@@ -45,8 +45,6 @@ import itertools
 import logging
 import multiprocessing
 import os
-import shutil
-import tempfile
 import time
 import traceback as traceback_module
 import warnings
@@ -347,10 +345,9 @@ class PoolExecutor:
     (:mod:`repro.sim.shared_store`): every worker attaches the directory as
     its level-cache backend at initializer time, so the fleet derives each
     per-(group, level) physics entry once instead of once per worker, and
-    attaches everything else as read-only ``np.memmap`` views.  Pass a path
-    (created if missing, left in place) or ``"auto"`` for a temporary
-    directory created per executor pass and removed afterwards.  Works under
-    ``fork`` and ``spawn`` alike — the store is process-neutral by design.
+    attaches everything else as read-only ``np.memmap`` views.  The path is
+    created if missing and left in place.  Works under ``fork`` and
+    ``spawn`` alike — the store is process-neutral by design.
     ``shared_cache_events=False`` turns off the store's per-entry reuse
     audit log (``stats.jsonl``) — recommended for long-lived persistent
     store directories that do not need the cross-worker accounting.
@@ -384,7 +381,7 @@ class PoolExecutor:
             raise ValueError("processes must be positive")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError("run_timeout must be positive seconds")
-        self.processes = processes
+        self.processes = processes or (os.cpu_count() or 1)
         self.chunksize = chunksize
         self.start_method = start_method
         self.prebuild = prebuild
@@ -403,8 +400,7 @@ class PoolExecutor:
 
     def _plan(self, runs: List[WorkItem]):
         """(context, processes, workload-aligned chunks) for a work list."""
-        processes = self.processes or (os.cpu_count() or 1)
-        processes = min(processes, len(runs))
+        processes = min(self.processes, len(runs))
         chunksize = self.chunksize or max(1, ceil(len(runs) / (4 * processes)))
 
         # Workload-aligned chunking (expand() emits each workload's runs
@@ -437,43 +433,25 @@ class PoolExecutor:
                 "the compiled-workload cache and will rebuild their workloads "
                 "on first use", RuntimeWarning, stacklevel=3)
 
-    @contextmanager
-    def _shared_dir(self):
-        """Resolve ``shared_cache_dir`` for one executor pass.
-
-        ``"auto"`` creates a tempdir removed when the pass ends; an explicit
-        path is created if missing and left in place.
-        """
-        shared_dir, created = None, False
-        if self.shared_cache_dir == "auto":
-            shared_dir, created = tempfile.mkdtemp(
-                prefix="repro-physics-"), True
-        elif self.shared_cache_dir is not None:
-            os.makedirs(self.shared_cache_dir, exist_ok=True)
-            shared_dir = self.shared_cache_dir
-        try:
-            yield shared_dir
-        finally:
-            if created:
-                shutil.rmtree(shared_dir, ignore_errors=True)
-
-    def _make_pool(self, context, processes: int, shared_dir: Optional[str]):
+    def _make_pool(self, context, processes: int):
         """A worker pool with the shared physics store (if any) attached."""
-        pool_kwargs = {} if shared_dir is None else {
-            "initializer": _attach_store_initializer,
-            "initargs": (shared_dir, self.shared_cache_events)}
+        pool_kwargs = {}
+        if self.shared_cache_dir is not None:
+            os.makedirs(self.shared_cache_dir, exist_ok=True)
+            pool_kwargs = {"initializer": _attach_store_initializer,
+                           "initargs": (self.shared_cache_dir,
+                                        self.shared_cache_events)}
         return context.Pool(processes=processes, **pool_kwargs)
 
     @contextmanager
     def _pool(self, context, processes: int):
         """One-shot pool for the unsupervised dispatch paths."""
-        with self._shared_dir() as shared_dir:
-            pool = self._make_pool(context, processes, shared_dir)
-            try:
-                yield pool
-            finally:
-                pool.terminate()
-                pool.join()
+        pool = self._make_pool(context, processes)
+        try:
+            yield pool
+        finally:
+            pool.terminate()
+            pool.join()
 
     def _supervised_imap(self, fn: Callable[[RunSpec], RunRecord],
                          runs: List[WorkItem]) -> Iterator[RunOutcome]:
@@ -489,114 +467,113 @@ class PoolExecutor:
         self.stats = ExecutorStats()
         context, processes, chunks = self._plan(runs)
         self._maybe_prebuild(context, runs)
-        with self._shared_dir() as shared_dir:
-            pool = self._make_pool(context, processes, shared_dir)
-            # Each queue entry is one chunk: [(run, first_attempt), ...].
-            queue = deque([(run, 1) for run in chunk] for chunk in chunks)
-            in_flight: List[tuple] = []       # (handle, items, deadline)
-            rebuilds = 0
-            try:
-                while queue or in_flight:
-                    while queue and len(in_flight) < processes:
-                        items = queue.popleft()
-                        handle = pool.apply_async(
-                            _apply_supervised_chunk, ((fn, items, policy),))
-                        deadline = None
-                        if self.run_timeout is not None:
-                            # An ensemble item is one dispatch but n_runs
-                            # simulations, so its deadline scales with the
-                            # member count (getattr: plain runs count as 1).
-                            # Backoff allowance uses the policy's worst case
-                            # (jittered delays vary per run).
-                            budget = sum(
-                                (self.run_timeout * policy.max_attempts
-                                 + sum(policy.max_delay_before(a) for a in
-                                       range(first, policy.max_attempts + 1)))
-                                * getattr(item, "n_runs", 1)
-                                for item, first in items)
-                            deadline = time.monotonic() + budget
-                        in_flight.append((handle, items, deadline))
-                    in_flight[0][0].wait(0.02)
-                    ready, still = [], []
-                    for entry in in_flight:
-                        (ready if entry[0].ready() else still).append(entry)
-                    in_flight = still
-                    requeue_single: List[Tuple[RunSpec, int]] = []
-                    for handle, items, _ in ready:
-                        try:
-                            chunk_results = handle.get()
-                        except Exception as error:
-                            # The chunk call itself failed (e.g. the result
-                            # did not unpickle) — charge every run an attempt.
-                            logger.warning(
-                                "supervised chunk of %d item(s) failed to "
-                                "return: %r", len(items), error)
-                            chunk_traceback = traceback_module.format_exc()
-                            for item, first in items:
-                                for run in _member_runs(item):
-                                    if first >= policy.max_attempts:
-                                        yield FailedRun.from_run(
-                                            run, repr(error), attempts=first,
-                                            traceback=chunk_traceback,
-                                            fault=faults.describe_run_faults(
-                                                run.run_id, first))
-                                    else:
-                                        requeue_single.append((run, first + 1))
-                        else:
-                            for item_result in chunk_results:
-                                yield from _as_outcomes(item_result)
-                    now = time.monotonic()
-                    expired = [e for e in in_flight
-                               if e[2] is not None and now > e[2]]
-                    if expired:
-                        # A hung run or a dead worker: the pool cannot tell
-                        # us which, and a lost chunk would never come back —
-                        # tear the fleet down and requeue what is unfinished.
-                        rebuilds += 1
-                        self.stats.rebuilds = rebuilds
-                        self.stats.rebuild_victims.append(
-                            [run.run_id for entry in expired
-                             for item, _ in entry[1]
-                             for run in _member_runs(item)])
+        pool = self._make_pool(context, processes)
+        # Each queue entry is one chunk: [(run, first_attempt), ...].
+        queue = deque([(run, 1) for run in chunk] for chunk in chunks)
+        in_flight: List[tuple] = []       # (handle, items, deadline)
+        rebuilds = 0
+        try:
+            while queue or in_flight:
+                while queue and len(in_flight) < processes:
+                    items = queue.popleft()
+                    handle = pool.apply_async(
+                        _apply_supervised_chunk, ((fn, items, policy),))
+                    deadline = None
+                    if self.run_timeout is not None:
+                        # An ensemble item is one dispatch but n_runs
+                        # simulations, so its deadline scales with the
+                        # member count (getattr: plain runs count as 1).
+                        # Backoff allowance uses the policy's worst case
+                        # (jittered delays vary per run).
+                        budget = sum(
+                            (self.run_timeout * policy.max_attempts
+                             + sum(policy.max_delay_before(a) for a in
+                                   range(first, policy.max_attempts + 1)))
+                            * getattr(item, "n_runs", 1)
+                            for item, first in items)
+                        deadline = time.monotonic() + budget
+                    in_flight.append((handle, items, deadline))
+                in_flight[0][0].wait(0.02)
+                ready, still = [], []
+                for entry in in_flight:
+                    (ready if entry[0].ready() else still).append(entry)
+                in_flight = still
+                requeue_single: List[Tuple[RunSpec, int]] = []
+                for handle, items, _ in ready:
+                    try:
+                        chunk_results = handle.get()
+                    except Exception as error:
+                        # The chunk call itself failed (e.g. the result
+                        # did not unpickle) — charge every run an attempt.
                         logger.warning(
-                            "sweep pool: %d chunk(s) exceeded their deadline "
-                            "(hung run or dead worker); rebuilding fleet "
-                            "(rebuild #%d) and requeueing %d in-flight "
-                            "chunk(s)", len(expired), rebuilds, len(in_flight))
-                        pool.terminate()
-                        pool.join()
-                        expired_ids = {id(e) for e in expired}
-                        for entry in in_flight:
-                            _, items, _ = entry
-                            if id(entry) not in expired_ids:
-                                queue.append(items)     # innocent: as-is
-                                continue
-                            # Expired ensembles expand into their member
-                            # runs: each member requeues (or quarantines)
-                            # individually, like the singleton requeue below.
-                            for item, first in items:
-                                for run in _member_runs(item):
-                                    if first >= policy.max_attempts:
-                                        yield FailedRun.from_run(
-                                            run,
-                                            f"timed out or lost with a dead "
-                                            f"worker after {first} attempt(s) "
-                                            f"(run_timeout="
-                                            f"{self.run_timeout}s)",
-                                            attempts=first,
-                                            fault=faults.describe_run_faults(
-                                                run.run_id, first))
-                                    else:
-                                        requeue_single.append((run, first + 1))
-                        in_flight = []
-                        pool = self._make_pool(context, processes, shared_dir)
-                    # Expired runs requeue as singletons so one bad run no
-                    # longer drags chunk-mates through every retry.
-                    self.stats.requeues += len(requeue_single)
-                    queue.extend([pair] for pair in requeue_single)
-            finally:
-                pool.terminate()
-                pool.join()
+                            "supervised chunk of %d item(s) failed to "
+                            "return: %r", len(items), error)
+                        chunk_traceback = traceback_module.format_exc()
+                        for item, first in items:
+                            for run in _member_runs(item):
+                                if first >= policy.max_attempts:
+                                    yield FailedRun.from_run(
+                                        run, repr(error), attempts=first,
+                                        traceback=chunk_traceback,
+                                        fault=faults.describe_run_faults(
+                                            run.run_id, first))
+                                else:
+                                    requeue_single.append((run, first + 1))
+                    else:
+                        for item_result in chunk_results:
+                            yield from _as_outcomes(item_result)
+                now = time.monotonic()
+                expired = [e for e in in_flight
+                           if e[2] is not None and now > e[2]]
+                if expired:
+                    # A hung run or a dead worker: the pool cannot tell
+                    # us which, and a lost chunk would never come back —
+                    # tear the fleet down and requeue what is unfinished.
+                    rebuilds += 1
+                    self.stats.rebuilds = rebuilds
+                    self.stats.rebuild_victims.append(
+                        [run.run_id for entry in expired
+                         for item, _ in entry[1]
+                         for run in _member_runs(item)])
+                    logger.warning(
+                        "sweep pool: %d chunk(s) exceeded their deadline "
+                        "(hung run or dead worker); rebuilding fleet "
+                        "(rebuild #%d) and requeueing %d in-flight "
+                        "chunk(s)", len(expired), rebuilds, len(in_flight))
+                    pool.terminate()
+                    pool.join()
+                    expired_ids = {id(e) for e in expired}
+                    for entry in in_flight:
+                        _, items, _ = entry
+                        if id(entry) not in expired_ids:
+                            queue.append(items)     # innocent: as-is
+                            continue
+                        # Expired ensembles expand into their member
+                        # runs: each member requeues (or quarantines)
+                        # individually, like the singleton requeue below.
+                        for item, first in items:
+                            for run in _member_runs(item):
+                                if first >= policy.max_attempts:
+                                    yield FailedRun.from_run(
+                                        run,
+                                        f"timed out or lost with a dead "
+                                        f"worker after {first} attempt(s) "
+                                        f"(run_timeout="
+                                        f"{self.run_timeout}s)",
+                                        attempts=first,
+                                        fault=faults.describe_run_faults(
+                                            run.run_id, first))
+                                else:
+                                    requeue_single.append((run, first + 1))
+                    in_flight = []
+                    pool = self._make_pool(context, processes)
+                # Expired runs requeue as singletons so one bad run no
+                # longer drags chunk-mates through every retry.
+                self.stats.requeues += len(requeue_single)
+                queue.extend([pair] for pair in requeue_single)
+        finally:
+            pool.terminate()
+            pool.join()
 
     def map(self, fn: Callable[[RunSpec], RunRecord],
             runs: Sequence[WorkItem]) -> List[RunOutcome]:

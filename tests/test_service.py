@@ -42,6 +42,7 @@ from repro.service import (
 )
 from repro.sweep import (
     FaultSpec,
+    PoolExecutor,
     SerialExecutor,
     SweepResult,
     SweepRunner,
@@ -487,6 +488,14 @@ class TestServiceLifecycle:
             assert health["active_jobs"] == []
         finally:
             service.shutdown(timeout=30)
+
+    def test_health_reports_default_pool_worker_count(self, tmp_path):
+        """A default ``PoolExecutor`` runs one worker per CPU, and the
+        fleet's liveness reports that count rather than 1."""
+        service = SweepService(str(tmp_path), executor=PoolExecutor())
+        fleet = service.health()["fleet"]
+        assert fleet["executor"] == "PoolExecutor"
+        assert fleet["processes"] == (os.cpu_count() or 1)
 
     def test_graceful_shutdown_drains_and_restart_completes(
             self, tmp_path, wide_baseline):

@@ -1,13 +1,17 @@
 """Tests for the cross-worker shared physics store.
 
-Lifecycle (attach/detach/auto-cleanup), value roundtrips as read-only views,
-stale-index rejection, key-shareability filtering, concurrent readers, and
-the end-to-end contract: a pool sweep with ``shared_cache_dir`` produces
-records bit-identical to the private-cache run while actually sharing
-entries across workers.
+Lifecycle (attach/detach), value roundtrips as read-only views, the
+self-describing entry file (checksummed header, damage quarantined, other
+formats and the previous layout ignored), key-shareability filtering,
+concurrent readers and lock-free concurrent publishers, and the end-to-end
+contract: a pool sweep with ``shared_cache_dir`` produces records
+bit-identical to the private-cache run while actually sharing entries across
+workers.
 """
 
+import hashlib
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -59,6 +63,68 @@ SPEC_KEY = ("spec", "w|fingerprint")
 
 def level_key(tag="a"):
     return ((SPEC_KEY, 400, 0.6, 0.15, 0.7, 0.003, 1, 0.5), 0, 40, 0.68, tag)
+
+
+def entry_path(directory):
+    """The one published entry file of a store directory."""
+    names = [n for n in os.listdir(directory) if n.endswith(".phys")]
+    assert len(names) == 1
+    return os.path.join(str(directory), names[0])
+
+
+def corrupt_files(directory):
+    return [n for n in os.listdir(directory) if n.endswith(".corrupt")]
+
+
+def rewrite(path, edit):
+    """Replace a file's bytes with ``edit(bytes)``."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    with open(path, "wb") as handle:
+        handle.write(edit(raw))
+
+
+def flip_byte(raw, at):
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:]
+
+
+def write_pre_change_layout(directory):
+    """Rewrite a store's entries into the previous on-disk layout.
+
+    That layout kept each entry's arrays headerless in ``<digest>.bin`` and
+    described them all in one ``index.json`` (plus a ``.lock`` file).
+    Returns the number of entries rewritten.
+    """
+    entries = {}
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".phys"):
+            continue
+        path = os.path.join(directory, name)
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline())
+            blob = handle.read()
+        digest = name[:-len(".phys")]
+        with open(os.path.join(directory, digest + ".bin"), "wb") as handle:
+            handle.write(blob)
+        entries[digest] = {
+            "file": digest + ".bin", "size": len(blob),
+            "kind": header["kind"], "meta": header["meta"],
+            "arrays": header["arrays"], "pid": os.getpid(),
+            "sha256": hashlib.sha256(blob).hexdigest()}
+        os.unlink(path)
+    with open(os.path.join(directory, "index.json"), "w") as handle:
+        json.dump({"version": 1, "entries": entries}, handle)
+    open(os.path.join(directory, ".lock"), "a").close()
+    return len(entries)
+
+
+def _publish(directory, items, barrier):
+    """Child process of the concurrent-publish test: store ``items``."""
+    store = SharedPhysicsStore(directory)
+    barrier.wait(timeout=60)
+    for tag, seed in items:
+        if not store.store(level_key(tag), sample_entry(seed=seed), 1000):
+            raise SystemExit(1)
 
 
 class TestShareableKeys:
@@ -139,59 +205,106 @@ class TestStoreRoundtrip:
         values = [r.load(level_key())[0] for r in readers]
         assert np.array_equal(values[0].drop_rows, values[1].drop_rows)
         # Same backing file on disk — one physical copy for the fleet.
-        bins = [f for f in os.listdir(tmp_path) if f.endswith(".bin")]
-        assert len(bins) == 1
+        entry_path(tmp_path)
 
-    def test_index_visible_to_earlier_attachers(self, tmp_path):
-        """A store attached before a sibling published still sees the entry
-        (mtime-based index refresh)."""
+    def test_entry_visible_to_earlier_attachers(self, tmp_path):
+        """A store attached before a sibling published still sees the entry:
+        a load opens the digest's file, there is no snapshot to go stale."""
         early = SharedPhysicsStore(str(tmp_path))
         assert early.load(level_key()) is None
         SharedPhysicsStore(str(tmp_path)).store(level_key(),
                                                 sample_entry(), 1000)
         assert early.load(level_key()) is not None
 
+    def test_concurrent_publishers_lose_nothing(self, tmp_path):
+        """Two processes publish at once without a lock — 40 keys each plus
+        10 both publish: every entry lands intact and no temp file stays."""
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        shared = [(f"both-{i}", 1000 + i) for i in range(10)]
+        own = [[(f"w{w}-{i}", 100 * w + i) for i in range(40)]
+               for w in range(2)]
+        workers = [context.Process(target=_publish,
+                                   args=(str(tmp_path), shared + own[w],
+                                         barrier))
+                   for w in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+            assert worker.exitcode == 0
+
+        fresh = SharedPhysicsStore(str(tmp_path))
+        assert fresh.stats()["entries"] == 90
+        for tag, seed in shared + own[0] + own[1]:
+            value, _ = fresh.load(level_key(tag))
+            want = sample_entry(seed=seed)
+            assert np.array_equal(value.drop_rows, want.drop_rows)
+            assert value.fail_lists == want.fail_lists
+        assert fresh.stats()["corrupt_rejected"] == 0
+        assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp")]
+        # Each publisher logged every entry it derived as one whole line.
+        stores = [e for e in fresh.read_events() if e["event"] == "store"]
+        assert len(stores) == 100
+
 
 class TestStaleIndexRejection:
+    """Entry files that no longer hold what was published — truncated,
+    missing, or written in another format — are misses, never served."""
+
     def test_truncated_data_file_rejected(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
-        store.store(level_key(), sample_entry(), 1000)
-        [bin_name] = [f for f in os.listdir(tmp_path) if f.endswith(".bin")]
-        with open(tmp_path / bin_name, "r+b") as handle:
-            handle.truncate(8)
-        reader = SharedPhysicsStore(str(tmp_path))
-        assert reader.load(level_key()) is None
-        assert reader.stale_rejected == 1
+        entry = sample_entry()
+        store.store(level_key(), entry, 1000)
+        path = entry_path(tmp_path)
+        size = os.path.getsize(path)
+        # A torn header line, then a header whose length check fails.
+        for cut in (8, size - 1):
+            with open(path, "r+b") as handle:
+                handle.truncate(cut)
+            reader = SharedPhysicsStore(str(tmp_path))
+            assert reader.load(level_key()) is None
+            assert reader.stats()["corrupt_rejected"] == 1
+            assert not os.path.exists(path)           # quarantined
+            assert reader.store(level_key(), entry, 1000)
+            assert reader.stores == 1                 # republished
+            assert os.path.getsize(path) == size
+        value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
+        assert np.array_equal(value.drop_rows, entry.drop_rows)
 
     def test_missing_data_file_rejected(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
         store.store(level_key(), sample_entry(), 1000)
-        [bin_name] = [f for f in os.listdir(tmp_path) if f.endswith(".bin")]
-        os.unlink(tmp_path / bin_name)
+        os.unlink(entry_path(tmp_path))
         reader = SharedPhysicsStore(str(tmp_path))
         assert reader.load(level_key()) is None
-        assert reader.stale_rejected == 1
+        assert reader.stats()["corrupt_rejected"] == 0   # a plain miss
+        assert reader.store(level_key(), sample_entry(), 1000)
+        assert reader.stores == 1
+        assert SharedPhysicsStore(str(tmp_path)).load(level_key()) is not None
 
     def test_stale_entry_can_be_republished(self, tmp_path):
-        """A digest whose data file vanished must not block re-publication
-        just because the disk index still lists it."""
+        """The process that published an entry publishes it again once its
+        file is gone: nothing in memory vouches for a file on disk."""
         store = SharedPhysicsStore(str(tmp_path))
         store.store(level_key(), sample_entry(), 1000)
-        [bin_name] = [f for f in os.listdir(tmp_path) if f.endswith(".bin")]
-        os.unlink(tmp_path / bin_name)
-        healer = SharedPhysicsStore(str(tmp_path))    # fresh index snapshot
-        assert healer.load(level_key()) is None       # stale-rejected
-        assert healer.store(level_key(), sample_entry(), 1000)
-        assert healer.stores == 1                     # actually rewritten
+        os.unlink(entry_path(tmp_path))
+        assert store.store(level_key(), sample_entry(), 1000)
+        assert store.stores == 2                      # actually rewritten
         assert SharedPhysicsStore(str(tmp_path)).load(level_key()) is not None
 
     def test_unknown_format_version_ignored(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
         store.store(level_key(), sample_entry(), 1000)
-        index = json.loads((tmp_path / "index.json").read_text())
-        index["version"] = 999
-        (tmp_path / "index.json").write_text(json.dumps(index))
-        assert SharedPhysicsStore(str(tmp_path)).load(level_key()) is None
+        path = entry_path(tmp_path)
+        rewrite(path, lambda raw: raw.replace(b'"repro-physics/2"',
+                                              b'"repro-physics/9"', 1))
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.load(level_key()) is None
+        assert reader.stats()["corrupt_rejected"] == 0
+        assert os.path.exists(path) and not corrupt_files(tmp_path)
+        assert reader.kind_counts() == {}
 
 
 class TestByteBudgetCacheBackend:
@@ -351,16 +464,17 @@ class TestLevelCacheIntegration:
         assert store.rejected_keys > 0
 
 
-class TestPoolExecutorSharedStore:
-    def sweep_spec(self):
-        return SweepSpec(
-            name="store-sweep", workloads=(store_workload("store-pool"),),
-            controllers=("booster",), modes=("low_power",), betas=(5, 9),
-            cycles=300, flip_means=(0.8,), monitor_noises=(0.01,), seeds=2,
-            master_seed=0, seed_mode="shared")
+def store_sweep_spec():
+    return SweepSpec(
+        name="store-sweep", workloads=(store_workload("store-pool"),),
+        controllers=("booster",), modes=("low_power",), betas=(5, 9),
+        cycles=300, flip_means=(0.8,), monitor_noises=(0.01,), seeds=2,
+        master_seed=0, seed_mode="shared")
 
+
+class TestPoolExecutorSharedStore:
     def test_shared_dir_records_match_serial(self, fresh_cache, tmp_path):
-        spec = self.sweep_spec()
+        spec = store_sweep_spec()
         serial = SweepRunner(spec, SerialExecutor()).run()
         clear_level_cache()
         executor = PoolExecutor(processes=2, shared_cache_dir=str(tmp_path))
@@ -378,28 +492,8 @@ class TestPoolExecutorSharedStore:
             [r.to_json_dict() for r in again.sorted_records()]
         assert store.cross_worker_hits() > 0
 
-    def test_auto_dir_is_cleaned_up(self, fresh_cache, tmp_path,
-                                    monkeypatch):
-        import tempfile as _tempfile
-        created = []
-        real_mkdtemp = _tempfile.mkdtemp
-
-        def tracking_mkdtemp(*args, **kwargs):
-            kwargs.setdefault("dir", str(tmp_path))
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr("repro.sweep.runner.tempfile",
-                            type("T", (), {"mkdtemp": tracking_mkdtemp}))
-        spec = self.sweep_spec()
-        SweepRunner(spec, PoolExecutor(processes=2,
-                                       shared_cache_dir="auto")).run()
-        assert len(created) == 1
-        assert not os.path.exists(created[0])
-
     def test_explicit_dir_left_in_place(self, fresh_cache, tmp_path):
-        spec = self.sweep_spec()
+        spec = store_sweep_spec()
         target = tmp_path / "physics"
         SweepRunner(spec, PoolExecutor(
             processes=2, shared_cache_dir=str(target))).run()
@@ -407,7 +501,7 @@ class TestPoolExecutorSharedStore:
         assert SharedPhysicsStore(str(target)).stats()["entries"] > 0
 
     def test_events_can_be_disabled(self, fresh_cache, tmp_path):
-        spec = self.sweep_spec()
+        spec = store_sweep_spec()
         SweepRunner(spec, PoolExecutor(
             processes=2, shared_cache_dir=str(tmp_path),
             shared_cache_events=False)).run()
@@ -416,19 +510,14 @@ class TestPoolExecutorSharedStore:
 
 
 class TestStoreHardening:
-    """Checksum quarantine, swallowed-error counters, lock timeouts and
-    graceful degradation — the store half of the fault-tolerance layer."""
-
-    def bin_path(self, directory):
-        names = [n for n in os.listdir(directory) if n.endswith(".bin")]
-        assert len(names) == 1
-        return os.path.join(directory, names[0])
+    """Checksum quarantine, swallowed-error counters and graceful
+    degradation — the store half of the fault-tolerance layer."""
 
     def test_corrupt_entry_quarantined_and_republishable(self, tmp_path):
         writer = SharedPhysicsStore(str(tmp_path))
         entry = sample_entry()
         assert writer.store(level_key(), entry, 1000)
-        path = self.bin_path(str(tmp_path))
+        path = entry_path(tmp_path)
         with open(path, "r+b") as handle:
             handle.seek(os.path.getsize(path) // 2)
             handle.write(b"\xff")
@@ -449,9 +538,13 @@ class TestStoreHardening:
         reader = SharedPhysicsStore(str(tmp_path))
         assert reader.load(level_key()) is not None
         assert len(reader._verified) == 1
-        # Subsequent loads skip the hash; a fresh instance re-verifies.
+        # Subsequent loads skip the hash — even past a payload byte flipped
+        # behind the verified file's back; a fresh instance re-verifies.
+        path = entry_path(tmp_path)
+        rewrite(path, lambda raw: flip_byte(raw, len(raw) - 1))
         assert reader.load(level_key()) is not None
         assert SharedPhysicsStore(str(tmp_path))._verified == set()
+        assert SharedPhysicsStore(str(tmp_path)).load(level_key()) is None
 
     def test_event_log_errors_counted(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
@@ -459,28 +552,16 @@ class TestStoreHardening:
         assert store.store(level_key(), sample_entry(), 1000)
         assert store.stats()["event_log_errors"] >= 1
 
-    def test_load_errors_counted_for_corrupt_index_record(self, tmp_path):
+    def test_load_errors_counted_for_unreadable_entry(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
         assert store.store(level_key(), sample_entry(), 1000)
-        digest = next(iter(store._index))
-        store._index[digest]["arrays"][0]["dtype"] = "not-a-dtype"
+        path = entry_path(tmp_path)
+        os.unlink(path)
+        os.makedirs(path)                             # opens now raise
         assert store.load(level_key()) is None
-        assert store.stats()["load_errors"] == 1
-
-    def test_lock_timeout_degrades_store(self, tmp_path):
-        fcntl = pytest.importorskip("fcntl")
-        store = SharedPhysicsStore(str(tmp_path), lock_timeout=0.2)
-        holder = open(str(tmp_path / ".lock"), "a")
-        fcntl.flock(holder.fileno(), fcntl.LOCK_EX)   # flock is per-open-fd
-        try:
-            assert not store.store(level_key(), sample_entry(), 1000)
-            stats = store.stats()
-            assert stats["lock_timeouts"] == 1
-            assert stats["store_errors"] == 1
-        finally:
-            holder.close()
-        # Holder gone: publication works again.
-        assert store.store(level_key(), sample_entry(), 1000)
+        stats = store.stats()
+        assert stats["load_errors"] == 1
+        assert stats["corrupt_rejected"] == 0
 
     def test_unusable_directory_degrades_gracefully(self, tmp_path):
         blocker = tmp_path / "file"
@@ -493,9 +574,105 @@ class TestStoreHardening:
         assert store.stats()["store_errors"] == 1
 
     def test_checksum_recorded_on_publish(self, tmp_path):
+        """The header carries one SHA-256 over its other fields (canonical
+        JSON) and the payload, which starts 64-byte aligned."""
         store = SharedPhysicsStore(str(tmp_path))
         assert store.store(level_key(), sample_entry(), 1000)
-        record = next(iter(store._read_index().values()))
-        import hashlib
-        blob = open(os.path.join(str(tmp_path), record["file"]), "rb").read()
-        assert record["sha256"] == hashlib.sha256(blob).hexdigest()
+        with open(entry_path(tmp_path), "rb") as handle:
+            line = handle.readline()
+            payload = handle.read()
+        assert len(line) % 64 == 0
+        header = json.loads(line)
+        checksum = header.pop("sha256")
+        assert header["format"] == "repro-physics/2"
+        assert header["kind"] == "level"
+        assert header["payload_bytes"] == len(payload)
+        fields = json.dumps(header, sort_keys=True,
+                            separators=(",", ":")).encode()
+        assert checksum == hashlib.sha256(fields + payload).hexdigest()
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: flip_byte(raw, 10),
+        # Still valid JSON: only the checksum over the fields catches it.
+        lambda raw: raw.replace(b'"pair":[40,', b'"pair":[41,', 1),
+    ], ids=["flipped-byte", "edited-field"])
+    def test_flipped_header_byte_is_caught(self, tmp_path, damage):
+        writer = SharedPhysicsStore(str(tmp_path))
+        entry = sample_entry()
+        assert writer.store(level_key(), entry, 1000)
+        path = entry_path(tmp_path)
+        rewrite(path, damage)
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.load(level_key()) is None
+        assert reader.stats()["corrupt_rejected"] == 1
+        assert corrupt_files(tmp_path) == [os.path.basename(path)
+                                           + ".corrupt"]
+        assert reader.store(level_key(), entry, 1000)
+        value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
+        assert value.pair == entry.pair
+
+    @pytest.mark.parametrize("header", [b"not json", b'{"formal":1}'],
+                             ids=["unparseable", "untagged"])
+    def test_malformed_header_counted_and_quarantined(self, tmp_path,
+                                                      header):
+        store = SharedPhysicsStore(str(tmp_path))
+        assert store.store(level_key(), sample_entry(), 1000)
+        path = entry_path(tmp_path)
+        rewrite(path, lambda raw: header + b"\n" + raw.split(b"\n", 1)[1])
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.load(level_key()) is None
+        assert reader.stats()["corrupt_rejected"] == 1
+        assert not os.path.exists(path) and corrupt_files(tmp_path)
+
+
+class TestPreChangeLayout:
+    """A store directory written in the previous layout — headerless
+    ``<digest>.bin`` files listed in one index file — is ignored, not
+    quarantined: its entries miss and are republished in the new format."""
+
+    def test_loads_miss_and_republish(self, tmp_path):
+        entry = sample_entry()
+        assert SharedPhysicsStore(str(tmp_path)).store(level_key(), entry,
+                                                       1000)
+        assert write_pre_change_layout(str(tmp_path)) == 1
+        reader = SharedPhysicsStore(str(tmp_path))
+        assert reader.stats()["entries"] == 0
+        assert reader.load(level_key()) is None
+        stats = reader.stats()
+        assert stats["corrupt_rejected"] == 0 and stats["load_errors"] == 0
+        assert not corrupt_files(tmp_path)
+        assert reader.store(level_key(), entry, 1000)
+        assert reader.stores == 1
+        value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
+        assert np.array_equal(value.drop_rows, entry.drop_rows)
+
+    def test_daemon_over_pre_change_store_is_not_degraded(self, fresh_cache,
+                                                          tmp_path):
+        from repro.service import SweepService
+        data_dir = str(tmp_path)
+        spec = store_sweep_spec().to_json_dict()
+        service = SweepService(data_dir).start()
+        try:
+            job, _ = service.submit(spec, job_key="before")
+            service.wait_for(job.job_id, timeout=120)
+        finally:
+            service.shutdown(timeout=30)
+        store_dir = os.path.join(data_dir, "store")
+        published = write_pre_change_layout(store_dir)
+        assert published > 0
+
+        clear_level_cache()
+        service = SweepService(data_dir).start()
+        try:
+            assert not service.health()["degraded"]
+            job, _ = service.submit(spec, job_key="after")
+            assert service.wait_for(job.job_id, timeout=120)["state"] == \
+                "done"
+            health = service.health()
+        finally:
+            service.shutdown(timeout=30)
+        assert not health["degraded"]
+        store = health["store"]
+        assert store["load_hits"] == 0 and store["corrupt_rejected"] == 0
+        assert store["entries"] == published          # republished
+        assert not corrupt_files(store_dir)

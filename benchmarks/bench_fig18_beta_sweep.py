@@ -32,7 +32,6 @@ from common import (
     assert_traces_equivalent,
     reference_workload_spec,
     smoke_grid,
-    sweep_executor,
 )
 
 pytestmark = pytest.mark.sweep
@@ -53,7 +52,7 @@ def test_fig18_beta_sweep(benchmark):
         seeds=N_SEEDS, master_seed=SWEEP_MASTER_SEED, seed_mode="shared")
 
     def run():
-        return run_sweeps([betas_spec, safe_spec], executor=sweep_executor())
+        return run_sweeps([betas_spec, safe_spec])
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     # The sweeps run on the scalar fast path (SweepSpec defaults to

@@ -33,7 +33,6 @@ from common import (
     SWEEP_MASTER_SEED,
     assert_traces_equivalent,
     reference_workload_spec,
-    sweep_executor,
 )
 
 pytestmark = pytest.mark.sweep
@@ -72,7 +71,7 @@ def test_fig19_ablation(benchmark):
              for label, lhr, wds, mapping, controller in STEPS]
 
     def run():
-        results = run_sweeps(specs, executor=sweep_executor())
+        results = run_sweeps(specs)
         data = {}
         for model in HW_WORKLOADS:
             data[model] = {
@@ -115,7 +114,7 @@ def test_fig20_energy_efficiency_stacking(benchmark):
               for label, lhr, wds in STACKING]
 
     def run():
-        results = run_sweeps(specs, executor=sweep_executor())
+        results = run_sweeps(specs)
         gains = {}
         for model in HW_WORKLOADS:
             base_power = results["fig20/dvfs-baseline"].point(workload=model) \

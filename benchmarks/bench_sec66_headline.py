@@ -29,7 +29,6 @@ from common import (
     SWEEP_MASTER_SEED,
     assert_traces_equivalent,
     reference_workload_spec,
-    sweep_executor,
 )
 
 pytestmark = pytest.mark.sweep
@@ -66,7 +65,7 @@ def test_sec66_headline(benchmark):
     specs = _portfolio_specs()
 
     def run():
-        results = run_sweeps(specs, executor=sweep_executor())
+        results = run_sweeps(specs)
         rows = {}
         for model in HW_WORKLOADS:
             lp, sp = MODES

@@ -24,7 +24,7 @@ from repro.power.vf_table import VFTable
 from repro.quant import QATConfig, QATResult, run_qat
 from repro.sim import CompiledWorkload, CompilerConfig, RuntimeConfig, compile_workload, simulate
 from repro.sim.results import SimulationResult
-from repro.sweep import PoolExecutor, SerialExecutor, WorkloadSpec
+from repro.sweep import WorkloadSpec
 from repro.workloads import WorkloadProfile, build_workload_profile
 
 #: Models used by the hardware-facing experiments (one conv, one transformer),
@@ -186,14 +186,6 @@ def stress_workload_spec(label: str = "stress@64", **overrides) -> WorkloadSpec:
                   mapping="sequential", label=label)
     params.update(overrides)
     return WorkloadSpec(**params)
-
-
-def sweep_executor():
-    """Pool executor when the machine has cores to use, serial otherwise."""
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        return PoolExecutor(processes=min(cores, 8))
-    return SerialExecutor()
 
 
 def reference_workload_spec(model: str, lhr: bool = True,

@@ -10,10 +10,9 @@ executes nothing and aggregates identically.
 Run with:  python examples/beta_sweep_portfolio.py
 """
 
-import os
 import tempfile
 
-from repro.sweep import PoolExecutor, SerialExecutor, SweepRunner, SweepSpec, WorkloadSpec
+from repro.sweep import SerialExecutor, SweepRunner, SweepSpec, WorkloadSpec
 
 
 def main() -> None:
@@ -29,13 +28,15 @@ def main() -> None:
                      betas=(10, 30, 50, 70, 90), cycles=1000,
                      seeds=3, master_seed=0)
 
-    cores = os.cpu_count() or 1
-    executor = PoolExecutor() if cores >= 2 else SerialExecutor()
+    # No executor given: a pool with one worker per usable CPU, or the
+    # serial loop on a single CPU.
+    runner = SweepRunner(spec)
+    workers = getattr(runner.executor, "processes", 1)
     print(f"{spec.n_runs} runs ({spec.n_points} grid points x {spec.seeds} seeds) "
-          f"on {cores} core(s) ...")
+          f"on {workers} worker(s) ...")
 
     with tempfile.TemporaryDirectory(prefix="beta_sweep-") as store:
-        result = SweepRunner(spec, executor).run(store=store)
+        result = runner.run(store=store)
 
         print(f"\n{'beta':>6} | {'IRFailures (mean [95% CI])':>30} | "
               f"{'stall cycles':>12} | {'mean IR-drop (mV)':>18}")

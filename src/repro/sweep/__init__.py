@@ -10,7 +10,8 @@ Figs. 19/20 sweep ablation steps.  This package makes those first-class:
   ``SeedSequence``-derived per-run seeds;
 * :class:`~repro.sweep.runner.SweepRunner` — executes runs through a pluggable
   executor (:class:`~repro.sweep.runner.SerialExecutor` or the chunked
-  :class:`~repro.sweep.runner.PoolExecutor`); workers rebuild workloads from
+  :class:`~repro.sweep.runner.PoolExecutor`; given none, a pool over the CPUs
+  this process may use, serial on one CPU); workers rebuild workloads from
   specs (:mod:`repro.sweep.builders`) so nothing heavyweight crosses the pipe;
 * :class:`~repro.sweep.records.SweepResult` — per-point mean/std and bootstrap
   confidence intervals over the seed ensemble, a one-way JSON export, and

@@ -10,6 +10,15 @@ The runner turns a :class:`~repro.sweep.spec.SweepSpec` into
   worker rebuilds (and memoizes) compiled workloads from their specs — see
   :mod:`repro.sweep.builders`.
 
+Given no executor, :class:`SweepRunner` and :func:`run_sweeps` run on a
+:class:`PoolExecutor` with one worker per CPU this process may use (its
+affinity mask, else ``os.cpu_count()``), or on :class:`SerialExecutor` when
+that is a single CPU, where a pool only adds fork and IPC cost (and inside
+a daemonic process such as a pool worker, which may not fork).  The default
+pool is unsupervised — a failing run raises through with its own type, as
+under serial execution — and lives for one pass: it is terminated and
+joined before ``run()`` returns, so no worker outlives the call.
+
 Because every run's seed is a pure function of ``(master_seed, point_index,
 seed_index)`` and workload construction is deterministic, both executors
 produce *bit-identical* records for the same spec; ``tests/test_sweep.py``
@@ -45,6 +54,7 @@ import itertools
 import logging
 import multiprocessing
 import os
+import signal
 import time
 import traceback as traceback_module
 import warnings
@@ -305,21 +315,41 @@ def _apply_supervised_chunk(args) -> List[RunOutcome]:
             for run, first_attempt in items]
 
 
-def _attach_store_initializer(directory: str, record_events: bool) -> None:
-    """Pool-worker initializer: attach the shared physics store.
+def _init_worker(directory: Optional[str], record_events: bool) -> None:
+    """Pool-worker initializer: default SIGTERM action, shared physics store.
 
-    Top-level so it pickles by reference under any start method; runs once
-    per worker process before the first chunk.
+    A forked worker inherits the parent's Python SIGTERM handler.  When the
+    parent turns SIGTERM into a drain flag (the daemon's
+    ``install_signal_handlers``), ``Pool.terminate()`` cannot stop such a
+    worker and its ``join`` blocks forever, so every worker restores the
+    default action.  With a ``directory`` the worker also attaches the shared
+    physics store.  Top-level so it pickles by reference under any start
+    method; runs once per worker process before the first chunk.
     """
-    from ..sim.level_cache import attach_shared_store
-    attach_shared_store(directory, record_events=record_events)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if directory is not None:
+        from ..sim.level_cache import attach_shared_store
+        attach_shared_store(directory, record_events=record_events)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count.
+
+    The one sizing rule for pools: :class:`PoolExecutor`'s ``processes``
+    default and the runners' choice of a default executor both read it.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 class PoolExecutor:
     """Chunked ``multiprocessing.Pool`` dispatch over worker processes.
 
-    ``processes`` defaults to the machine's CPU count; ``chunksize`` defaults
-    to ``ceil(n_runs / (4 * processes))`` so each worker receives a handful of
+    ``processes`` defaults to the CPUs this process may use (its affinity
+    mask, else ``os.cpu_count()``); ``chunksize`` defaults to
+    ``ceil(n_runs / (4 * processes))`` so each worker receives a handful of
     chunks (amortizing IPC without starving the tail).  Chunks are
     *workload-aligned* — a chunk never spans two distinct
     :class:`~repro.sweep.spec.WorkloadSpec`s — so a worker only constructs the
@@ -381,7 +411,7 @@ class PoolExecutor:
             raise ValueError("processes must be positive")
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError("run_timeout must be positive seconds")
-        self.processes = processes or (os.cpu_count() or 1)
+        self.processes = processes or _usable_cpus()
         self.chunksize = chunksize
         self.start_method = start_method
         self.prebuild = prebuild
@@ -434,14 +464,12 @@ class PoolExecutor:
                 "on first use", RuntimeWarning, stacklevel=3)
 
     def _make_pool(self, context, processes: int):
-        """A worker pool with the shared physics store (if any) attached."""
-        pool_kwargs = {}
+        """A worker pool; see :func:`_init_worker` for each worker's setup."""
         if self.shared_cache_dir is not None:
             os.makedirs(self.shared_cache_dir, exist_ok=True)
-            pool_kwargs = {"initializer": _attach_store_initializer,
-                           "initargs": (self.shared_cache_dir,
-                                        self.shared_cache_events)}
-        return context.Pool(processes=processes, **pool_kwargs)
+        return context.Pool(processes=processes, initializer=_init_worker,
+                            initargs=(self.shared_cache_dir,
+                                      self.shared_cache_events))
 
     @contextmanager
     def _pool(self, context, processes: int):
@@ -629,6 +657,14 @@ class PoolExecutor:
 Executor = Union[SerialExecutor, PoolExecutor]
 
 
+def _default_executor() -> Executor:
+    """A pool over the usable CPUs; the serial loop on a single CPU, or in a
+    daemonic process (a pool worker), which may not start children."""
+    if _usable_cpus() > 1 and not multiprocessing.current_process().daemon:
+        return PoolExecutor()
+    return SerialExecutor()
+
+
 class SweepPass:
     """One persistence-managed execution pass over a sweep's pending work.
 
@@ -800,6 +836,11 @@ class SweepPass:
 class SweepRunner:
     """Expands a :class:`SweepSpec` and drives an executor over its runs.
 
+    ``executor`` defaults to a :class:`PoolExecutor` over the CPUs this
+    process may use, or to :class:`SerialExecutor` on a single CPU (see the
+    module docstring); the choice is made here and is visible as
+    ``runner.executor``.
+
     ``ensembles`` switches the executor work unit from single runs to
     :class:`~repro.sweep.spec.EnsembleSpec` batches: pending runs sharing a
     grid point's physics (same workload, horizon and flip statistics — see
@@ -814,7 +855,7 @@ class SweepRunner:
     def __init__(self, spec: SweepSpec, executor: Optional[Executor] = None,
                  ensembles: Union[bool, int] = False) -> None:
         self.spec = spec
-        self.executor = executor or SerialExecutor()
+        self.executor = executor or _default_executor()
         self.ensembles = ensembles
 
     def _validated_prior(self, records: Iterable[RunRecord],
@@ -926,13 +967,13 @@ class SweepRunner:
                         len(sweep_pass.pending))
                     break
         finally:
-            if stopped:
-                # Drain deterministically: closing the executor stream tears
-                # its fleet down (GeneratorExit reaches the pool's finally)
-                # instead of leaving that to garbage collection.
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
+            # A drain, or an error raised on this side of the stream, leaves
+            # the executor stream open: closing it tears the pool down
+            # (GeneratorExit reaches the pool's finally) before run()
+            # returns instead of at garbage collection.
+            close = getattr(stream, "close", None)
+            if close is not None:
+                close()
             # Persist whatever completed — the final result on success, the
             # freshest checkpoint on an executor error or interruption.
             sweep_pass.finalize(stopped)
@@ -948,12 +989,14 @@ def run_sweeps(specs: Sequence[SweepSpec],
     with the booster), which a single cartesian product cannot express.  This
     helper expands every spec, executes the union of runs in one ``map`` so a
     pool executor parallelizes across sweeps, and splits the records back per
-    spec.  Spec names must be unique (they prefix the run ids).
+    spec.  Spec names must be unique (they prefix the run ids).  ``executor``
+    defaults as in :class:`SweepRunner`: a one-pass pool over the usable
+    CPUs, serial on a single CPU.
     """
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"sweep names must be unique, got {names}")
-    executor = executor or SerialExecutor()
+    executor = executor or _default_executor()
 
     all_runs: List[RunSpec] = []
     owner: List[str] = []

@@ -2,9 +2,11 @@
 
 A small failure-dense grid — an independent-groups workload (the closed-form
 timeline kernels) and a Set-straddling one (the coupled-group heap
-scheduler), every controller x mode, two betas, two seeds — runs four ways:
+scheduler), every controller x mode, two betas, two seeds — runs eight ways:
 ``traces`` full or none, each per run and through the batched ensemble
-engine.  Every way must reproduce ``fixtures/golden_records.json``:
+engine, each on ``SerialExecutor`` and on the runner's default executor (a
+pool over the usable CPUs, serial on one CPU).  Every way must reproduce
+``fixtures/golden_records.json``:
 
 * a sha256 over each record's discrete fields (run id, seed, grid point,
   total failures, total stall cycles) matches exactly;
@@ -50,8 +52,9 @@ def golden_spec(traces: str) -> SweepSpec:
         seeds=2, traces=traces)
 
 
-def run_grid(traces: str, ensembles: bool):
-    result = SweepRunner(golden_spec(traces), SerialExecutor(),
+def run_grid(traces: str, ensembles: bool, serial: bool = True):
+    executor = SerialExecutor() if serial else None    # None: the default
+    result = SweepRunner(golden_spec(traces), executor,
                          ensembles=ensembles).run()
     assert not result.failed_runs
     return result.sorted_records()
@@ -86,11 +89,20 @@ def golden():
         return json.load(handle)
 
 
-@pytest.mark.parametrize("ensembles", [False, True],
-                         ids=["per-run", "ensembles"])
-@pytest.mark.parametrize("traces", ["full", "none"])
-def test_records_match_golden(golden, traces, ensembles):
-    records = run_grid(traces, ensembles)
+def grid_ways():
+    """(traces, ensembles, serial) cases; the serial ids carry no suffix."""
+    for serial in (True, False):
+        for ensembles in (False, True):
+            for traces in ("full", "none"):
+                label = f"{traces}-{'ensembles' if ensembles else 'per-run'}"
+                if not serial:
+                    label += "-default-executor"
+                yield pytest.param(traces, ensembles, serial, id=label)
+
+
+@pytest.mark.parametrize("traces, ensembles, serial", grid_ways())
+def test_records_match_golden(golden, traces, ensembles, serial):
+    records = run_grid(traces, ensembles, serial)
     observed = golden_payload(records)
     assert observed["runs"] == golden["runs"]
     assert observed["total_failures"] == golden["total_failures"]

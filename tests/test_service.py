@@ -51,6 +51,7 @@ from repro.sweep import (
 )
 from repro.sweep import faults
 from repro.sweep.faults import KILL_EXIT_CODE
+from repro.sweep.runner import _usable_cpus
 from repro.sweep.spec import RetryPolicy
 
 CHAOS_EXTENDED = bool(os.environ.get("REPRO_CHAOS"))
@@ -490,12 +491,12 @@ class TestServiceLifecycle:
             service.shutdown(timeout=30)
 
     def test_health_reports_default_pool_worker_count(self, tmp_path):
-        """A default ``PoolExecutor`` runs one worker per CPU, and the
-        fleet's liveness reports that count rather than 1."""
+        """A default ``PoolExecutor`` runs one worker per usable CPU, and
+        the fleet's liveness reports that count rather than 1."""
         service = SweepService(str(tmp_path), executor=PoolExecutor())
         fleet = service.health()["fleet"]
         assert fleet["executor"] == "PoolExecutor"
-        assert fleet["processes"] == (os.cpu_count() or 1)
+        assert fleet["processes"] == _usable_cpus()
 
     def test_graceful_shutdown_drains_and_restart_completes(
             self, tmp_path, wide_baseline):

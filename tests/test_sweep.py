@@ -11,7 +11,9 @@ The load-bearing guarantees:
   within tier-1 time budgets.
 """
 
+import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from repro.store import ShardedRecordStore, StoreError, scan_store
 from repro.store.sharded import MANIFEST_NAME
 from repro.sweep import (
     METRIC_NAMES,
+    FaultSpec,
+    InjectedFault,
     PoolExecutor,
     RetryPolicy,
     SerialExecutor,
@@ -30,10 +34,12 @@ from repro.sweep import (
     WorkloadSpec,
     build_compiled_workload,
     execute_run,
+    injected_faults,
     register_workload_builder,
     run_seed,
     run_sweeps,
 )
+from repro.sweep import runner as runner_module
 
 #: Fast synthetic workload on a tiny chip: builds in milliseconds, no QAT.
 TINY = WorkloadSpec(builder="synthetic", groups=2, macros_per_group=2, banks=4,
@@ -386,6 +392,108 @@ class TestPrebuildStartMethods:
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             executor._maybe_prebuild(context, tiny_spec().expand())
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, read without the runner's helper."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def default_sweep_in_worker(run):
+    """Pool work function: a default sweep inside a (daemonic) pool worker."""
+    runner = SweepRunner(tiny_spec(seeds=1))
+    return type(runner.executor).__name__, len(runner.run().records)
+
+
+def sigterm_is_default(run) -> bool:
+    """Pool work function: does this worker keep the default SIGTERM action?"""
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+class TestDefaultExecutor:
+    """No executor given: a one-pass pool over the usable CPUs, serial on
+    one CPU (CI also runs ``test_default_follows_usable_cpus`` pinned to a
+    single CPU with ``taskset -c 0``)."""
+
+    def test_default_follows_usable_cpus(self):
+        runner = SweepRunner(tiny_spec())
+        assert isinstance(runner.executor, SerialExecutor) == \
+            (usable_cpus() == 1)
+        if isinstance(runner.executor, PoolExecutor):
+            assert runner.executor.processes == usable_cpus()
+            assert not runner.executor.supervised
+
+    def test_default_is_a_pool_on_several_cpus(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_usable_cpus", lambda: 3)
+        executor = SweepRunner(tiny_spec()).executor
+        assert isinstance(executor, PoolExecutor)
+        assert executor.processes == 3
+        assert PoolExecutor().processes == 3          # one sizing rule
+
+    def test_default_is_serial_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_usable_cpus", lambda: 1)
+        assert isinstance(SweepRunner(tiny_spec()).executor, SerialExecutor)
+
+    def test_default_is_serial_inside_a_pool_worker(self, monkeypatch):
+        """A daemonic pool worker may not start children of its own."""
+        monkeypatch.setattr(runner_module, "_usable_cpus", lambda: 2)
+        outcomes = PoolExecutor(processes=1).map(default_sweep_in_worker,
+                                                 tiny_spec().expand()[:1])
+        assert outcomes == [("SerialExecutor", 2)]
+
+    def test_default_run_matches_serial_and_leaves_no_worker(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(runner_module, "_usable_cpus", lambda: 2)
+        spec = tiny_spec(seeds=3)
+        serial = SweepRunner(spec, SerialExecutor()).run()
+        assert records_as_dicts(SweepRunner(spec).run()) == \
+            records_as_dicts(serial)
+        assert multiprocessing.active_children() == []
+        other = tiny_spec(name="other")
+        results = run_sweeps([spec, other])
+        assert records_as_dicts(results["t"]) == records_as_dicts(serial)
+        assert records_as_dicts(results["other"]) == records_as_dicts(
+            SweepRunner(other, SerialExecutor()).run())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
+    def test_failing_run_raises_through_and_keeps_completed_records(
+            self, tmp_path, monkeypatch, cpus):
+        """The default pool is unsupervised: the run's own exception type
+        reaches the caller, and what completed before it is in the store."""
+        monkeypatch.setattr(runner_module, "_usable_cpus", lambda: cpus)
+        spec = tiny_spec(seeds=3)                      # 6 runs
+        serial = {record.run_id: record.to_json_dict() for record in
+                  SweepRunner(spec, SerialExecutor()).run().records}
+        last = spec.expand()[-1].run_id
+        directory = str(tmp_path / "store")
+        consumed = []
+        with injected_faults(FaultSpec(kind="raise", match=last)):
+            with pytest.raises(InjectedFault):
+                SweepRunner(spec).run(store=directory,
+                                      progress=consumed.append)
+        stored = scan_store(directory).records
+        # Two workers finish at least four of the five runs dispatched
+        # before the failing one; the serial loop finishes all five.
+        assert len(stored) == len(consumed) >= 4
+        assert all(record.to_json_dict() == serial[record.run_id]
+                   for record in stored)
+        assert last not in {record.run_id for record in stored}
+        assert multiprocessing.active_children() == []
+
+    def test_pool_workers_restore_default_sigterm(self):
+        """A parent SIGTERM handler (the daemon's drain flag) must not
+        reach the workers, or ``Pool.terminate()`` could never stop them."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            flags = PoolExecutor(processes=2).map(sigterm_is_default,
+                                                  tiny_spec().expand()[:2])
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert flags == [True, True]
 
 
 class TestSharedSeedMode:

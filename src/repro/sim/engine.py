@@ -20,17 +20,24 @@ array expression over the precomputed ``(n_macros, cycles)`` activity matrix:
   ``1/f`` vectors (:meth:`~repro.power.energy.EnergyModel.\
 accumulate_trace_rows`).
 
+A lone run (:func:`run_vectorized`) is a batch of one through the phases of
+:func:`repro.sim.ensemble.run_engines`.  Only the levels a run is certain to
+visit (its initial level, or the safe level every IRFailure lands on) are
+prebuilt; a ``booster`` run's other boost-ladder levels are windowed on their
+first sight in the process and cached on repeat
+(:meth:`_VectorizedEngine._ladder_entry`).
+
 Event processing is split by *recompute-stall coupling*.  Stalls propagate
 within a failing macro's logical Set, so a group whose Sets all live inside its
 own row range can never interact with any other group: each such *independent*
 group's entire failure timeline resolves through the closed-form timeline
 kernels of :mod:`repro.sim.kernels` — groups whose level never changes
 (``dvfs``, ``booster_safe``) as one greedy min-gap selection per Set over a
-merged ``(cycle, row)`` candidate stream
-(:meth:`_VectorizedEngine._run_group_kernel`), ``booster`` groups as the same
-selection resumed across level-stable spans, with each *safe-level failure
-run* (consecutive failures all within ``beta`` of each other) chained in a
-tight controller-free inner loop and applied to Algorithm 2 in one
+merged ``(cycle, row)`` candidate stream, for every run of a batch at once
+(:func:`repro.sim.ensemble._run_group_kernel_runs`), ``booster`` groups as the
+same selection resumed across level-stable spans, with each *safe-level
+failure run* (consecutive failures all within ``beta`` of each other) chained
+in a tight controller-free inner loop and applied to Algorithm 2 in one
 vectorized :meth:`~repro.core.ir_booster.IRBoosterController.\
 apply_failures_at_cycles` call (:meth:`_VectorizedEngine.\
 _run_group_span_kernel`).  Groups whose Sets
@@ -68,8 +75,11 @@ import numpy as np
 from ..power.energy import EnergyBreakdown
 from ..power.monitor import IRMonitor
 from ..power.vf_table import VFPair
+# ``select_failures`` has no caller here since the runs-axis kernel took
+# over every no-level-change group; it stays importable from this module
+# because e2ebench/tracer.py wraps it under this path.
 from .kernels import MergedCandidates, frontier_key, merge_candidates, \
-    select_failures
+    select_failures  # noqa: F401
 from .level_cache import LEVEL_CACHE, LevelEntry, workload_cache_key
 from .results import SimulationResult, assemble_scalar_result
 
@@ -81,23 +91,31 @@ __all__ = ["ENGINES", "run_vectorized"]
 #: Available simulation engines (``RuntimeConfig.engine``).
 ENGINES = ("vectorized", "reference")
 
+#: Level-cache value under a ``(group, level)`` physics key that records "a
+#: run in this process windowed this level once" (see
+#: :meth:`_VectorizedEngine._ladder_entry`).  It never leaves the process:
+#: the shared store encodes only :class:`LevelEntry` values.
+_SEEN = object()
+_SEEN_NBYTES = 64
+
 
 class _LazyLevelStreams:
     """Windowed per-Set candidate key streams for one ``(group, level)``.
 
-    The ensemble's booster span kernel binds boost-ladder levels thousands
-    of times but consumes only a handful of candidates per bind — one peek
-    per Set, at most one selected key per failure — before the level drops
-    back to safe.  Deriving each such level's full candidate pipeline
-    (horizon-wide compare + ``nonzero`` + merge sort + key boxing) is mostly
-    waste, and at ensemble scale the retained streams dominate the batch's
-    memory footprint.  This class materializes a Set's packed-key stream
-    lazily over expanding cycle windows instead, appending to the same
-    ``keys`` list the kernel walks.
+    The booster span kernel binds boost-ladder levels thousands of times
+    but consumes only a handful of candidates per bind — one peek per Set,
+    at most one selected key per failure — before the level drops back to
+    safe.  Deriving each such level's full candidate pipeline (horizon-wide
+    compare + ``nonzero`` + merge sort + key boxing) is mostly waste, and in
+    a batch the retained streams dominate the memory footprint.  So the
+    first bind of a level in a process materializes each Set's packed-key
+    stream lazily over expanding cycle windows instead, appending to the
+    same ``keys`` list the kernel walks; a repeat bind gets full streams
+    (:meth:`_VectorizedEngine._ladder_entry`).
 
     Correctness rests on two invariants.  *Bit-exactness*: a window's fail
     mask is evaluated with the engine's own candidate expression
-    (:meth:`_VectorizedEngine._fail_cycles_for` semantics — ``drop_array``
+    (:meth:`_VectorizedEngine._fail_mask` semantics — ``drop_array``
     and the monitor comparison are elementwise, so column slices produce
     identical floats) and keys pack ``(cycle, row)`` exactly like
     :func:`~repro.sim.kernels.merge_candidates`.  *Append-only*: windows
@@ -204,7 +222,8 @@ class _LazyLevelStreams:
 
 
 class _VectorizedEngine:
-    """One simulation run, event-driven.  Built fresh per :meth:`run` call."""
+    """One simulation run's event-driven state, built fresh per run and
+    driven through its phases by :func:`repro.sim.ensemble.run_engines`."""
 
     def __init__(self, runtime: "PIMRuntime") -> None:
         self.runtime = runtime
@@ -218,17 +237,12 @@ class _VectorizedEngine:
     # ------------------------------------------------------------------ #
     # setup
     # ------------------------------------------------------------------ #
-    def _setup(self) -> None:
-        self._setup_structure()
-        self._bind_caches()
-
     def _setup_structure(self) -> None:
-        """Everything up to (but excluding) the initial physics binds.
+        """Everything up to (but excluding) the physics and the initial binds.
 
-        Split from :meth:`_bind_caches` so the ensemble engine
-        (:mod:`repro.sim.ensemble`) can interleave: structure first for every
-        member, then one *batched* physics derivation across the whole batch,
-        then the (now cache-hitting) per-member binds.
+        The batch flow interleaves: structure first for every member, then
+        one batched activity generation and physics prebuild across the
+        whole batch, then the (now cache-hitting) per-member binds.
         """
         runtime, cfg = self.runtime, self.cfg
         # The realized-Rtog traces are pure functions of the workload and the
@@ -333,13 +347,6 @@ class _VectorizedEngine:
             gid: [self.level[gid]] for gid in self.groups}
 
         self._caches: Dict[Tuple[int, int], LevelEntry] = {}
-        #: ensemble-only: when set, the booster span kernel consumes levels
-        #: it finds no ready entry for through lazily-windowed candidate
-        #: streams instead of deriving the full candidate pipeline (see
-        #: :class:`_LazyLevelStreams`); materialization then derives
-        #: physics-only entries for those levels.  Per-run execution leaves
-        #: this off and is unaffected.
-        self.lazy_ladder = False
 
         # Event bookkeeping.
         inf = self.n
@@ -370,24 +377,19 @@ class _VectorizedEngine:
         self.next_fail: Dict[int, int] = {}
 
     def _bind_caches(self) -> None:
-        """Bind the active level's physics per group (derives on cache miss).
+        """Bind the initial level's candidate-bearing entry per group for
+        the event paths that read one up front: the no-level-change kernel
+        walks its merged streams, the coupled-group heap scheduler bisects
+        its per-row lists (derives on a cache miss).
 
-        A memoized entry carrying merged streams binds as-is even without
-        per-row candidates (the ensemble's direct prebuild) — the timeline
-        kernels walk merged keys only, and upgrading here would re-derive
-        exactly the per-row split the prebuild skipped.  A lazy-ladder
-        member binds even a physics-only memo entry: its span kernel
-        windows the level's streams on demand.
+        A ``booster`` run's independent groups bind nothing here: the span
+        kernel binds every level it visits itself, windowing a level on its
+        first sight in the process (see :meth:`_ladder_entry`).
         """
+        groups = self.coupled_groups if self.stepping else self.groups
         #: the active level's cache per group (refreshed on level changes)
-        self.cur_cache = {}
-        for gid in self.groups:
-            cached = self._caches.get((gid, self.level[gid]))
-            if cached is None or (cached.fail_cycles is None
-                                  and cached.merged is None
-                                  and not self.lazy_ladder):
-                cached = self._cache(gid, self.level[gid])
-            self.cur_cache[gid] = cached
+        self.cur_cache = {gid: self._cache(gid, self.level[gid])
+                          for gid in groups}
 
     # ------------------------------------------------------------------ #
     # lazy, cross-run-shared activity forms
@@ -485,123 +487,124 @@ class _VectorizedEngine:
                    drop_rows: np.ndarray) -> np.ndarray:
         """The boolean candidate mask at ``pair`` — exactly the reference
         comparison: ``(V - drop) + noise < (V - allowed) + margin``.  Shared
-        by the full derivation, the physics-only upgrade path, the ensemble's
-        direct stream prebuild and its windowed streams (on column slices),
-        so every consumer evaluates bit-identical floats."""
+        by the full derivation, the physics-only upgrade path, the direct
+        stream prebuild and the windowed streams (on column slices), so
+        every consumer evaluates bit-identical floats."""
         allowed_drop = self.ir_model.drop(
             min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
         threshold = (pair.voltage - allowed_drop) + self.min_voltage_margin
         return (pair.voltage - drop_rows) + self._noise(gid) < threshold
 
-    def _fail_cycles_for(self, gid: int, pair: VFPair,
-                         drop_rows: np.ndarray) -> List[np.ndarray]:
-        """Per-row sorted candidate cycles at ``pair`` (see ``_fail_mask``)."""
-        fail_rows = self._fail_mask(gid, pair, drop_rows)
-        return [np.nonzero(fail_rows[i])[0]
-                for i in range(drop_rows.shape[0])]
+    @staticmethod
+    def _row_candidates(fail_rows: np.ndarray) -> List[np.ndarray]:
+        """Per-row sorted candidate cycles of a candidate mask."""
+        return [np.nonzero(row)[0] for row in fail_rows]
 
-    def _cache(self, gid: int, level: int) -> LevelEntry:
-        key = (gid, level)
-        cached = self._caches.get(key)
-        if cached is not None and cached.fail_cycles is not None:
-            return cached
+    def _shared(self, gid: int, level: int) -> Tuple[VFPair, tuple, object]:
+        """``(pair, shared key, level-cache value)`` for one level; the
+        value is ``None`` on a miss and may be the :data:`_SEEN` marker."""
         pair = self._pair_for(gid, level)
         # The physics depends on the pair, not the Algorithm-2 level that
         # selected it, so the shared entry is keyed by (V, f, signoff level).
         shared_key = (self._share_key, gid, pair.level, pair.voltage,
                       pair.frequency)
-        entry = LEVEL_CACHE.get(shared_key)
-        if entry is not None and entry.fail_cycles is None:
-            # A physics-only entry (left by an ensemble materialization):
-            # upgrade it in place, reusing its drop matrix and memoized
-            # derived statistics.
-            entry.fail_cycles = self._fail_cycles_for(gid, pair,
-                                                      entry.drop_rows)
-            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
-        if entry is None:
-            lo, hi = self.group_rows[gid]
-            drop_rows = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
-                                                 pair.frequency)
-            fail_cycles = self._fail_cycles_for(gid, pair, drop_rows)
-            drop_rows.setflags(write=False)
-            entry = LevelEntry(pair=pair, drop_rows=drop_rows,
-                               fail_cycles=fail_cycles)
-            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
-        self._caches[key] = entry
-        return entry
+        return pair, shared_key, LEVEL_CACHE.get(shared_key)
 
-    def _probe_cache(self, gid: int, level: int) -> Optional[LevelEntry]:
-        """A stream-bearing entry if one is already available — in the
-        engine memo or the shared cache — else ``None`` (never derives).
-        Merged streams without per-row candidates qualify (the ensemble's
-        direct prebuild): the span kernel only ever walks merged keys."""
+    def _derive_physics(self, gid: int, pair: VFPair) -> LevelEntry:
+        """A new physics-only entry: ``drop_array`` over the group's rows."""
+        lo, hi = self.group_rows[gid]
+        drop_rows = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
+                                             pair.frequency)
+        drop_rows.setflags(write=False)
+        return LevelEntry(pair=pair, drop_rows=drop_rows, fail_cycles=None)
+
+    def _cache(self, gid: int, level: int) -> LevelEntry:
+        """The level's full entry, physics plus per-row candidates: derived
+        on a miss, or completed in place from a physics-only entry (reusing
+        its drop matrix)."""
         key = (gid, level)
         cached = self._caches.get(key)
-        if cached is not None and (cached.fail_cycles is not None
-                                   or cached.merged is not None):
+        if cached is not None and cached.fail_cycles is not None:
             return cached
-        pair = self._pair_for(gid, level)
-        entry = LEVEL_CACHE.get((self._share_key, gid, pair.level,
-                                 pair.voltage, pair.frequency))
-        if entry is None or (entry.fail_cycles is None
-                             and entry.merged is None):
-            return None
+        pair, shared_key, entry = self._shared(gid, level)
+        if entry is None or entry is _SEEN:
+            entry = self._derive_physics(gid, pair)
+        if entry.fail_cycles is None:
+            entry.fail_cycles = self._row_candidates(
+                self._fail_mask(gid, pair, entry.drop_rows))
+            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
         self._caches[key] = entry
         return entry
 
-    def _physics_cache(self, gid: int, level: int) -> LevelEntry:
-        """The level's entry for materialization: the full drop matrix (and
-        its lazily-derived statistics) without requiring candidates.
+    def _ladder_entry(self, gid: int, level: int) -> Optional[LevelEntry]:
+        """The span kernel's bind of a level under the *repeat rule*: a
+        candidate-bearing entry, or ``None`` to window the level's streams.
 
-        Levels bound during event processing return their memoized full
-        entry unchanged; levels the ensemble consumed through windowed
-        streams derive a *physics-only* entry here — ``drop_array`` over the
-        same rows as the full derivation, so every float is bit-identical.
+        The first bind of a level in the process windows it
+        (:class:`_LazyLevelStreams`) and leaves the :data:`_SEEN` marker
+        under the entry's key.  A later bind finds the marker (or the
+        physics-only entry a full-trace materialization put in its place)
+        and derives the full streams through :meth:`_cache`, which caches
+        them, so a level recurring across runs (a shared-seed beta grid)
+        hits from its third sight on.
+        """
+        if (gid, level) not in self._caches:
+            _, shared_key, entry = self._shared(gid, level)
+            if entry is None:
+                LEVEL_CACHE.put(shared_key, _SEEN, _SEEN_NBYTES)
+                return None
+        return self._cache(gid, level)
+
+    def _physics_cache(self, gid: int, level: int) -> LevelEntry:
+        """The level's entry for materialization: the full drop matrix
+        without requiring candidates.
+
+        Levels bound during event processing return their memoized entry
+        unchanged; a windowed level derives a *physics-only* entry here —
+        ``drop_array`` over the same rows as the full derivation, so every
+        float is bit-identical — which takes the place of its marker.
         """
         key = (gid, level)
         cached = self._caches.get(key)
         if cached is not None:
             return cached
-        pair = self._pair_for(gid, level)
-        shared_key = (self._share_key, gid, pair.level, pair.voltage,
-                      pair.frequency)
-        entry = LEVEL_CACHE.get(shared_key)
-        if entry is None:
-            lo, hi = self.group_rows[gid]
-            drop_rows = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
-                                                 pair.frequency)
-            drop_rows.setflags(write=False)
-            entry = LevelEntry(pair=pair, drop_rows=drop_rows,
-                               fail_cycles=None)
+        pair, shared_key, entry = self._shared(gid, level)
+        if entry is None or entry is _SEEN:
+            entry = self._derive_physics(gid, pair)
             LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
         self._caches[key] = entry
         return entry
 
     def _prebuild_streams(self, gid: int, level: int) -> LevelEntry:
-        """Physics entry plus merged candidate streams, built directly.
+        """Physics entry plus candidate streams, built directly.
 
-        The ensemble's batched prebuild for *independent* groups: one
-        full-matrix threshold compare and one transposed ``nonzero`` per Set
-        yield each Set's packed-key stream already sorted (cycle-major, and
-        Set rows ascend within a cycle — ``set_rows`` is sorted), skipping
-        the per-row candidate split and the concatenate-and-sort merge of
-        the lazy per-run derivation.  Same mask, same key packing — the
-        exact ints ``merge_candidates`` would produce, so the timeline
-        kernels walk identical streams.  Per-row candidates stay underived;
-        a later per-run consumer upgrades the entry in place via ``_cache``.
+        The prebuild of an *independent* group's certain-to-visit levels:
+        one full-matrix threshold compare and one transposed ``nonzero`` per
+        Set yield each Set's packed-key stream already sorted (cycle-major,
+        and Set rows ascend within a cycle — ``set_rows`` is sorted),
+        skipping the concatenate-and-sort merge of :meth:`_merged`.  Same
+        mask, same key packing — the exact ints ``merge_candidates`` would
+        produce, so the timeline kernels walk identical streams.  The
+        per-row candidates are split from the same mask and attached as
+        well, so the entry is complete and a shared store publishes it.
         """
-        entry = self._physics_cache(gid, level)
-        if entry.merged is not None:
-            return entry
-        fail_rows = self._fail_mask(gid, entry.pair, entry.drop_rows)
-        lo, _ = self.group_rows[gid]
-        shift = self.row_shift
-        merged = []
-        for set_rows in self._group_sets(gid):
-            c_idx, r_idx = np.nonzero(fail_rows[set_rows - lo].T)
-            keys = (c_idx.astype(np.int64) << shift) | set_rows[r_idx]
-            merged.append(MergedCandidates(keys.tolist(), shift))
-        entry.merged = merged
+        pair, shared_key, entry = self._shared(gid, level)
+        if entry is None or entry is _SEEN:
+            entry = self._derive_physics(gid, pair)
+        if entry.merged is None:
+            fail_rows = self._fail_mask(gid, pair, entry.drop_rows)
+            lo, _ = self.group_rows[gid]
+            shift = self.row_shift
+            merged = []
+            for set_rows in self._group_sets(gid):
+                c_idx, r_idx = np.nonzero(fail_rows[set_rows - lo].T)
+                keys = (c_idx.astype(np.int64) << shift) | set_rows[r_idx]
+                merged.append(MergedCandidates(keys.tolist(), shift))
+            entry.merged = merged
+            if entry.fail_cycles is None:
+                entry.fail_cycles = self._row_candidates(fail_rows)
+                LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
+        self._caches[(gid, level)] = entry
         return entry
 
     # ------------------------------------------------------------------ #
@@ -674,40 +677,15 @@ class _VectorizedEngine:
             entry.merged = merged
         return merged
 
-    def _run_group_kernel(self, gid: int) -> None:
-        """Closed-form timeline for a no-level-change group.
-
-        ``dvfs`` and ``booster_safe`` groups never change level, so each
-        logical Set's whole failure timeline is one greedy min-gap selection
-        over its merged candidate stream (see :mod:`repro.sim.kernels`);
-        failure/stall logs materialize as array chunks in one pass per Set.
-        """
-        n = self.n
-        recompute = self.cfg.recompute_cycles
-        shift = self.row_shift
-        entry = self.cur_cache[gid]
-        start = frontier_key(self.scan_from[gid], -1, shift)
-        last_cycle = -1
-        for set_rows, merged in zip(self._group_sets(gid),
-                                    self._merged(gid, entry)):
-            if not merged.keys_list:
-                continue
-            out, _ = select_failures(merged, n, recompute, start)
-            f = self._apply_set_selection(set_rows, out)
-            if f > last_cycle:
-                last_cycle = f
-        if last_cycle >= 0:
-            self.scan_from[gid] = last_cycle + 1
-
     def _apply_set_selection(self, set_rows: np.ndarray,
                              out: List[int]) -> int:
         """Decode and log one Set's selected packed keys (chunked).
 
-        The materialization half of the no-level-change kernel path, shared
-        with the ensemble engine's runs-axis dispatch — per-key failure
-        chunks, per-row failure counts, stall window chunks and the final
-        per-row stall bound.  Returns the last selected cycle (``-1`` when
-        the selection is empty).
+        The per-run half of the runs-axis no-level-change kernel
+        (:func:`repro.sim.ensemble._run_group_kernel_runs`) — per-key
+        failure chunks, per-row failure counts, stall window chunks and the
+        final per-row stall bound.  Returns the last selected cycle (``-1``
+        when the selection is empty).
         """
         if not out:
             return -1
@@ -774,13 +752,6 @@ class _VectorizedEngine:
         jump = recompute << shift
 
         level = self.level[gid]
-        cur = self.cur_cache[gid]
-        # A physics-only binding (lazy-ladder members) has no candidate
-        # streams — the level binds windowed below like any other.  Merged
-        # streams alone (the ensemble's direct prebuild) are enough.
-        entries: Dict[int, LevelEntry] = \
-            {level: cur} if (cur.fail_cycles is not None
-                             or cur.merged is not None) else {}
         scan_from = self.scan_from[gid]
         synced = self.synced[gid]
         next_sched = self.next_sched[gid]
@@ -798,7 +769,6 @@ class _VectorizedEngine:
         fks = [frontier_key(scan_from, -1, shift)] * k
         next_f = [n] * k                    # next eligible candidate *cycle*
         level_state: Dict[int, Tuple] = {}
-        lazy = self.lazy_ladder
 
         # NOTE: the warm path of this function (the per-set revalidation
         # loop) is deliberately inlined at its two hot call sites below —
@@ -806,20 +776,15 @@ class _VectorizedEngine:
         # overhead alone is measurable at one invocation per level flip.
         # A change to the eligibility logic here must be applied to all
         # three copies.  Levels consumed through windowed streams (``wins``
-        # not None, ensemble only) refill on window exhaustion; their cached
-        # ``nf_key`` is only ever EXHAUSTED once the horizon truly is, so
-        # the revalidation shortcut stays sound.
+        # not None: the level's first sight in the process) refill on window
+        # exhaustion; their cached ``nf_key`` is only ever EXHAUSTED once the
+        # horizon truly is, so the revalidation shortcut stays sound.
         def bind(to_level: int, from_cycle: int) -> Tuple:
             state = level_state.get(to_level)
             if state is None:
-                entry = entries.get(to_level)
+                entry = self._ladder_entry(gid, to_level)
                 if entry is None:
-                    entry = (self._probe_cache(gid, to_level) if lazy
-                             else self._cache(gid, to_level))
-                    if entry is not None:
-                        entries[to_level] = entry
-                if entry is None:
-                    # No ready entry (ensemble): windowed per-Set streams.
+                    # First sight (see ``_ladder_entry``): windowed streams.
                     state = ([[] for _ in range(k)], [0] * k, [UNPEEKED] * k,
                              _LazyLevelStreams(self, gid, to_level,
                                                set_arrays))
@@ -1108,15 +1073,8 @@ class _VectorizedEngine:
                 self.stall_chunk_rows.append(np.tile(set_rows, sel_c.size))
                 self.stall_chunk_starts.append(starts.ravel())
 
-        # Write back for the common controller flush and materialization.
-        # A level only ever consumed through windowed streams has no bound
-        # entry; materialization needs just the physics (drop rows), so a
-        # candidates-free entry suffices.
+        # Write back for the common controller flush.
         self.level[gid] = level
-        entry = entries.get(level)
-        if entry is None:
-            entry = self._physics_cache(gid, level)
-        self.cur_cache[gid] = entry
         self.scan_from[gid] = scan_from
         self.synced[gid] = synced
         self.next_sched[gid] = next_sched
@@ -1249,19 +1207,6 @@ class _VectorizedEngine:
                 fail_gids = sorted(fail_set, key=gpos.__getitem__)
                 self._process_failure_cycle_heap(cycle, fail_gids, heap, gpos)
 
-    # ------------------------------------------------------------------ #
-    # event dispatch
-    # ------------------------------------------------------------------ #
-    def _run_events(self) -> None:
-        for gid in self.independent_groups:
-            if self.stepping:
-                self._run_group_span_kernel(gid)
-            else:
-                self._run_group_kernel(gid)
-        if self.coupled_groups:
-            self._run_events_heap(self.coupled_groups)
-        self._finish_events()
-
     def _finish_events(self) -> None:
         """Flush the remaining failure-free steps so final controller state
         (final level, counters) matches the reference engine."""
@@ -1319,7 +1264,8 @@ class _VectorizedEngine:
         Computes every scalar record field closed-form per level-stable span
         — activity prefix sums and row stats (shared through the level
         cache), and the drop physics evaluated on the cycles each visited
-        level covers — with per-failure stall/recompute
+        level covers (or, for a bound level covering the whole horizon, its
+        entry's memoized row statistics) — with per-failure stall/recompute
         corrections applied from the engine's logged failure points and
         recompute windows.  No drop/level/chip trace is gathered, no stall
         mask is rebuilt, no activity copy is made; results are equivalent to
@@ -1405,17 +1351,24 @@ class _VectorizedEngine:
                 en_k = ends[in_slot]
                 span_lens = en_k - st_k
                 covered_total = int(span_lens.sum())
-                # Evaluate the drop physics directly on the covered cycles —
+                bound = self._caches.get((gid, level)) \
+                    if covered_total == n else None
+                if bound is not None:
+                    # One level covers the whole horizon and its entry is
+                    # bound: the covered gather *is* its drop matrix, so
+                    # reduce over the entry's memoized row sums and maxima
+                    # (summed in the gather's memory order: same floats).
+                    row_sums, row_maxes = bound.drop_row_stats
+                    dsum += row_sums
+                    dpeak = np.maximum(dpeak, row_maxes)
+                    continue
+                # Otherwise evaluate the drop physics on the covered cycles —
                 # ``drop_array`` is elementwise, so the column gather yields
                 # the same floats as a full-horizon derivation restricted to
                 # those cycles, and the restricted max is the exact per-row
-                # peak over the visited spans.  No full entry, prefix or row
-                # stats are ever built for any level (the ensemble's
-                # windowed event path never derives them either); the gather
-                # never exceeds the horizon, so even a level covering every
-                # cycle costs one elementwise pass — cheaper than the
-                # prefix-sum/argsort machinery an earlier revision built and
-                # memoized per entry for broadly-visited levels.
+                # peak over the visited spans.  No entry is built for a level
+                # here (a windowed level has none), and the gather never
+                # exceeds the horizon.
                 bases = np.repeat(
                     st_k - np.concatenate(
                         ([0], np.cumsum(span_lens)[:-1])), span_lens)
@@ -1596,11 +1549,6 @@ class _VectorizedEngine:
             group_members=self.group_members)
 
     # ------------------------------------------------------------------ #
-    def run(self) -> SimulationResult:
-        self._setup()
-        self._run_events()
-        return self.materialize()
-
     def materialize(self) -> SimulationResult:
         """Assemble the :class:`SimulationResult` for a finished event pass,
         honouring the configured ``traces`` mode."""
@@ -1610,5 +1558,7 @@ class _VectorizedEngine:
 
 
 def run_vectorized(runtime: "PIMRuntime") -> SimulationResult:
-    """Run ``runtime`` on the vectorized event-driven engine."""
-    return _VectorizedEngine(runtime).run()
+    """Run ``runtime`` on the vectorized event-driven engine: the batch
+    flow of :func:`repro.sim.ensemble.run_engines` over a batch of one."""
+    from .ensemble import run_engines     # ensemble imports this module
+    return run_engines([_VectorizedEngine(runtime)])[0]

@@ -1,4 +1,4 @@
-"""Batch-of-runs ensemble engine: one pass resolves a whole grid point.
+"""Batch-of-runs ensemble engine: the one event flow of the vectorized engine.
 
 A sweep grid point is simulated many times — once per seed of its ensemble,
 or once per beta of a shared-seed grid — and every one of those runs repeats
@@ -6,7 +6,9 @@ work that is identical or near-identical across the batch: compiling nothing
 new, but regenerating AR(1) flip streams, re-deriving per-(group, level)
 Eq.-2 physics, rebuilding controller/monitor state, and walking the event
 kernels one run at a time.  :func:`run_ensemble` executes all members of one
-grid point together:
+grid point together through :func:`run_engines`, which is also how a lone
+run executes (:func:`~repro.sim.engine.run_vectorized` passes a batch of
+one):
 
 * **activity** — every member's per-macro flip streams are generated in a
   single :func:`~repro.workloads.generator.flip_factor_matrix` call over the
@@ -15,38 +17,37 @@ grid point together:
   ``lfilter`` call amortizes the dominant cold-run cost; row ``i`` still
   consumes exactly the per-seed RNG stream a lone run would, so traces stay
   bit-identical.  Members sharing a seed (a beta grid) share one generation.
-* **physics** — the candidate streams each member's event walk will
-  consume are built up front and pinned in the engine's private memo (so
-  the batch is immune to shared-cache eviction pressure), and built
-  *directly*: for independent groups one full-matrix monitor compare per
-  (group, level) plus one transposed ``nonzero`` per Set yields the packed
-  key streams already in merge order
-  (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`),
-  bit-identical to the per-run merge path.  Set-coupled groups go through
-  the full per-run cache derivation (the heap scheduler bisects per-row
-  cycle lists).  A ``booster`` member's boost-ladder levels are not
-  prebuilt at all — the span kernel binds them thousands of times but
-  consumes only a handful of candidates per bind, so their streams
-  materialize lazily over expanding cycle windows
-  (:class:`~repro.sim.engine._LazyLevelStreams`), one shared window per
-  group extending every Set's stream in lockstep; a stepping member's
-  distinct initial level derives physics only and windows the same way.
+* **physics** — the candidate streams of the levels each member is certain
+  to visit (its initial level, or a ``booster`` member's safe level) are
+  built up front, *directly*: for independent groups one full-matrix
+  monitor compare per (group, level) plus one transposed ``nonzero`` per
+  Set yields the packed key streams already in merge order, and the
+  per-row candidates from the same mask
+  (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`).
+  Set-coupled groups go through the full cache derivation (the heap
+  scheduler bisects per-row cycle lists).  A ``booster`` member's other
+  boost-ladder levels are not prebuilt — the span kernel binds them
+  thousands of times but consumes only a handful of candidates per bind,
+  so on a level's first sight in the process its streams materialize over
+  expanding cycle windows (:class:`~repro.sim.engine._LazyLevelStreams`),
+  and a later bind derives and caches its full streams (the repeat rule,
+  :meth:`~repro.sim.engine._VectorizedEngine._ladder_entry`).
 * **events** — members whose level never changes (``dvfs``,
   ``booster_safe``) resolve each group through the *runs-axis* timeline
   kernels (:func:`~repro.sim.kernels.select_failures_runs`, re-armed via
   :func:`~repro.sim.kernels.resume_frontiers_runs`): one call selects every
   member's failure timeline for a Set.  ``booster`` members keep their
   per-member span kernel (Algorithm-2 state is inherently sequential per
-  run) but run group-major so each group's shared structures stay hot.  Set-coupled groups fall back to the
-  per-member heap scheduler unchanged.
+  run) but run group-major so each group's shared structures stay hot.
+  Set-coupled groups run each member's heap scheduler.
 
 Equivalence contract: for every member, the returned
 :class:`~repro.sim.results.SimulationResult` is *bit-identical in every
-discrete field* (failures, stalls, level breaks, candidate selections) to a
-lone ``PIMRuntime(compiled, cfg).run()`` with the same config, and float
+discrete field* (failures, stalls, level breaks, candidate selections) to
+the reference loop (``engine="reference"``) with the same config, and float
 reductions (energy, drop statistics) agree to 1e-9 rtol — enforced by the
-oracle-chain differential tests (``tests/test_sim_engine.py``) and asserted
-again inside the ensemble benchmark run.
+oracle-chain differential tests (``tests/test_sim_engine.py``) — and a
+member's result is the same whether it ran alone or batched.
 
 Members may differ in ``seed``, ``beta``, ``controller``, ``mode``,
 ``monitor_noise``, ``recompute_cycles`` and ``traces``; they must share the
@@ -111,17 +112,25 @@ def run_ensemble(compiled: CompiledWorkload,
                     f"ensemble members must share {name!r}: "
                     f"{getattr(cfg, name)!r} != {getattr(base, name)!r}")
 
-    runtimes = [PIMRuntime(compiled, cfg, table=table, ir_model=ir_model,
-                           energy_model=energy_model) for cfg in configs]
-    engines = [_VectorizedEngine(rt) for rt in runtimes]
+    return run_engines([
+        _VectorizedEngine(PIMRuntime(compiled, cfg, table=table,
+                                     ir_model=ir_model,
+                                     energy_model=energy_model))
+        for cfg in configs])
+
+
+def run_engines(engines: List[_VectorizedEngine]) -> List[SimulationResult]:
+    """Drive fresh engines through the phases together and return their
+    results in order: structure, batched activity, physics prebuild, initial
+    binds, batched events, materialization.
+
+    The one event flow of the vectorized engine: a lone run
+    (:func:`~repro.sim.engine.run_vectorized`) passes a batch of one.
+    Members must agree on :data:`ENSEMBLE_SHARED_FIELDS` and the compiled
+    workload (:func:`run_ensemble` checks).
+    """
     for engine in engines:
         engine._setup_structure()
-        # Stepping members consume ladder levels (every level outside the
-        # prebuilt initial/safe pair) through lazily-windowed candidate
-        # streams: the batch holds 8+ members' state at once, and deriving
-        # full-horizon candidate lists for rarely-dwelled levels is both
-        # the bulk of the ladder's compute and of the batch's peak memory.
-        engine.lazy_ladder = engine.stepping
     _batch_activity(engines)
     _prebuild_physics(engines)
     for engine in engines:
@@ -190,50 +199,30 @@ def _batch_activity(engines: List[_VectorizedEngine]) -> None:
         engine._activity_stats()
 
 
-def _prebuild_levels(engine: _VectorizedEngine, gid: int) -> List[int]:
-    """The levels a member is certain to visit for ``gid``: the initial
-    level, plus the safe level for stepping (``booster``) members — the
-    level every IRFailure lands on."""
-    levels = [engine.level[gid]]
-    if engine.stepping:
-        safe = engine.controller.state(gid).safe_level
-        if safe not in levels:
-            levels.append(safe)
-    return levels
-
-
 def _prebuild_physics(engines: List[_VectorizedEngine]) -> None:
     """Derive every member's certain-to-visit level entries up front.
 
-    Independent groups — the ones the timeline kernels resolve — get their
-    merged candidate streams built *directly* (``_prebuild_streams``: one
-    threshold compare and one transposed ``nonzero`` per Set, keys landing
-    pre-sorted), skipping the per-row candidate split and the
-    concatenate-and-sort merge the lazy per-run derivation pays; the keys
-    are bit-identical by construction.  Coupled groups keep the full
-    ``_cache`` derivation — the heap scheduler bisects per-row candidate
-    lists.  Every entry lands in the engine's private memo, so the event
-    kernels never pay a first-sight derivation mid-walk and the batch is
-    immune to shared-cache eviction pressure.  (An earlier revision stacked
-    member activity rows into one batched ``drop_array`` call per
-    ``(group, V-f pair)``; the op is elementwise and memory-bound, so the
-    stacking bought nothing while its transient copies dominated the
-    batch's allocator traffic.)
+    That is a group's initial level, or a stepping (``booster``) member's
+    safe level — every IRFailure lands there.  A stepping member's distinct
+    initial level is its starting boost-ladder level, so its span kernel
+    binds it like any other ladder level (the repeat rule,
+    :meth:`~repro.sim.engine._VectorizedEngine._ladder_entry`); coupled
+    groups, whose heap scheduler bisects per-row candidate lists, take the
+    full ``_cache`` derivation of both.  Independent groups get their
+    streams built directly (``_prebuild_streams``: keys land pre-sorted,
+    bit-identical to the merge).  Every entry lands in the engine's private
+    memo, so the batch is immune to shared-cache eviction pressure.
     """
     for engine in engines:
         coupled = set(engine.coupled_groups)
         for gid in engine.groups:
-            levels = _prebuild_levels(engine, gid)
-            for j, level in enumerate(levels):
+            levels = [engine.level[gid]]
+            if engine.stepping:
+                safe = engine.controller.state(gid).safe_level
+                levels = [levels[0], safe] if gid in coupled else [safe]
+            for level in levels:
                 if gid in coupled:
                     engine._cache(gid, level)
-                elif engine.lazy_ladder and j == 0 and len(levels) > 1:
-                    # A stepping member's distinct initial level is consumed
-                    # only until each Set's first failure (the group then
-                    # lives on the safe level and the boost ladder, never
-                    # returning): physics for materialization here, streams
-                    # windowed on first demand.
-                    engine._physics_cache(gid, level)
                 else:
                     engine._prebuild_streams(gid, level)
 
@@ -243,14 +232,17 @@ def _prebuild_physics(engines: List[_VectorizedEngine]) -> None:
 # ---------------------------------------------------------------------- #
 def _run_group_kernel_runs(members: List[_VectorizedEngine],
                            gid: int) -> None:
-    """Runs-axis counterpart of ``_run_group_kernel`` for one group.
+    """Closed-form timeline of one no-level-change group for every member.
 
-    Every member's timeline for each Set is resolved in one
+    ``dvfs`` and ``booster_safe`` groups never change level, so each
+    logical Set's whole failure timeline is one greedy min-gap selection
+    over its merged candidate stream (see :mod:`repro.sim.kernels`).  Every
+    member's timeline for each Set is resolved in one
     :func:`select_failures_runs` call over the members' candidate streams;
     :func:`resume_frontiers_runs` pre-peeks the batch so exhausted members
     skip selection.  Per-member decoding goes through the engine's own
-    ``_apply_set_selection``, so logs, counts and stall bounds are
-    bit-identical to the per-run kernel path.
+    ``_apply_set_selection``, which logs failures and stall windows as
+    array chunks.
     """
     first = members[0]
     set_arrays = first._group_sets(gid)
@@ -280,8 +272,10 @@ def _run_group_kernel_runs(members: List[_VectorizedEngine],
 
 
 def _run_events_batch(engines: List[_VectorizedEngine]) -> None:
-    """Event processing for the whole batch (dispatch mirrors
-    ``_VectorizedEngine._run_events`` per member)."""
+    """Event processing for the whole batch: independent groups through the
+    timeline kernels (runs-axis for no-level-change members, the span
+    kernel per ``booster`` member), coupled groups through each member's
+    heap scheduler, then the final controller flush."""
     flat = [engine for engine in engines if not engine.stepping]
     stepping = [engine for engine in engines if engine.stepping]
     if flat:

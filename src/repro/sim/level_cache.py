@@ -82,10 +82,10 @@ class LevelEntry:
     pair: VFPair
     drop_rows: np.ndarray           #: (members, cycles) Eq.-2 drop at this pair
     #: per member, sorted candidate cycle indices — or ``None`` for a
-    #: *physics-only* entry (drop matrix only, no candidate pipeline).  The
-    #: ensemble engine materializes levels whose candidates were consumed
-    #: through windowed streams from such entries;
-    #: ``_VectorizedEngine._cache`` upgrades one in place on the first run
+    #: *physics-only* entry (drop matrix only, no candidate pipeline).  A
+    #: full-trace materialization of a level whose candidates were consumed
+    #: through windowed streams builds such an entry;
+    #: ``_VectorizedEngine._cache`` completes one in place on the first run
     #: that needs the candidate streams.
     fail_cycles: Optional[List[np.ndarray]]
     #: lazily-built per-Set merged candidate streams (kernel hot path); keyed
@@ -93,6 +93,8 @@ class LevelEntry:
     #: function of the workload the entry is already keyed on.
     merged: Optional[List] = field(default=None, compare=False)
     _fail_lists: Optional[List[List[int]]] = field(default=None, compare=False)
+    _row_stats: Optional[Tuple[np.ndarray, np.ndarray]] = \
+        field(default=None, compare=False)
 
     @property
     def fail_lists(self) -> List[List[int]]:
@@ -107,6 +109,24 @@ class LevelEntry:
             lists = [cycles.tolist() for cycles in self.fail_cycles]
             self._fail_lists = lists
         return lists
+
+    @property
+    def drop_row_stats(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per member, the sum and the max of ``drop_rows`` over the horizon
+        (the scalar materialization of a level that covers every cycle).
+        Reduced on first use and memoized.
+
+        The sum runs over a Fortran-ordered copy: that is the layout of the
+        cycle-axis gather the scalar materialization reduces for any other
+        level, and a row sum's rounding follows the memory order, so both
+        paths yield the same bits for the same level.
+        """
+        stats = self._row_stats
+        if stats is None:
+            stats = (np.asfortranarray(self.drop_rows).sum(axis=1),
+                     self.drop_rows.max(axis=1))
+            self._row_stats = stats
+        return stats
 
     def nbytes_estimate(self) -> int:
         """Byte-budget charge for this entry, wherever it was built.

@@ -20,6 +20,7 @@ This is the reproduction of the paper's inference phase (Sec. 5.2.2, 5.5.2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -113,13 +114,25 @@ class RuntimeConfig:
                              f"known: {TRACE_MODES}")
 
 
+@lru_cache(maxsize=64)
+def _default_table(nominal_voltage: float, nominal_frequency: float,
+                   signoff_ir_drop: float) -> VFTable:
+    """The default V-f table of a chip operating point, built once per
+    process: a table is immutable after construction (its neighbour-level
+    memos are pure), so every run of one chip can share it."""
+    return VFTable(nominal_voltage=nominal_voltage,
+                   nominal_frequency=nominal_frequency,
+                   signoff_ir_drop=signoff_ir_drop)
+
+
 class PIMRuntime:
     """Drives a :class:`CompiledWorkload` cycle by cycle under a controller.
 
     The V-f table, IR-drop model and energy model default to the compiled
     workload's chip configuration (nominal 0.75 V / 1 GHz, 140 mV signoff
     drop on the paper's reference chip); pass explicit instances to explore
-    other operating corners.
+    other operating corners.  Default runtimes of one chip operating point
+    share one table.
     """
 
     def __init__(self, compiled: CompiledWorkload, config: Optional[RuntimeConfig] = None,
@@ -131,10 +144,9 @@ class PIMRuntime:
         self.compiled = compiled
         self.config = config
         chip_cfg = compiled.chip_config
-        self.table = table or VFTable(
-            nominal_voltage=chip_cfg.nominal_voltage,
-            nominal_frequency=chip_cfg.nominal_frequency,
-            signoff_ir_drop=chip_cfg.signoff_ir_drop)
+        self.table = table or _default_table(
+            chip_cfg.nominal_voltage, chip_cfg.nominal_frequency,
+            chip_cfg.signoff_ir_drop)
         self.ir_model = ir_model or IRDropModel(
             supply_voltage=chip_cfg.nominal_voltage,
             signoff_drop=chip_cfg.signoff_ir_drop,

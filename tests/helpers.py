@@ -3,8 +3,8 @@
 Besides the operator factories, this module is the *property-test corpus* for
 the simulation engine suites: one seeded source of randomized scenarios
 (geometry x controller x mode x stress x straddling-Sets) plus the engine
-oracle chain — ``reference -> kernel -> ensemble`` — and the equivalence
-assertions the chain is judged by.  ``tests/test_kernels.py``,
+oracle chain — ``reference -> lone-cold -> lone-repeat -> batch`` — and the
+equivalence assertions the chain is judged by.  ``tests/test_kernels.py``,
 ``tests/test_sim_engine.py`` and ``tests/test_scalar_records.py`` all draw
 from here, so every suite stresses the same scenario space and a new engine
 variant only has to join the chain once.
@@ -12,6 +12,7 @@ variant only has to join the chain once.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -174,38 +175,48 @@ def corpus_scenarios(count: int = 9, master_seed: int = 2025) -> Tuple[Scenario,
 # ---------------------------------------------------------------------- #
 # the engine oracle chain
 # ---------------------------------------------------------------------- #
-#: Every engine variant, oracle first: the reference cycle loop, the event
-#: engine per run (closed-form timeline kernels plus the coupled-group heap
-#: scheduler) and the same engine batched as an ensemble.  Every variant must
-#: stay bit-identical on discrete outcomes.
-ENGINE_VARIANTS = ("reference", "kernel", "ensemble")
+#: Every engine variant, oracle first.  The event engine is one flow (a lone
+#: run is a batch of one); its variants differ in what the process-level
+#: level cache holds and in the batch size:
+#:
+#: * ``lone-cold`` — a lone run on a cleared cache, which windows its
+#:   boost-ladder levels;
+#: * ``lone-repeat`` — the same run repeated, which binds those levels' full
+#:   streams through the cache;
+#: * ``batch`` — a batch of two members (a second seed), compared on its
+#:   first member: batched activity and the runs-axis kernels over both.
+#:
+#: Every variant must stay bit-identical on discrete outcomes.
+ENGINE_VARIANTS = ("reference", "lone-cold", "lone-repeat", "batch")
 
 
 def run_engine_variant(compiled, variant: str, table=None, **kwargs):
     """Run one simulation through the named engine variant."""
-    from repro.sim import PIMRuntime, RuntimeConfig, run_ensemble, simulate
+    from repro.sim import (PIMRuntime, RuntimeConfig, clear_level_cache,
+                           run_ensemble, simulate)
     from repro.sim.engine import run_vectorized
     if variant == "reference":
         return simulate(compiled, RuntimeConfig(engine="reference", **kwargs),
                         table=table)
     config = RuntimeConfig(**kwargs)
-    if variant == "kernel":
-        return run_vectorized(PIMRuntime(compiled, config, table=table))
-    if variant == "ensemble":
-        return run_ensemble(compiled, [config], table=table)[0]
+    if variant in ("lone-cold", "lone-repeat"):
+        clear_level_cache()
+        result = run_vectorized(PIMRuntime(compiled, config, table=table))
+        if variant == "lone-repeat":
+            result = run_vectorized(PIMRuntime(compiled, config, table=table))
+        return result
+    if variant == "batch":
+        other = dataclasses.replace(config, seed=config.seed + 1)
+        return run_ensemble(compiled, [config, other], table=table)[0]
     raise ValueError(f"unknown engine variant {variant!r}")
 
 
-def assert_oracle_chain(compiled, table=None, clear_cache: bool = True,
-                        **kwargs):
+def assert_oracle_chain(compiled, table=None, **kwargs):
     """Assert every engine variant reproduces the reference oracle.
 
     Returns the reference result so callers can add scenario-specific
     assertions (e.g. that the stress actually bit).
     """
-    if clear_cache:
-        from repro.sim import clear_level_cache
-        clear_level_cache()
     reference = run_engine_variant(compiled, "reference", table=table, **kwargs)
     for variant in ENGINE_VARIANTS[1:]:
         result = run_engine_variant(compiled, variant, table=table, **kwargs)

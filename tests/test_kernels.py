@@ -3,8 +3,9 @@
 Two layers: direct unit tests of the greedy min-gap selection
 (:mod:`repro.sim.kernels`) against a brute-force model of the reference
 semantics, and randomized end-to-end property tests over the shared corpus
-(``tests.helpers``) asserting the full oracle chain — reference == kernel ==
-ensemble, bit for bit — on failure-dense workloads across all controllers,
+(``tests.helpers``) asserting the full oracle chain — the reference against
+a cold lone run, a repeated lone run and a batch, bit for bit — on
+failure-dense workloads across all controllers,
 including multi-macro Sets and group-straddling Sets (which route around the
 kernels through the heap scheduler, and must keep agreeing when both paths
 mix in one run).
@@ -186,10 +187,11 @@ class TestKernelEngineEquivalence:
 
 
 class TestOracleChainCorpus:
-    """The unified differential test: every engine variant — reference,
-    kernel and the batched ensemble — over the one seeded scenario corpus
+    """The unified differential test: every engine variant — the reference,
+    a cold lone run (windowed ladder levels), the same run repeated (cached
+    full streams) and a batch — over the one seeded scenario corpus
     (geometry x controller x mode x stress x coupling).  The test id predates
-    the retirement of two superseded event loops from the chain."""
+    the retirement of superseded event loops from the chain."""
 
     @pytest.mark.parametrize("scenario", corpus_scenarios(),
                              ids=lambda s: s.label)

@@ -5,7 +5,7 @@ full-trace path — discrete fields (failures, stalls, levels) bit-identical,
 float reductions (energy, mean drop, elapsed time) to 1e-9 rtol, and extremal
 statistics (worst drop, peak Rtog) exactly equal — across all three
 controllers, both operating modes, both sweep seed modes, the shared-corpus
-stress axes, and every engine variant (reference == kernel == ensemble),
+stress axes, and every engine variant of the oracle chain,
 including workloads whose logical Sets straddle group boundaries (the
 coupled-group heap path).
 """
@@ -23,6 +23,7 @@ from repro.sweep import (
 )
 
 from tests.helpers import (
+    ENGINE_VARIANTS,
     EXACT_METRICS,
     STRESS_AXES,
     assert_scalar_equivalent,
@@ -78,14 +79,15 @@ class TestScalarEquivalence:
 
     @pytest.mark.parametrize("controller", ["booster_safe", "booster"])
     def test_engine_variants_agree(self, controller):
-        """reference == kernel == ensemble on scalar records: every event
-        path feeds the same scalar materialization."""
+        """Every engine variant matches the reference on scalar records:
+        windowed and cached ladder streams and a batch all feed the same
+        scalar materialization."""
         compiled = contained_sets_workload()
         kwargs = dict(cycles=500, controller=controller, beta=4,
                       recompute_cycles=10, flip_mean=0.8, monitor_noise=0.01,
                       seed=7)
         reference = run_engine_variant(compiled, "reference", **kwargs)
-        for variant in ("kernel", "ensemble"):
+        for variant in ENGINE_VARIANTS[1:]:
             result = run_engine_variant(compiled, variant, traces="none",
                                         **kwargs)
             assert_scalar_equivalent(reference, result)
@@ -93,12 +95,12 @@ class TestScalarEquivalence:
     @pytest.mark.parametrize("scenario", corpus_scenarios()[:3],
                              ids=lambda s: s.label)
     def test_scalar_corpus_scenarios(self, scenario):
-        """Corpus draws through the scalar fast path: the kernel and the
-        batched ensemble must both match the full-trace reference."""
+        """Corpus draws through the scalar fast path: every engine variant
+        must match the full-trace reference."""
         compiled = scenario.compiled()
         reference = run_engine_variant(compiled, "reference",
                                        **scenario.kwargs)
-        for variant in ("kernel", "ensemble"):
+        for variant in ENGINE_VARIANTS[1:]:
             result = run_engine_variant(compiled, variant, traces="none",
                                         **scenario.kwargs)
             assert_scalar_equivalent(reference, result)

@@ -492,6 +492,16 @@ class TestPoolExecutorSharedStore:
             [r.to_json_dict() for r in again.sorted_records()]
         assert store.cross_worker_hits() > 0
 
+    def test_booster_fleet_publishes_level_entries(self, fresh_cache,
+                                                   tmp_path):
+        """Every run prebuilds its safe level's streams directly, and that
+        entry carries per-row candidates, so a pool fleet publishes level
+        entries even though its ladder levels are windowed in-process."""
+        SweepRunner(store_sweep_spec(), PoolExecutor(
+            processes=2, shared_cache_dir=str(tmp_path))).run()
+        counts = SharedPhysicsStore(str(tmp_path)).kind_counts()
+        assert counts.get("level", 0) >= 1
+
     def test_explicit_dir_left_in_place(self, fresh_cache, tmp_path):
         spec = store_sweep_spec()
         target = tmp_path / "physics"

@@ -27,7 +27,9 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.engine import _VectorizedEngine
+from repro.sim.level_cache import LEVEL_CACHE, LevelEntry
 from repro.sweep import WorkloadSpec, build_compiled_workload
+from repro.sweep.records import METRIC_NAMES
 from repro.workloads import flip_factor_matrix, flip_factor_sequence
 from repro.workloads.profiles import WorkloadProfile
 
@@ -35,6 +37,7 @@ from tests.helpers import (
     FAILURE_DENSE_STRESS,
     assert_oracle_chain,
     assert_results_equivalent,
+    contained_sets_spec,
     make_operator,
     synthetic_spec,
 )
@@ -117,21 +120,20 @@ class TestEngineEquivalence:
 def coupling_of(compiled, config, table=None):
     """(independent, coupled) group counts the engine derives for a workload."""
     engine = _VectorizedEngine(PIMRuntime(compiled, config, table=table))
-    engine._setup()
+    engine._setup_structure()
     return len(engine.independent_groups), len(engine.coupled_groups)
 
 
 class TestFailureDenseEquivalence:
-    """Forced high-failure-density configs: the event engine, per run and
-    batched as an ensemble, must reproduce the reference oracle bit-for-bit,
+    """Forced high-failure-density configs: the event engine, alone (cold
+    and repeated) and batched, must reproduce the reference oracle bit-for-bit,
     across the independent-group (timeline kernels) and coupled-group (heap
     scheduler) code paths."""
 
     STRESS = FAILURE_DENSE_STRESS
 
     def triangulate(self, compiled, table=None, **kwargs):
-        return assert_oracle_chain(compiled, table=table, clear_cache=False,
-                                   **kwargs)
+        return assert_oracle_chain(compiled, table=table, **kwargs)
 
     def test_high_density_mixed_sets(self, engine_compiled):
         compiled, table = engine_compiled
@@ -279,6 +281,85 @@ class TestLevelCacheSharing:
         assert compiled_a.cache_key == compiled_b.cache_key
         self.run_once(compiled_b, cycles=200, controller="booster", seed=3)
         assert level_cache_stats()["misses"] == misses_before
+
+
+class TestLadderLevelRepeatRule:
+    """A lone ``booster`` run windows the boost-ladder levels it sees for the
+    first time in the process; a repeat over the same physics derives and
+    caches their full streams.  Neither choice may move a result bit."""
+
+    @staticmethod
+    def streamed_levels():
+        """(group, level) of every cached per-level entry that carries
+        candidate streams (level keys start with the physics share key)."""
+        return {(key[1], key[2]) for key, value in LEVEL_CACHE._entries.items()
+                if isinstance(key[0], tuple) and isinstance(value, LevelEntry)
+                and value.fail_cycles is not None}
+
+    @staticmethod
+    def metrics(result):
+        return {name: getattr(result, name) for name in METRIC_NAMES}
+
+    @pytest.mark.parametrize("traces", ["full", "none"])
+    def test_cold_run_windows_ladder_repeat_caches_it(self, fresh_level_cache,
+                                                      traces):
+        compiled = build_compiled_workload(contained_sets_spec("ladder-rule"))
+        kwargs = dict(cycles=600, controller="booster", beta=4,
+                      recompute_cycles=4, flip_mean=0.8, monitor_noise=0.01,
+                      seed=2, traces=traces)
+        # The levels each group visits, from the oracle (no level cache).
+        reference = simulate(compiled, RuntimeConfig(engine="reference",
+                                                     **kwargs))
+        safe = {(g.group_id, g.safe_level) for g in reference.group_results}
+        ladder = {(g.group_id, int(level)) for g in reference.group_results
+                  for level in np.unique(g.level_trace)
+                  if level != g.safe_level}
+        assert ladder                               # the groups did climb
+
+        cold = simulate(compiled, RuntimeConfig(**kwargs))
+        assert safe <= self.streamed_levels()       # prebuilt directly
+        assert not ladder & self.streamed_levels()  # windowed only
+
+        warm = simulate(compiled, RuntimeConfig(**kwargs))
+        assert ladder <= self.streamed_levels()     # derived and cached
+        assert self.metrics(warm) == self.metrics(cold)
+        assert self.metrics(cold) == pytest.approx(self.metrics(reference),
+                                                   rel=1e-9)
+
+    def test_whole_horizon_row_stats_match_the_cycle_gather(self):
+        """The scalar materialization reduces a level covering the whole
+        horizon through the entry's memoized row stats, and any other level
+        through a gather of its covered cycles: both must give the same
+        bits, whatever the member count."""
+        rng = np.random.default_rng(0)
+        pair = VFTable().select_pair(40, "sprint")
+        for members, cycles in ((1, 257), (2, 400), (4, 8000), (5, 1001)):
+            drop_rows = rng.random((members, cycles))
+            entry = LevelEntry(pair=pair, drop_rows=drop_rows,
+                               fail_cycles=None)
+            gathered = drop_rows[:, np.arange(cycles)]
+            sums, maxes = entry.drop_row_stats
+            assert np.array_equal(sums, gathered.sum(axis=1))
+            assert np.array_equal(maxes, gathered.max(axis=1))
+            assert entry.drop_row_stats is entry.drop_row_stats
+
+
+class TestDefaultVFTable:
+    def test_default_runtimes_of_one_chip_share_a_table(self):
+        compiled = build_compiled_workload(contained_sets_spec("vf-share"))
+        first = PIMRuntime(compiled, RuntimeConfig(cycles=100))
+        second = PIMRuntime(compiled, RuntimeConfig(cycles=200, seed=3))
+        assert first.table is second.table
+        chip = compiled.chip_config
+        assert first.table.nominal_voltage == chip.nominal_voltage
+        assert first.table.signoff_ir_drop == chip.signoff_ir_drop
+
+    def test_explicit_table_is_honoured(self):
+        compiled = build_compiled_workload(contained_sets_spec("vf-share"))
+        table = VFTable(nominal_voltage=0.8)
+        runtime = PIMRuntime(compiled, RuntimeConfig(cycles=100), table=table)
+        assert runtime.table is table
+        assert PIMRuntime(compiled, RuntimeConfig()).table is not table
 
 
 class TestAdvanceNofail:

@@ -532,7 +532,7 @@ class SweepService:
 
     #: per-job record-store damage/repair counters rolled up into health.
     _STORE_DAMAGE_KEYS = ("torn_tail_dropped", "corrupt_lines_dropped",
-                          "shards_quarantined", "manifest_rebuilds")
+                          "shards_quarantined")
 
     def _disk_degraded_reasons(self) -> List[str]:
         """Subsystems currently buffering writes because the disk is full."""

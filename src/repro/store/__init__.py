@@ -3,7 +3,7 @@
 The persistence layer under :mod:`repro.sweep`, and its only one: a sweep's
 run records live in a :class:`RecordStore` — in memory, or (the durable
 backend) in an append-only directory of checksummed JSONL shards that
-survives ``kill -9``, torn writes, flipped bytes and lost manifests.
+survives ``kill -9``, torn writes, flipped bytes and lost shards.
 :func:`open_store` maps a target (``":memory:"`` or a directory) to its
 backend; ``python -m repro.store.audit`` is the integrity doctor.
 """

@@ -6,18 +6,19 @@ Run as a module against one or more store directories::
     python -m repro.store.audit --repair --compact store/  # heal in place
     python -m repro.store.audit --json store/              # machine-readable
 
-The default pass is **non-mutating**: every shard line is re-digested and
-the manifest cross-checked (:func:`repro.store.sharded.scan_store`), so it
-is safe against a store a sweep is actively writing.  Problems — torn
-tails, mid-shard corruption, stale or missing manifests — are reported and
-the process exits ``1``; a clean store exits ``0``.
+The default pass is **non-mutating**: every shard line is re-digested
+(:func:`repro.store.sharded.scan_store`), so it is safe against a store a
+sweep is actively writing.  Problems — torn tails and mid-shard corruption
+— are reported and the process exits ``1``; a clean store exits ``0``.  A
+seal that no longer holds (a lost line or shard) reports ``sealed=False``,
+not a problem: the resume is what re-runs the loss.
 
-``--repair`` routes the damage through the same recovery path a writable
-open uses: torn tails are truncated, corrupt shards quarantined to
-``.corrupt`` with their intact lines rewritten, and the manifest rebuilt.
-``--compact`` additionally merges the closed shards, dropping superseded
-lines.  After repair the store is rescanned; the exit code reflects the
-*final* state, so ``audit --repair && sweep --resume`` composes.
+``--repair`` routes the damage through the same recovery path an open
+uses: torn tails are truncated, and corrupt shards quarantined to
+``.corrupt`` with their intact lines rewritten.  ``--compact`` additionally
+merges the closed shards, dropping superseded lines.  After repair the
+store is rescanned; the exit code reflects the *final* state, so
+``audit --repair && sweep --resume`` composes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def audit_store(directory: str, repair: bool = False,
     try:
         actions = {key: value for key, value in store.stats().items()
                    if key in ("torn_tail_dropped", "corrupt_lines_dropped",
-                              "shards_quarantined", "manifest_rebuilds")}
+                              "shards_quarantined")}
         if compact:
             actions["compacted_lines"] = store.compact()
     finally:
@@ -91,7 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="store directories to audit")
     parser.add_argument("--repair", action="store_true",
                         help="heal damage in place (torn-tail truncation, "
-                             "corrupt-shard quarantine, manifest rebuild)")
+                             "corrupt-shard quarantine)")
     parser.add_argument("--compact", action="store_true",
                         help="merge closed shards, dropping superseded "
                              "lines (implies opening the store for write)")

@@ -112,16 +112,13 @@ class RecordStore(abc.ABC):
 
 
 def open_store(target: Union[str, "RecordStore"],
-               spec: Optional[SweepSpec] = None, **kwargs) -> "RecordStore":
+               spec: Optional[SweepSpec] = None) -> "RecordStore":
     """Resolve a persistence target to a :class:`RecordStore` backend.
 
     * an existing :class:`RecordStore` passes through unchanged;
     * ``":memory:"`` → :class:`~repro.store.memory.MemoryRecordStore`;
     * anything else names a directory →
       :class:`~repro.store.sharded.ShardedRecordStore` (created if missing).
-
-    ``kwargs`` forward to the sharded backend (``records_per_shard``,
-    ``fsync_interval``, ``auto_compact_shards``).
     """
     if isinstance(target, RecordStore):
         return target
@@ -130,4 +127,4 @@ def open_store(target: Union[str, "RecordStore"],
     path = os.fspath(target)
     if path == ":memory:":
         return MemoryRecordStore(spec=spec)
-    return ShardedRecordStore(path, spec=spec, **kwargs)
+    return ShardedRecordStore(path, spec=spec)

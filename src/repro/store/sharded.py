@@ -1,66 +1,69 @@
-"""The sharded record store: append-only JSONL shards with self-healing.
+"""The sharded record store: self-describing, append-only JSONL shards.
 
 The default durable backend of :mod:`repro.store`.  One sweep's records live
-in a directory::
+in a directory of shards and nothing else::
 
     <store>/
-      MANIFEST.json            index + spec + seal flag (fsync-then-replace)
       shards/
         shard-000001.jsonl     append-only, per-line sha256
         shard-000002.jsonl     ...
         shard-000002.jsonl.corrupt   quarantined original (post-mortem)
 
-Each shard line is one appended outcome::
+Each shard line is one appended event::
 
     {"seq": 17, "kind": "record", "data": {<RunRecord JSON>}, "sha256": ..}
 
-``sha256`` is the digest of the line's canonical JSON with the digest field
-removed — the same convention as the service journal — so any bit damage is
-detectable.  ``seq`` is a store-global append counter: later lines supersede
-earlier ones with the same ``run_id`` (and a ``record`` supersedes a
-``failed`` entry), which makes duplicate appends and retried runs harmless
-by construction.
+``kind`` is ``record`` or ``failed`` (an outcome), ``spec`` (``data`` is the
+sweep's pinned spec) or ``seal`` (``data`` is ``{"records": <live record
+count>}``).  ``sha256`` is the digest of the line's canonical JSON with the
+digest field removed — the same convention as the service journal — so any
+bit damage is detectable.  ``seq`` is a store-global append counter: later
+lines supersede earlier ones with the same ``run_id`` (and a ``record``
+supersedes a ``failed`` entry), which makes duplicate appends and retried
+runs harmless by construction.
+
+The shards are the only authority.  The store's spec is its first intact
+``spec`` line; once a spec is pinned, every shard file written after starts
+with one.  An open pins the caller's spec over shards that carry none only
+at the first flush, after the runner has validated the stored records
+against it.  The store is sealed while its newest outcome-or-seal line is a
+``seal`` whose count matches the live records recovery finds, so a lost
+line, a truncated tail or a vanished shard voids the seal and the resume
+re-runs what was lost.  A store written before shards carried these lines
+(a ``MANIFEST.json`` index beside them) opens spec-less and unsealed, and
+the index is ignored and left in place.
 
 Durability: appends buffer in the OS; :meth:`flush` fsyncs the current shard
-(the acknowledgement point — the runner flushes at checkpoint boundaries)
-and rewrites the manifest under the journal's fsync-then-replace discipline.
-``fsync_interval=n`` additionally fsyncs every ``n`` appends.  Cost per
-flush is O(appends since the last flush) + O(shard count) — flat in total
-record count.
+(the acknowledgement point — the runner flushes at checkpoint boundaries).
+The first flush of an open, and the first after a new shard file appears,
+also fsyncs ``shards/`` so the file's directory entry is durable.  Cost per
+flush is O(appends since the last flush) — flat in total record count.
 
-Recovery (every writable open): each shard is digest-scanned.  A damaged
-*final* line is a torn write — truncated back to the last good line, like
-the journal's torn tail.  Damage with intact lines after it is disk
-corruption: the original shard is quarantined to ``<shard>.corrupt`` and the
-intact lines rewritten in place.  Unlike the journal, recovery keeps the
-digest-verified lines *after* the damage too — journal events are ordered
-(everything after a broken line is untrustworthy) but sweep records are
-independent and self-identifying, so dropping good records would be waste.
-A missing or corrupt manifest is rebuilt from the shards — the shards, not
-the manifest, are the source of truth.  Recovery that drops a line voids a
-seal, so the resume re-runs what was lost.  The manifest pins the sweep's
-spec; an open pins the caller's spec over existing shards only at the first
-flush, after the runner has validated the stored records against it.
+Recovery (every open): each shard is digest-scanned, and opening writes
+nothing unless it finds damage.  A damaged *final* line is a torn write —
+truncated back to the last good line, like the journal's torn tail.  Damage
+with intact lines after it is disk corruption: the original shard is
+quarantined to ``<shard>.corrupt`` and the intact lines rewritten in place.
+Unlike the journal, recovery keeps the digest-verified lines *after* the
+damage too — journal events are ordered (everything after a broken line is
+untrustworthy) but sweep records are independent and self-identifying, so
+dropping good records would be waste.
 
-Compaction merges the closed shards (never the one being appended), dropping
-superseded lines; it runs on demand (:meth:`compact`), from the audit CLI,
-or in a background thread once ``auto_compact_shards`` closed shards pile up.
+Compaction (:meth:`compact`, or the audit CLI) merges the closed shards
+(never the one being appended), dropping superseded lines and keeping the
+spec line and the newest seal.
 
-Reading never mutates: :func:`scan_store` digest-verifies every line and
-cross-checks the manifest (the audit doctor), while :class:`StoreReader`
-tails a live store, parsing only the lines appended since its last read
-(the service's records endpoint).
+Reading never mutates: :func:`scan_store` digest-verifies every line (the
+audit doctor), while :class:`StoreReader` tails a live store, parsing only
+the lines appended since its last read (the service's records endpoint).
 
 Disk exhaustion: an append that hits ``ENOSPC`` truncates any partial line
-back to the last clean boundary and defers the outcome to an in-memory
-backlog (``disk_full_errors`` counts the hits, :meth:`disk_degraded` reports
-the mode); every later append and every :meth:`flush` retries the backlog in
-FIFO order, so durability resumes by itself when space returns.  A manifest
-rewrite that hits ``ENOSPC`` is skipped outright — the shards, not the
-manifest, are the source of truth, and a stale manifest already self-heals
-on the next open.  Records lost with a crashed backlog were never
-acknowledged by a flush, which keeps them inside the store's existing
-re-run-is-harmless contract.
+back to the last clean boundary and defers the line to an in-memory backlog
+(``disk_full_errors`` counts the hits, :meth:`disk_degraded` reports the
+mode); every later append and every :meth:`flush` retries the backlog in
+FIFO order, so durability resumes by itself when space returns.  Records
+lost with a crashed backlog were never acknowledged by a flush, which keeps
+them inside the store's existing re-run-is-harmless contract.
 """
 
 from __future__ import annotations
@@ -74,8 +77,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Deque, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..sweep import faults
 from ..sweep.records import FailedRun, RunRecord
@@ -87,10 +89,10 @@ __all__ = ["ShardedRecordStore", "StoreReader", "StoreScanReport",
 
 logger = logging.getLogger("repro.store")
 
-MANIFEST_NAME = "MANIFEST.json"
 _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
-_LINE_KINDS = ("record", "failed")
+_OUTCOME_KINDS = ("record", "failed")
+_LINE_KINDS = _OUTCOME_KINDS + ("spec", "seal")
 
 
 def _digest(payload: Dict, exclude: str) -> str:
@@ -210,79 +212,92 @@ def _canonical(payload: Optional[Dict]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _seal_holds(seal: Optional[Tuple[int, Dict]], last_outcome: int,
+                live_records: int, damaged_lines: int = 0) -> bool:
+    """A seal vouches for the records it counted: an outcome line after it,
+    or a count the shards no longer hold, voids it.  A scan cannot tell
+    what a damaged line held, so it may stand for a counted record."""
+    if seal is None or seal[0] <= last_outcome:
+        return False
+    return live_records <= seal[1].get("records", -1) \
+        <= live_records + damaged_lines
+
+
 class ShardedRecordStore(RecordStore):
     """Append-only sharded persistence (see module docstring).
 
-    ``records_per_shard`` bounds a shard before the writer rolls to a new
-    one; ``fsync_interval`` (None = only :meth:`flush`/:meth:`seal` fsync)
-    trades durability lag for throughput; ``auto_compact_shards`` (0 = off)
-    starts a background compaction once that many closed shards accumulate.
+    ``records_per_shard`` bounds a shard's outcome lines before the writer
+    rolls to a new one.
 
     Thread-safe: appends, flushes and compaction serialize on one lock.
     Opening is the recovery path — a store directory that went through a
-    ``kill -9``, a torn write, a flipped byte or a deleted manifest comes
-    back usable (with the damage counted in :meth:`stats` and quarantined
-    files left for post-mortem).
+    ``kill -9``, a torn write, a flipped byte or a lost shard comes back
+    usable (with the damage counted in :meth:`stats` and quarantined files
+    left for post-mortem).
     """
 
     kind = "sharded"
 
     def __init__(self, directory: str,
                  spec: Union[SweepSpec, Dict, None] = None,
-                 records_per_shard: int = 4096,
-                 fsync_interval: Optional[int] = None,
-                 auto_compact_shards: int = 0) -> None:
+                 records_per_shard: int = 4096) -> None:
         if records_per_shard < 1:
             raise ValueError("records_per_shard must be a positive line count")
-        if fsync_interval is not None and fsync_interval < 1:
-            raise ValueError("fsync_interval must be a positive append count "
-                             "(or None to fsync only on flush)")
         self.directory = os.path.abspath(os.fspath(directory))
         self.shards_dir = os.path.join(self.directory, "shards")
-        self.manifest_path = os.path.join(self.directory, MANIFEST_NAME)
         self.records_per_shard = records_per_shard
-        self.fsync_interval = fsync_interval
-        self.auto_compact_shards = auto_compact_shards
         self._lock = threading.RLock()
         self._handle = None
         self._pending = 0
         self._sealed = False
         self._seq = 0
+        self._shards: Set[str] = set()         # shard file names
         self._current: Optional[str] = None    # current shard file name
-        self._shard_lines: Dict[str, int] = {}
+        self._current_lines = 0                # its outcome lines
+        self._current_has_spec = False
         self._record_seq: Dict[str, int] = {}  # run_id -> winning record seq
         self._failed_seq: Dict[str, int] = {}  # run_id -> winning failed seq
-        self._compactor: Optional[threading.Thread] = None
-        #: outcomes deferred by ENOSPC: (seq, kind, data, run_id), FIFO.
-        self._backlog: Deque[Tuple[int, str, Dict, str]] = deque()
+        #: lines deferred by ENOSPC: (kind, data, run_id), FIFO.
+        self._backlog: Deque[Tuple[str, Dict, str]] = deque()
+        #: directories the next flush fsyncs: ``shards/`` for the shard this
+        #: open adopts or creates, the store's own for a new ``shards/``.
+        self._unsynced_dirs = {self.shards_dir}
         self._counters = {
             "appended_records": 0, "appended_failed": 0, "flushes": 0,
             "fsyncs": 0, "torn_tail_dropped": 0, "corrupt_lines_dropped": 0,
-            "shards_quarantined": 0, "manifest_rebuilds": 0, "compactions": 0,
-            "disk_full_errors": 0,
+            "shards_quarantined": 0, "compactions": 0, "disk_full_errors": 0,
         }
-        os.makedirs(self.shards_dir, exist_ok=True)
+        if not os.path.isdir(self.shards_dir):
+            os.makedirs(self.shards_dir, exist_ok=True)
+            self._unsynced_dirs.add(self.directory)
         self._recover(_spec_dict(spec))
 
     # ------------------------------------------------------------------ #
     # recovery (open)
     # ------------------------------------------------------------------ #
     def _recover(self, given_spec: Optional[Dict]) -> None:
-        manifest, manifest_problem = self._read_manifest()
         shard_names = self._list_shards()
+        stored_spec: Optional[Dict] = None
+        seal: Optional[Tuple[int, Dict]] = None     # the newest seal line
+        last_outcome = lines = 0
+        has_spec = False
         for name in shard_names:
-            entries = self._recover_shard(name)
-            self._shard_lines[name] = len(entries)
-            for seq, kind, data in entries:
-                self._register(seq, kind, data)
+            lines, has_spec = 0, False
+            for seq, kind, data in self._recover_shard(name):
                 self._seq = max(self._seq, seq)
-        if manifest is not None:
-            self._seq = max(self._seq, int(manifest.get("next_seq", 0)))
-            # A seal vouches for every record; a dropped line voids it.
-            self._sealed = bool(manifest.get("sealed", False)) and not (
-                self._counters["torn_tail_dropped"]
-                or self._counters["corrupt_lines_dropped"])
-        stored_spec = manifest.get("spec") if manifest else None
+                if kind == "spec":
+                    has_spec = True
+                    if stored_spec is None:
+                        stored_spec = data
+                elif kind == "seal":
+                    if seal is None or seq > seal[0]:
+                        seal = (seq, data)
+                else:
+                    lines += 1
+                    last_outcome = max(last_outcome, seq)
+                    self._register(seq, kind, data)
+        self._shards = set(shard_names)
+        self._sealed = _seal_holds(seal, last_outcome, len(self._record_seq))
         if given_spec is not None and stored_spec is not None \
                 and _canonical(given_spec) != _canonical(stored_spec):
             raise StoreError(
@@ -292,24 +307,16 @@ class ShardedRecordStore(RecordStore):
         self._spec_dict = given_spec if given_spec is not None else stored_spec
         self.spec = SweepSpec.from_json_dict(self._spec_dict) \
             if self._spec_dict else None
-        # Shards the manifest does not vouch for (a rebuilt manifest, or one
-        # written without a spec) must pass the runner's validation first,
-        # so a refused resume leaves the store as it found it.
+        # Shards that carry no spec must pass the runner's validation
+        # against the caller's first, so a refused resume leaves the store
+        # as it found it; the first flush pins it.
         self._pinned_spec = stored_spec if shard_names else self._spec_dict
-        if manifest_problem is not None and shard_names:
-            # A store with shards but no (usable) index: self-heal from the
-            # shards and make the loss visible in stats.
-            self._counters["manifest_rebuilds"] += 1
-            logger.warning(
-                "record store %s: manifest %s; rebuilt from %d shard(s)",
-                self.directory, manifest_problem, len(shard_names))
-        if shard_names and self._shard_lines.get(
-                shard_names[-1], 0) < self.records_per_shard:
+        if shard_names and lines < self.records_per_shard:
             self._current = shard_names[-1]
+            self._current_lines = lines
+            self._current_has_spec = has_spec
         else:
-            self._current = self._next_shard_name()
-            self._shard_lines.setdefault(self._current, 0)
-        self._write_manifest()
+            self._start_shard()
 
     def _recover_shard(self, name: str) -> List[Tuple[int, str, Dict]]:
         path = os.path.join(self.shards_dir, name)
@@ -357,87 +364,34 @@ class ShardedRecordStore(RecordStore):
             winners[run_id] = seq
 
     # ------------------------------------------------------------------ #
-    # manifest
-    # ------------------------------------------------------------------ #
-    def _read_manifest(self):
-        """(payload, None) when usable; (None, problem) when missing/bad."""
-        if not os.path.exists(self.manifest_path):
-            return None, "missing"
-        try:
-            with open(self.manifest_path) as handle:
-                payload = json.load(handle)
-            if payload.get("version") != 1:
-                return None, f"unsupported version {payload.get('version')!r}"
-            integrity = payload.get("integrity")
-            if integrity is not None and \
-                    integrity.get("digest") != _digest(payload, "integrity"):
-                return None, "digest mismatch"
-            return payload, None
-        except (OSError, ValueError) as error:
-            return None, f"unreadable ({error})"
-
-    def _write_manifest(self) -> None:
-        live_failed = sum(1 for run_id in self._failed_seq
-                          if run_id not in self._record_seq)
-        payload = {
-            "version": 1,
-            "format": "sharded-record-store",
-            "spec": self._pinned_spec,
-            "sealed": self._sealed,
-            "next_seq": self._seq,
-            "records_per_shard": self.records_per_shard,
-            "shards": [{"name": name, "lines": self._shard_lines[name]}
-                       for name in sorted(self._shard_lines)],
-            "counters": {"records": len(self._record_seq),
-                         "failed": live_failed},
-        }
-        payload["integrity"] = {"algorithm": "sha256",
-                                "digest": _digest(payload, "integrity")}
-        try:
-            faults.disk_full_fault(self.manifest_path, "manifest")
-            _atomic_write(self.manifest_path,
-                          json.dumps(payload, indent=2).encode())
-        except OSError as error:
-            if error.errno != errno.ENOSPC:
-                raise
-            # A stale manifest is already survivable (it rebuilds from the
-            # shards on the next open), so a full disk just skips the write.
-            self._counters["disk_full_errors"] += 1
-            logger.warning(
-                "record store %s: disk full writing manifest; leaving the "
-                "stale one (shards are the source of truth)", self.directory)
-            try:
-                os.unlink(f"{self.manifest_path}.tmp")
-            except OSError:
-                pass
-            return
-        # Chaos sites: lose the manifest we just wrote (self-heal must cover
-        # it), or kill the process right after the rewrite.
-        faults.manifest_fault(self.manifest_path)
-        faults.service_fault("recordstore:manifest")
-
-    # ------------------------------------------------------------------ #
     # shard bookkeeping
     # ------------------------------------------------------------------ #
     def _list_shards(self) -> List[str]:
         return _shard_names(self.shards_dir)
 
-    def _next_shard_name(self) -> str:
+    def _start_shard(self) -> None:
+        """Name the next shard; its file appears with its first line."""
         highest = 0
-        for name in self._shard_lines:
+        for name in self._shards:
             try:
                 highest = max(highest,
                               int(name[len(_SHARD_PREFIX):-len(_SHARD_SUFFIX)]))
             except ValueError:
                 continue
-        return f"{_SHARD_PREFIX}{highest + 1:06d}{_SHARD_SUFFIX}"
+        self._current = f"{_SHARD_PREFIX}{highest + 1:06d}{_SHARD_SUFFIX}"
+        self._shards.add(self._current)
+        self._current_lines = 0
+        self._current_has_spec = False
 
     def _current_path(self) -> str:
         return os.path.join(self.shards_dir, self._current)
 
     def _shard_handle(self):
         if self._handle is None or self._handle.closed:
-            self._handle = open(self._current_path(), "ab")
+            path = self._current_path()
+            if not os.path.exists(path):
+                self._unsynced_dirs.add(self.shards_dir)
+            self._handle = open(path, "ab")
         return self._handle
 
     def _fsync_current(self) -> None:
@@ -448,17 +402,21 @@ class ShardedRecordStore(RecordStore):
                 self._counters["fsyncs"] += 1
                 self._pending = 0
 
+    def _sync(self) -> None:
+        """fsync the current shard, then any directory with a new entry."""
+        self._fsync_current()
+        for directory in sorted(self._unsynced_dirs):
+            _fsync_dir(directory)
+        self._unsynced_dirs.clear()
+
     def _roll(self) -> None:
-        """Close the full shard and start the next (manifest records it)."""
+        """Close the full shard and name the next."""
         self._fsync_current()
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        self._current = self._next_shard_name()
-        self._shard_lines[self._current] = 0
-        self._write_manifest()
+        self._start_shard()
         faults.service_fault("recordstore:roll")
-        self._maybe_auto_compact()
 
     # ------------------------------------------------------------------ #
     # writing
@@ -471,59 +429,60 @@ class ShardedRecordStore(RecordStore):
         self._append_line("failed", failed.to_json_dict(), failed.run_id)
         self._counters["appended_failed"] += 1
 
-    def _append_line(self, kind: str, data: Dict, run_id: str) -> None:
+    def _append_line(self, kind: str, data: Dict, run_id: str = "") -> None:
         with self._lock:
-            if self._sealed:
+            if self._sealed and kind in _OUTCOME_KINDS:
                 raise StoreError(
                     f"store {self.directory!r} is sealed; the sweep is "
                     "complete and rejects new outcomes")
             # Kill-before-write site: the record was never acknowledged, so
             # losing it entirely is within contract.
             faults.service_fault(f"recordstore:append:{run_id}")
-            self._seq += 1
-            seq = self._seq
-            self._register(seq, kind, data)
+            degraded = bool(self._backlog)
+            # FIFO behind anything a full disk already deferred.
+            self._backlog.append((kind, data, run_id))
             self._drain_backlog_locked()
-            if self._backlog:
-                # Still out of space: keep FIFO order behind the backlog.
-                self._backlog.append((seq, kind, data, run_id))
-                return
-            try:
-                self._write_entry(seq, kind, data, run_id)
-            except OSError as error:
-                if error.errno != errno.ENOSPC:
-                    raise
-                self._counters["disk_full_errors"] += 1
-                self._backlog.append((seq, kind, data, run_id))
+            if self._backlog and not degraded:
                 logger.warning(
                     "record store %s: disk full appending %s %s; deferring "
-                    "(%d outcome(s) backlogged)", self.directory, kind,
+                    "(%d line(s) backlogged)", self.directory, kind,
                     run_id, len(self._backlog))
 
-    def _write_entry(self, seq: int, kind: str, data: Dict,
-                     run_id: str) -> None:
-        """One durable shard-line write; no partial line survives a failure."""
+    def _write_entry(self, kind: str, data: Dict, run_id: str) -> None:
+        """One line, after the pinned spec when the shard lacks it."""
+        if kind != "spec" and not self._current_has_spec \
+                and self._pinned_spec is not None:
+            self._write_line("spec", self._pinned_spec, "")
+        seq = self._write_line(kind, data, run_id)
+        if kind in _OUTCOME_KINDS:
+            self._register(seq, kind, data)
+            self._current_lines += 1
+            if self._current_lines >= self.records_per_shard:
+                self._roll()
+
+    def _write_line(self, kind: str, data: Dict, run_id: str) -> int:
+        """One shard-line write under the next ``seq``, which it returns; no
+        partial line survives a failure."""
         path = self._current_path()
         faults.disk_full_fault(path, f"shard:{run_id}")
+        seq = self._seq + 1
         line = _render_line(seq, kind, data)
-        start = os.path.getsize(path) if os.path.exists(path) else 0
         handle = self._shard_handle()
+        start = handle.tell()
         try:
             handle.write(line)
             handle.flush()
         except OSError:
             self._truncate_back(path, start)
             raise
+        self._seq = seq
         # Torn-write site: between the write and any fsync, like the
         # journal's.  Tears the line and kills the process.
         faults.shard_fault(path, len(line), f"{kind}:{run_id}")
         self._pending += 1
-        self._shard_lines[self._current] += 1
-        if self.fsync_interval is not None \
-                and self._pending >= self.fsync_interval:
-            self._fsync_current()
-        if self._shard_lines[self._current] >= self.records_per_shard:
-            self._roll()
+        if kind == "spec":
+            self._current_has_spec = True
+        return seq
 
     def _truncate_back(self, path: str, offset: int) -> None:
         """Best-effort drop of a partial line (truncation releases space)."""
@@ -541,9 +500,8 @@ class ShardedRecordStore(RecordStore):
 
     def _drain_backlog_locked(self) -> None:
         while self._backlog:
-            seq, kind, data, run_id = self._backlog[0]
             try:
-                self._write_entry(seq, kind, data, run_id)
+                self._write_entry(*self._backlog[0])
             except OSError as error:
                 if error.errno != errno.ENOSPC:
                     raise
@@ -552,21 +510,26 @@ class ShardedRecordStore(RecordStore):
             self._backlog.popleft()
 
     def disk_degraded(self) -> bool:
-        """True while ENOSPC-deferred outcomes are waiting for disk space."""
+        """True while ENOSPC-deferred lines are waiting for disk space."""
         with self._lock:
             return bool(self._backlog)
 
     def flush(self) -> None:
-        """Acknowledge everything appended so far (fsync + manifest).
+        """Acknowledge everything appended so far (one shard fsync).
 
-        On a full disk the flush degrades instead of raising: the backlog is
-        retried, and when lines are still deferred the manifest rewrite is
-        skipped — an acknowledgement it cannot honestly give.
+        The first flush over shards that carry no spec pins the caller's by
+        appending a ``spec`` line.  On a full disk the flush degrades
+        instead of raising: the backlog is retried, and while lines are
+        still deferred nothing is acknowledged.
         """
         with self._lock:
             try:
+                if self._pinned_spec is None and self._spec_dict is not None:
+                    # The runner has validated the stored records by now.
+                    self._pinned_spec = self._spec_dict
+                    self._append_line("spec", self._spec_dict)
                 self._drain_backlog_locked()
-                self._fsync_current()
+                self._sync()
             except OSError as error:
                 if error.errno != errno.ENOSPC:
                     raise
@@ -576,26 +539,28 @@ class ShardedRecordStore(RecordStore):
                 return
             # Kill-after-fsync site: flushed records must survive this.
             faults.service_fault("recordstore:flush")
-            self._pinned_spec = self._spec_dict
-            self._write_manifest()
             self._counters["flushes"] += 1
             if os.path.exists(self._current_path()):
                 # Latent-corruption site: flips a byte *after* durability,
                 # so the next open must quarantine, not lose the flush.
                 faults.shard_corrupt_fault(self._current_path())
-            self._maybe_auto_compact()
 
     def seal(self) -> None:
+        """Append a ``seal`` line counting the live records, and fsync it.
+
+        A seal that still holds appends nothing, so re-running a complete
+        sweep over its store writes nothing.
+        """
         with self._lock:
             self._drain_backlog_locked()
+            if not (self._sealed or self._backlog):
+                self._append_line("seal", {"records": len(self._record_seq)})
             if self._backlog:
                 raise StoreError(
                     f"store {self.directory!r} cannot seal: {len(self._backlog)}"
-                    " outcome(s) are still deferred by a full disk")
-            self._fsync_current()
+                    " line(s) are still deferred by a full disk")
+            self._sync()
             self._sealed = True
-            self._pinned_spec = self._spec_dict
-            self._write_manifest()
 
     @property
     def sealed(self) -> bool:
@@ -610,9 +575,6 @@ class ShardedRecordStore(RecordStore):
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-        compactor = self._compactor
-        if compactor is not None and compactor.is_alive():
-            compactor.join(timeout=5.0)
 
     # ------------------------------------------------------------------ #
     # reading
@@ -631,6 +593,8 @@ class ShardedRecordStore(RecordStore):
             except FileNotFoundError:     # compacted away mid-read
                 continue
             for seq, kind, data in scan.entries:
+                if kind not in _OUTCOME_KINDS:
+                    continue
                 run_id = data.get("run_id")
                 winners = records if kind == "record" else failed
                 previous = winners.get(run_id)
@@ -669,7 +633,7 @@ class ShardedRecordStore(RecordStore):
                               if run_id not in self._record_seq)
             stats = {"kind": self.kind, "records": len(self._record_seq),
                      "failed": live_failed, "sealed": self._sealed,
-                     "shards": len(self._shard_lines), "size_bytes": size,
+                     "shards": len(self._shards), "size_bytes": size,
                      "backlog": len(self._backlog)}
             stats.update(self._counters)
             return stats
@@ -677,42 +641,23 @@ class ShardedRecordStore(RecordStore):
     # ------------------------------------------------------------------ #
     # compaction
     # ------------------------------------------------------------------ #
-    def _maybe_auto_compact(self) -> None:
-        if self.auto_compact_shards <= 0:
-            return
-        closed = [name for name in self._shard_lines if name != self._current]
-        if len(closed) < self.auto_compact_shards:
-            return
-        if self._compactor is not None and self._compactor.is_alive():
-            return
-        self._compactor = threading.Thread(
-            target=self._compact_quietly, name="record-store-compactor",
-            daemon=True)
-        self._compactor.start()
-
-    def _compact_quietly(self) -> None:
-        try:
-            self.compact()
-        except Exception:                     # pragma: no cover - defensive
-            logger.exception("record store %s: background compaction failed",
-                             self.directory)
-
     def compact(self) -> int:
         """Merge the closed shards, dropping superseded lines.
 
-        The current shard is never touched, so compaction can run while a
-        sweep appends.  Returns the number of dropped lines.  Crash-safe by
-        ordering: the merged file replaces the lowest-numbered closed shard
-        *atomically* first, then the absorbed shards unlink — a crash in
-        between leaves duplicate lines, which the ``seq`` dedup makes
-        harmless on the next read/open.
+        The merged shard keeps the first ``spec`` line and the newest
+        ``seal``.  The current shard is never touched, so compaction can run
+        while a sweep appends.  Returns the number of dropped lines.
+        Crash-safe by ordering: the merged file replaces the lowest-numbered
+        closed shard *atomically* first, then the absorbed shards unlink — a
+        crash in between leaves duplicate lines, which the ``seq`` dedup
+        makes harmless on the next read/open.
         """
         with self._lock:
-            closed = [name for name in sorted(self._shard_lines)
-                      if name != self._current]
+            closed = sorted(self._shards - {self._current})
             if not closed:
                 return 0
             survivors: List[Tuple[int, str, Dict]] = []
+            spec_line = seal_line = None
             total = 0
             for name in closed:
                 path = os.path.join(self.shards_dir, name)
@@ -720,16 +665,26 @@ class ShardedRecordStore(RecordStore):
                     scan = _scan_shard(path)
                 except FileNotFoundError:
                     continue
-                for seq, kind, data in scan.entries:
+                for entry in scan.entries:
+                    seq, kind, data = entry
                     total += 1
                     run_id = data.get("run_id")
-                    if kind == "record":
+                    if kind == "spec":
+                        spec_line = spec_line or entry
+                    elif kind == "seal":
+                        if seal_line is None or seq > seal_line[0]:
+                            seal_line = entry
+                    elif kind == "record":
                         if self._record_seq.get(run_id) == seq:
-                            survivors.append((seq, kind, data))
+                            survivors.append(entry)
                     elif run_id not in self._record_seq \
                             and self._failed_seq.get(run_id) == seq:
-                        survivors.append((seq, kind, data))
+                        survivors.append(entry)
+            if seal_line is not None:
+                survivors.append(seal_line)
             survivors.sort(key=lambda entry: entry[0])
+            if spec_line is not None:
+                survivors.insert(0, spec_line)
             dropped = total - len(survivors)
             if dropped == 0 and len(closed) == 1:
                 return 0                      # nothing to merge or drop
@@ -739,21 +694,19 @@ class ShardedRecordStore(RecordStore):
                 _atomic_write(target_path,
                               b"".join(_render_line(seq, kind, data)
                                        for seq, kind, data in survivors))
-                self._shard_lines[target] = len(survivors)
             else:
                 try:
                     os.unlink(target_path)
                 except FileNotFoundError:
                     pass
-                self._shard_lines.pop(target, None)
+                self._shards.discard(target)
             for name in closed[1:]:
                 try:
                     os.unlink(os.path.join(self.shards_dir, name))
                 except FileNotFoundError:
                     pass
-                self._shard_lines.pop(name, None)
+                self._shards.discard(name)
             self._counters["compactions"] += 1
-            self._write_manifest()
             logger.info(
                 "record store %s: compacted %d shard(s) -> %d line(s) "
                 "(%d dropped)", self.directory, len(closed), len(survivors),
@@ -770,18 +723,18 @@ class StoreScanReport:
 
     Produced by :func:`scan_store` — nothing on disk changes, so it is safe
     against a live store and is the "diagnose" half of the audit doctor
-    (open-for-write is the "repair" half).
+    (open-for-write is the "repair" half).  A void seal reads as
+    ``sealed=False``, not as a problem: the resume is what re-runs the loss.
+    A seal over damaged lines still reads as sealed; the damage is the
+    problem, and the repair drops those lines and voids the seal.
     """
 
     directory: str
-    manifest_present: bool = False
-    manifest_valid: bool = False
-    manifest_problem: Optional[str] = None
     sealed: bool = False
     shards: List[Dict] = field(default_factory=list)
     records: List[RunRecord] = field(default_factory=list)
     failed: List[FailedRun] = field(default_factory=list)
-    superseded_lines: int = 0     #: lines a later seq/record superseded
+    superseded_lines: int = 0     #: outcome lines a later line superseded
     quarantined_files: int = 0    #: `.corrupt` files present (past damage)
     problems: List[str] = field(default_factory=list)
 
@@ -793,9 +746,6 @@ class StoreScanReport:
         return {
             "directory": self.directory,
             "clean": self.clean,
-            "manifest": {"present": self.manifest_present,
-                         "valid": self.manifest_valid,
-                         "problem": self.manifest_problem},
             "sealed": self.sealed,
             "shards": self.shards,
             "records": len(self.records),
@@ -811,50 +761,19 @@ def scan_store(directory: str) -> StoreScanReport:
     directory = os.path.abspath(os.fspath(directory))
     report = StoreScanReport(directory=directory)
     shards_dir = os.path.join(directory, "shards")
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        report.manifest_present = True
-        try:
-            with open(manifest_path) as handle:
-                payload = json.load(handle)
-            integrity = payload.get("integrity")
-            if payload.get("version") != 1:
-                report.manifest_problem = "unsupported version"
-            elif integrity is not None and \
-                    integrity.get("digest") != _digest(payload, "integrity"):
-                report.manifest_problem = "digest mismatch"
-            else:
-                report.manifest_valid = True
-                report.sealed = bool(payload.get("sealed", False))
-        except (OSError, ValueError) as error:
-            report.manifest_problem = f"unreadable ({error})"
-    else:
-        report.manifest_problem = "missing"
-    manifest_lines: Dict[str, int] = {}
-    if report.manifest_valid:
-        try:
-            for entry in payload.get("shards", ()):
-                manifest_lines[entry["name"]] = int(entry["lines"])
-        except (KeyError, TypeError, ValueError):
-            report.manifest_valid = False
-            report.manifest_problem = "malformed shard index"
-
+    names = _shard_names(shards_dir)
     try:
-        names = sorted(name for name in os.listdir(shards_dir)
-                       if name.endswith(_SHARD_SUFFIX)
-                       and name.startswith(_SHARD_PREFIX))
         report.quarantined_files = sum(
             1 for name in os.listdir(shards_dir) if name.endswith(".corrupt"))
     except FileNotFoundError:
-        names = []
+        pass
     records: Dict[str, Tuple[int, Dict]] = {}
     failed: Dict[str, Tuple[int, Dict]] = {}
-    total_lines = 0
+    seal: Optional[Tuple[int, Dict]] = None
+    outcome_lines = last_outcome = 0
     for name in names:
         scan = _scan_shard(os.path.join(shards_dir, name))
-        lines = len(scan.entries)
-        total_lines += lines + scan.bad_lines
-        shard_report = {"name": name, "lines": lines,
+        shard_report = {"name": name, "lines": len(scan.entries),
                         "bad_lines": scan.bad_lines,
                         "torn_tail": bool(scan.damage) and scan.tail_only,
                         "mid_shard_damage": bool(scan.damage)
@@ -865,34 +784,30 @@ def scan_store(directory: str) -> StoreScanReport:
             report.problems.append(
                 f"{name}: {kind} ({scan.damage}; {scan.bad_lines} bad "
                 f"line(s))")
-        if report.manifest_valid and name in manifest_lines \
-                and manifest_lines[name] != lines:
-            report.problems.append(
-                f"{name}: manifest says {manifest_lines[name]} line(s), "
-                f"shard holds {lines}")
         for seq, kind, data in scan.entries:
+            if kind == "seal" and (seal is None or seq > seal[0]):
+                seal = (seq, data)
+            if kind not in _OUTCOME_KINDS:
+                continue
+            outcome_lines += 1
+            last_outcome = max(last_outcome, seq)
             run_id = data.get("run_id")
             winners = records if kind == "record" else failed
             previous = winners.get(run_id)
             if previous is None or seq >= previous[0]:
                 winners[run_id] = (seq, data)
-    if report.manifest_valid:
-        for name in manifest_lines:
-            if name not in set(names):
-                report.problems.append(
-                    f"{name}: listed in the manifest but missing on disk")
-    if not report.manifest_valid and names:
-        report.problems.append(f"manifest {report.manifest_problem}")
     for run_id in records:
         failed.pop(run_id, None)
+    report.sealed = _seal_holds(
+        seal, last_outcome, len(records),
+        sum(shard["bad_lines"] for shard in report.shards))
     report.records = sorted(
         (RunRecord.from_json_dict(data) for _, data in records.values()),
         key=lambda r: (r.point_index, r.seed_index))
     report.failed = sorted(
         (FailedRun.from_json_dict(data) for _, data in failed.values()),
         key=lambda f: (f.point_index, f.seed_index))
-    report.superseded_lines = total_lines - sum(
-        s["bad_lines"] for s in report.shards) - len(records) - len(failed)
+    report.superseded_lines = outcome_lines - len(records) - len(failed)
     return report
 
 
@@ -980,6 +895,8 @@ class StoreReader:
         return True
 
     def _take(self, seq: int, kind: str, data: Dict) -> None:
+        if kind not in _OUTCOME_KINDS:
+            return
         run_id = data.get("run_id")
         if kind == "failed":
             if seq >= self._failed.get(run_id, (-1, None))[0]:

@@ -28,17 +28,16 @@ interrupted process would:
   published (after its temp write, before the rename makes it visible).
 
 Record-store faults damage a :class:`~repro.store.ShardedRecordStore` the
-three ways an append-only shard directory can rot:
+two ways an append-only shard directory can rot:
 
 * ``"shard_torn"`` — tear the shard line just appended (truncate it mid-line)
   **and** kill the process, exactly like ``"journal_torn"``: torn writes are
   crash artifacts, so the kill is part of the fault.  Targets look like
-  ``"<shard path>#record:<run_id>"`` (or ``#failed:<run_id>``);
+  ``"<shard path>#record:<run_id>"`` (or ``#failed:<run_id>``, and
+  ``#spec:`` or ``#seal:`` for the store's spec and seal lines);
 * ``"shard_corrupt"`` — flip one mid-file byte of the current shard after a
   flush, *without* killing: latent disk damage the store must quarantine on
-  its next open, not crash on;
-* ``"manifest_lost"`` — unlink the store manifest right after it was
-  rewritten: the store must self-heal by rebuilding it from the shards.
+  its next open, not crash on.
 
 Service faults fire inside the sweep daemon (:mod:`repro.service`), modelling
 a crash of the *long-running process itself*:
@@ -55,7 +54,7 @@ a crash of the *long-running process itself*:
   the journal event to tear;
 * ``"disk_full"`` — raise ``OSError(ENOSPC)`` at a durability write site
   *before* the write happens (:func:`disk_full_fault` — journal appends,
-  record-store shard appends, manifest rewrites, shared-store publishes).
+  record-store shard appends, shared-store publishes).
   ``times`` bounds how many writes fail, after which "space returns": the
   degraded-mode recovery paths must then drain their backlogs;
 * ``"lease_stolen"`` — rewrite the state-dir lease file with a foreign
@@ -117,7 +116,6 @@ __all__ = [
     "injected_faults",
     "journal_fault",
     "lease_fault",
-    "manifest_fault",
     "maybe_fail_run",
     "service_fault",
     "set_current_attempt",
@@ -131,7 +129,7 @@ KILL_EXIT_CODE = 23
 
 _RUN_KINDS = ("raise", "kill", "hang")
 _SERVICE_KINDS = ("daemon_kill",)
-_STORE_KINDS = ("shard_torn", "shard_corrupt", "manifest_lost")
+_STORE_KINDS = ("shard_torn", "shard_corrupt")
 _DEGRADED_KINDS = ("disk_full", "lease_stolen")
 _FILE_KINDS = ("store_flip", "journal_torn") + _STORE_KINDS \
     + _SERVICE_KINDS + _DEGRADED_KINDS
@@ -392,9 +390,9 @@ def shard_fault(path: str, line_length: int, tag: str = "") -> None:
     :func:`journal_fault`, with the same rationale: a torn write is what a
     crash leaves behind, so firing truncates the just-appended shard line
     roughly in half and kills the process.  The match target is
-    ``f"{path}#{tag}"`` where ``tag`` is ``"record:<run_id>"`` or
-    ``"failed:<run_id>"``, so a plan can tear the append of one specific
-    record.
+    ``f"{path}#{tag}"`` where ``tag`` is ``"record:<run_id>"``,
+    ``"failed:<run_id>"``, ``"spec:"`` or ``"seal:"``, so a plan can tear
+    the append of one specific record, or the seal.
     """
     plan = active_plan()
     if plan is None:
@@ -425,12 +423,11 @@ def disk_full_fault(path: str, tag: str = "") -> None:
     """Disk-exhaustion site (called *before* a durability write).
 
     The match target is ``f"{path}#{tag}"`` — tags name the write class
-    (``"journal:<event>"``, ``"shard:<run_id>"``, ``"manifest"``,
-    ``"store"``), so a plan can exhaust one subsystem's disk and not
-    another's.  Firing raises ``OSError(ENOSPC)`` exactly as a full
-    filesystem would; ``times`` bounds how many writes fail before space
-    "returns", after which the caller's backlog-drain path must replay
-    everything it deferred.
+    (``"journal:<event>"``, ``"shard:<run_id>"``, ``"store"``), so a plan
+    can exhaust one subsystem's disk and not another's.  Firing raises
+    ``OSError(ENOSPC)`` exactly as a full filesystem would; ``times`` bounds
+    how many writes fail before space "returns", after which the caller's
+    backlog-drain path must replay everything it deferred.
     """
     plan = active_plan()
     if plan is None:
@@ -463,20 +460,3 @@ def lease_fault(path: str) -> None:
             handle.flush()
             os.fsync(handle.fileno())
 
-
-def manifest_fault(path: str) -> None:
-    """Manifest-loss site (called after a store manifest rewrite lands).
-
-    Unlinks the freshly written manifest — the failure mode where the
-    directory survives but its index does not.  The store must self-heal by
-    rebuilding the manifest from the shard files on its next open (the
-    shards, not the manifest, are the source of truth).
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    if plan.fire_file_faults(("manifest_lost",), path):
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass

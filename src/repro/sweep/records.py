@@ -318,9 +318,10 @@ class SweepResult:
         """Load the sharded record store (see :mod:`repro.store`) at ``path``.
 
         Opening runs the store's recovery — torn tails truncated, corrupt
-        shards quarantined, manifest rebuilt — and returns whatever
-        survives.  Raises ``FileNotFoundError`` when ``path`` is not a
-        directory: that is a caller error (a bad path), not a damaged store.
+        shards quarantined; a clean store is only read — and returns
+        whatever survives.  Raises ``FileNotFoundError`` when ``path`` is
+        not a directory: that is a caller error (a bad path), not a damaged
+        store.
         """
         if not os.path.isdir(path):
             raise FileNotFoundError(path)

@@ -896,7 +896,7 @@ class SweepRunner:
         directory path for the sharded backend, or ``":memory:"`` — see
         :func:`repro.store.open_store`) is the sweep's one persistence
         authority.  Every outcome appends as it completes,
-        ``checkpoint_every=k`` flushes (fsync + manifest) every ``k``
+        ``checkpoint_every=k`` flushes (one shard fsync) every ``k``
         outcomes, and a full pass seals the store.  Independent of
         ``checkpoint_every``, the outcomes completed so far are flushed even
         if a run raises (or the process is interrupted with
@@ -908,8 +908,9 @@ class SweepRunner:
         derivation (a different ``master_seed``, or an edited grid reusing
         the same sweep name) raises rather than silently mixing ensembles.
         A sharded store directory opens through its recovery (torn tails
-        truncated, corrupt shards quarantined, a lost manifest rebuilt) and
-        refuses outright a spec other than the one its manifest pins.  Runs
+        truncated, corrupt shards quarantined, a seal that lost a line or a
+        shard voided, so the lost runs re-run) and refuses outright a spec
+        other than the one its shards pin.  Runs
         a supervised executor quarantined (``FailedRun``) land in
         ``result.failed_runs`` — and a resumed store's quarantined runs are
         *retried*, not carried forward (under whatever

@@ -11,6 +11,7 @@ The load-bearing guarantees:
   within tier-1 time budgets.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -20,7 +21,6 @@ import pytest
 
 from repro.sim import CompiledWorkload
 from repro.store import ShardedRecordStore, StoreError, scan_store
-from repro.store.sharded import MANIFEST_NAME
 from repro.sweep import (
     METRIC_NAMES,
     FaultSpec,
@@ -55,6 +55,19 @@ def tiny_spec(**overrides) -> SweepSpec:
 
 def records_as_dicts(result: SweepResult):
     return [r.to_json_dict() for r in result.sorted_records()]
+
+
+def strip_store_lines(directory: str, *kinds: str) -> None:
+    """Delete a record store's shard lines of the given kinds.  Whole lines
+    go, so every remaining line keeps its digest."""
+    shards = os.path.join(directory, "shards")
+    for name in os.listdir(shards):
+        path = os.path.join(shards, name)
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        with open(path, "wb") as handle:
+            handle.writelines(line for line in lines
+                              if json.loads(line)["kind"] not in kinds)
 
 
 class TestSpec:
@@ -211,8 +224,8 @@ class TestPersistenceAndResume:
         other = SweepRunner(tiny_spec(master_seed=8), SerialExecutor())
         with pytest.raises(StoreError, match="different sweep"):
             other.run(store=directory)
-        # Without the manifest's pin, the stored seeds refuse the resume.
-        os.unlink(os.path.join(directory, MANIFEST_NAME))
+        # Without the spec line's pin, the stored seeds refuse the resume.
+        strip_store_lines(directory, "spec")
         with pytest.raises(ValueError, match="refusing to mix"):
             other.run(store=directory)
         # The refused resume left the store to its own sweep.
@@ -238,7 +251,7 @@ class TestPersistenceAndResume:
         edited = SweepRunner(tiny_spec(**edit), SerialExecutor())
         with pytest.raises(StoreError, match="different sweep"):
             edited.run(store=directory)
-        os.unlink(os.path.join(directory, MANIFEST_NAME))
+        strip_store_lines(directory, "spec")
         with pytest.raises(ValueError, match="grid changed"):
             edited.run(store=directory)
 
@@ -249,7 +262,8 @@ class TestPersistenceAndResume:
         runner = SweepRunner(tiny_spec(), SerialExecutor())
         with pytest.raises(StoreError, match="different sweep"):
             runner.run(store=directory)
-        os.unlink(os.path.join(directory, MANIFEST_NAME))
+        # Without the other sweep's pin and seal, its records are ignored.
+        strip_store_lines(directory, "spec", "seal")
         result = runner.run(store=directory)
         assert len(result.records) == tiny_spec().n_runs
 

@@ -68,8 +68,8 @@ def _wait_done(service, job_id: str, deadline: float) -> float:
 def test_short_job_is_not_blocked_by_long_job(tmp_path):
     baseline = SweepRunner(SHORT_SPEC, SerialExecutor()).run()
 
-    service = SweepService(str(tmp_path / "svc"), checkpoint_every=4,
-                           attach_store=False).start()
+    service = SweepService(str(tmp_path / "svc"),
+                           checkpoint_every=4).start()
     try:
         start = time.monotonic()
         long_job, _ = service.submit(LONG_SPEC.to_json_dict(),

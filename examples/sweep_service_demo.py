@@ -65,8 +65,7 @@ def daemon_pass(data_dir: str, kill_between_checkpoint_and_commit: bool):
     if kill_between_checkpoint_and_commit:
         faults.arm_faults(FaultSpec(kind="daemon_kill",
                                     match="daemon:post_checkpoint"))
-    service = SweepService(data_dir, checkpoint_every=1,
-                           attach_store=False).start()
+    service = SweepService(data_dir, checkpoint_every=1).start()
     job_ids = []
     for job_key, spec in JOBS:
         job, created = service.submit(spec.to_json_dict(), job_key=job_key)

@@ -2,9 +2,10 @@
 
 The package turns :mod:`repro.sweep` from a library call into a resident
 service: clients submit :class:`~repro.sweep.spec.SweepSpec` jobs over a
-thin REST API, a supervised executor fleet (with its shared physics store)
-stays warm across jobs, and a durable write-ahead journal makes the whole
-thing ``kill -9``-proof — a restarted daemon replays the journal, re-admits
+thin REST API, a supervised executor fleet stays warm across jobs (a serial
+fleet keeps its physics in the daemon's level cache; a pool fleet's workers
+share an on-disk physics store), and a durable write-ahead journal makes the
+whole thing ``kill -9``-proof — a restarted daemon replays the journal, re-admits
 interrupted jobs, and resumes them from their record stores to results
 bit-identical to an uninterrupted run.
 
@@ -18,7 +19,7 @@ Modules:
 * :mod:`~repro.service.lease` — single-writer state-dir ownership via a
   heartbeat lease file (stale-lease takeover, stolen-lease fencing);
 * :mod:`~repro.service.daemon` — :class:`SweepService`: bounded admission
-  queue, resident fleet, fair-share multi-job scheduler with per-job fault
+  queue, resident executor, fair-share multi-job scheduler with per-job fault
   isolation, graceful drain, disk-exhaustion degraded mode, health; per-job
   results persist in sharded record stores (:mod:`repro.store`);
 * :mod:`~repro.service.api` — transport-neutral router + stdlib HTTP server;
@@ -29,7 +30,6 @@ from .api import ServiceAPI, ServiceHTTPServer, serve_forever
 from .client import InProcessClient, ServiceClient, ServiceError
 from .daemon import (
     Backpressure,
-    ResidentFleet,
     ServiceUnavailable,
     SweepService,
     install_signal_handlers,
@@ -39,7 +39,7 @@ from .lease import LeaseHeld, StateDirLease
 from .registry import JOB_STATES, TERMINAL_STATES, Job, JobRegistry, JobStateError
 
 __all__ = [
-    "SweepService", "ResidentFleet", "Backpressure", "ServiceUnavailable",
+    "SweepService", "Backpressure", "ServiceUnavailable",
     "install_signal_handlers",
     "StateDirLease", "LeaseHeld",
     "ServiceAPI", "ServiceHTTPServer", "serve_forever",

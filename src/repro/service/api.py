@@ -8,11 +8,12 @@ re-binding ``ServiceAPI.handle``, nothing else).
 
 Endpoints::
 
-    POST /jobs                submit {"spec": .., "job_key"?: .., "options"?: ..}
+    POST /jobs                submit {"spec": .., "job_key"?: ..}
                               -> 202 created | 200 attached (idempotent dup)
                               -> 429 + Retry-After (queue full)
                               -> 409 (job_key bound to a different spec)
-                              -> 503 (draining)  | 400 (bad spec)
+                              -> 503 (draining)  | 400 (bad spec, or any
+                              other body key)
     GET  /jobs                list job statuses
     GET  /jobs/{id}           one job's status                  -> 404 unknown
     GET  /jobs/{id}/result    terminal job's records+aggregates -> 409 not done
@@ -32,7 +33,8 @@ Endpoints::
                               into the queue           -> 409 not suspended
     GET  /health              fleet liveness, queue depth, active jobs,
                               lease state, degraded-mode reason rollup,
-                              journal/store stats, record-store damage
+                              journal stats, record-store damage, and a
+                              pool fleet's physics-store file counts
 """
 
 from __future__ import annotations
@@ -126,8 +128,11 @@ class ServiceAPI:
         if not isinstance(spec, dict):
             raise ValueError("body must carry a 'spec' object "
                              "(SweepSpec.to_json_dict() form)")
-        job, created = self.service.submit(
-            spec, job_key=body.get("job_key"), options=body.get("options"))
+        unknown = sorted(set(body) - {"spec", "job_key"})
+        if unknown:
+            raise ValueError(f"unknown body field(s) {unknown}; a job is "
+                             "its 'spec' and an optional 'job_key'")
+        job, created = self.service.submit(spec, job_key=body.get("job_key"))
         payload = job.public_status()
         payload["created"] = created
         return (202 if created else 200), payload, {}

@@ -47,7 +47,6 @@ class _ClientCore:
 
     def submit(self, spec: Union[SweepSpec, Dict],
                job_key: Optional[str] = None,
-               options: Optional[Dict] = None,
                wait_on_backpressure: bool = False,
                max_wait: float = 60.0) -> Dict:
         """Submit a sweep; returns the job status (``created`` flags dedup).
@@ -61,8 +60,6 @@ class _ClientCore:
         body = {"spec": spec}
         if job_key is not None:
             body["job_key"] = job_key
-        if options is not None:
-            body["options"] = options
         deadline = time.monotonic() + max_wait
         while True:
             try:

@@ -1,12 +1,14 @@
 """The sweep daemon: a crash-safe, fault-isolated multi-job sweep service.
 
 :class:`SweepService` accepts :class:`~repro.sweep.spec.SweepSpec` jobs and
-schedules up to ``max_concurrent`` of them *concurrently* onto one resident
-executor fleet (the fleet — and its attached
-:class:`~repro.sim.shared_store.SharedPhysicsStore` — lives for the daemon's
-lifetime, so physics derived for one client's job is reused by every later
-job).  Every lifecycle transition is journaled to the durable write-ahead
-:class:`~repro.service.journal.JobJournal`.
+schedules up to ``max_concurrent`` of them *concurrently* onto one executor
+that lives for the daemon's lifetime.  A serial fleet (the default) runs in
+the daemon process, whose level cache serves every later job's repeated
+physics, as a library sweep's does.  A pool fleet (``processes > 1``) hands
+its workers a :class:`~repro.sim.shared_store.SharedPhysicsStore` under
+``data_dir/store``, so physics one round's workers derive is loaded by the
+next round's.  Every lifecycle transition is journaled to the durable
+write-ahead :class:`~repro.service.journal.JobJournal`.
 
 Scheduling is round-based fair share: each round takes up to
 ``fair_share_quantum`` work units from every active job, executes the mixed
@@ -52,14 +54,15 @@ The robustness contract, end to end:
   to a checkpoint, journals a clean stop, and releases the lease; queued
   jobs re-admit on the next start.
 * **Health** — :meth:`SweepService.health` reports fleet liveness, queue
-  depth, active jobs, lease state, journal and store counters.
+  depth, active jobs, lease state, journal and record-store counters, and a
+  pool fleet's physics-store directory counts.
 
 On-disk layout (everything under one ``data_dir``)::
 
     data_dir/
       LEASE.json               single-writer ownership (repro.service.lease)
       journal.jsonl            the write-ahead job journal
-      store/                   persistent shared physics store
+      store/                   shared physics store (a pool fleet only)
       jobs/<job_id>/records/   per-job sharded record store (see repro.store)
 
 Per-job persistence goes through :class:`repro.store.ShardedRecordStore`:
@@ -77,18 +80,17 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..sim.shared_store import scan_directory
 from ..store import ShardedRecordStore, StoreReader
 from ..sweep import faults
 from ..sweep.records import SweepResult
-from ..sweep.runner import (PoolExecutor, SerialExecutor, SweepPass,
-                            SweepRunner, _as_outcomes, _member_runs,
-                            execute_work)
-from ..sweep.spec import RetryPolicy, SweepSpec
+from ..sweep.runner import PoolExecutor, SerialExecutor, SweepPass, SweepRunner
+from ..sweep.spec import RetryPolicy, RunSpec, SweepSpec
 from .journal import JobJournal
 from .lease import LeaseHeld, StateDirLease
 from .registry import Job, JobRegistry, TERMINAL_STATES
 
-__all__ = ["Backpressure", "LeaseHeld", "ResidentFleet", "ServiceUnavailable",
+__all__ = ["Backpressure", "LeaseHeld", "ServiceUnavailable",
            "StateDirLease", "SweepService", "install_signal_handlers"]
 
 logger = logging.getLogger("repro.service")
@@ -110,57 +112,6 @@ class ServiceUnavailable(RuntimeError):
     stolen lease, or degraded by a full disk."""
 
 
-class ResidentFleet:
-    """The daemon's long-lived executor plus its shared physics store.
-
-    Unlike a per-sweep executor pass, the fleet persists across jobs: the
-    store directory is attached once (parent process included, so even a
-    serial fleet reuses physics across jobs *and* daemon restarts), and the
-    executor object is reused for every scheduler round.  Heartbeats come
-    from the per-job progress callbacks — a fleet that stops beating while
-    jobs are active is wedged, and the health endpoint says so.
-    """
-
-    def __init__(self, executor: Executor, store_dir: Optional[str]) -> None:
-        self.executor = executor
-        self.store_dir = store_dir
-        self.store = None
-        self._beat_lock = threading.Lock()
-        self._beat: Tuple[Optional[str], float] = (None, 0.0)
-
-    def start(self) -> None:
-        if self.store_dir is not None:
-            from ..sim.level_cache import attach_shared_store
-            self.store = attach_shared_store(self.store_dir,
-                                             record_events=False)
-
-    def stop(self) -> None:
-        if self.store is not None:
-            from ..sim.level_cache import detach_shared_store
-            detach_shared_store()
-            self.store = None
-
-    def beat(self, job_id: str) -> None:
-        with self._beat_lock:
-            self._beat = (job_id, time.monotonic())
-
-    def liveness(self) -> Dict:
-        with self._beat_lock:
-            job_id, ts = self._beat
-        supervised = getattr(self.executor, "supervised",
-                             getattr(self.executor, "retry_policy", None)
-                             is not None)
-        return {
-            "executor": type(self.executor).__name__,
-            "supervised": bool(supervised),
-            "processes": getattr(self.executor, "processes", None) or 1,
-            "last_progress_job": job_id,
-            "last_progress_age_s": (round(time.monotonic() - ts, 3)
-                                    if job_id is not None else None),
-            "store_attached": self.store is not None,
-        }
-
-
 class _ActiveJob:
     """Scheduler-side state for one job currently sharing the fleet."""
 
@@ -173,6 +124,7 @@ class _ActiveJob:
         self.store = store
         self.strikes = 0              #: fleet rebuilds attributed to this job
         self.cancelled = False        #: cancel observed mid-round
+        self.stalled = False          #: a finalize failed on a full disk
         self.started = time.monotonic()
         #: the records endpoint's incremental reader of this job's store
         #: (created by the first ``records`` call; dropped with the entry).
@@ -199,7 +151,7 @@ class _ActiveJob:
 
 
 class SweepService:
-    """The daemon: journal + registry + bounded queue + resident fleet.
+    """The daemon: journal + registry + bounded queue + resident executor.
 
     Up to ``max_concurrent`` jobs execute concurrently, interleaved onto the
     fleet in fair-share rounds of ``fair_share_quantum`` work units per job.
@@ -207,6 +159,14 @@ class SweepService:
     store, checkpoint cadence and circuit breaker, so one job's poison runs
     or full disk cannot take its neighbours down.  All public methods are
     thread-safe — the HTTP transport calls them from handler threads.
+
+    The fleet is ``executor`` when given; otherwise a supervised
+    :class:`PoolExecutor` of ``processes`` workers sharing a physics store
+    under ``data_dir/store`` when ``processes > 1``, else a
+    :class:`SerialExecutor` in this process.  ``retry_policy`` and
+    ``run_timeout`` configure that built fleet: next to an explicit
+    ``executor`` they raise ``ValueError``, as does ``run_timeout`` on a
+    serial fleet, which cannot time out a run in process.
     """
 
     def __init__(self, data_dir: str,
@@ -217,7 +177,6 @@ class SweepService:
                  max_queue: int = 8,
                  checkpoint_every: int = 4,
                  compact_bytes: int = 1 << 20,
-                 attach_store: bool = True,
                  max_concurrent: int = 4,
                  fair_share_quantum: int = 4,
                  breaker_budget: int = 2,
@@ -246,20 +205,34 @@ class SweepService:
         self.breaker_budget = breaker_budget
         self.lease_ttl = lease_ttl
         self.lease_wait = lease_wait
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3, backoff=0.05, jitter="decorrelated",
-            max_backoff=5.0)
 
-        store_dir = os.path.join(data_dir, "store") if attach_store else None
-        if executor is None:
+        if executor is not None:
+            for name, value in (("processes", processes),
+                                ("retry_policy", retry_policy),
+                                ("run_timeout", run_timeout)):
+                if value is not None:
+                    raise ValueError(
+                        f"{name} configures the fleet SweepService builds; "
+                        "configure the explicit executor instead")
+        else:
+            retry_policy = retry_policy or RetryPolicy(
+                max_attempts=3, backoff=0.05, jitter="decorrelated",
+                max_backoff=5.0)
             if processes is not None and processes > 1:
                 executor = PoolExecutor(
-                    processes=processes, retry_policy=self.retry_policy,
-                    run_timeout=run_timeout, shared_cache_dir=store_dir,
+                    processes=processes, retry_policy=retry_policy,
+                    run_timeout=run_timeout,
+                    shared_cache_dir=os.path.join(data_dir, "store"),
                     shared_cache_events=False)
+            elif run_timeout is not None:
+                raise ValueError(
+                    "run_timeout needs a pool fleet (processes > 1): a "
+                    "serial fleet cannot time out a run in process")
             else:
-                executor = SerialExecutor(retry_policy=self.retry_policy)
-        self.fleet = ResidentFleet(executor, store_dir)
+                executor = SerialExecutor(retry_policy=retry_policy)
+        self.executor = executor
+        #: (job id, monotonic time) of the fleet's latest progress beat.
+        self._last_progress: Tuple[Optional[str], float] = (None, 0.0)
 
         self.journal = JobJournal(os.path.join(data_dir, "journal.jsonl"))
         self.registry = JobRegistry.open(self.journal)
@@ -294,7 +267,6 @@ class SweepService:
                                         on_lost=self._on_lease_lost)
         self._lease.acquire(wait=self.lease_wait)
         self.registry.maybe_compact(self.compact_bytes)
-        self.fleet.start()
         self.journal.append("service_start",
                             pid=os.getpid(), data_dir=self.data_dir)
         interrupted = self.registry.recover_interrupted()
@@ -313,7 +285,7 @@ class SweepService:
         return self
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
-        """Graceful stop: drain, checkpoint, journal, release fleet + lease.
+        """Graceful stop: drain, checkpoint, journal, release the lease.
 
         Safe to call more than once.  Running jobs (if any) drain at their
         next round boundary and stay ``running`` in the journal — the next
@@ -329,7 +301,6 @@ class SweepService:
             # Fenced when the lease was stolen: the thief owns the journal
             # now, and our stop event would interleave with its appends.
             self.journal.append("service_stop", pid=os.getpid())
-        self.fleet.stop()
         self.journal.close()
         if self._lease is not None:
             self._lease.release()
@@ -356,8 +327,8 @@ class SweepService:
     # ------------------------------------------------------------------ #
     # client surface
     # ------------------------------------------------------------------ #
-    def submit(self, spec_dict: Dict, job_key: Optional[str] = None,
-               options: Optional[Dict] = None) -> Tuple[Job, bool]:
+    def submit(self, spec_dict: Dict,
+               job_key: Optional[str] = None) -> Tuple[Job, bool]:
         """Admit a sweep job; returns ``(job, created)``.
 
         Raises :class:`Backpressure` when the queue is full (duplicate
@@ -389,8 +360,7 @@ class SweepService:
                 if len(self._queue) >= self.max_queue:
                     raise Backpressure(self._retry_after())
             job, created = self.registry.submit(
-                spec.to_json_dict(), job_key=job_key, options=options,
-                total_runs=spec.n_runs)
+                spec.to_json_dict(), job_key=job_key, total_runs=spec.n_runs)
             if created:
                 self.registry.transition("admit", job.job_id)
                 self._queue.append(job.job_id)
@@ -439,9 +409,8 @@ class SweepService:
     def result(self, job_id: str, include_records: bool = True) -> Dict:
         """The result payload of a terminal job (records + aggregates).
 
-        Raises ``KeyError`` for unknown jobs and :class:`JobNotDone` —
-        well, ``RuntimeError`` — for jobs that have not reached a terminal
-        state (the API maps it to 409).
+        Raises ``KeyError`` for unknown jobs and ``RuntimeError`` for jobs
+        that have not reached a terminal state (the API maps it to 409).
         """
         job = self.registry.get(job_id)
         if job.state not in TERMINAL_STATES:
@@ -551,19 +520,24 @@ class SweepService:
     def health(self) -> Dict:
         """Liveness + load + durability counters, for monitors and tests.
 
-        ``degraded`` aggregates every self-healing subsystem: the shared
-        physics store's error counters, the journal's recovery counters,
-        the per-job record stores' damage counters, disk-full write
-        buffering, and a stolen lease — a daemon that survived any of them
-        keeps serving, but monitors can see it happened.
+        ``degraded`` aggregates every self-healing subsystem: quarantined
+        entries in the fleet's physics store, the journal's recovery
+        counters, the per-job record stores' damage counters, disk-full
+        write buffering, and a stolen lease — a daemon that survived any of
+        them keeps serving, but monitors can see it happened.
         ``degraded_reasons`` names the live conditions (a stolen lease, a
         full disk) as opposed to the historical counters.
+
+        ``store`` is ``None`` unless the fleet has a ``shared_cache_dir``;
+        then it holds that directory's entry and quarantined-file counts,
+        read from the directory, since a pool's loads and publishes happen
+        in its workers.
         """
         journal_stats = vars(self.journal.stats).copy()
         journal_stats["size_bytes"] = self.journal.size_bytes()
         journal_stats["pending_lines"] = self.journal.pending_lines()
-        store = self.fleet.store
-        physics_stats = store.stats() if store is not None else None
+        store_dir = getattr(self.executor, "shared_cache_dir", None)
+        physics = None if store_dir is None else scan_directory(store_dir)
         with self._lock:
             queue_depth = len(self._queue)
             active_ids = sorted(self._active_jobs)
@@ -582,11 +556,7 @@ class SweepService:
                        for what in self._disk_degraded_reasons())
         degraded = bool(
             reasons
-            or (physics_stats is not None
-                and (physics_stats.get("degraded")
-                     or physics_stats.get("load_errors")
-                     or physics_stats.get("store_errors")
-                     or physics_stats.get("corrupt_rejected")))
+            or (physics is not None and physics["quarantined"])
             or journal_stats.get("torn_tail_dropped")
             or journal_stats.get("corrupt_lines")
             or journal_stats.get("disk_full_errors")
@@ -604,15 +574,32 @@ class SweepService:
             "active_jobs": active_ids,
             "max_concurrent": self.max_concurrent,
             "jobs": self.registry.counts(),
-            "fleet": self.fleet.liveness(),
+            "fleet": self._fleet_liveness(),
             "scheduler_alive": (self._scheduler is not None
                                 and self._scheduler.is_alive()),
             "lease": (None if lease is None else
                       {"owner": lease.owner, "lost": lease.lost,
                        "takeovers": lease.takeovers, "ttl": lease.ttl}),
             "journal": journal_stats,
-            "store": physics_stats,
+            "store": physics,
             "record_stores": record_stores,
+        }
+
+    def _fleet_liveness(self) -> Dict:
+        """The executor's shape and its latest progress beat: a fleet that
+        stops beating while jobs are active is wedged."""
+        job_id, ts = self._last_progress
+        executor = self.executor
+        supervised = getattr(executor, "supervised",
+                             getattr(executor, "retry_policy", None)
+                             is not None)
+        return {
+            "executor": type(executor).__name__,
+            "supervised": bool(supervised),
+            "processes": getattr(executor, "processes", None) or 1,
+            "last_progress_job": job_id,
+            "last_progress_age_s": (round(time.monotonic() - ts, 3)
+                                    if job_id is not None else None),
         }
 
     def store_path(self, job_id: str) -> str:
@@ -700,7 +687,6 @@ class SweepService:
         store_dir = self.store_path(job_id)
         os.makedirs(os.path.dirname(store_dir), exist_ok=True)
         self.registry.transition("running", job_id)
-        options = job.options or {}
         job_store = None
         try:
             # Spec parsing sits inside the try: a journaled spec that no
@@ -710,12 +696,9 @@ class SweepService:
             # fails the job visibly instead of wedging the scheduler.
             spec = SweepSpec.from_json_dict(job.spec)
             job_store = ShardedRecordStore(store_dir, spec=spec)
-            runner = SweepRunner(spec, self.fleet.executor,
-                                 ensembles=options.get("ensembles", False))
-            sweep_pass = SweepPass(
-                runner, store=job_store,
-                checkpoint_every=options.get("checkpoint_every",
-                                             self.checkpoint_every))
+            sweep_pass = SweepPass(SweepRunner(spec, self.executor),
+                                   store=job_store,
+                                   checkpoint_every=self.checkpoint_every)
             pending_items = sweep_pass.prepare()
         except Exception as error:
             logger.exception("service: job %s failed", job_id)
@@ -727,7 +710,7 @@ class SweepService:
         entry = _ActiveJob(job, sweep_pass, pending_items, job_store)
 
         def on_progress(progress, job_id=job_id, entry=entry) -> None:
-            self.fleet.beat(job_id)
+            self._last_progress = (job_id, time.monotonic())
             if progress.checkpointed:
                 # The store flush is durable at this point; the kill site
                 # between it and the journal commit is the acceptance
@@ -744,11 +727,14 @@ class SweepService:
     def _run_round(self) -> None:
         """One fair-share round: slice, execute, route, judge.
 
-        Takes up to ``fair_share_quantum`` work units from every active job
-        (round-robin), executes the mixed slice as a single executor pass,
-        routes each outcome to its owning job's :class:`SweepPass`, then
-        settles the round: breakers charged from the pass's fleet-rebuild
-        attribution, cancelled jobs drained, complete jobs committed.
+        Takes up to ``fair_share_quantum`` runs from every active job
+        (round-robin), streams the mixed slice through one executor pass of
+        the jobs' :attr:`SweepPass.work_fn`, routes each outcome to its
+        owning job's :class:`SweepPass`, then settles the round: breakers
+        charged from the pass's fleet-rebuild attribution, cancelled jobs
+        drained, complete jobs committed.  A round with nothing to run
+        commits what it can, then waits for the scheduler's idle tick, so a
+        job whose seal a full disk refused retries without spinning.
         """
         with self._lock:
             round_ids = list(self._active_jobs)
@@ -757,7 +743,7 @@ class SweepService:
         for job_id in round_ids:
             if self.registry.get(job_id).cancel_requested:
                 self._cancel_job(job_id)
-        slice_items: List = []
+        slice_runs: List[RunSpec] = []
         owners: Dict[str, str] = {}
         with self._lock:
             round_ids = list(self._active_jobs)
@@ -767,51 +753,31 @@ class SweepService:
                 continue
             taken = 0
             while entry.pending and taken < self.fair_share_quantum:
-                item = entry.pending[0]
-                ids = [run.run_id for run in _member_runs(item)]
-                if any(rid in owners for rid in ids):
+                run = entry.pending[0]
+                if run.run_id in owners:
                     # Two jobs sharing a run id (same spec name) cannot fly
                     # in one slice — ownership would be ambiguous.  Defer
                     # this job's remainder a round.
                     break
                 entry.pending.popleft()
-                slice_items.append(item)
-                owners.update((rid, job_id) for rid in ids)
+                slice_runs.append(run)
+                owners[run.run_id] = job_id
+                # Every job's pass binds the same per-run work function.
+                work_fn = entry.sweep_pass.work_fn
                 taken += 1
-        if not slice_items:
+        if not slice_runs:
             for job_id in round_ids:
                 entry = self._active_jobs.get(job_id)
                 if entry is not None and not entry.pending:
                     self._finish_job(job_id)
+            self._wake.wait(0.05)
+            self._wake.clear()
             return
-        executor = self.fleet.executor
-        imap = getattr(executor, "imap_unordered", None)
-        stream = imap(execute_work, slice_items) if imap is not None \
-            else iter(executor.map(execute_work, slice_items))
+        stream = self.executor.imap_unordered(work_fn, slice_runs)
         interrupted = False
         try:
             for outcome in stream:
-                for record in _as_outcomes(outcome):
-                    owner = owners.get(record.run_id)
-                    entry = (self._active_jobs.get(owner)
-                             if owner is not None else None)
-                    if entry is None or entry.cancelled:
-                        continue
-                    if self.registry.get(owner).cancel_requested:
-                        # Stop folding this job's outcomes right here: its
-                        # durable records freeze at the cancel point, like
-                        # the old per-outcome drain.
-                        entry.cancelled = True
-                        continue
-                    try:
-                        entry.sweep_pass.consume(record)
-                    except Exception as error:
-                        logger.exception(
-                            "service: job %s failed consuming run %s",
-                            owner, record.run_id)
-                        self._fail_job(owner, error)
-                        continue
-                    self._notify_records()
+                self._route(outcome, owners.get(outcome.run_id))
                 if self._draining.is_set():
                     interrupted = True
                     break
@@ -834,6 +800,26 @@ class SweepService:
             elif not interrupted and entry.finished:
                 self._finish_job(job_id)
 
+    def _route(self, outcome, owner: Optional[str]) -> None:
+        """Fold one outcome into its owning job's pass."""
+        entry = self._active_jobs.get(owner) if owner is not None else None
+        if entry is None or entry.cancelled:
+            return
+        if self.registry.get(owner).cancel_requested:
+            # Stop folding this job's outcomes right here: its durable
+            # records freeze at the cancel point, like the old per-outcome
+            # drain.
+            entry.cancelled = True
+            return
+        try:
+            entry.sweep_pass.consume(outcome)
+        except Exception as error:
+            logger.exception("service: job %s failed consuming run %s",
+                             owner, outcome.run_id)
+            self._fail_job(owner, error)
+            return
+        self._notify_records()
+
     def _charge_breakers(self, owners: Dict[str, str]) -> None:
         """Attribute the pass's fleet rebuilds to the jobs that caused them.
 
@@ -842,8 +828,7 @@ class SweepService:
         requeued but not listed).  Each teardown charges one strike to every
         distinct owning job; ``breaker_budget`` strikes trip the breaker.
         """
-        stats = getattr(self.fleet.executor, "stats", None)
-        for victim_ids in list(getattr(stats, "rebuild_victims", []) or []):
+        for victim_ids in list(self.executor.stats.rebuild_victims):
             culprits = {owners[rid] for rid in victim_ids if rid in owners}
             for job_id in culprits:
                 entry = self._active_jobs.get(job_id)
@@ -872,26 +857,33 @@ class SweepService:
         return counters
 
     def _finish_job(self, job_id: str) -> None:
-        """Commit one complete job: flush, seal, journal ``done``."""
-        entry = self._pop_active(job_id)
+        """Commit one complete job: flush, seal, journal ``done``.
+
+        A full disk at the finish line must not fail the job.  Until the
+        seal succeeds the job stays active with its store open, so the
+        store's backlog shows in ``degraded_reasons`` and holds admission
+        at 503, and every later round retries the seal.  Any other
+        finalize failure fails the job.
+        """
+        entry = self._active_jobs.get(job_id)
         if entry is None:
             return
         try:
-            counters = self._settle_store(entry, stopped=False)
+            entry.sweep_pass.finalize(stopped=False)
         except Exception as error:
-            # A full disk at the finish line must not fail the job: its
-            # outcomes are re-runnable.  Requeue; the store backlog drains
-            # once space returns and the next finish seals cleanly.
-            logger.warning(
-                "service: job %s could not finalize (%r); requeued to retry "
-                "after the disk recovers", job_id, error)
-            self.registry.transition(
-                "checkpoint", job_id,
-                records_done=len(entry.sweep_pass.result.records),
-                failed_runs=len(entry.sweep_pass.result.failed_runs))
-            with self._lock:
-                self._queue.append(job_id)
+            if not entry.store.disk_degraded():
+                logger.exception("service: job %s failed to finalize",
+                                 job_id)
+                self._fail_job(job_id, error)
+                return
+            if not entry.stalled:
+                logger.warning(
+                    "service: job %s could not finalize (%r); retrying "
+                    "until the disk recovers", job_id, error)
+            entry.stalled = True
             return
+        entry = self._pop_active(job_id)
+        counters = self._settle_store(entry, stopped=False)
         result = entry.sweep_pass.summarize()
         faults.service_fault(f"daemon:pre_commit:{job_id}")
         self.registry.transition(
@@ -903,19 +895,16 @@ class SweepService:
         self._notify_records()
 
     def _cancel_job(self, job_id: str) -> None:
+        entry = self._active_jobs.get(job_id)
+        if entry is not None and entry.finished:
+            # The work beat the cancellation: commit it rather than discard
+            # a complete, durable result.
+            self._finish_job(job_id)
+            return
         entry = self._pop_active(job_id)
         if entry is None:
             return
         result = entry.sweep_pass.result
-        if entry.finished:
-            # The work beat the cancellation: commit it rather than discard
-            # a complete, durable result.
-            counters = self._settle_store(entry, stopped=False)
-            self.registry.transition(
-                "done", job_id, records_done=len(result.records),
-                failed_runs=len(result.failed_runs), store_counters=counters)
-            self._notify_records()
-            return
         self._settle_store(entry, stopped=True)
         self.registry.transition("cancelled", job_id)
         logger.info("service: job %s cancelled after draining (%d/%d "

@@ -98,7 +98,6 @@ class Job:
     job_id: str
     job_key: str
     spec: Dict                       #: SweepSpec.to_json_dict() payload
-    options: Dict = field(default_factory=dict)
     state: str = "submitted"
     created_ts: float = 0.0
     updated_ts: float = 0.0
@@ -121,7 +120,7 @@ class Job:
     def to_dict(self) -> Dict:
         return {
             "job_id": self.job_id, "job_key": self.job_key,
-            "spec": self.spec, "options": self.options, "state": self.state,
+            "spec": self.spec, "state": self.state,
             "created_ts": self.created_ts, "updated_ts": self.updated_ts,
             "total_runs": self.total_runs, "records_done": self.records_done,
             "failed_runs": self.failed_runs, "checkpoints": self.checkpoints,
@@ -134,6 +133,8 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Job":
+        """A job from a journaled dict; keys it has no field for (such as an
+        older daemon's per-job ``options``) are ignored."""
         return cls(**{key: data[key] for key in cls.__dataclass_fields__
                       if key in data})
 
@@ -217,7 +218,6 @@ class JobRegistry:
     # mutations (journal first, then apply)
     # ------------------------------------------------------------------ #
     def submit(self, spec_dict: Dict, job_key: Optional[str] = None,
-               options: Optional[Dict] = None,
                total_runs: int = 0) -> Tuple[Job, bool]:
         """Create (or idempotently attach to) a job; returns (job, created).
 
@@ -239,7 +239,7 @@ class JobRegistry:
             self._submit_count += 1
             job_id = f"j{self._submit_count:06d}"
             job = Job(job_id=job_id, job_key=job_key or job_id,
-                      spec=spec_dict, options=dict(options or {}),
+                      spec=spec_dict,
                       created_ts=time.time(), updated_ts=time.time(),
                       total_runs=total_runs)
             payload = {key: value for key, value in job.to_dict().items()

@@ -770,8 +770,7 @@ class SweepPass:
         if checkpointed:
             self.record_store.flush()
             self._since_checkpoint = 0
-            stats = getattr(self.executor, "stats", None) \
-                or ExecutorStats()
+            stats = self.executor.stats
             logger.info(
                 "sweep %s: checkpoint at %d/%d runs (%.2f runs/s, "
                 "%d failed, %d retried, %d requeued, %d fleet "
@@ -799,13 +798,14 @@ class SweepPass:
     def finalize(self, stopped: bool) -> None:
         """Persist whatever completed; seal the store on a full pass.
 
-        Idempotent, and safe after a mid-pass exception: the final result on
-        success, the freshest checkpoint on an executor error, interruption
-        or a deliberate drain (``stopped=True`` never seals).
+        Idempotent once it succeeds, and safe after a mid-pass exception:
+        the final result on success, the freshest checkpoint on an executor
+        error, interruption or a deliberate drain (``stopped=True`` never
+        seals).  A failed finalize (a full disk refusing the seal) may be
+        retried over a store the caller keeps open.
         """
         if self._finalized or self.result is None:
             return
-        self._finalized = True
         if self.record_store is not None:
             try:
                 self.record_store.flush()
@@ -816,6 +816,7 @@ class SweepPass:
             finally:
                 if self.store_opened_here:
                     self.record_store.close()
+        self._finalized = True
 
     def summarize(self) -> SweepResult:
         """Final logs + canonical record order; returns the merged result."""
@@ -935,31 +936,12 @@ class SweepRunner:
         sweep_pass = SweepPass(self, checkpoint_every=checkpoint_every,
                                progress=progress, store=store)
         pending_items = sweep_pass.prepare()
-        # Custom executors predating the streaming interface only provide
-        # map(); fall back to it — checkpointing then degrades to the
-        # end-of-pass (and on-error) flushes.
-        imap = getattr(self.executor, "imap_unordered", None)
-        if imap is None and checkpoint_every is not None:
-            warnings.warn(
-                f"executor {type(self.executor).__name__} has no "
-                "imap_unordered: records cannot stream, so "
-                f"checkpoint_every={checkpoint_every} degrades to a single "
-                "flush after the whole pass completes", RuntimeWarning,
-                stacklevel=2)
-            logger.warning(
-                "sweep %s: executor %s lacks imap_unordered; "
-                "checkpoint_every=%d degrades to end-of-pass flushes",
-                self.spec.name, type(self.executor).__name__, checkpoint_every)
-        stream = imap(sweep_pass.work_fn, pending_items) if imap is not None \
-            else iter(self.executor.map(sweep_pass.work_fn, pending_items))
+        stream = self.executor.imap_unordered(sweep_pass.work_fn,
+                                              pending_items)
         stopped = False
         try:
             for outcome in stream:
-                # Our executors yield flat per-run outcomes; _as_outcomes
-                # also absorbs a custom executor passing ensemble result
-                # lists through unflattened.
-                for record in _as_outcomes(outcome):
-                    sweep_pass.consume(record)
+                sweep_pass.consume(outcome)
                 if should_stop is not None and should_stop():
                     stopped = True
                     logger.info(

@@ -320,26 +320,6 @@ class TestCheckpointIntegrity:
 
 
 # --------------------------------------------------------------------- #
-# satellite: map-only fallback must be loud about checkpoints
-# --------------------------------------------------------------------- #
-class MapOnlyExecutor:
-    def map(self, fn, runs):
-        return [fn(run) for run in runs]
-
-
-def test_map_only_executor_warns_when_checkpointing_degrades(tmp_path):
-    spec = tiny_spec()
-    with pytest.warns(RuntimeWarning, match="imap_unordered"):
-        SweepRunner(spec, MapOnlyExecutor()).run(
-            store=str(tmp_path / "checkpointed"), checkpoint_every=1)
-    # Without checkpoint_every there is nothing to degrade: no warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SweepRunner(spec, MapOnlyExecutor()).run(
-            store=str(tmp_path / "unchecked"))
-
-
-# --------------------------------------------------------------------- #
 # retry budgets across resume + supervision telemetry
 # --------------------------------------------------------------------- #
 class TestRetryBudgetsAndTelemetry:

@@ -328,6 +328,37 @@ class TestJobRegistry:
         newer, _ = replayed.submit({"name": "c"}, job_key="c")
         assert newer.job_id == "j000003"
 
+    def test_journal_with_per_job_options_replays(self, tmp_path, baseline):
+        """Jobs once carried per-job ``options``; a journal whose ``submit``
+        and ``snapshot`` lines still hold them replays with the field
+        ignored, and a daemon runs both jobs to the serial records."""
+        spec = tiny_spec().to_json_dict()
+        options = {"ensembles": True, "checkpoint_every": 1}
+        journal = JobJournal(str(tmp_path / "journal.jsonl"))
+        journal.compact([{"job_id": "j000001", "job_key": "snap",
+                          "spec": spec, "options": options,
+                          "state": "admitted", "total_runs": 4}])
+        journal.append("submit", "j000002", job_key="sub", spec=spec,
+                       options=options, state="submitted", total_runs=4)
+        journal.close()
+
+        replayed = JobRegistry.open(
+            JobJournal(str(tmp_path / "journal.jsonl")))
+        assert [j.job_key for j in replayed.list_jobs()] == ["snap", "sub"]
+        assert all("options" not in j.to_dict()
+                   for j in replayed.list_jobs())
+        replayed.journal.close()
+
+        service = SweepService(str(tmp_path)).start()
+        try:
+            for job_id in ("j000001", "j000002"):
+                assert service.wait_for(job_id, timeout=60)["state"] == "done"
+        finally:
+            service.shutdown(timeout=30)
+        for job_id in ("j000001", "j000002"):
+            stored = service_records(str(tmp_path), job_id)
+            assert records_as_dicts(stored) == records_as_dicts(baseline)
+
 
 # --------------------------------------------------------------------- #
 # service core (in-process)
@@ -451,6 +482,21 @@ class TestServiceLifecycle:
         finally:
             service.shutdown(timeout=30)
 
+    @pytest.mark.parametrize("extra", [
+        {"options": {"ensembles": True}},
+        {"options": {"checkpoint_every": 1}},
+        {"priority": 1},
+    ], ids=["ensembles-option", "checkpoint-option", "unknown-field"])
+    def test_submit_body_beyond_spec_and_job_key_is_400(self, tmp_path,
+                                                        extra):
+        service = SweepService(str(tmp_path))    # not started
+        status, payload, _ = ServiceAPI(service).handle(
+            "POST", "/jobs", {"spec": tiny_spec().to_json_dict(), **extra})
+        assert status == 400
+        assert next(iter(extra)) in payload["error"]
+        assert service.jobs() == []
+        service.journal.close()
+
     def test_result_before_terminal_is_409(self, tmp_path):
         service = SweepService(str(tmp_path), max_queue=4)   # not started
         client = InProcessClient(ServiceAPI(service))
@@ -470,6 +516,8 @@ class TestServiceLifecycle:
         service.journal.close()
 
     def test_health_reports_fleet_queue_and_store(self, tmp_path):
+        """A serial daemon keeps its physics in process: no physics store
+        directory, and ``store`` is null."""
         service = SweepService(str(tmp_path)).start()
         try:
             health = InProcessClient(ServiceAPI(service)).health()
@@ -478,8 +526,8 @@ class TestServiceLifecycle:
             assert health["queue_depth"] == 0
             assert health["fleet"]["executor"] == "SerialExecutor"
             assert health["fleet"]["supervised"]
-            assert health["fleet"]["store_attached"]
-            assert health["store"]["entries"] >= 0
+            assert health["store"] is None
+            assert not os.path.exists(tmp_path / "store")
             assert health["journal"]["appended"] >= 1
             assert set(health["jobs"]) == {"submitted", "admitted", "running",
                                            "suspended", "done", "failed",
@@ -489,6 +537,28 @@ class TestServiceLifecycle:
             assert health["active_jobs"] == []
         finally:
             service.shutdown(timeout=30)
+
+    @pytest.mark.parametrize("processes", [None, 1])
+    def test_run_timeout_on_a_serial_fleet_raises(self, tmp_path, processes):
+        """A serial fleet cannot time out a run in process, so a
+        ``run_timeout`` it would silently drop is refused."""
+        with pytest.raises(ValueError, match="run_timeout"):
+            SweepService(str(tmp_path), processes=processes,
+                         run_timeout=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("processes", 2),
+        ("retry_policy", RetryPolicy(max_attempts=2)),
+        ("run_timeout", 1.0),
+    ], ids=["processes", "retry_policy", "run_timeout"])
+    def test_fleet_argument_next_to_an_executor_raises(self, tmp_path,
+                                                       name, value):
+        """``processes``, ``retry_policy`` and ``run_timeout`` configure
+        the fleet the service builds; an explicit executor would ignore
+        them."""
+        with pytest.raises(ValueError, match=name):
+            SweepService(str(tmp_path), executor=SerialExecutor(),
+                         **{name: value})
 
     def test_health_reports_default_pool_worker_count(self, tmp_path):
         """A default ``PoolExecutor`` runs one worker per usable CPU, and
@@ -605,8 +675,7 @@ def _daemon_once(data_dir, spec_dict, fault_dicts, job_key):
     faults.disarm_faults()
     if fault_dicts:
         faults.arm_faults(*[FaultSpec(**f) for f in fault_dicts])
-    service = SweepService(data_dir, checkpoint_every=1,
-                           attach_store=False).start()
+    service = SweepService(data_dir, checkpoint_every=1).start()
     job, _created = service.submit(spec_dict, job_key=job_key)
     service.wait_for(job.job_id, timeout=120)
     service.shutdown(timeout=60)
@@ -818,8 +887,7 @@ class TestCircuitBreaker:
         executor = PoolExecutor(processes=2, retry_policy=policy,
                                 run_timeout=1.0)
         return SweepService(data_dir, executor=executor, checkpoint_every=4,
-                            breaker_budget=2, fair_share_quantum=4,
-                            attach_store=False)
+                            breaker_budget=2, fair_share_quantum=4)
 
     def test_poison_job_quarantined_healthy_job_unharmed(
             self, tmp_path, wide_baseline):
@@ -855,8 +923,8 @@ class TestCircuitBreaker:
 
         # Phase 2: suspension is sticky across restarts — the breaker
         # tripped on behavior, which a restart does not change.
-        resumed_service = SweepService(str(tmp_path), checkpoint_every=4,
-                                       attach_store=False).start()
+        resumed_service = SweepService(str(tmp_path),
+                                       checkpoint_every=4).start()
         try:
             assert resumed_service.status(bad.job_id)["state"] == "suspended"
             health = resumed_service.health()
@@ -1026,8 +1094,7 @@ class TestDiskExhaustion:
         of failing the job; once space returns the job completes and its
         store passes the audit doctor."""
         from repro.store.audit import main as audit_main
-        service = SweepService(str(tmp_path), checkpoint_every=1,
-                               attach_store=False)
+        service = SweepService(str(tmp_path), checkpoint_every=1)
         with faults.injected_faults(
                 FaultSpec(kind="disk_full", match="shard:", times=3)):
             service.start()
@@ -1042,6 +1109,54 @@ class TestDiskExhaustion:
         assert audit_main([store_dir]) == 0
         stored = service_records(str(tmp_path), job.job_id)
         baseline = SweepRunner(wide_spec(), SerialExecutor()).run()
+        assert records_as_dicts(stored) == records_as_dicts(baseline)
+
+
+    def test_job_whose_seal_fails_at_the_finish_ends_done(self, tmp_path,
+                                                          baseline):
+        """A full disk that outlasts a job's runs refuses its seal.  The
+        job stays active with its store open and seals once space returns,
+        instead of staying ``running`` for good."""
+        from repro.store import scan_store
+        service = SweepService(str(tmp_path), checkpoint_every=1)
+        with faults.injected_faults(
+                FaultSpec(kind="disk_full", match="shard:", times=20)):
+            service.start()
+            try:
+                job, _ = service.submit(tiny_spec().to_json_dict(),
+                                        job_key="seal")
+                final = service.wait_for(job.job_id, timeout=60)
+                health = service.health()
+            finally:
+                service.shutdown(timeout=60)
+        assert final["state"] == "done"
+        assert health["active_jobs"] == [] and not health["degraded_reasons"]
+        stored = service_records(str(tmp_path), job.job_id)
+        assert records_as_dicts(stored) == records_as_dicts(baseline)
+        assert scan_store(service.store_path(job.job_id)).sealed
+
+    def test_seal_failing_on_a_healthy_disk_fails_the_job(self, tmp_path,
+                                                          baseline,
+                                                          monkeypatch):
+        """Only a full disk holds a job at the finish; a seal that fails
+        for any other reason lands the job in ``failed``, with its records
+        kept resumable, instead of retrying for good."""
+        from repro.store import ShardedRecordStore
+
+        def broken_seal(self):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(ShardedRecordStore, "seal", broken_seal)
+        service = SweepService(str(tmp_path)).start()
+        try:
+            job, _ = service.submit(tiny_spec().to_json_dict(),
+                                    job_key="eio")
+            final = service.wait_for(job.job_id, timeout=60)
+        finally:
+            service.shutdown(timeout=30)
+        assert final["state"] == "failed"
+        assert "Input/output error" in final["error"]
+        stored = service_records(str(tmp_path), job.job_id)
         assert records_as_dicts(stored) == records_as_dicts(baseline)
 
 
@@ -1245,8 +1360,7 @@ def _multi_daemon_once(data_dir, spec_dicts, fault_dicts, job_keys):
     faults.disarm_faults()
     if fault_dicts:
         faults.arm_faults(*[FaultSpec(**f) for f in fault_dicts])
-    service = SweepService(data_dir, checkpoint_every=1,
-                           attach_store=False).start()
+    service = SweepService(data_dir, checkpoint_every=1).start()
     job_ids = [service.submit(spec, job_key=key)[0].job_id
                for spec, key in zip(spec_dicts, job_keys)]
     for job_id in job_ids:

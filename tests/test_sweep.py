@@ -296,6 +296,7 @@ class ExplodingExecutor(SerialExecutor):
     """Serial executor that dies after yielding ``after`` records."""
 
     def __init__(self, after: int) -> None:
+        super().__init__()
         self.after = after
 
     def imap_unordered(self, fn, runs):
@@ -560,24 +561,6 @@ class TestOperatorRows:
     def test_default_operator_rows_single_tile(self):
         compiled = build_compiled_workload(TINY)
         assert len(compiled.tasks) == TINY.n_operators
-
-
-class MapOnlyExecutor:
-    """An executor written against the pre-streaming contract (map only)."""
-
-    def map(self, fn, runs):
-        return [fn(run) for run in runs]
-
-
-def test_map_only_executor_still_works(tmp_path):
-    """Custom executors without imap_unordered keep working (checkpointing
-    degrades to the end-of-pass flush)."""
-    spec = tiny_spec()
-    directory = str(tmp_path / "store")
-    map_only = SweepRunner(spec, MapOnlyExecutor()).run(store=directory)
-    serial = SweepRunner(spec, SerialExecutor()).run()
-    assert records_as_dicts(map_only) == records_as_dicts(serial)
-    assert len(SweepResult.load_resumable(directory).records) == spec.n_runs
 
 
 # --------------------------------------------------------------------- #

@@ -158,9 +158,10 @@ def _time_sweep_executors():
     pool_result = SweepRunner(spec, PoolExecutor(processes=processes)).run()
     pool_time = time.perf_counter() - start
 
-    # The supervised pool path (retry policy + deadline watchdog) on the same
-    # fault-free scenario: its bookkeeping must stay in the noise relative to
-    # the unsupervised fast path.
+    # The supervised pool (retry policy + deadline watchdog) on the same
+    # fault-free scenario.  Both pools run the same dispatch loop, so the
+    # difference is the retry and deadline bookkeeping alone, which must
+    # stay in the noise.
     supervised = PoolExecutor(processes=processes,
                               retry_policy=RetryPolicy(max_attempts=3),
                               run_timeout=300.0)

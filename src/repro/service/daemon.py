@@ -78,13 +78,14 @@ import signal
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.shared_store import scan_directory
 from ..store import ShardedRecordStore, StoreReader
 from ..sweep import faults
 from ..sweep.records import SweepResult
-from ..sweep.runner import PoolExecutor, SerialExecutor, SweepPass, SweepRunner
+from ..sweep.runner import Executor, PoolExecutor, SerialExecutor, SweepPass, \
+    SweepRunner
 from ..sweep.spec import RetryPolicy, RunSpec, SweepSpec
 from .journal import JobJournal
 from .lease import LeaseHeld, StateDirLease
@@ -94,8 +95,6 @@ __all__ = ["Backpressure", "LeaseHeld", "ServiceUnavailable",
            "StateDirLease", "SweepService", "install_signal_handlers"]
 
 logger = logging.getLogger("repro.service")
-
-Executor = Union[SerialExecutor, PoolExecutor]
 
 
 class Backpressure(RuntimeError):
@@ -590,13 +589,10 @@ class SweepService:
         stops beating while jobs are active is wedged."""
         job_id, ts = self._last_progress
         executor = self.executor
-        supervised = getattr(executor, "supervised",
-                             getattr(executor, "retry_policy", None)
-                             is not None)
         return {
             "executor": type(executor).__name__,
-            "supervised": bool(supervised),
-            "processes": getattr(executor, "processes", None) or 1,
+            "supervised": executor.supervised,
+            "processes": executor.processes,
             "last_progress_job": job_id,
             "last_progress_age_s": (round(time.monotonic() - ts, 3)
                                     if job_id is not None else None),
@@ -782,10 +778,7 @@ class SweepService:
                     interrupted = True
                     break
         finally:
-            if interrupted:
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
+            stream.close()
         self._charge_breakers(owners)
         for job_id in round_ids:
             entry = self._active_jobs.get(job_id)

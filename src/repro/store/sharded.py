@@ -1,7 +1,13 @@
 """The sharded record store: self-describing, append-only JSONL shards.
 
-The default durable backend of :mod:`repro.store`.  One sweep's records live
-in a directory of shards and nothing else::
+The record store of :mod:`repro.store`: where a sweep's
+:class:`~repro.sweep.records.RunRecord`s (and quarantined
+:class:`~repro.sweep.records.FailedRun`s) live while — and after — the sweep
+executes.  The runner appends outcomes as they complete, flushes at
+checkpoint boundaries and seals the store when the sweep finishes; readers
+iterate records back out or materialize a
+:class:`~repro.sweep.records.SweepResult` for aggregation.  One sweep's
+records live in a directory of shards and nothing else::
 
     <store>/
       shards/
@@ -80,12 +86,11 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..sweep import faults
-from ..sweep.records import FailedRun, RunRecord
+from ..sweep.records import FailedRun, RunRecord, SweepResult
 from ..sweep.spec import SweepSpec
-from .base import RecordStore, StoreError
 
-__all__ = ["ShardedRecordStore", "StoreReader", "StoreScanReport",
-           "scan_store"]
+__all__ = ["ShardedRecordStore", "StoreError", "StoreReader",
+           "StoreScanReport", "scan_store"]
 
 logger = logging.getLogger("repro.store")
 
@@ -93,6 +98,10 @@ _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".jsonl"
 _OUTCOME_KINDS = ("record", "failed")
 _LINE_KINDS = _OUTCOME_KINDS + ("spec", "seal")
+
+
+class StoreError(RuntimeError):
+    """A record-store invariant broke (sealed-store append, bad layout, ...)."""
 
 
 def _digest(payload: Dict, exclude: str) -> str:
@@ -223,11 +232,14 @@ def _seal_holds(seal: Optional[Tuple[int, Dict]], last_outcome: int,
         <= live_records + damaged_lines
 
 
-class ShardedRecordStore(RecordStore):
+class ShardedRecordStore:
     """Append-only sharded persistence (see module docstring).
 
-    ``records_per_shard`` bounds a shard's outcome lines before the writer
-    rolls to a new one.
+    ``spec`` (given, or read back from the shards) rides along so
+    :meth:`to_result` can rebuild a fully aggregatable
+    :class:`~repro.sweep.records.SweepResult` — bootstrap CIs are seeded
+    from the spec's ``master_seed``.  ``records_per_shard`` bounds a shard's
+    outcome lines before the writer rolls to a new one.
 
     Thread-safe: appends, flushes and compaction serialize on one lock.
     Opening is the recovery path — a store directory that went through a
@@ -235,8 +247,6 @@ class ShardedRecordStore(RecordStore):
     usable (with the damage counted in :meth:`stats` and quarantined files
     left for post-mortem).
     """
-
-    kind = "sharded"
 
     def __init__(self, directory: str,
                  spec: Union[SweepSpec, Dict, None] = None,
@@ -422,10 +432,12 @@ class ShardedRecordStore(RecordStore):
     # writing
     # ------------------------------------------------------------------ #
     def append(self, record: RunRecord) -> None:
+        """Add one completed record (acknowledged at the next flush)."""
         self._append_line("record", record.to_json_dict(), record.run_id)
         self._counters["appended_records"] += 1
 
     def append_failed(self, failed: FailedRun) -> None:
+        """Add one quarantined run (same durability contract as records)."""
         self._append_line("failed", failed.to_json_dict(), failed.run_id)
         self._counters["appended_failed"] += 1
 
@@ -567,6 +579,7 @@ class ShardedRecordStore(RecordStore):
         return self._sealed
 
     def close(self) -> None:
+        """Release file handles; the store can be reopened later."""
         with self._lock:
             try:
                 self._drain_backlog_locked()
@@ -605,22 +618,35 @@ class ShardedRecordStore(RecordStore):
         return records, failed
 
     def iter_records(self) -> Iterator[RunRecord]:
+        """All live records, deduplicated, in ``(point_index, seed_index)``
+        order.  A record supersedes any failed entry with the same run id."""
         records, _ = self._collect()
         parsed = [RunRecord.from_json_dict(data)
                   for _, data in records.values()]
         yield from sorted(parsed, key=lambda r: (r.point_index, r.seed_index))
 
     def iter_failed(self) -> Iterator[FailedRun]:
+        """Quarantined runs that no later record superseded."""
         _, failed = self._collect()
         parsed = [FailedRun.from_json_dict(data)
                   for _, data in failed.values()]
         yield from sorted(parsed, key=lambda f: (f.point_index, f.seed_index))
 
     def run_ids(self) -> Set[str]:
+        """Run ids with a live *record* (failed-only ids excluded — their
+        runs are still owed)."""
         with self._lock:
             return set(self._record_seq)
 
+    def to_result(self, spec: Optional[SweepSpec] = None) -> SweepResult:
+        """Materialize the store as a :class:`SweepResult` (for aggregation)."""
+        return SweepResult(spec=spec if spec is not None else self.spec,
+                           records=list(self.iter_records()),
+                           failed_runs=list(self.iter_failed()))
+
     def stats(self) -> Dict:
+        """Counters for health/monitoring: records, failed, sealed, size and
+        the error/repair counters."""
         with self._lock:
             size = 0
             for name in self._list_shards():
@@ -631,7 +657,7 @@ class ShardedRecordStore(RecordStore):
                     pass
             live_failed = sum(1 for run_id in self._failed_seq
                               if run_id not in self._record_seq)
-            stats = {"kind": self.kind, "records": len(self._record_seq),
+            stats = {"kind": "sharded", "records": len(self._record_seq),
                      "failed": live_failed, "sealed": self._sealed,
                      "shards": len(self._shards), "size_bytes": size,
                      "backlog": len(self._backlog)}

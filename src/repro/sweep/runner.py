@@ -6,18 +6,21 @@ The runner turns a :class:`~repro.sweep.spec.SweepSpec` into
 * :class:`SerialExecutor` — in-process loop; zero overhead, the baseline;
 * :class:`PoolExecutor` — ``multiprocessing.Pool`` with chunked dispatch.
   Runs are embarrassingly parallel (independent simulations), so the pool
-  simply maps the picklable :class:`RunSpec`s over worker processes; each
+  hands the picklable :class:`RunSpec`s to worker processes through one
+  lazy ``apply_async`` loop, never more chunks in flight than workers; each
   worker rebuilds (and memoizes) compiled workloads from their specs — see
   :mod:`repro.sweep.builders`.
 
-Given no executor, :class:`SweepRunner` and :func:`run_sweeps` run on a
-:class:`PoolExecutor` with one worker per CPU this process may use (its
-affinity mask, else ``os.cpu_count()``), or on :class:`SerialExecutor` when
-that is a single CPU, where a pool only adds fork and IPC cost (and inside
-a daemonic process such as a pool worker, which may not fork).  The default
-pool is unsupervised — a failing run raises through with its own type, as
-under serial execution — and lives for one pass: it is terminated and
-joined before ``run()`` returns, so no worker outlives the call.
+Both executors stream outcomes through one interface, the generator
+``imap_unordered``.  Given no executor, :class:`SweepRunner` and
+:func:`run_sweeps` run on a :class:`PoolExecutor` with one worker per CPU
+this process may use (its affinity mask, else ``os.cpu_count()``), or on
+:class:`SerialExecutor` when that is a single CPU, where a pool only adds
+fork and IPC cost (and inside a daemonic process such as a pool worker,
+which may not fork).  The default pool is unsupervised — a failing run
+raises through with its own type, as under serial execution — and lives for
+one pass: it is terminated and joined before ``run()`` returns, so no worker
+outlives the call.
 
 Because every run's seed is a pure function of ``(master_seed, point_index,
 seed_index)`` and workload construction is deterministic, both executors
@@ -44,8 +47,8 @@ fleet down, requeue only the unfinished runs, and rebuild — and runs that
 exhaust their attempt budget are quarantined as
 :class:`~repro.sweep.records.FailedRun`s in ``SweepResult.failed_runs``
 instead of aborting the sweep.  Without either argument both executors keep
-their historical raise-through behavior (and the pool its zero-overhead
-``Pool.map``/``imap_unordered`` dispatch).
+their historical raise-through behavior; the pool runs the same dispatch
+loop either way, with no deadlines and no retries.
 """
 
 from __future__ import annotations
@@ -57,16 +60,15 @@ import os
 import signal
 import time
 import traceback as traceback_module
-import warnings
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import ceil
+from queue import Empty, SimpleQueue
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, \
     Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:                             # pragma: no cover - typing only
-    from ..store.base import RecordStore as RecordStoreLike
+    from ..store.sharded import ShardedRecordStore
 
 from . import faults
 from .builders import build_compiled_workload
@@ -268,14 +270,17 @@ class SerialExecutor:
     one, exceptions propagate as they always have.
     """
 
+    #: worker count, as for :class:`PoolExecutor`: this process alone.
+    processes = 1
+
     def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
         self.retry_policy = retry_policy
         #: supervision counters of the most recent pass (see ExecutorStats).
         self.stats = ExecutorStats()
 
-    def map(self, fn: Callable[[RunSpec], RunRecord],
-            runs: Sequence[WorkItem]) -> List[RunOutcome]:
-        return list(self.imap_unordered(fn, runs))
+    @property
+    def supervised(self) -> bool:
+        return self.retry_policy is not None
 
     def imap_unordered(self, fn: Callable[[RunSpec], RunRecord],
                        runs: Sequence[WorkItem]) -> Iterator[RunOutcome]:
@@ -297,20 +302,18 @@ class SerialExecutor:
                                                  on_retry=count_retry))
 
 
-def _apply_chunk(args) -> List[RunRecord]:
-    """Worker-side chunk evaluation (top-level so it pickles by reference)."""
-    fn, chunk = args
-    return [fn(run) for run in chunk]
-
-
-def _apply_supervised_chunk(args) -> List[RunOutcome]:
-    """Worker-side supervised chunk: per-run retry loop + quarantine.
+def _run_chunk(args) -> List[RunOutcome]:
+    """Worker-side chunk (top-level so it pickles by reference).
 
     ``items`` carries ``(run, first_attempt)`` pairs — the supervisor bumps
     ``first_attempt`` when it requeues a run after a timeout or worker death,
-    so the total attempt budget spans pool rebuilds.
+    so the total attempt budget spans pool rebuilds.  With no ``policy`` each
+    run is called bare and its exception fails the chunk; with one, each run
+    goes through the retry loop and quarantine.
     """
     fn, items, policy = args
+    if policy is None:
+        return [fn(run) for run, _ in items]
     return [_attempt_run(fn, run, first_attempt, policy)
             for run, first_attempt in items]
 
@@ -357,19 +360,14 @@ class PoolExecutor:
     parallel across workers, with duplicate builds bounded by the number of
     chunks per workload.
 
-    ``prebuild=True`` instead constructs each distinct workload once in the
-    parent before the pool starts (serially, but with zero duplicate builds);
-    forked workers then inherit every compiled image via the per-process
-    cache.  Prefer it when a single expensive workload dominates the sweep.
-    Under non-``fork`` start methods prebuilding can only warm the parent —
-    workers rebuild on first use, and the executor emits a ``RuntimeWarning``
-    to say so.
-
-    ``start_method`` defaults to the platform default — ``fork`` on Linux.
-    With ``spawn``, workers import :mod:`repro.sweep.builders` fresh: the
-    built-in ``"model"``/``"synthetic"`` builders are available, but a custom
-    builder registered from a script is not — register it at import time of a
-    module the workers also import, or stick with ``fork``.
+    Every pass runs one dispatch loop (:meth:`imap_unordered`): chunks go
+    out through ``apply_async`` lazily, never more in flight than workers, so
+    a dispatched chunk is actually executing.  Workers start under the
+    platform's default start method — ``fork`` on Linux.  Under ``spawn``
+    workers import :mod:`repro.sweep.builders` fresh: the built-in
+    ``"model"``/``"synthetic"`` builders are available, but a custom builder
+    registered from a script is not — register it at import time of a module
+    the workers also import.
 
     ``shared_cache_dir`` arms the cross-worker physics store
     (:mod:`repro.sim.shared_store`): every worker attaches the directory as
@@ -382,27 +380,26 @@ class PoolExecutor:
     audit log (``stats.jsonl``) — recommended for long-lived persistent
     store directories that do not need the cross-worker accounting.
 
-    ``retry_policy`` / ``run_timeout`` arm the *supervised* dispatch path.
+    Without ``retry_policy`` or ``run_timeout`` a chunk runs its runs bare:
+    a run's exception re-raises in the consumer with its own type, as under
+    serial execution.  Either argument arms *supervision* on the same loop.
     ``multiprocessing.Pool`` silently loses a chunk when the worker running
     it dies (the pool respawns the worker but the in-flight task's result
-    never arrives), so supervision is deadline-based: chunks are dispatched
-    lazily (never more in flight than workers, so a dispatched chunk is
-    actually executing) with a wall-clock deadline of ``run_timeout`` seconds
-    per run; an expired chunk — hung run or dead worker alike — tears the
-    fleet down, requeues its runs as singletons with their attempt count
-    bumped, requeues the innocent in-flight chunks unchanged, and rebuilds
-    the pool.  Exceptions raised *inside* a worker are retried in-worker
-    without any teardown.  Runs exhausting ``retry_policy.max_attempts``
-    (default: 3 with ``run_timeout`` alone, since hung runs are usually
-    transient) come back as :class:`~repro.sweep.records.FailedRun`s.
-    Detecting kills/hangs requires ``run_timeout``; ``retry_policy`` alone
-    only supervises raised exceptions.
+    never arrives), so supervision is deadline-based: each dispatched chunk
+    gets a wall-clock deadline of ``run_timeout`` seconds per run; an
+    expired chunk — hung run or dead worker alike — tears the fleet down,
+    requeues its runs as singletons with their attempt count bumped,
+    requeues the innocent in-flight chunks unchanged, and rebuilds the pool.
+    Exceptions raised *inside* a worker are retried in-worker without any
+    teardown.  Runs exhausting ``retry_policy.max_attempts`` (default: 3
+    with ``run_timeout`` alone, since hung runs are usually transient) come
+    back as :class:`~repro.sweep.records.FailedRun`s.  Detecting kills/hangs
+    requires ``run_timeout``; ``retry_policy`` alone only supervises raised
+    exceptions.
     """
 
     def __init__(self, processes: Optional[int] = None,
                  chunksize: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 prebuild: bool = False,
                  shared_cache_dir: Optional[str] = None,
                  shared_cache_events: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
@@ -413,8 +410,6 @@ class PoolExecutor:
             raise ValueError("run_timeout must be positive seconds")
         self.processes = processes or _usable_cpus()
         self.chunksize = chunksize
-        self.start_method = start_method
-        self.prebuild = prebuild
         self.shared_cache_dir = shared_cache_dir
         self.shared_cache_events = shared_cache_events
         self.retry_policy = retry_policy
@@ -428,84 +423,59 @@ class PoolExecutor:
     def supervised(self) -> bool:
         return self.retry_policy is not None or self.run_timeout is not None
 
-    def _plan(self, runs: List[WorkItem]):
-        """(context, processes, workload-aligned chunks) for a work list."""
-        processes = min(self.processes, len(runs))
-        chunksize = self.chunksize or max(1, ceil(len(runs) / (4 * processes)))
-
-        # Workload-aligned chunking (expand() emits each workload's runs
-        # contiguously, so this groups without reordering results).
-        chunks: List[List[RunSpec]] = []
-        for _, group in itertools.groupby(runs, key=lambda run: run.workload):
-            group = list(group)
-            for start in range(0, len(group), chunksize):
-                chunks.append(group[start:start + chunksize])
-        return multiprocessing.get_context(self.start_method), processes, chunks
-
-    def _maybe_prebuild(self, context, runs: Sequence[RunSpec]) -> None:
-        """Warm the parent's workload cache before the pool starts.
-
-        With the ``fork`` start method workers inherit every prebuilt image.
-        Other start methods (``spawn``, ``forkserver``) cannot inherit the
-        parent's memory, so prebuilding only warms the *parent* — each worker
-        still rebuilds its workloads on first use; a ``RuntimeWarning`` makes
-        that visible instead of silently dropping the requested behaviour.
-        """
-        if not self.prebuild:
-            return
-        for workload in dict.fromkeys(run.workload for run in runs):
-            build_compiled_workload(workload)
-        method = context.get_start_method()
-        if method != "fork":
-            warnings.warn(
-                f"PoolExecutor(prebuild=True) under the {method!r} start "
-                "method only warms the parent process: workers cannot inherit "
-                "the compiled-workload cache and will rebuild their workloads "
-                "on first use", RuntimeWarning, stacklevel=3)
-
-    def _make_pool(self, context, processes: int):
+    def _make_pool(self, processes: int):
         """A worker pool; see :func:`_init_worker` for each worker's setup."""
         if self.shared_cache_dir is not None:
             os.makedirs(self.shared_cache_dir, exist_ok=True)
-        return context.Pool(processes=processes, initializer=_init_worker,
-                            initargs=(self.shared_cache_dir,
-                                      self.shared_cache_events))
+        return multiprocessing.Pool(processes=processes,
+                                    initializer=_init_worker,
+                                    initargs=(self.shared_cache_dir,
+                                              self.shared_cache_events))
 
-    @contextmanager
-    def _pool(self, context, processes: int):
-        """One-shot pool for the unsupervised dispatch paths."""
-        pool = self._make_pool(context, processes)
-        try:
-            yield pool
-        finally:
-            pool.terminate()
-            pool.join()
+    def imap_unordered(self, fn: Callable[[RunSpec], RunRecord],
+                       runs: Sequence[WorkItem]) -> Iterator[RunOutcome]:
+        """Yield outcomes as worker chunks complete, in completion order.
 
-    def _supervised_imap(self, fn: Callable[[RunSpec], RunRecord],
-                         runs: List[WorkItem]) -> Iterator[RunOutcome]:
-        """Supervised streaming dispatch (see class docstring).
-
-        The invariant that makes per-chunk deadlines meaningful: at most
+        The one dispatch loop (see the class docstring).  At most
         ``processes`` chunks are ever in flight, so every dispatched chunk
         holds a worker and its deadline (``run_timeout`` x chunk length,
         plus the policy's backoff allowance) bounds real execution, not
-        queue wait.
+        queue wait.  A returning chunk's ``apply_async`` callback puts its
+        key on a completion queue, on which the loop blocks until the
+        nearest deadline; keys are unique within the pass, so a late
+        callback from a torn-down pool is ignored.  Outcome order is *not*
+        the spec order — sweep aggregation is order-free by contract.
         """
-        policy = self.retry_policy or RetryPolicy()
         self.stats = ExecutorStats()
-        context, processes, chunks = self._plan(runs)
-        self._maybe_prebuild(context, runs)
-        pool = self._make_pool(context, processes)
+        runs = list(runs)
+        if not runs:
+            return
+        policy = self.retry_policy
+        if policy is None and self.run_timeout is not None:
+            policy = RetryPolicy()
+        processes = min(self.processes, len(runs))
+        chunksize = self.chunksize or max(1, ceil(len(runs) / (4 * processes)))
         # Each queue entry is one chunk: [(run, first_attempt), ...].
-        queue = deque([(run, 1) for run in chunk] for chunk in chunks)
-        in_flight: List[tuple] = []       # (handle, items, deadline)
-        rebuilds = 0
+        # Workload-aligned chunking (expand() emits each workload's runs
+        # contiguously, so this groups without reordering results).
+        queue: deque = deque()
+        for _, group in itertools.groupby(runs, key=lambda run: run.workload):
+            items = [(run, 1) for run in group]
+            queue.extend(items[start:start + chunksize]
+                         for start in range(0, len(items), chunksize))
+        returned: SimpleQueue = SimpleQueue()   # keys of returned chunks
+        keys = itertools.count()
+        in_flight: Dict[int, tuple] = {}    # key -> (handle, items, deadline)
+        pool = self._make_pool(processes)
         try:
             while queue or in_flight:
                 while queue and len(in_flight) < processes:
                     items = queue.popleft()
+                    key = next(keys)
+                    wake = lambda _, key=key: returned.put(key)
                     handle = pool.apply_async(
-                        _apply_supervised_chunk, ((fn, items, policy),))
+                        _run_chunk, ((fn, items, policy),),
+                        callback=wake, error_callback=wake)
                     deadline = None
                     if self.run_timeout is not None:
                         # An ensemble item is one dispatch but n_runs
@@ -520,17 +490,25 @@ class PoolExecutor:
                             * getattr(item, "n_runs", 1)
                             for item, first in items)
                         deadline = time.monotonic() + budget
-                    in_flight.append((handle, items, deadline))
-                in_flight[0][0].wait(0.02)
-                ready, still = [], []
-                for entry in in_flight:
-                    (ready if entry[0].ready() else still).append(entry)
-                in_flight = still
+                    in_flight[key] = (handle, items, deadline)
+                deadlines = [entry[2] for entry in in_flight.values()
+                             if entry[2] is not None]
+                timeout = (max(0.0, min(deadlines) - time.monotonic())
+                           if deadlines else None)
+                try:
+                    key = returned.get(timeout=timeout)
+                except Empty:                 # the nearest deadline passed
+                    key = None
                 requeue_single: List[Tuple[RunSpec, int]] = []
-                for handle, items, _ in ready:
+                # No key, or a torn-down pool's late callback, pops nothing.
+                entry = in_flight.pop(key, None)
+                if entry is not None:
+                    handle, items, _ = entry
                     try:
                         chunk_results = handle.get()
                     except Exception as error:
+                        if policy is None:
+                            raise             # unsupervised: raise through
                         # The chunk call itself failed (e.g. the result
                         # did not unpickle) — charge every run an attempt.
                         logger.warning(
@@ -551,29 +529,27 @@ class PoolExecutor:
                         for item_result in chunk_results:
                             yield from _as_outcomes(item_result)
                 now = time.monotonic()
-                expired = [e for e in in_flight
-                           if e[2] is not None and now > e[2]]
+                expired = [key for key, (_, _, deadline) in in_flight.items()
+                           if deadline is not None and now > deadline]
                 if expired:
                     # A hung run or a dead worker: the pool cannot tell
                     # us which, and a lost chunk would never come back —
                     # tear the fleet down and requeue what is unfinished.
-                    rebuilds += 1
-                    self.stats.rebuilds = rebuilds
+                    self.stats.rebuilds += 1
                     self.stats.rebuild_victims.append(
-                        [run.run_id for entry in expired
-                         for item, _ in entry[1]
+                        [run.run_id for key in expired
+                         for item, _ in in_flight[key][1]
                          for run in _member_runs(item)])
                     logger.warning(
                         "sweep pool: %d chunk(s) exceeded their deadline "
                         "(hung run or dead worker); rebuilding fleet "
                         "(rebuild #%d) and requeueing %d in-flight "
-                        "chunk(s)", len(expired), rebuilds, len(in_flight))
+                        "chunk(s)", len(expired), self.stats.rebuilds,
+                        len(in_flight))
                     pool.terminate()
                     pool.join()
-                    expired_ids = {id(e) for e in expired}
-                    for entry in in_flight:
-                        _, items, _ = entry
-                        if id(entry) not in expired_ids:
+                    for key, (_, items, _) in in_flight.items():
+                        if key not in expired:
                             queue.append(items)     # innocent: as-is
                             continue
                         # Expired ensembles expand into their member
@@ -593,8 +569,8 @@ class PoolExecutor:
                                             run.run_id, first))
                                 else:
                                     requeue_single.append((run, first + 1))
-                    in_flight = []
-                    pool = self._make_pool(context, processes)
+                    in_flight.clear()
+                    pool = self._make_pool(processes)
                 # Expired runs requeue as singletons so one bad run no
                 # longer drags chunk-mates through every retry.
                 self.stats.requeues += len(requeue_single)
@@ -602,56 +578,6 @@ class PoolExecutor:
         finally:
             pool.terminate()
             pool.join()
-
-    def map(self, fn: Callable[[RunSpec], RunRecord],
-            runs: Sequence[WorkItem]) -> List[RunOutcome]:
-        runs = list(runs)
-        if not runs:
-            return []
-        if self.supervised:
-            # Re-establish spec order: supervision completes out of order.
-            # Outcomes are per member run (ensembles flatten in the stream),
-            # so index by member id and group each item's outcomes in place.
-            index = {run.run_id: slot for slot, item in enumerate(runs)
-                     for run in _member_runs(item)}
-            out: List[List[RunOutcome]] = [[] for _ in runs]
-            for outcome in self._supervised_imap(fn, runs):
-                out[index[outcome.run_id]].append(outcome)
-            return [record for slot in out for record in slot]
-        context, processes, chunks = self._plan(runs)
-        self._maybe_prebuild(context, runs)
-        with self._pool(context, processes) as pool:
-            nested = pool.map(_apply_chunk, [(fn, chunk) for chunk in chunks],
-                              chunksize=1)
-        return [record for chunk_records in nested
-                for item_result in chunk_records
-                for record in _as_outcomes(item_result)]
-
-    def imap_unordered(self, fn: Callable[[RunSpec], RunRecord],
-                       runs: Sequence[WorkItem]) -> Iterator[RunOutcome]:
-        """Yield records as worker chunks complete, in completion order.
-
-        The streaming counterpart of :meth:`map`:
-        ``multiprocessing.Pool.imap_unordered`` over the same workload-aligned
-        chunks, so the consumer (:meth:`SweepRunner.run`) can checkpoint
-        completed records while later chunks are still executing.  Record
-        order is *not* the spec order — sweep aggregation is order-free by
-        contract.
-        """
-        runs = list(runs)
-        if not runs:
-            return
-        if self.supervised:
-            yield from self._supervised_imap(fn, runs)
-            return
-        context, processes, chunks = self._plan(runs)
-        self._maybe_prebuild(context, runs)
-        with self._pool(context, processes) as pool:
-            for chunk_records in pool.imap_unordered(
-                    _apply_chunk, [(fn, chunk) for chunk in chunks],
-                    chunksize=1):
-                for item_result in chunk_records:
-                    yield from _as_outcomes(item_result)
 
 
 Executor = Union[SerialExecutor, PoolExecutor]
@@ -683,7 +609,7 @@ class SweepPass:
     def __init__(self, runner: "SweepRunner",
                  checkpoint_every: Optional[int] = None,
                  progress: Optional[Callable[[SweepProgress], None]] = None,
-                 store: Union[None, str, "RecordStoreLike"] = None) -> None:
+                 store: Union[None, str, "ShardedRecordStore"] = None) -> None:
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be a positive record count")
         if checkpoint_every is not None and store is None:
@@ -695,7 +621,7 @@ class SweepPass:
         self.checkpoint_every = checkpoint_every
         self.progress = progress
         self.store = store
-        self.record_store: Optional["RecordStoreLike"] = None
+        self.record_store: Optional["ShardedRecordStore"] = None
         self.store_opened_here = False
         self.result: Optional[SweepResult] = None
         self.work_fn: Callable = execute_run
@@ -718,9 +644,13 @@ class SweepPass:
 
         prior: List[RunRecord] = []
         if self.store is not None:
-            from ..store import RecordStore, open_store  # lazy: import cycle
-            self.store_opened_here = not isinstance(self.store, RecordStore)
-            self.record_store = open_store(self.store, spec=self.spec)
+            from ..store import ShardedRecordStore  # lazy: import cycle
+            if isinstance(self.store, ShardedRecordStore):
+                self.record_store = self.store
+            else:
+                self.record_store = ShardedRecordStore(self.store,
+                                                       spec=self.spec)
+                self.store_opened_here = True
             # What the store holds is the resume set.
             prior = runner._validated_prior(
                 self.record_store.iter_records(), by_id)
@@ -890,15 +820,15 @@ class SweepRunner:
     def run(self, checkpoint_every: Optional[int] = None,
             progress: Optional[Callable[[SweepProgress], None]] = None,
             should_stop: Optional[Callable[[], bool]] = None,
-            store: Union[None, str, "RecordStoreLike"] = None) -> SweepResult:
+            store: Union[None, str, "ShardedRecordStore"] = None
+            ) -> SweepResult:
         """Execute all (remaining) runs and return the merged result.
 
-        Persistence: ``store`` (a :class:`~repro.store.base.RecordStore`, a
-        directory path for the sharded backend, or ``":memory:"`` — see
-        :func:`repro.store.open_store`) is the sweep's one persistence
-        authority.  Every outcome appends as it completes,
-        ``checkpoint_every=k`` flushes (one shard fsync) every ``k``
-        outcomes, and a full pass seals the store.  Independent of
+        Persistence: ``store`` (a directory path, or an open
+        :class:`~repro.store.ShardedRecordStore`, which the pass leaves open)
+        is the sweep's one persistence authority.  Every outcome appends as
+        it completes, ``checkpoint_every=k`` flushes (one shard fsync) every
+        ``k`` outcomes, and a full pass seals the store.  Independent of
         ``checkpoint_every``, the outcomes completed so far are flushed even
         if a run raises (or the process is interrupted with
         ``KeyboardInterrupt``), so resuming picks up where execution stopped.
@@ -954,9 +884,7 @@ class SweepRunner:
             # the executor stream open: closing it tears the pool down
             # (GeneratorExit reaches the pool's finally) before run()
             # returns instead of at garbage collection.
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
+            stream.close()
             # Persist whatever completed — the final result on success, the
             # freshest checkpoint on an executor error or interruption.
             sweep_pass.finalize(stopped)
@@ -970,31 +898,35 @@ def run_sweeps(specs: Sequence[SweepSpec],
     Paper harnesses often need *coupled* grids (e.g. the Sec. 6.6 headline
     pairs the baseline compile with the DVFS controller and the AIM compile
     with the booster), which a single cartesian product cannot express.  This
-    helper expands every spec, executes the union of runs in one ``map`` so a
-    pool executor parallelizes across sweeps, and splits the records back per
-    spec.  Spec names must be unique (they prefix the run ids).  ``executor``
-    defaults as in :class:`SweepRunner`: a one-pass pool over the usable
-    CPUs, serial on a single CPU.
+    helper expands every spec, streams the union of runs through one
+    executor pass so a pool parallelizes across sweeps, and routes each
+    outcome back to its spec by ``run_id``.  Spec names must be unique (they
+    prefix the run ids).  ``executor`` defaults as in :class:`SweepRunner`: a
+    one-pass pool over the usable CPUs, serial on a single CPU.
     """
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise ValueError(f"sweep names must be unique, got {names}")
     executor = executor or _default_executor()
 
+    results = {spec.name: SweepResult(spec=spec) for spec in specs}
     all_runs: List[RunSpec] = []
-    owner: List[str] = []
+    owner: Dict[str, SweepResult] = {}
     for spec in specs:
         expanded = spec.expand()
         all_runs.extend(expanded)
-        owner.extend([spec.name] * len(expanded))
+        owner.update((run.run_id, results[spec.name]) for run in expanded)
 
-    records = executor.map(execute_run, all_runs)
-    results = {spec.name: SweepResult(spec=spec) for spec in specs}
-    for name, record in zip(owner, records):
-        if isinstance(record, FailedRun):
-            results[name].failed_runs.append(record)
-        else:
-            results[name].add(record)
+    stream = executor.imap_unordered(execute_run, all_runs)
+    try:
+        for outcome in stream:
+            result = owner[outcome.run_id]
+            if isinstance(outcome, FailedRun):
+                result.failed_runs.append(outcome)
+            else:
+                result.add(outcome)
+    finally:
+        stream.close()
     for result in results.values():
         result.records = result.sorted_records()
     return results

@@ -39,6 +39,7 @@ from repro.sweep import (
     SweepResult,
     SweepSpec,
     WorkloadSpec,
+    run_sweeps,
 )
 from repro.sweep import faults
 from repro.sweep.faults import (
@@ -238,15 +239,23 @@ class TestSupervisedPool:
         assert "timed out or lost" in result.failed_runs[0].error
         assert len(result.records) == len(baseline.records) - 1
 
-    def test_supervised_map_keeps_spec_order(self, baseline):
-        """``run_sweeps`` zips records positionally, so the supervised map
-        must return one outcome per run in expansion order."""
-        from repro.sweep import execute_run
+    def test_run_sweeps_routes_outcomes_by_run_id(self):
+        """``run_sweeps`` streams both specs through one pass and routes
+        each outcome to its spec by ``run_id``: a quarantined run lands in
+        its own spec's ``failed_runs`` only."""
+        specs = [tiny_spec(name="a"), tiny_spec(name="b")]
+        victim = specs[1].expand()[1].run_id
         executor = PoolExecutor(processes=2, chunksize=1,
-                                retry_policy=POLICY, run_timeout=60.0)
-        runs = tiny_spec().expand()
-        outcomes = executor.map(execute_run, runs)
-        assert [o.run_id for o in outcomes] == [r.run_id for r in runs]
+                                retry_policy=RetryPolicy(max_attempts=1))
+        with injected_faults(FaultSpec(kind="raise", match=victim)):
+            results = run_sweeps(specs, executor)
+        assert results["a"].failed_runs == []
+        assert [f.run_id for f in results["b"].failed_runs] == [victim]
+        for spec in specs:
+            serial = records_as_dicts(
+                SweepRunner(spec, SerialExecutor()).run())
+            assert records_as_dicts(results[spec.name]) == \
+                [record for record in serial if record["run_id"] != victim]
 
 
 # --------------------------------------------------------------------- #

@@ -2,9 +2,10 @@
 
 The load-bearing guarantees:
 
-* every backend honours the same contract — append/iter round-trips, a
-  later record supersedes an earlier failure for the same run, sealed
-  stores refuse writes — so the runner can treat persistence as a plug;
+* the store honours its contract — append/iter round-trips, a later
+  record supersedes an earlier failure for the same run, sealed stores
+  refuse writes — and a sweep pass takes it as a directory or as an open
+  store;
 * the sharded store is a real append-only log: per-line sha256 digests,
   torn tails truncated, mid-shard corruption quarantined to ``.corrupt``
   with every intact line kept (before *and* after the damage);
@@ -35,13 +36,10 @@ import numpy as np
 import pytest
 
 from repro.store import (
-    MemoryRecordStore,
-    RecordStore,
     ShardedRecordStore,
     StoreError,
     StoreReader,
     audit_store,
-    open_store,
     scan_store,
 )
 from repro.store.audit import main as audit_main
@@ -62,6 +60,7 @@ from repro.sweep import (
 from repro.sweep import faults
 from repro.sweep.faults import KILL_EXIT_CODE
 from repro.sweep.records import _bootstrap_ci
+from repro.sweep.runner import SweepPass
 
 CHAOS_EXTENDED = bool(os.environ.get("REPRO_CHAOS"))
 
@@ -114,10 +113,9 @@ def baseline():
 
 
 # --------------------------------------------------------------------- #
-# backend contract: every store behaves the same
+# the store contract
 # --------------------------------------------------------------------- #
 BACKENDS = [
-    pytest.param(lambda tmp: MemoryRecordStore(), id="memory"),
     pytest.param(lambda tmp: ShardedRecordStore(str(tmp / "store")),
                  id="sharded"),
 ]
@@ -187,15 +185,26 @@ class TestStoreContract:
         finally:
             store.close()
 
-    def test_open_store_factory_mapping(self, tmp_path):
-        memory = open_store(":memory:")
-        assert isinstance(memory, MemoryRecordStore)
-        sharded = open_store(str(tmp_path / "storedir"))
-        assert isinstance(sharded, ShardedRecordStore)
-        sharded.close()
-        # An existing RecordStore instance passes through untouched.
-        assert open_store(memory) is memory
-        assert isinstance(memory, RecordStore)
+    def test_open_store_factory_mapping(self, tmp_path, monkeypatch):
+        """A pass opens a directory as a sharded store and closes it when it
+        finalizes; an open store passes through untouched and stays open."""
+        closed = []
+        close = ShardedRecordStore.close
+        monkeypatch.setattr(ShardedRecordStore, "close",
+                            lambda store: (closed.append(store), close(store)))
+        runner = SweepRunner(tiny_spec(), SerialExecutor())
+        opened = SweepPass(runner, store=str(tmp_path / "storedir"))
+        opened.prepare()
+        assert isinstance(opened.record_store, ShardedRecordStore)
+        opened.finalize(stopped=True)
+        assert closed == [opened.record_store]
+        store = ShardedRecordStore(str(tmp_path / "open"), spec=tiny_spec())
+        handed = SweepPass(runner, store=store)
+        handed.prepare()
+        assert handed.record_store is store
+        handed.finalize(stopped=True)
+        assert closed == [opened.record_store]
+        store.close()
 
 
 # --------------------------------------------------------------------- #

@@ -11,10 +11,12 @@ The load-bearing guarantees:
   within tier-1 time budgets.
 """
 
+import functools
 import json
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -380,33 +382,30 @@ class TestIncrementalCheckpointing:
         assert first.run_id == runs[0].run_id          # nothing else ran yet
 
 
-class TestPrebuildStartMethods:
-    def test_prebuild_under_spawn_warns_and_warms_parent(self):
-        import multiprocessing
+def mark_and_sleep(directory: str, run) -> str:
+    """Pool work function: leave a marker file, then hold the worker 0.2 s."""
+    open(os.path.join(directory, run.run_id.replace("/", "-")), "w").close()
+    time.sleep(0.2)
+    return run.run_id
 
-        from repro.sweep.builders import _CACHE
 
-        workload = WorkloadSpec(builder="synthetic", groups=2,
-                                macros_per_group=2, banks=4, rows=8,
-                                n_operators=2, label="prebuild-spawn")
-        runs = tiny_spec(workloads=(workload,)).expand()
-        executor = PoolExecutor(prebuild=True, start_method="spawn")
-        context = multiprocessing.get_context("spawn")
-        with pytest.warns(RuntimeWarning, match="cannot inherit"):
-            executor._maybe_prebuild(context, runs)
-        assert workload in _CACHE                      # parent cache is warm
-
-    def test_prebuild_under_fork_does_not_warn(self):
-        import multiprocessing
-        import warnings as warnings_module
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("platform has no fork start method")
-        executor = PoolExecutor(prebuild=True)
-        context = multiprocessing.get_context("fork")
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            executor._maybe_prebuild(context, tiny_spec().expand())
+class TestPoolDispatch:
+    def test_pool_never_holds_more_chunks_than_workers(self, tmp_path):
+        """Chunks go out lazily: while the consumer holds the first outcome
+        of a 2-worker pool, no third chunk has started."""
+        runs = tiny_spec(seeds=3).expand()             # 6 runs
+        stream = PoolExecutor(processes=2, chunksize=1).imap_unordered(
+            functools.partial(mark_and_sleep, str(tmp_path)), runs)
+        try:
+            first = next(stream)
+            time.sleep(0.1)
+            assert len(os.listdir(tmp_path)) == 2
+            rest = list(stream)
+        finally:
+            stream.close()
+        assert sorted([first] + rest) == sorted(run.run_id for run in runs)
+        assert len(os.listdir(tmp_path)) == len(runs)
+        assert multiprocessing.active_children() == []
 
 
 def usable_cpus() -> int:
@@ -455,8 +454,8 @@ class TestDefaultExecutor:
     def test_default_is_serial_inside_a_pool_worker(self, monkeypatch):
         """A daemonic pool worker may not start children of its own."""
         monkeypatch.setattr(runner_module, "_usable_cpus", lambda: 2)
-        outcomes = PoolExecutor(processes=1).map(default_sweep_in_worker,
-                                                 tiny_spec().expand()[:1])
+        outcomes = list(PoolExecutor(processes=1).imap_unordered(
+            default_sweep_in_worker, tiny_spec().expand()[:1]))
         assert outcomes == [("SerialExecutor", 2)]
 
     def test_default_run_matches_serial_and_leaves_no_worker(self,
@@ -504,8 +503,8 @@ class TestDefaultExecutor:
         reach the workers, or ``Pool.terminate()`` could never stop them."""
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
         try:
-            flags = PoolExecutor(processes=2).map(sigterm_is_default,
-                                                  tiny_spec().expand()[:2])
+            flags = list(PoolExecutor(processes=2).imap_unordered(
+                sigterm_is_default, tiny_spec().expand()[:2]))
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert flags == [True, True]

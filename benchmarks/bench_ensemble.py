@@ -5,10 +5,10 @@ One measurement, one ``BENCH_runtime.json`` section (``ensemble``): an
 (the ``stress@64`` synthetic fill), resolved two ways from a *cold* start —
 per-run kernel execution (one :class:`~repro.sim.runtime.PIMRuntime` per
 seed) and the batched :func:`~repro.sim.ensemble.run_ensemble` pass.  Cold
-means both the level cache and the flip-matrix memo are cleared before every
-timed iteration: this is the first-sight sweep regime the ensemble engine
-targets, where AR(1) activity generation and per-level physics dominate and
-batching amortizes them across the seed ensemble.
+means the level cache, the only place activity and physics are kept, is
+cleared before every timed iteration: this is the first-sight sweep regime
+the ensemble engine targets, where AR(1) activity generation and per-level
+physics dominate and batching amortizes them across the seed ensemble.
 
 The bar: ensemble ≥ 1.5x over per-run kernel execution
 (``REPRO_BENCH_ENSEMBLE_BAR_MIN`` overrides), with bit-for-bit record
@@ -26,7 +26,6 @@ from repro.core.ir_booster import BoosterMode
 from repro.sim import RuntimeConfig, clear_level_cache, run_ensemble
 from repro.sim.runtime import PIMRuntime
 from repro.sweep import build_compiled_workload, run_seed
-from repro.workloads.generator import clear_flip_cache
 
 from common import SMOKE, stress_workload_spec, update_bench_runtime
 
@@ -63,9 +62,8 @@ def _configs():
 
 
 def _cold():
-    """First-sight state: no memoized physics, no memoized flip matrices."""
+    """First-sight state: no cached activity or physics."""
     clear_level_cache()
-    clear_flip_cache()
 
 
 def _per_run(compiled):

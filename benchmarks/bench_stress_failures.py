@@ -109,9 +109,12 @@ def _sweep_cache_reuse() -> dict:
 
     old_budget = set_level_cache_budget(0)
     try:
-        # Discarded warm-up: fills the (independent) flip_factor_matrix memo
-        # and any lazy one-time state, so the two timed passes differ only in
-        # the level cache under measurement.
+        # Discarded warm-up: fills any lazy one-time state, so the two
+        # timed passes differ only in the level cache under measurement.
+        # The level cache is the only place activity is kept (flip matrices
+        # are not memoized), so with it disabled every run of the grid also
+        # regenerates its activity: this side of the bar now times the
+        # shared seed's activity as well as its physics.
         SweepRunner(spec, SerialExecutor()).run()
         start = time.perf_counter()
         disabled = SweepRunner(spec, SerialExecutor()).run()

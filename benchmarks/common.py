@@ -13,7 +13,7 @@ import os
 import subprocess
 from datetime import datetime, timezone
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +98,37 @@ def _git_commit() -> Optional[str]:
         return None
 
 
+#: A ``speedup`` field that falls by more than this fraction below the
+#: ledger entry at the same path is reported when the ledger is updated.
+SPEEDUP_DROP_TOLERANCE = 0.10
+
+
+def speedup_drops(old: object, new: object, path: Tuple[str, ...] = ()
+                  ) -> List[Tuple[str, float, float]]:
+    """``(path, old, new)`` of every ``speedup*`` field of ``new`` that is
+    more than :data:`SPEEDUP_DROP_TOLERANCE` below the field at the same
+    path in ``old``; fields missing from either side are skipped.
+
+    Only speedups are compared: each is a ratio of two timings taken in
+    one run, which the host's speed drift (raw seconds drift about 2x on a
+    shared host) cancels out of.
+    """
+    drops = []
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return drops
+    for key, value in new.items():
+        if key not in old:
+            continue
+        before = old[key]
+        if key.startswith("speedup") and isinstance(value, (int, float)) \
+                and isinstance(before, (int, float)):
+            if value < (1.0 - SPEEDUP_DROP_TOLERANCE) * before:
+                drops.append(("/".join(path + (key,)), before, value))
+        else:
+            drops.extend(speedup_drops(before, value, path + (key,)))
+    return drops
+
+
 def update_bench_runtime(sections: Dict[str, object]) -> Dict[str, object]:
     """Merge ``sections`` into ``BENCH_runtime.json`` (atomic replace).
 
@@ -112,7 +143,11 @@ def update_bench_runtime(sections: Dict[str, object]) -> Dict[str, object]:
     many cores — numbers from different core counts are not comparable.
     Smoke passes (short horizons, truncated grids) merge in memory but never
     persist — their numbers would overwrite the trajectory with meaningless
-    values on every CI sanity run.  Returns the merged report.
+    values on every CI sanity run.  A full pass prints every ``speedup``
+    field that fell more than :data:`SPEEDUP_DROP_TOLERANCE` below the
+    section it replaces, when that section was recorded on the same
+    ``cpu_count`` (:func:`speedup_drops`); it reports, it does not fail.
+    Returns the merged report.
     """
     try:
         with open(BENCH_RUNTIME_PATH) as handle:
@@ -126,6 +161,15 @@ def update_bench_runtime(sections: Dict[str, object]) -> Dict[str, object]:
     }
     recorded = report.setdefault("recorded", {})
     for name, section in sections.items():
+        previous = recorded.get(name, {})
+        if not SMOKE and previous.get("cpu_count") == stamp["cpu_count"]:
+            for path, before, after in speedup_drops(
+                    report.get(name), section, (name,)):
+                print(f"BENCH_runtime.json: {path} fell from {before:.3g}x "
+                      f"to {after:.3g}x, more than "
+                      f"{SPEEDUP_DROP_TOLERANCE:.0%} below the entry "
+                      f"recorded at {previous.get('commit')} on "
+                      f"{stamp['cpu_count']} CPUs")
         report[name] = section
         recorded[name] = stamp
     if SMOKE:

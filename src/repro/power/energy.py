@@ -173,38 +173,46 @@ class EnergyModel:
                                 completed_macs=float(macs_per_cycle_rows[i]) * int(worked[i]))
                 for i in range(activity_rows.shape[0])]
 
-    def span_breakdowns(self, voltages: np.ndarray, frequencies: np.ndarray,
-                        lengths: np.ndarray, activity_span_sums: np.ndarray,
+    def span_breakdowns(self, span_rows: np.ndarray, voltages: np.ndarray,
+                        frequencies: np.ndarray, lengths: np.ndarray,
+                        activity_span_sums: np.ndarray,
                         stalled_activity_v2: np.ndarray,
                         worked_cycles: np.ndarray,
                         macs_per_cycle_rows: np.ndarray) -> list:
-        """Closed-form row breakdowns from level-stable span aggregates.
+        """Closed-form row breakdowns from a table of level-stable spans.
 
         The trace-free counterpart of :meth:`accumulate_trace_rows`: instead
-        of per-cycle operating-point vectors it takes one entry per *span* —
-        ``voltages``/``frequencies``/``lengths`` describe the group's
-        level-stable spans, ``activity_span_sums`` is ``(rows, spans)`` with
-        each row's activity summed per span (from cached prefix sums), and
-        ``stalled_activity_v2`` is each row's ``sum(activity * V^2)`` over
-        its energy-stalled cycles (recompute windows plus failure cycles).
-        Per cycle the dynamic energy is ``k_dyn * act * V^2`` and a stalled
-        cycle burns :data:`STALL_DYNAMIC_FRACTION` of it, so the whole run
-        reduces to one ``(rows, spans) @ (spans,)`` product plus the stall
-        correction; static energy and elapsed time are span dot products.
-        Matches :meth:`accumulate_trace_rows` up to floating-point summation
-        order (<= 1e-9 rtol in the engine equivalence suite).
+        of per-cycle operating-point vectors it takes one entry per
+        ``(row, span)`` pair — ``span_rows`` names each entry's row,
+        ``voltages``/``frequencies``/``lengths`` describe its span and
+        ``activity_span_sums`` is the row's activity summed over it (from
+        cached prefix sums) — plus, per row, ``stalled_activity_v2``: the
+        row's ``sum(activity * V^2)`` over its energy-stalled cycles
+        (recompute windows plus failure cycles).  Per cycle the dynamic
+        energy is ``k_dyn * act * V^2`` and a stalled cycle burns
+        :data:`STALL_DYNAMIC_FRACTION` of it, so each row's run reduces to
+        one weighted ``bincount`` over its entries plus the stall
+        correction; static energy and elapsed time are ``bincount`` sums
+        of the span terms.  Matches :meth:`accumulate_trace_rows` up to
+        floating-point summation order (<= 1e-9 rtol in the engine
+        equivalence suite).
         """
+        rows = len(worked_cycles)
         voltages = np.asarray(voltages, dtype=np.float64)
         inverse_f = 1.0 / np.asarray(frequencies, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.float64)
         dynamic = self._k_dynamic * (
-            np.asarray(activity_span_sums, dtype=np.float64) @ voltages ** 2
+            np.bincount(span_rows, np.asarray(activity_span_sums,
+                                              dtype=np.float64)
+                        * voltages ** 2, minlength=rows)
             - (1.0 - self.STALL_DYNAMIC_FRACTION)
             * np.asarray(stalled_activity_v2, dtype=np.float64))
-        static = self._k_static * float(np.dot(lengths * voltages, inverse_f))
-        elapsed = float(np.dot(lengths, inverse_f))
+        static = self._k_static * np.bincount(
+            span_rows, lengths * voltages * inverse_f, minlength=rows)
+        elapsed = np.bincount(span_rows, lengths * inverse_f, minlength=rows)
         return [EnergyBreakdown(dynamic_energy=float(dynamic[i]),
-                                static_energy=static, elapsed_time=elapsed,
+                                static_energy=float(static[i]),
+                                elapsed_time=float(elapsed[i]),
                                 completed_macs=float(macs_per_cycle_rows[i])
                                 * int(worked_cycles[i]))
-                for i in range(dynamic.shape[0])]
+                for i in range(rows)]

@@ -84,6 +84,24 @@ class IRDropModel:
         scale = (voltage / self.supply_voltage) * (frequency / self.nominal_frequency)
         return self.static_drop + self.dynamic_drop_at_signoff * rtog * scale
 
+    def drop_sum(self, rtog_sum: np.ndarray, cycles: np.ndarray,
+                 voltage: Optional[np.ndarray] = None,
+                 frequency: Optional[np.ndarray] = None) -> np.ndarray:
+        """Summed IR-drop over ``cycles`` cycles whose Rtog sums to
+        ``rtog_sum``, elementwise.
+
+        Eq. 2 is affine in Rtog, so the sum of :meth:`drop_array` over a
+        span closes over the span's activity sum alone:
+        ``static * cycles + dynamic * rtog_sum * scale``.  Equal to the
+        per-cycle sum up to floating-point summation order.
+        """
+        voltage = self.supply_voltage if voltage is None else voltage
+        frequency = self.nominal_frequency if frequency is None else frequency
+        scale = (voltage / self.supply_voltage) \
+            * (frequency / self.nominal_frequency)
+        return self.static_drop * np.asarray(cycles, dtype=np.float64) \
+            + self.dynamic_drop_at_signoff * np.asarray(rtog_sum) * scale
+
     def macro_current(self, rtog: float, voltage: Optional[float] = None,
                       frequency: Optional[float] = None,
                       equivalent_resistance: float = 0.5) -> float:

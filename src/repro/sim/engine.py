@@ -6,7 +6,8 @@ monitor comparisons and per-macro energy.  This module replaces that with an
 *event-driven* formulation built on one observation: a group's V-f level only
 changes at controller events — an IRFailure, or an Algorithm-2 beta-window
 boundary.  Between two events every quantity of the simulation is a closed-form
-array expression over the precomputed ``(n_macros, cycles)`` activity matrix:
+array expression over the ``(n_macros, cycles)`` activity matrix, generated
+once per activity key and cached in the level cache:
 
 * the per-macro IR-drop is ``static + dynamic * rtog * scale(V, f)`` — one
   ``drop_array`` call per (group, level) pair, shared through the process-level
@@ -52,8 +53,9 @@ mode-dependent: ``traces="full"`` (default) assembles every per-cycle trace,
 stall mask (rebuilt from logged recompute windows with one
 ``bincount``/``cumsum`` pass) and energy matrix product once at the end;
 ``traces="none"`` — the scalar-record fast path sweeps run on — skips all of
-that and computes the scalar record fields closed-form per level-stable span
-from cached prefix sums and row statistics
+that and computes the scalar record fields closed-form in one pass over a
+table of every row's level-stable spans, from the cached activity prefix
+sums and the spans' peak activity
 (:meth:`_VectorizedEngine._materialize_scalar`).
 
 This is the one event path; the reference loop in :mod:`repro.sim.runtime`
@@ -68,6 +70,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -97,6 +100,22 @@ ENGINES = ("vectorized", "reference")
 #: the shared store encodes only :class:`LevelEntry` values.
 _SEEN = object()
 _SEEN_NBYTES = 64
+
+
+class ActivityTraces(dict):
+    """Per-macro realized-Rtog traces as row views of one ``(rows, cycles)``
+    matrix in processing order.
+
+    The level-cache value under a run's activity key: consumers (and the
+    shared store) read it per macro, the engine's array passes read
+    :attr:`matrix`, and both share one buffer, charged once.
+    """
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, macros: List[int], matrix: np.ndarray) -> None:
+        super().__init__(zip(macros, matrix))
+        self.matrix = matrix
 
 
 class _LazyLevelStreams:
@@ -142,7 +161,7 @@ class _LazyLevelStreams:
 
     def __init__(self, engine: "_VectorizedEngine", gid: int, level: int,
                  set_arrays: List[np.ndarray]) -> None:
-        pair = engine._pair_for(gid, level)
+        pair = engine._pair_for(level)
         allowed_drop = engine.ir_model.drop(
             min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
         self.ir_model = engine.ir_model
@@ -247,20 +266,17 @@ class _VectorizedEngine:
         runtime, cfg = self.runtime, self.cfg
         # The realized-Rtog traces are pure functions of the workload and the
         # flip statistics — shared across runs like the level physics (a beta
-        # grid reuses them for every point).  The raw flip matrices underneath
-        # stay in their own memo (flip_factor_matrix, 64 MB budget) because
-        # the reference engine still derives traces from them; both caches are
-        # independently byte-bounded, so the duplication is capped.
+        # grid reuses them for every point) under this key, the only place
+        # they are kept: the flip matrices they derive from are not memoized.
         activity_key = ("activity", workload_cache_key(self.compiled),
                         cfg.cycles, cfg.flip_mean, cfg.flip_std,
                         cfg.flip_correlation, cfg.seed, cfg.input_determined_hr)
         self._activity_key = activity_key
-        # Both the per-macro dict and its row-stacked matrix are lazy (and
-        # shared across runs through the level cache): a trace-free run whose
-        # physics and activity aggregates all hit the cache never touches
-        # the flip RNG or copies a single trace.
-        self._activity: Dict[int, np.ndarray] = LEVEL_CACHE.get(activity_key)
-        self._A = None
+        #: per-macro traces and their ``(n_rows, cycles)`` stacked matrix
+        #: (:meth:`_bind_activity`); a miss is generated for the whole batch
+        #: by :func:`repro.sim.ensemble._batch_activity`.
+        self.activity: Optional[Dict[int, np.ndarray]] = None
+        self.A: Optional[np.ndarray] = None
         self.controller = runtime._controller()
 
         # Group membership in the reference engine's processing order: groups
@@ -392,43 +408,29 @@ class _VectorizedEngine:
                           for gid in groups}
 
     # ------------------------------------------------------------------ #
-    # lazy, cross-run-shared activity forms
+    # cross-run-shared activity forms
     # ------------------------------------------------------------------ #
-    @property
-    def activity(self) -> Dict[int, np.ndarray]:
-        """Per-macro realized-Rtog traces (lazily generated, cache-shared)."""
-        activity = self._activity
-        if activity is None:
-            activity = self.runtime._macro_activity_traces()
-            for trace in activity.values():
-                trace.setflags(write=False)
-            LEVEL_CACHE.put(self._activity_key, activity,
-                            sum(trace.nbytes for trace in activity.values()))
-            self._activity = activity
-        return activity
+    def _activity_rows(self) -> Tuple[List[int], List[float]]:
+        """Flip seeds and effective HRs of the activity rows, in processing
+        order (the reference engine's draws, reordered)."""
+        macros, seeds, hrs = self.runtime._activity_inputs()
+        at = {macro: i for i, macro in enumerate(macros)}
+        order = [at[macro] for macro in self.proc_order]
+        return [seeds[i] for i in order], [hrs[i] for i in order]
 
-    @property
-    def A(self) -> np.ndarray:
-        """The row-stacked ``(n_rows, cycles)`` activity matrix (lazy).
+    def _bind_activity(self, traces: Dict[int, np.ndarray]) -> None:
+        """Adopt the run's per-macro traces and their stacked matrix.
 
-        Stacked once per ``(workload, seed, stress)`` and shared across runs
-        through the level cache (row order is the workload-determined
-        processing order, so the stacked form is as shareable as the dict).
+        Traces built by this engine are row views of one matrix
+        (:class:`ActivityTraces`); traces a shared store loaded are stacked
+        here in processing order.
         """
-        A = self._A
+        A = getattr(traces, "matrix", None)
         if A is None:
-            if not self.proc_order:
-                A = np.zeros((0, self.n))
-            else:
-                stack_key = ("activity_stack",) + self._activity_key[1:]
-                A = LEVEL_CACHE.get(stack_key)
-                if A is None:
-                    activity = self.activity
-                    A = np.vstack([activity[m] for m in self.proc_order])
-                    A.setflags(write=False)
-                    LEVEL_CACHE.put(stack_key, A, A.nbytes)
-            self._A = A
-        return A
+            A = np.vstack([traces[m] for m in self.proc_order])
+            A.setflags(write=False)
+        self.activity = traces
+        self.A = A
 
     def _activity_prefix(self) -> np.ndarray:
         """``(n_rows, cycles + 1)`` activity prefix sums (cache-shared).
@@ -477,7 +479,7 @@ class _VectorizedEngine:
             self.noise[gid] = noise
         return noise
 
-    def _pair_for(self, gid: int, level: int) -> VFPair:
+    def _pair_for(self, level: int) -> VFPair:
         if self.controller is None:
             return self.table.nominal_dvfs_pair()
         lookup = level if level in self.table.levels else 100
@@ -503,7 +505,7 @@ class _VectorizedEngine:
     def _shared(self, gid: int, level: int) -> Tuple[VFPair, tuple, object]:
         """``(pair, shared key, level-cache value)`` for one level; the
         value is ``None`` on a miss and may be the :data:`_SEEN` marker."""
-        pair = self._pair_for(gid, level)
+        pair = self._pair_for(level)
         # The physics depends on the pair, not the Algorithm-2 level that
         # selected it, so the shared entry is keyed by (V, f, signoff level).
         shared_key = (self._share_key, gid, pair.level, pair.voltage,
@@ -1261,184 +1263,137 @@ class _VectorizedEngine:
     def _materialize_scalar(self) -> SimulationResult:
         """Trace-free materialization (``RuntimeConfig.traces == "none"``).
 
-        Computes every scalar record field closed-form per level-stable span
-        — activity prefix sums and row stats (shared through the level
-        cache), and the drop physics evaluated on the cycles each visited
-        level covers (or, for a bound level covering the whole horizon, its
-        entry's memoized row statistics) — with per-failure stall/recompute
-        corrections applied from the engine's logged failure points and
-        recompute windows.  No drop/level/chip trace is gathered, no stall
-        mask is rebuilt, no activity copy is made; results are equivalent to
-        the full-trace path (discrete fields bit-identical, float reductions
-        to 1e-9 rtol) with every trace field ``None``.
+        One pass over a single row-major table of ``(row, span)`` entries —
+        each activity row against every level-stable span of its group —
+        computes every scalar record field closed-form.  Eq. 2 is affine in
+        Rtog, so a span's drop sum closes over the cached activity prefix
+        sums; it never falls as Rtog rises, and rounding never reverses that
+        order, so a span's worst drop is exactly ``drop_array`` of its peak
+        activity — one ``np.maximum.reduceat`` over the stacked matrix for
+        the whole table.  Stall and failure energy corrections decompose the
+        engine's logged recompute windows and failure points over the same
+        table's entries, and every per-row total is a ``bincount``
+        (:meth:`~repro.power.energy.EnergyModel.span_breakdowns` for energy).
+        No drop/level/chip trace is gathered, no stall mask is rebuilt, no
+        activity copy is made; results are equivalent to the full-trace path
+        (discrete fields and extremal statistics bit-identical, float
+        reductions to 1e-9 rtol) with every trace field ``None``.
         """
         n, n_rows = self.n, self.n_rows
         recompute = self.cfg.recompute_cycles
-        A_cs = self._activity_prefix()
+        # Flat views.  A *key* ``row * width + cycle`` indexes the activity
+        # prefix sums directly (row stride ``n + 1``).
+        width = n + 1
+        prefix = self._activity_prefix().reshape(-1)
+        activity = self.A.reshape(-1)
         rtog_means, rtog_peaks = self._activity_stats()
+        groups = self.groups
 
-        fail_rows, fail_cycles = self._logged_failures()
-        stall_rows, stall_starts = self._logged_stall_windows()
+        # Every group's level-stable spans, concatenated in group (= row)
+        # order, with each visited level's V-f pair.
+        starts = np.fromiter(chain.from_iterable(
+            self.break_cycles[gid] for gid in groups), dtype=np.int64)
+        levels = np.fromiter(chain.from_iterable(
+            self.break_levels[gid] for gid in groups), dtype=np.int64)
+        break_counts = [len(self.break_cycles[gid]) for gid in groups]
+        span_group = np.repeat(np.arange(len(groups)), break_counts)
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[np.cumsum(break_counts, dtype=np.int64) - 1] = n
+        keep = ends > starts
+        starts, levels, span_group = starts[keep], levels[keep], \
+            span_group[keep]
+        lengths = ends[keep] - starts
+        level_sums = np.bincount(span_group, levels * lengths,
+                                 minlength=len(groups))
+        visited = np.bincount(levels)
+        level_v, level_f = np.zeros(visited.size), np.ones(visited.size)
+        for level in np.flatnonzero(visited).tolist():
+            pair = self._pair_for(level)
+            level_v[level], level_f[level] = pair.voltage, pair.frequency
+
+        # The row-major (row, span) table: row r takes each span of its
+        # group in cycle order, so the entries' start keys ascend and every
+        # row's entries are one contiguous run starting at ``row_first``.
+        group_spans = np.bincount(span_group, minlength=len(groups))
+        row_group = np.repeat(np.arange(len(groups)), [
+            hi - lo for lo, hi in (self.group_rows[gid] for gid in groups)])
+        row_spans = group_spans[row_group]
+        row_first = np.cumsum(row_spans) - row_spans
+        t_row = np.repeat(np.arange(n_rows), row_spans)
+        t_span = np.arange(t_row.size) + np.repeat(
+            (np.cumsum(group_spans) - group_spans)[row_group] - row_first,
+            row_spans)
+        t_start, t_len = starts.take(t_span), lengths.take(t_span)
+        t_level = levels.take(t_span)
+        t_v, t_f = level_v.take(t_level), level_f.take(t_level)
+        v2 = t_v ** 2
+        keys = t_row * width + t_start
+        end_keys = keys + t_len
+        act = prefix.take(end_keys) - prefix.take(keys)
+        peaks = np.maximum.reduceat(activity, t_row * n + t_start)
+        worst = self.ir_model.drop_array(peaks, t_v, t_f)
+        drop_peaks = np.maximum.reduceat(worst, row_first)
+        drop_sums = np.bincount(
+            t_row, self.ir_model.drop_sum(act, t_len, t_v, t_f),
+            minlength=n_rows)
 
         # Merge the logged recompute windows per row (windows overlap; both
-        # the stall totals and the energy corrections need the union).  The
-        # packed segmented max-accumulate merges all rows in one pass.
-        if stall_rows.size:
-            width = n + 1
-            order = np.lexsort((stall_starts, stall_rows))
-            w_rows = stall_rows[order]
-            w_starts = stall_starts[order]
-            w_ends = np.minimum(w_starts + recompute, n)
-            packed_end = w_rows * width + w_ends
-            running_end = np.maximum.accumulate(packed_end)
-            packed_start = w_rows * width + w_starts
-            fresh = np.empty(w_rows.size, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = packed_start[1:] >= running_end[:-1]
-            first = np.flatnonzero(fresh)
-            m_rows = w_rows[first]
-            m_starts = w_starts[first]
-            last = np.append(first[1:] - 1, w_rows.size - 1)
-            m_ends = running_end[last] - m_rows * width
-        else:
-            m_rows = np.empty(0, dtype=np.int64)
-            m_starts = m_ends = m_rows
+        # the stall totals and the energy corrections need the union).
+        # Every window spans ``recompute`` cycles, clipped at the horizon,
+        # so once sorted by start key their end keys ascend too, and a
+        # window extends the merged one before it unless it starts at or
+        # past that one's end.
+        stall_rows, stall_starts = self._logged_stall_windows()
+        w_keys = np.sort(stall_rows * width + stall_starts)
+        w_end_keys = np.minimum(w_keys + recompute,
+                                w_keys // width * width + n)
+        fresh = np.ones(w_keys.size, dtype=bool)
+        fresh[1:] = w_keys[1:] >= w_end_keys[:-1]
+        first = np.flatnonzero(fresh)
+        m_keys = w_keys[first]
+        m_end_keys = np.maximum.reduceat(w_end_keys, first)
+        m_rows = m_keys // width
+        stall_counts = np.bincount(m_rows, m_end_keys - m_keys,
+                                   minlength=n_rows).astype(np.int64)
 
-        stall_counts = np.zeros(n_rows, dtype=np.int64)
-        np.add.at(stall_counts, m_rows, m_ends - m_starts)
-        fail_count_rows = np.asarray(self.fail_counts, dtype=np.int64)
-        group_of_row = np.asarray(self.group_of_row, dtype=np.int64)
-        window_gids = group_of_row[m_rows] if m_rows.size else m_rows
-        failure_gids = group_of_row[fail_rows] if fail_rows.size else fail_rows
+        # Stall/failure energy corrections: sum(activity * V^2) over the
+        # energy-stalled cycles.  Each merged window splits into one piece
+        # per table entry it crosses (almost always one or two); a failure
+        # point falls in exactly one entry.
+        first = np.searchsorted(keys, m_keys, side="right") - 1
+        pieces = np.searchsorted(keys, m_end_keys - 1, side="right") - first
+        p_window = np.repeat(np.arange(first.size), pieces)
+        p_entry = np.arange(p_window.size) + np.repeat(
+            first - (np.cumsum(pieces) - pieces), pieces)
+        p_lo = np.maximum(m_keys.take(p_window), keys.take(p_entry))
+        p_hi = np.minimum(m_end_keys.take(p_window), end_keys.take(p_entry))
+        fail_rows, fail_cycles = self._logged_failures()
+        f_entry = np.searchsorted(keys, fail_rows * width + fail_cycles,
+                                  side="right") - 1
+        stalled_v2 = np.bincount(
+            np.concatenate((m_rows.take(p_window), fail_rows)),
+            np.concatenate((
+                v2.take(p_entry) * (prefix.take(p_hi) - prefix.take(p_lo)),
+                activity.take(fail_rows * n + fail_cycles)
+                * v2.take(f_entry))),
+            minlength=n_rows)
 
-        energy: Dict[int, EnergyBreakdown] = {}
-        drop_mean: Dict[int, float] = {}
-        drop_peak: Dict[int, float] = {}
-        rtog_mean: Dict[int, float] = {}
-        rtog_peak: Dict[int, float] = {}
-        failures: Dict[int, int] = {}
-        stall_total: Dict[int, int] = {}
-        group_level_means: Dict[int, float] = {}
+        fail_counts = np.asarray(self.fail_counts, dtype=np.int64)
+        breakdowns = self.energy_model.span_breakdowns(
+            t_row, t_v, t_f, t_len, act, stalled_v2,
+            n - stall_counts - fail_counts, self.macs_per_cycle)
 
-        for gid in self.groups:
-            lo, hi = self.group_rows[gid]
-            mcount = hi - lo
-            starts, ends, levels = self._group_spans(gid)
-            lengths = ends - starts
-            group_level_means[gid] = float(np.dot(levels, lengths)) / n
-
-            distinct_levels = np.unique(levels)
-            slot_pairs = [self._pair_for(gid, level)
-                          for level in distinct_levels.tolist()]
-            slot_of_span = np.searchsorted(distinct_levels, levels)
-            pair_voltages = np.array([pair.voltage for pair in slot_pairs])
-            pair_frequencies = np.array([pair.frequency
-                                         for pair in slot_pairs])
-            span_v = pair_voltages[slot_of_span]
-            span_f = pair_frequencies[slot_of_span]
-            span_v2 = span_v ** 2
-
-            prefix_rows = A_cs[lo:hi]
-            act_span = prefix_rows[:, ends] - prefix_rows[:, starts]
-
-            # Per-row drop sum and worst drop over the visited spans, per
-            # distinct level.
-            dsum = np.zeros(mcount)
-            dpeak = np.zeros(mcount)
-            for slot, level in enumerate(distinct_levels.tolist()):
-                in_slot = slot_of_span == slot
-                st_k = starts[in_slot]
-                en_k = ends[in_slot]
-                span_lens = en_k - st_k
-                covered_total = int(span_lens.sum())
-                bound = self._caches.get((gid, level)) \
-                    if covered_total == n else None
-                if bound is not None:
-                    # One level covers the whole horizon and its entry is
-                    # bound: the covered gather *is* its drop matrix, so
-                    # reduce over the entry's memoized row sums and maxima
-                    # (summed in the gather's memory order: same floats).
-                    row_sums, row_maxes = bound.drop_row_stats
-                    dsum += row_sums
-                    dpeak = np.maximum(dpeak, row_maxes)
-                    continue
-                # Otherwise evaluate the drop physics on the covered cycles —
-                # ``drop_array`` is elementwise, so the column gather yields
-                # the same floats as a full-horizon derivation restricted to
-                # those cycles, and the restricted max is the exact per-row
-                # peak over the visited spans.  No entry is built for a level
-                # here (a windowed level has none), and the gather never
-                # exceeds the horizon.
-                bases = np.repeat(
-                    st_k - np.concatenate(
-                        ([0], np.cumsum(span_lens)[:-1])), span_lens)
-                covered_idx = np.arange(covered_total) + bases
-                pair = slot_pairs[slot]
-                drop_cov = self.ir_model.drop_array(
-                    self.A[lo:hi][:, covered_idx], pair.voltage,
-                    pair.frequency)
-                dsum += drop_cov.sum(axis=1)
-                dpeak = np.maximum(dpeak, drop_cov.max(axis=1))
-
-            # Stall/failure energy corrections: sum(activity * V^2) over the
-            # energy-stalled cycles.  Each merged recompute window decomposes
-            # over the level spans it crosses (almost always one or two); the
-            # piece loop below peels one piece per window per iteration, so
-            # everything stays vectorized with no weighted per-cycle arrays.
-            stalled_v2 = np.zeros(mcount)
-            g_win = np.flatnonzero(window_gids == gid) if m_rows.size \
-                else m_rows
-            g_fail = np.flatnonzero(failure_gids == gid) if fail_rows.size \
-                else fail_rows
-            if g_win.size:
-                w_rows = m_rows[g_win] - lo
-                w_starts = m_starts[g_win]
-                w_ends = m_ends[g_win]
-                first_span = np.searchsorted(starts, w_starts,
-                                             side="right") - 1
-                last_span = np.searchsorted(starts, w_ends - 1,
-                                            side="right") - 1
-                piece = 0
-                active = np.arange(g_win.size)
-                while active.size:
-                    spans = first_span[active] + piece
-                    active = active[spans <= last_span[active]]
-                    if not active.size:
-                        break
-                    spans = first_span[active] + piece
-                    a = np.maximum(w_starts[active], starts[spans])
-                    b = np.minimum(w_ends[active], ends[spans])
-                    rw = w_rows[active]
-                    np.add.at(stalled_v2, rw,
-                              span_v2[spans]
-                              * (prefix_rows[rw, b] - prefix_rows[rw, a]))
-                    piece += 1
-            if g_fail.size:
-                rw = fail_rows[g_fail] - lo
-                fc = fail_cycles[g_fail]
-                f_spans = np.searchsorted(starts, fc, side="right") - 1
-                np.add.at(stalled_v2, rw,
-                          self.A[lo:hi][rw, fc] * span_v2[f_spans])
-
-            worked = n - stall_counts[lo:hi] - fail_count_rows[lo:hi]
-            breakdowns = self.energy_model.span_breakdowns(
-                span_v, span_f, lengths, act_span, stalled_v2, worked,
-                self.macs_per_cycle[lo:hi])
-
-            for local in range(mcount):
-                row = lo + local
-                macro_index = self.proc_order[row]
-                energy[macro_index] = breakdowns[local]
-                drop_mean[macro_index] = dsum[local] / n
-                drop_peak[macro_index] = float(dpeak[local])
-                rtog_mean[macro_index] = float(rtog_means[row])
-                rtog_peak[macro_index] = float(rtog_peaks[row])
-                failures[macro_index] = self.fail_counts[row]
-                stall_total[macro_index] = int(stall_counts[row])
-
+        macros = self.proc_order
         return assemble_scalar_result(
-            self.compiled, self.cfg, energy, drop_mean, drop_peak, rtog_mean,
-            rtog_peak, failures, stall_total, group_level_means,
+            self.compiled, self.cfg, dict(zip(macros, breakdowns)),
+            dict(zip(macros, (drop_sums / n).tolist())),
+            dict(zip(macros, drop_peaks.tolist())),
+            dict(zip(macros, rtog_means.tolist())),
+            dict(zip(macros, rtog_peaks.tolist())),
+            dict(zip(macros, self.fail_counts)),
+            dict(zip(macros, stall_counts.tolist())),
+            {gid: float(total) / n for gid, total in zip(groups, level_sums)},
             self.controller, self.group_members)
 
     def _materialize(self) -> SimulationResult:

@@ -12,11 +12,13 @@ one):
 
 * **activity** — every member's per-macro flip streams are generated in a
   single :func:`~repro.workloads.generator.flip_factor_matrix` call over the
-  concatenated seed list.  The AR(1) recurrence is sequential in *cycles*
-  but embarrassingly parallel in *rows*, so batching members into one
-  ``lfilter`` call amortizes the dominant cold-run cost; row ``i`` still
-  consumes exactly the per-seed RNG stream a lone run would, so traces stay
-  bit-identical.  Members sharing a seed (a beta grid) share one generation.
+  concatenated seed list, in processing order, and each distinct activity
+  key's block is clipped into its own ``(rows, cycles)`` activity matrix.
+  The AR(1) recurrence is sequential in *cycles* but embarrassingly
+  parallel in *rows*, so batching members into one ``lfilter`` call
+  amortizes the dominant cold-run cost; row ``i`` still consumes exactly
+  the per-seed RNG stream a lone run would, so traces stay bit-identical.
+  Members sharing a seed (a beta grid) share one generation.
 * **physics** — the candidate streams of the levels each member is certain
   to visit (its initial level, or a ``booster`` member's safe level) are
   built up front, *directly*: for independent groups one full-matrix
@@ -60,13 +62,13 @@ compiled workload.  The sweep runner groups eligible
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from ..workloads.generator import flip_factor_matrix
 from .compiler import CompiledWorkload
-from .engine import _VectorizedEngine
+from .engine import ActivityTraces, _VectorizedEngine
 from .kernels import (
     EXHAUSTED_KEY,
     frontier_key,
@@ -143,48 +145,48 @@ def run_engines(engines: List[_VectorizedEngine]) -> List[SimulationResult]:
 # batched setup
 # ---------------------------------------------------------------------- #
 def _batch_activity(engines: List[_VectorizedEngine]) -> None:
-    """Generate every member's activity traces in one flip-matrix call.
+    """Generate every member's activity in one flip-matrix call.
 
     Distinct activity keys (distinct seeds, typically) are concatenated
-    into one seed list; members sharing a key (a shared-seed beta grid)
-    share one generation and one cache entry.  Trace-free members'
-    activity prefix sums and row stats are then built once per distinct
-    key so the scalar materialization of the whole batch shares them.
+    into one seed list, each block in its owner's processing order, and
+    each block is clipped into its owner's own ``(rows, cycles)`` matrix
+    (so evicting a key frees its bytes); the per-macro traces cached under
+    the key are row views of it (:class:`~repro.sim.engine.ActivityTraces`).
+    Members sharing a key (a shared-seed beta grid) share one generation,
+    even with the cache disabled.  Trace-free members' activity prefix sums
+    and row stats are then built once per distinct key so the scalar
+    materialization of the whole batch shares them.
     """
-    pending: Dict[tuple, _VectorizedEngine] = {}
+    pending: Dict[tuple, List[_VectorizedEngine]] = {}
     for engine in engines:
-        if engine._activity is None and engine._activity_key not in pending:
-            pending[engine._activity_key] = engine
+        traces = LEVEL_CACHE.get(engine._activity_key)
+        if traces is not None:
+            engine._bind_activity(traces)
+        else:
+            pending.setdefault(engine._activity_key, []).append(engine)
     if pending:
-        owners = list(pending.values())
         seeds: List[int] = []
-        blocks: List[Tuple[_VectorizedEngine, List[int], List[float],
-                           int, int]] = []
-        for engine in owners:
-            macro_indices, member_seeds, hrs = \
-                engine.runtime._activity_inputs()
-            lo = len(seeds)
+        hrs: List[float] = []
+        for members in pending.values():
+            member_seeds, member_hrs = members[0]._activity_rows()
             seeds.extend(member_seeds)
-            blocks.append((engine, macro_indices, hrs, lo, len(seeds)))
-        cfg = owners[0].cfg
+            hrs.extend(member_hrs)
+        cfg = engines[0].cfg
         flips = flip_factor_matrix(
             seeds, cfg.cycles, mean=cfg.flip_mean, std=cfg.flip_std,
             correlation=cfg.flip_correlation)
-        for engine, macro_indices, hrs, lo, hi in blocks:
-            block = flips[lo:hi]
-            activity: Dict[int, np.ndarray] = {}
-            for i, (macro_index, hr) in enumerate(zip(macro_indices, hrs)):
-                trace = np.clip(hr * block[i], 0.0, 1.0)
-                trace.setflags(write=False)
-                activity[macro_index] = trace
-            LEVEL_CACHE.put(
-                engine._activity_key, activity,
-                sum(trace.nbytes for trace in activity.values()))
-            engine._activity = activity
-    # Members that shared a pending key (or raced a warm cache) bind now.
-    for engine in engines:
-        if engine._activity is None:
-            engine._activity = LEVEL_CACHE.get(engine._activity_key)
+        row_hrs = np.asarray(hrs)[:, None]
+        lo = 0
+        for key, members in pending.items():
+            owner = members[0]
+            hi = lo + owner.n_rows
+            matrix = np.clip(row_hrs[lo:hi] * flips[lo:hi], 0.0, 1.0)
+            matrix.setflags(write=False)
+            lo = hi
+            traces = ActivityTraces(owner.proc_order, matrix)
+            LEVEL_CACHE.put(key, traces, matrix.nbytes)
+            for engine in members:
+                engine._bind_activity(traces)
     # One prefix/stats build per distinct key serves every trace-free
     # member sharing it (the scalar fast path's span aggregates).
     built = set()

@@ -7,10 +7,12 @@ horizon and the candidate-failure cycle sets (see :class:`LevelEntry`).
 Only the *event dynamics* differ between such runs.  This module holds those
 arrays in a process-level LRU keyed on everything the physics actually
 depends on, so a Fig.-18 beta grid (or a multi-controller point) computes
-each group's physics once per process instead of once per run.  The pattern
-mirrors the ``flip_factor_matrix`` memo in :mod:`repro.workloads.generator`:
-entries are immutable, eviction is byte-budgeted, and correctness never
-depends on a hit.
+each group's physics once per process instead of once per run.  Entries are
+immutable, eviction is byte-budgeted, and correctness never depends on a
+hit.  The engine keeps each run's activity here too — the per-macro traces
+as row views of one stacked matrix, its prefix sums and row statistics,
+under keys led by ``"activity"`` — and nowhere else: the flip matrices the
+activity derives from are not memoized.
 
 Key derivation
 --------------
@@ -93,8 +95,6 @@ class LevelEntry:
     #: function of the workload the entry is already keyed on.
     merged: Optional[List] = field(default=None, compare=False)
     _fail_lists: Optional[List[List[int]]] = field(default=None, compare=False)
-    _row_stats: Optional[Tuple[np.ndarray, np.ndarray]] = \
-        field(default=None, compare=False)
 
     @property
     def fail_lists(self) -> List[List[int]]:
@@ -109,24 +109,6 @@ class LevelEntry:
             lists = [cycles.tolist() for cycles in self.fail_cycles]
             self._fail_lists = lists
         return lists
-
-    @property
-    def drop_row_stats(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per member, the sum and the max of ``drop_rows`` over the horizon
-        (the scalar materialization of a level that covers every cycle).
-        Reduced on first use and memoized.
-
-        The sum runs over a Fortran-ordered copy: that is the layout of the
-        cycle-axis gather the scalar materialization reduces for any other
-        level, and a row sum's rounding follows the memory order, so both
-        paths yield the same bits for the same level.
-        """
-        stats = self._row_stats
-        if stats is None:
-            stats = (np.asfortranarray(self.drop_rows).sum(axis=1),
-                     self.drop_rows.max(axis=1))
-            self._row_stats = stats
-        return stats
 
     def nbytes_estimate(self) -> int:
         """Byte-budget charge for this entry, wherever it was built.

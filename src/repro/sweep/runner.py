@@ -443,8 +443,12 @@ class PoolExecutor:
         queue wait.  A returning chunk's ``apply_async`` callback puts its
         key on a completion queue, on which the loop blocks until the
         nearest deadline; keys are unique within the pass, so a late
-        callback from a torn-down pool is ignored.  Outcome order is *not*
-        the spec order — sweep aggregation is order-free by contract.
+        callback from a torn-down pool is ignored.  Each wakeup finishes
+        its bookkeeping (requeues, an expired chunk's teardown) and the
+        freed worker slots are refilled before its outcomes are yielded, so
+        the workers keep computing while the consumer handles them.
+        Outcome order is *not* the spec order — sweep aggregation is
+        order-free by contract.
         """
         self.stats = ExecutorStats()
         runs = list(runs)
@@ -467,8 +471,12 @@ class PoolExecutor:
         keys = itertools.count()
         in_flight: Dict[int, tuple] = {}    # key -> (handle, items, deadline)
         pool = self._make_pool(processes)
+        ready: List[RunOutcome] = []    # the last wakeup's outcomes
         try:
-            while queue or in_flight:
+            while True:
+                # Refill the free slots before the consumer takes the last
+                # wakeup's outcomes, so no worker idles while it appends or
+                # flushes them.
                 while queue and len(in_flight) < processes:
                     items = queue.popleft()
                     key = next(keys)
@@ -491,6 +499,10 @@ class PoolExecutor:
                             for item, first in items)
                         deadline = time.monotonic() + budget
                     in_flight[key] = (handle, items, deadline)
+                yield from ready
+                if not in_flight:
+                    break
+                ready = []
                 deadlines = [entry[2] for entry in in_flight.values()
                              if entry[2] is not None]
                 timeout = (max(0.0, min(deadlines) - time.monotonic())
@@ -518,16 +530,16 @@ class PoolExecutor:
                         for item, first in items:
                             for run in _member_runs(item):
                                 if first >= policy.max_attempts:
-                                    yield FailedRun.from_run(
+                                    ready.append(FailedRun.from_run(
                                         run, repr(error), attempts=first,
                                         traceback=chunk_traceback,
                                         fault=faults.describe_run_faults(
-                                            run.run_id, first))
+                                            run.run_id, first)))
                                 else:
                                     requeue_single.append((run, first + 1))
                     else:
                         for item_result in chunk_results:
-                            yield from _as_outcomes(item_result)
+                            ready.extend(_as_outcomes(item_result))
                 now = time.monotonic()
                 expired = [key for key, (_, _, deadline) in in_flight.items()
                            if deadline is not None and now > deadline]
@@ -558,7 +570,7 @@ class PoolExecutor:
                         for item, first in items:
                             for run in _member_runs(item):
                                 if first >= policy.max_attempts:
-                                    yield FailedRun.from_run(
+                                    ready.append(FailedRun.from_run(
                                         run,
                                         f"timed out or lost with a dead "
                                         f"worker after {first} attempt(s) "
@@ -566,7 +578,7 @@ class PoolExecutor:
                                         f"{self.run_timeout}s)",
                                         attempts=first,
                                         fault=faults.describe_run_faults(
-                                            run.run_id, first))
+                                            run.run_id, first)))
                                 else:
                                     requeue_single.append((run, first + 1))
                     in_flight.clear()

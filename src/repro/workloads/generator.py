@@ -18,14 +18,13 @@ Two generators are provided:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.signal import lfilter
 
-__all__ = ["flip_factor_sequence", "flip_factor_matrix", "clear_flip_cache",
+__all__ = ["flip_factor_sequence", "flip_factor_matrix",
            "ActivationStreamGenerator", "dataset_activation_stats"]
 
 
@@ -51,15 +50,6 @@ def flip_factor_sequence(cycles: int, mean: float = 0.6, std: float = 0.15,
     return np.clip(values + mean, low, high)
 
 
-#: LRU of generated flip matrices.  Sweeps and controller comparisons simulate
-#: the same compiled workload many times with identical seeds, so the (pure,
-#: deterministic) generation is worth memoizing.  Entries are read-only arrays;
-#: eviction is byte-budgeted so long-horizon multi-seed sweeps (each seed a
-#: distinct key) cannot pin unbounded memory.
-_FLIP_MATRIX_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_FLIP_MATRIX_CACHE_BUDGET_BYTES = 64 * 1024 * 1024
-
-
 def flip_factor_matrix(seeds: Sequence[int], cycles: int, mean: float = 0.6,
                        std: float = 0.15, correlation: float = 0.7,
                        low: float = 0.05, high: float = 1.0) -> np.ndarray:
@@ -67,19 +57,16 @@ def flip_factor_matrix(seeds: Sequence[int], cycles: int, mean: float = 0.6,
 
     Row ``i`` is bit-identical to ``flip_factor_sequence(cycles, ..., seed=seeds[i])``
     — each row consumes its own RNG stream — but the AR(1) recurrences of all
-    rows run in a single :func:`scipy.signal.lfilter` call.  Results are
-    memoized and returned as read-only arrays; copy before mutating.
+    rows run in a single :func:`scipy.signal.lfilter` call.  Nothing is
+    memoized: the engine caches the activity derived from the matrix under
+    the run's activity key (:mod:`repro.sim.level_cache`).  The matrix is
+    returned read-only; copy before mutating.
     """
     seeds = tuple(int(s) for s in seeds)
     if cycles <= 0 or not seeds:
         return np.zeros((len(seeds), max(cycles, 0)))
     if not 0.0 <= correlation < 1.0:
         raise ValueError("correlation must be in [0, 1)")
-    key = (seeds, cycles, mean, std, correlation, low, high)
-    cached = _FLIP_MATRIX_CACHE.get(key)
-    if cached is not None:
-        _FLIP_MATRIX_CACHE.move_to_end(key)
-        return cached
     innovations = np.empty((len(seeds), cycles))
     states = np.empty((len(seeds), 1))
     innovation_std = std * np.sqrt(1 - correlation ** 2)
@@ -91,23 +78,7 @@ def flip_factor_matrix(seeds: Sequence[int], cycles: int, mean: float = 0.6,
                           zi=correlation * states)
     values = np.clip(filtered + mean, low, high)
     values.setflags(write=False)
-    if values.nbytes <= _FLIP_MATRIX_CACHE_BUDGET_BYTES:
-        _FLIP_MATRIX_CACHE[key] = values
-        total = sum(entry.nbytes for entry in _FLIP_MATRIX_CACHE.values())
-        while total > _FLIP_MATRIX_CACHE_BUDGET_BYTES:
-            _, evicted = _FLIP_MATRIX_CACHE.popitem(last=False)
-            total -= evicted.nbytes
     return values
-
-
-def clear_flip_cache() -> None:
-    """Drop every memoized flip matrix.
-
-    Cold-path measurement helper: benchmarks that model first-sight sweep
-    runs (each run a fresh seed) clear this memo alongside the level cache
-    so the timed region includes activity generation.
-    """
-    _FLIP_MATRIX_CACHE.clear()
 
 
 def dataset_activation_stats(inputs: np.ndarray) -> Tuple[float, float]:

@@ -13,7 +13,9 @@ coupled-group heap path).
 import numpy as np
 import pytest
 
-from repro.sim import RuntimeConfig, simulate
+from repro.sim import PIMRuntime, RuntimeConfig, simulate
+from repro.sim.engine import _VectorizedEngine
+from repro.sim.ensemble import run_engines
 from repro.sweep import (
     SerialExecutor,
     SweepRunner,
@@ -31,6 +33,7 @@ from tests.helpers import (
     corpus_scenarios,
     run_engine_variant,
     straddling_sets_spec,
+    synthetic_spec,
 )
 
 
@@ -104,6 +107,46 @@ class TestScalarEquivalence:
             result = run_engine_variant(compiled, variant, traces="none",
                                         **scenario.kwargs)
             assert_scalar_equivalent(reference, result)
+
+    def test_booster_windows_crossing_level_spans(self):
+        """The stress@64 shape under a long recompute window: windows
+        outlast the booster's level spans, so the scalar materialization's
+        stall corrections split one window over several table entries."""
+        compiled = build_compiled_workload(synthetic_spec(
+            "scalar-stress64", groups=16, rows=16, operator_rows=32,
+            n_operators=32))
+        kwargs = dict(cycles=2000, controller="booster", recompute_cycles=32,
+                      beta=10, flip_mean=0.9, monitor_noise=0.035, seed=5)
+        full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
+        engine = _VectorizedEngine(PIMRuntime(
+            compiled, RuntimeConfig(traces="none", **kwargs)))
+        scalar, = run_engines([engine])
+        assert_scalar_equivalent(full, scalar)
+
+        # Level spans crossed by each logged recompute window.
+        rows, starts = engine._logged_stall_windows()
+        ends = np.minimum(starts + kwargs["recompute_cycles"], engine.n)
+        crossed = []
+        for gid in engine.groups:
+            lo, hi = engine.group_rows[gid]
+            mine = (rows >= lo) & (rows < hi)
+            span_starts, _, _ = engine._group_spans(gid)
+            crossed.append(
+                np.searchsorted(span_starts, ends[mine] - 1, side="right")
+                - np.searchsorted(span_starts, starts[mine], side="right")
+                + 1)
+        assert np.concatenate(crossed).max() >= 3
+
+    @pytest.mark.parametrize("controller", ["dvfs", "booster"])
+    def test_workload_without_loaded_macros(self, controller):
+        """No loaded macro: an empty span table materializes empty records."""
+        compiled = build_compiled_workload(
+            synthetic_spec("scalar-empty", n_operators=0))
+        kwargs = dict(cycles=50, controller=controller)
+        full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
+        scalar = simulate(compiled, RuntimeConfig(traces="none", **kwargs))
+        assert scalar.macro_results == []
+        assert_scalar_equivalent(full, scalar)
 
     def test_reference_engine_ignores_traces(self):
         """The oracle always materializes traces, whatever the config says."""

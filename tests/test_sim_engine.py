@@ -27,6 +27,7 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.engine import _VectorizedEngine
+from repro.sim.ensemble import run_engines
 from repro.sim.level_cache import LEVEL_CACHE, LevelEntry
 from repro.sweep import WorkloadSpec, build_compiled_workload
 from repro.sweep.records import METRIC_NAMES
@@ -256,6 +257,31 @@ class TestLevelCacheSharing:
         finally:
             set_level_cache_budget(old_budget)
 
+    def test_cached_traces_are_rows_of_the_engine_matrix(self,
+                                                        fresh_level_cache):
+        """The per-macro traces cached under the activity key are row views
+        of the engine's stacked matrix: one buffer per key, charged once,
+        with no separate stacked entry (here for a batch of two seeds)."""
+        compiled = self.make_compiled()
+        engines = [_VectorizedEngine(PIMRuntime(compiled, RuntimeConfig(
+            cycles=200, controller="booster", seed=seed, traces="none")))
+            for seed in (0, 1)]
+        run_engines(engines)
+        for engine in engines:
+            traces = LEVEL_CACHE.get(engine._activity_key)
+            assert traces is engine.activity
+            assert engine.A.shape == (engine.n_rows, 200)
+            assert not engine.A.flags.writeable
+            for row, macro in enumerate(engine.proc_order):
+                assert np.shares_memory(traces[macro], engine.A)
+                assert np.array_equal(traces[macro], engine.A[row])
+            assert LEVEL_CACHE._sizes[engine._activity_key] \
+                == engine.A.nbytes
+        assert not np.shares_memory(engines[0].A, engines[1].A)
+        assert {key[0] for key in LEVEL_CACHE._entries
+                if isinstance(key[0], str)} == {
+            "activity", "activity_prefix", "activity_stats"}
+
     def test_budget_eviction_is_lru_and_bounded(self, fresh_level_cache):
         compiled = self.make_compiled()
         self.run_once(compiled, cycles=300, controller="booster", seed=0)
@@ -325,23 +351,6 @@ class TestLadderLevelRepeatRule:
         assert self.metrics(warm) == self.metrics(cold)
         assert self.metrics(cold) == pytest.approx(self.metrics(reference),
                                                    rel=1e-9)
-
-    def test_whole_horizon_row_stats_match_the_cycle_gather(self):
-        """The scalar materialization reduces a level covering the whole
-        horizon through the entry's memoized row stats, and any other level
-        through a gather of its covered cycles: both must give the same
-        bits, whatever the member count."""
-        rng = np.random.default_rng(0)
-        pair = VFTable().select_pair(40, "sprint")
-        for members, cycles in ((1, 257), (2, 400), (4, 8000), (5, 1001)):
-            drop_rows = rng.random((members, cycles))
-            entry = LevelEntry(pair=pair, drop_rows=drop_rows,
-                               fail_cycles=None)
-            gathered = drop_rows[:, np.arange(cycles)]
-            sums, maxes = entry.drop_row_stats
-            assert np.array_equal(sums, gathered.sum(axis=1))
-            assert np.array_equal(maxes, gathered.max(axis=1))
-            assert entry.drop_row_stats is entry.drop_row_stats
 
 
 class TestDefaultVFTable:
@@ -436,8 +445,6 @@ class TestBatchedPrimitives:
 
     def test_flip_factor_matrix_cached_and_readonly(self):
         a = flip_factor_matrix([1, 2], 64)
-        b = flip_factor_matrix([1, 2], 64)
-        assert a is b
         with pytest.raises(ValueError):
             a[0, 0] = 0.5
 

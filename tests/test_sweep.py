@@ -391,15 +391,17 @@ def mark_and_sleep(directory: str, run) -> str:
 
 class TestPoolDispatch:
     def test_pool_never_holds_more_chunks_than_workers(self, tmp_path):
-        """Chunks go out lazily: while the consumer holds the first outcome
-        of a 2-worker pool, no third chunk has started."""
+        """Chunks go out lazily, and a freed slot is refilled before the
+        consumer gets the outcomes: while it holds the first outcome of a
+        2-worker pool, exactly three chunks have started (the returned one
+        plus two in flight), never a fourth."""
         runs = tiny_spec(seeds=3).expand()             # 6 runs
         stream = PoolExecutor(processes=2, chunksize=1).imap_unordered(
             functools.partial(mark_and_sleep, str(tmp_path)), runs)
         try:
             first = next(stream)
             time.sleep(0.1)
-            assert len(os.listdir(tmp_path)) == 2
+            assert len(os.listdir(tmp_path)) == 3
             rest = list(stream)
         finally:
             stream.close()

@@ -40,7 +40,7 @@ ENSEMBLE_MONITOR_NOISE = 0.035
 #: Frontier jump per selected failure.  32 keeps every member deep in the
 #: failure-dense regime (>7000 failures per member at the reference chip)
 #: while leaving the boost ladder's level dwells sparse enough that the
-#: ensemble's windowed streams — not the inherently sequential span walk —
+#: ensemble's candidate masks — not the inherently sequential span walk —
 #: decide the matchup.
 ENSEMBLE_RECOMPUTE = 32
 

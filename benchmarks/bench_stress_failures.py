@@ -159,12 +159,11 @@ def test_stress_failure_path(benchmark):
         result = run_vectorized(runtime)
         _assert_equivalent(reference, result, "event engine")
 
-        # Timings.  The level cache is warm after the runs above, so
-        # ``batched_warm`` measures the steady state of a sweep;
-        # ``batched_cold`` disables the cache.
-        start = time.perf_counter()
-        PIMRuntime(compiled, _stress_config("reference")).run()
-        reference_seconds = time.perf_counter() - start
+        # Timings, each side the best of three.  The level cache is warm
+        # after the runs above, so ``batched_warm`` measures the steady
+        # state of a sweep; ``batched_cold`` disables the cache.
+        reference_seconds = _best_of(
+            lambda: PIMRuntime(compiled, _stress_config("reference")).run())
         batched_warm = _best_of(lambda: run_vectorized(runtime))
         old_budget = set_level_cache_budget(0)
         try:

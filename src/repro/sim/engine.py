@@ -22,11 +22,11 @@ once per activity key and cached in the level cache:
 accumulate_trace_rows`).
 
 A lone run (:func:`run_vectorized`) is a batch of one through the phases of
-:func:`repro.sim.ensemble.run_engines`.  Only the levels a run is certain to
-visit (its initial level, or the safe level every IRFailure lands on) are
-prebuilt; a ``booster`` run's other boost-ladder levels are windowed on their
-first sight in the process and cached on repeat
-(:meth:`_VectorizedEngine._ladder_entry`).
+:func:`repro.sim.ensemble.run_engines`.  A run whose levels never change
+prebuilds each group's one level; a ``booster`` run's span kernel derives
+every level it visits itself, its safe level included, as one windowed
+candidate byte mask per (group, level) that the level cache shares across
+runs (:class:`_LazyLevelStreams`).
 
 Event processing is split by *recompute-stall coupling*.  Stalls propagate
 within a failing macro's logical Set, so a group whose Sets all live inside its
@@ -36,14 +36,17 @@ kernels of :mod:`repro.sim.kernels` — groups whose level never changes
 (``dvfs``, ``booster_safe``) as one greedy min-gap selection per Set over a
 merged ``(cycle, row)`` candidate stream, for every run of a batch at once
 (:func:`repro.sim.ensemble._run_group_kernel_runs`), ``booster`` groups as the
-same selection resumed across level-stable spans, with each *safe-level
-failure run* (consecutive failures all within ``beta`` of each other) chained
-in a tight controller-free inner loop and applied to Algorithm 2 in one
+same selection resumed across level-stable spans, one ``bytearray.find`` per
+peek into the visited level's candidate mask, with each *safe-level failure
+run* (consecutive failures all within ``beta`` of each other) chained in a
+tight controller-free inner loop and applied to Algorithm 2 in one
 vectorized :meth:`~repro.core.ir_booster.IRBoosterController.\
 apply_failures_at_cycles` call (:meth:`_VectorizedEngine.\
 _run_group_span_kernel`).  Groups whose Sets
 straddle group boundaries are *coupled* and run under a lazy-invalidation
-heap scheduler that interleaves their events in global cycle order.  Failure
+heap scheduler that interleaves their events in global cycle order, as does
+a ``booster`` group with more Sets than a mask byte codes
+(:data:`MAX_MASK_SETS`).  Failure
 cycles are replayed with the exact scalar ordering of the reference loop
 (failures propagate recompute stalls to the failing macro's logical Set
 *within* the cycle, which suppresses later samples).  Controllers without
@@ -69,7 +72,7 @@ order) is enforced by ``tests/test_sim_engine.py`` and the oracle chain of
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -81,7 +84,7 @@ from ..power.vf_table import VFPair
 # ``select_failures`` has no caller here since the runs-axis kernel took
 # over every no-level-change group; it stays importable from this module
 # because e2ebench/tracer.py wraps it under this path.
-from .kernels import MergedCandidates, frontier_key, merge_candidates, \
+from .kernels import MergedCandidates, merge_candidates, \
     select_failures  # noqa: F401
 from .level_cache import LEVEL_CACHE, LevelEntry, workload_cache_key
 from .results import SimulationResult, assemble_scalar_result
@@ -94,12 +97,9 @@ __all__ = ["ENGINES", "run_vectorized"]
 #: Available simulation engines (``RuntimeConfig.engine``).
 ENGINES = ("vectorized", "reference")
 
-#: Level-cache value under a ``(group, level)`` physics key that records "a
-#: run in this process windowed this level once" (see
-#: :meth:`_VectorizedEngine._ladder_entry`).  It never leaves the process:
-#: the shared store encodes only :class:`LevelEntry` values.
-_SEEN = object()
-_SEEN_NBYTES = 64
+#: Most Sets a group's candidate mask codes: one byte per candidate, code 0
+#: meaning none.  A ``booster`` group with more runs under the heap scheduler.
+MAX_MASK_SETS = 255
 
 
 class ActivityTraces(dict):
@@ -119,125 +119,86 @@ class ActivityTraces(dict):
 
 
 class _LazyLevelStreams:
-    """Windowed per-Set candidate key streams for one ``(group, level)``.
+    """One ``(group, level)``'s windowed candidate mask.
 
-    The booster span kernel binds boost-ladder levels thousands of times
-    but consumes only a handful of candidates per bind — one peek per Set,
-    at most one selected key per failure — before the level drops back to
-    safe.  Deriving each such level's full candidate pipeline (horizon-wide
-    compare + ``nonzero`` + merge sort + key boxing) is mostly waste, and in
-    a batch the retained streams dominate the memory footprint.  So the
-    first bind of a level in a process materializes each Set's packed-key
-    stream lazily over expanding cycle windows instead, appending to the
-    same ``keys`` list the kernel walks; a repeat bind gets full streams
-    (:meth:`_VectorizedEngine._ladder_entry`).
+    A cycle-major ``bytearray`` over the group's rows: the byte at
+    ``cycle * width + local_row`` holds the row's Set code (the Set's
+    1-based position in :meth:`_VectorizedEngine._group_sets` order) where
+    the engine's candidate comparison fails at this level, and 0 elsewhere.
+    Mask positions order exactly like the kernels' packed ``(cycle, row)``
+    keys, so the span kernel keeps each Set's frontier as a position and a
+    peek is one ``mask.find(code, pos)``: a ``memchr`` over bytes in place
+    of a boxed key stream per Set.
 
-    Correctness rests on two invariants.  *Bit-exactness*: a window's fail
-    mask is evaluated with the engine's own candidate expression
-    (:meth:`_VectorizedEngine._fail_mask` semantics — ``drop_array``
-    and the monitor comparison are elementwise, so column slices produce
-    identical floats) and keys pack ``(cycle, row)`` exactly like
-    :func:`~repro.sim.kernels.merge_candidates`.  *Append-only*: windows
-    cover whole cycles and only ever extend forward from ``upto`` (or from
-    the *minimum* frontier across the level's Sets — earlier cycles are
-    permanently ineligible for every Set once all frontiers have passed
-    them), so every new key sorts after every existing one and the kernel's
-    resume indices stay valid.
+    The span kernel binds boost-ladder levels thousands of times but
+    consumes only a handful of candidates per bind before the level drops
+    back to safe, so the mask is derived lazily: :meth:`refill` extends it
+    over doubling windows of whole cycles, contiguously from cycle 0, until
+    the peeked Set has a candidate or the horizon ends.  A window applies
+    the engine's own candidate expression (:meth:`_VectorizedEngine.\
+_fail_mask`) to a column window of the group's activity; ``drop_array`` and
+    the comparison are elementwise, so every byte equals the full-horizon
+    mask's.
 
-    The window is shared by all of the group's Sets: one ``drop_array`` +
-    monitor compare over the group's contiguous activity rows extends every
-    Set's key list in lockstep, so when Sets exhaust their streams within
-    the same bind — the common case, since frontiers advance together —
-    only the first pays for the derivation.
+    The mask holds no engine arrays: :meth:`refill` reads the calling
+    engine's activity block and noise.  So it is cached in the level cache
+    under a ``"candidates"``-led physics key
+    (:meth:`_VectorizedEngine._candidates`), where every run on the same
+    physics (a shared-seed beta grid) finds it from the first sight and
+    extends the same bytes in place.
+
+    The class name predates the mask; e2ebench/tracer.py wraps
+    :meth:`refill` under it.
     """
 
-    __slots__ = ("ir_model", "voltage", "frequency", "threshold", "noise",
-                 "block", "lo", "n", "shift", "set_sel", "upto", "step")
+    __slots__ = ("gid", "lo", "hi", "pair", "codes", "mask", "upto", "step")
 
     #: first-window cycle count; each consecutive refill doubles the
-    #: window (capped) so sparse streams converge in a few passes.
+    #: window (capped) so sparse masks converge in a few passes.
     WINDOW = 512
     WINDOW_MAX = 4096
 
-    def __init__(self, engine: "_VectorizedEngine", gid: int, level: int,
-                 set_arrays: List[np.ndarray]) -> None:
-        pair = engine._pair_for(level)
-        allowed_drop = engine.ir_model.drop(
-            min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
-        self.ir_model = engine.ir_model
-        self.voltage = pair.voltage
-        self.frequency = pair.frequency
-        self.threshold = (pair.voltage - allowed_drop) \
-            + engine.min_voltage_margin
-        self.noise = engine._noise(gid)
-        lo, hi = engine.group_rows[gid]
-        self.block = engine.A[lo:hi]
+    def __init__(self, gid: int, lo: int, hi: int, pair: VFPair,
+                 codes: np.ndarray) -> None:
+        self.gid = gid
         self.lo = lo
-        self.n = engine.n
-        self.shift = engine.row_shift
-        # Per-Set membership over the group's local rows, to split the
-        # window's cycle-major candidate walk into per-Set streams.
-        sels = []
-        for rows in set_arrays:
-            sel = np.zeros(hi - lo, dtype=bool)
-            sel[rows - lo] = True
-            sels.append(sel)
-        self.set_sel = sels
+        self.hi = hi
+        self.pair = pair
+        #: per local row, its Set code (``uint8``)
+        self.codes = codes
+        self.mask = bytearray()
+        #: cycles derived so far (the mask holds ``upto * width`` bytes)
         self.upto = 0
         self.step = self.WINDOW
 
-    def refill(self, s: int, fk: int, key_lists: List[List[int]], i: int,
-               min_fk: int) -> int:
-        """Extend the group window until Set ``s`` has a key above frontier
-        ``fk``, returning its index into ``key_lists[s]`` (or the list
-        length once the horizon is exhausted).  ``min_fk`` is the minimum
-        frontier key over all Sets — cycles below it are ineligible for
-        everyone, so the window may skip ahead to it.  Only called when the
-        materialized stream has no key above ``fk``."""
-        n = self.n
-        shift = self.shift
-        lo = self.lo
+    def refill(self, engine: "_VectorizedEngine", code: int, pos: int) -> int:
+        """Extend the mask until Set ``code`` has a candidate at or after
+        position ``pos``; return that position, or ``n * width`` when the
+        horizon holds none.  Only called when ``mask.find`` missed."""
+        mask = self.mask
+        lo, hi = self.lo, self.hi
+        width = hi - lo
+        n = engine.n
         upto = self.upto
         step = self.step
-        block = self.block
-        voltage = self.voltage
-        noise = self.noise
-        set_sel = self.set_sel
-        keys = key_lists[s]
-        while upto < n:
-            start = min_fk >> shift
-            if start < upto:
-                start = upto
-            end = start + step
+        block = engine.A[lo:hi]
+        pair = self.pair
+        found = -1
+        while found < 0 and upto < n:
+            end = upto + step
             if end > n:
                 end = n
-            # The reference comparison on a column window (elementwise, so
-            # floats match the full-horizon derivation bit for bit).
-            drop = self.ir_model.drop_array(
-                block[:, start:end], voltage, self.frequency)
-            fail = (voltage - drop) + noise[start:end] < self.threshold
-            # Transposed nonzero walks cycle-major with local rows ascending
-            # within each cycle, so each Set's membership-filtered slice of
-            # the packed keys comes out already in stream order (identical
-            # to a sorted full-horizon merge).
-            c_idx, r_idx = np.nonzero(fail.T)
-            if r_idx.size:
-                keys_all = ((c_idx + start) << shift) | (r_idx + lo)
-                for t, sel in enumerate(set_sel):
-                    part = keys_all[sel[r_idx]]
-                    if part.size:
-                        key_lists[t].extend(part.tolist())
+            drop = engine.ir_model.drop_array(
+                block[:, upto:end], pair.voltage, pair.frequency)
+            fail = engine._fail_mask(self.gid, pair, drop, upto)
+            mask += (fail.T * self.codes).tobytes()
+            found = mask.find(code, max(pos, upto * width))
             upto = end
             if step < self.WINDOW_MAX:
                 step <<= 1
-            m = len(keys)
-            if i < m and keys[i] <= fk:
-                i = bisect_right(keys, fk, i + 1)
-            if i < m:
-                break
         self.upto = upto
         self.step = step
-        return i
+        return found if found >= 0 else n * width
 
 
 class _VectorizedEngine:
@@ -367,6 +328,17 @@ class _VectorizedEngine:
         # Event bookkeeping.
         inf = self.n
         self.stepping = self.cfg.controller == "booster"
+        #: independent groups the booster span kernel runs, and the groups
+        #: the heap scheduler runs: the coupled ones and, in a booster run,
+        #: any independent group with more Sets than a mask byte codes.
+        self.span_groups: List[int] = []
+        if self.stepping:
+            self.span_groups = [
+                gid for gid in self.independent_groups
+                if len({self.set_of_row[row] for row in range(
+                    *self.group_rows[gid])}) <= MAX_MASK_SETS]
+        self.heap_groups = [gid for gid in self.groups if gid in coupled or (
+            self.stepping and gid not in self.span_groups)]
         self.synced = {gid: 0 for gid in self.groups}
         self.scan_from = {gid: 0 for gid in self.groups}
         self.next_sched = {
@@ -395,14 +367,14 @@ class _VectorizedEngine:
     def _bind_caches(self) -> None:
         """Bind the initial level's candidate-bearing entry per group for
         the event paths that read one up front: the no-level-change kernel
-        walks its merged streams, the coupled-group heap scheduler bisects
-        its per-row lists (derives on a cache miss).
+        walks its merged streams, the heap scheduler bisects its per-row
+        lists (derives on a cache miss).
 
-        A ``booster`` run's independent groups bind nothing here: the span
-        kernel binds every level it visits itself, windowing a level on its
-        first sight in the process (see :meth:`_ladder_entry`).
+        A ``booster`` run's span groups bind nothing here: the span kernel
+        binds every level it visits itself, as a candidate mask (see
+        :meth:`_candidates`).
         """
-        groups = self.coupled_groups if self.stepping else self.groups
+        groups = self.heap_groups if self.stepping else self.groups
         #: the active level's cache per group (refreshed on level changes)
         self.cur_cache = {gid: self._cache(gid, self.level[gid])
                           for gid in groups}
@@ -485,31 +457,38 @@ class _VectorizedEngine:
         lookup = level if level in self.table.levels else 100
         return self.table.select_pair(lookup, self.cfg.mode)
 
-    def _fail_mask(self, gid: int, pair: VFPair,
-                   drop_rows: np.ndarray) -> np.ndarray:
+    def _fail_mask(self, gid: int, pair: VFPair, drop_rows: np.ndarray,
+                   start: int = 0) -> np.ndarray:
         """The boolean candidate mask at ``pair`` — exactly the reference
-        comparison: ``(V - drop) + noise < (V - allowed) + margin``.  Shared
-        by the full derivation, the physics-only upgrade path, the direct
-        stream prebuild and the windowed streams (on column slices), so
-        every consumer evaluates bit-identical floats."""
+        comparison: ``(V - drop) + noise < (V - allowed) + margin`` — for
+        the drop columns of cycles ``start`` onward.  Shared by the full
+        derivation, the physics-only upgrade path, the direct stream
+        prebuild and the candidate masks' windows, so every consumer
+        evaluates bit-identical floats."""
         allowed_drop = self.ir_model.drop(
             min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
         threshold = (pair.voltage - allowed_drop) + self.min_voltage_margin
-        return (pair.voltage - drop_rows) + self._noise(gid) < threshold
+        noise = self._noise(gid)[start:start + drop_rows.shape[1]]
+        return (pair.voltage - drop_rows) + noise < threshold
 
     @staticmethod
     def _row_candidates(fail_rows: np.ndarray) -> List[np.ndarray]:
         """Per-row sorted candidate cycles of a candidate mask."""
         return [np.nonzero(row)[0] for row in fail_rows]
 
-    def _shared(self, gid: int, level: int) -> Tuple[VFPair, tuple, object]:
-        """``(pair, shared key, level-cache value)`` for one level; the
-        value is ``None`` on a miss and may be the :data:`_SEEN` marker."""
+    def _physics_key(self, gid: int, pair: VFPair) -> tuple:
+        """The level-cache key of one (group, pair)'s physics.  The physics
+        depends on the pair, not the Algorithm-2 level that selected it, so
+        it is keyed by (V, f, signoff level)."""
+        return (self._share_key, gid, pair.level, pair.voltage,
+                pair.frequency)
+
+    def _shared(self, gid: int, level: int) -> Tuple[VFPair, tuple,
+                                                     Optional[LevelEntry]]:
+        """``(pair, shared key, cached entry)`` for one level; the entry is
+        ``None`` on a miss."""
         pair = self._pair_for(level)
-        # The physics depends on the pair, not the Algorithm-2 level that
-        # selected it, so the shared entry is keyed by (V, f, signoff level).
-        shared_key = (self._share_key, gid, pair.level, pair.voltage,
-                      pair.frequency)
+        shared_key = self._physics_key(gid, pair)
         return pair, shared_key, LEVEL_CACHE.get(shared_key)
 
     def _derive_physics(self, gid: int, pair: VFPair) -> LevelEntry:
@@ -529,7 +508,7 @@ class _VectorizedEngine:
         if cached is not None and cached.fail_cycles is not None:
             return cached
         pair, shared_key, entry = self._shared(gid, level)
-        if entry is None or entry is _SEEN:
+        if entry is None:
             entry = self._derive_physics(gid, pair)
         if entry.fail_cycles is None:
             entry.fail_cycles = self._row_candidates(
@@ -538,40 +517,40 @@ class _VectorizedEngine:
         self._caches[key] = entry
         return entry
 
-    def _ladder_entry(self, gid: int, level: int) -> Optional[LevelEntry]:
-        """The span kernel's bind of a level under the *repeat rule*: a
-        candidate-bearing entry, or ``None`` to window the level's streams.
+    def _candidates(self, gid: int, level: int) -> _LazyLevelStreams:
+        """The level's candidate mask for the span kernel: the level cache's
+        under the ``"candidates"``-led physics key, or a new empty one.
 
-        The first bind of a level in the process windows it
-        (:class:`_LazyLevelStreams`) and leaves the :data:`_SEEN` marker
-        under the entry's key.  A later bind finds the marker (or the
-        physics-only entry a full-trace materialization put in its place)
-        and derives the full streams through :meth:`_cache`, which caches
-        them, so a level recurring across runs (a shared-seed beta grid)
-        hits from its third sight on.
+        The mask grows in place as runs refill it, so it is charged its
+        full-horizon size up front; a shared store never publishes it.
         """
-        if (gid, level) not in self._caches:
-            _, shared_key, entry = self._shared(gid, level)
-            if entry is None:
-                LEVEL_CACHE.put(shared_key, _SEEN, _SEEN_NBYTES)
-                return None
-        return self._cache(gid, level)
+        pair = self._pair_for(level)
+        key = ("candidates",) + self._physics_key(gid, pair)
+        streams = LEVEL_CACHE.get(key)
+        if streams is None:
+            lo, hi = self.group_rows[gid]
+            codes = np.zeros(hi - lo, dtype=np.uint8)
+            for code, set_rows in enumerate(self._group_sets(gid), 1):
+                codes[set_rows - lo] = code
+            streams = _LazyLevelStreams(gid, lo, hi, pair, codes)
+            LEVEL_CACHE.put(key, streams, (hi - lo) * self.n + 512)
+        return streams
 
     def _physics_cache(self, gid: int, level: int) -> LevelEntry:
         """The level's entry for materialization: the full drop matrix
         without requiring candidates.
 
         Levels bound during event processing return their memoized entry
-        unchanged; a windowed level derives a *physics-only* entry here —
-        ``drop_array`` over the same rows as the full derivation, so every
-        float is bit-identical — which takes the place of its marker.
+        unchanged; a level the span kernel consumed through its candidate
+        mask derives a *physics-only* entry here — ``drop_array`` over the
+        same rows as the full derivation, so every float is bit-identical.
         """
         key = (gid, level)
         cached = self._caches.get(key)
         if cached is not None:
             return cached
         pair, shared_key, entry = self._shared(gid, level)
-        if entry is None or entry is _SEEN:
+        if entry is None:
             entry = self._derive_physics(gid, pair)
             LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
         self._caches[key] = entry
@@ -580,18 +559,19 @@ class _VectorizedEngine:
     def _prebuild_streams(self, gid: int, level: int) -> LevelEntry:
         """Physics entry plus candidate streams, built directly.
 
-        The prebuild of an *independent* group's certain-to-visit levels:
-        one full-matrix threshold compare and one transposed ``nonzero`` per
-        Set yield each Set's packed-key stream already sorted (cycle-major,
-        and Set rows ascend within a cycle — ``set_rows`` is sorted),
-        skipping the concatenate-and-sort merge of :meth:`_merged`.  Same
-        mask, same key packing — the exact ints ``merge_candidates`` would
-        produce, so the timeline kernels walk identical streams.  The
-        per-row candidates are split from the same mask and attached as
-        well, so the entry is complete and a shared store publishes it.
+        The prebuild of an independent group's one level in a run whose
+        levels never change: one full-matrix threshold compare and one
+        transposed ``nonzero`` per Set yield each Set's packed-key stream
+        already sorted (cycle-major, and Set rows ascend within a cycle —
+        ``set_rows`` is sorted), skipping the concatenate-and-sort merge of
+        :meth:`_merged`.  Same mask, same key packing — the exact ints
+        ``merge_candidates`` would produce, so the timeline kernels walk
+        identical streams.  The per-row candidates are split from the same
+        mask and attached as well, so the entry is complete and a shared
+        store publishes it.
         """
         pair, shared_key, entry = self._shared(gid, level)
-        if entry is None or entry is _SEEN:
+        if entry is None:
             entry = self._derive_physics(gid, pair)
         if entry.merged is None:
             fail_rows = self._fail_mask(gid, pair, entry.drop_rows)
@@ -721,11 +701,14 @@ class _VectorizedEngine:
         """Kernel-driven timeline for a stall-independent ``booster`` group.
 
         Between level breaks the group is exactly a no-level-change span, so
-        each Set advances through the packed-key candidate streams of the
-        current level with the kernel's frontier key — at most one ``bisect``
-        per *selected* failure instead of per-member ``bisect`` per event.
-        The frontier encodes the Set's stall windows and survives level
-        changes unchanged (stalls are level-independent).
+        each Set advances through the current level's candidate mask
+        (:class:`_LazyLevelStreams`) with the kernel's frontier, kept as a
+        mask position: the first position still eligible.  A Set's peek is
+        one ``mask.find(code, frontier)``, refilling the mask on a miss
+        short of the horizon, and each Set caches its next candidate per
+        level, so the frequent safe <-> a-level flips mostly revalidate with
+        one compare.  The frontier encodes the Set's stall windows and
+        survives level changes unchanged (stalls are level-independent).
 
         Failures arrive in *safe-level runs*: an IRFailure always lands the
         group on its safe level, every further failure keeps it there while
@@ -733,10 +716,10 @@ class _VectorizedEngine:
         at the first ``beta``-long failure-free gap.  Each run is chained in
         a tight inner loop that never touches the controller, then applied
         to Algorithm 2 with one vectorized ``apply_failures_at_cycles``
-        call; committed selections accumulate as packed keys and materialize
-        as one array chunk per Set at the end.  Event ordering matches the
-        reference loop exactly (scheduled transitions before failure
-        detection at the same cycle).
+        call; selections accumulate as mask positions and are decoded once
+        per Set at the end (``cycle = pos // width``, ``row = lo + pos %
+        width``).  Event ordering matches the reference loop exactly
+        (scheduled transitions before failure detection at the same cycle).
         """
         n = self.n
         recompute = self.cfg.recompute_cycles
@@ -747,28 +730,26 @@ class _VectorizedEngine:
         break_levels = self.break_levels[gid]
         set_arrays = self._group_sets(gid)
         k = len(set_arrays)
-
         set_row_lists = [arr.tolist() for arr in set_arrays]
-        shift = self.row_shift
-        mask = (1 << shift) - 1
-        jump = recompute << shift
+        lo, hi = self.group_rows[gid]
+        width = hi - lo
+        # A selection at position p moves its Set's frontier to the first
+        # position after (cycle + recompute, row): the kernels' min-gap rule.
+        jump = recompute * width + 1
 
         level = self.level[gid]
         scan_from = self.scan_from[gid]
         synced = self.synced[gid]
         next_sched = self.next_sched[gid]
 
-        # Per-Set packed frontier key (level-independent eligibility bound)
-        # plus, *per level*, the candidate key streams, each Set's resume
-        # index into them and its cached next eligible key.  The index
-        # doubles as the bisect ``lo`` bound, and a cached key stays valid
-        # as long as it still clears the (only-growing) frontier — so the
-        # frequent safe <-> a-level flips mostly revalidate with one scalar
-        # compare instead of re-searching.  UNPEEKED forces the first look;
-        # EXHAUSTED (sorts above every real key) means "none left".
-        UNPEEKED = -2
-        EXHAUSTED = 1 << 62
-        fks = [frontier_key(scan_from, -1, shift)] * k
+        # Per-Set frontier position (level-independent eligibility bound)
+        # plus, *per level*, the candidate mask, each Set's cached next
+        # candidate position in it and the mask's refill handle.  A cached
+        # position stays valid as long as it still clears the (only-growing)
+        # frontier; UNPEEKED forces the first look, and ``n * width`` (the
+        # horizon's end, whose cycle is ``n``) means "none left".
+        UNPEEKED = -1
+        fps = [scan_from * width] * k
         next_f = [n] * k                    # next eligible candidate *cycle*
         level_state: Dict[int, Tuple] = {}
 
@@ -777,53 +758,30 @@ class _VectorizedEngine:
         # the transition branch and the failure branch — because the call
         # overhead alone is measurable at one invocation per level flip.
         # A change to the eligibility logic here must be applied to all
-        # three copies.  Levels consumed through windowed streams (``wins``
-        # not None: the level's first sight in the process) refill on window
-        # exhaustion; their cached ``nf_key`` is only ever EXHAUSTED once the
-        # horizon truly is, so the revalidation shortcut stays sound.
+        # three copies.
         def bind(to_level: int, from_cycle: int) -> Tuple:
             state = level_state.get(to_level)
             if state is None:
-                entry = self._ladder_entry(gid, to_level)
-                if entry is None:
-                    # First sight (see ``_ladder_entry``): windowed streams.
-                    state = ([[] for _ in range(k)], [0] * k, [UNPEEKED] * k,
-                             _LazyLevelStreams(self, gid, to_level,
-                                               set_arrays))
-                else:
-                    merged = self._merged(gid, entry)
-                    state = ([m.keys_list for m in merged], [0] * k,
-                             [UNPEEKED] * k, None)
+                streams = self._candidates(gid, to_level)
+                state = (streams.mask, [UNPEEKED] * k, streams)
                 level_state[to_level] = state
-            key_lists, idxs, nf_key, wins = state
-            base = (from_cycle << shift) - 1
+            mask, next_pos, streams = state
+            base = from_cycle * width
             for s in range(k):
-                fk = fks[s]
-                if fk < base:
-                    fk = base
-                    fks[s] = fk
-                key = nf_key[s]
-                if key > fk:                # cached candidate still eligible
-                    next_f[s] = key >> shift if key < EXHAUSTED else n
-                    continue
-                keys = key_lists[s]
-                m = len(keys)
-                i = idxs[s]
-                if i < m and keys[i] <= fk:
-                    i = bisect_right(keys, fk, i + 1)
-                if i >= m and wins is not None:
-                    i = wins.refill(s, fk, key_lists, i, min(fks))
-                    m = len(keys)
-                idxs[s] = i
-                if i < m:
-                    nf_key[s] = keys[i]
-                    next_f[s] = keys[i] >> shift
-                else:
-                    nf_key[s] = EXHAUSTED
-                    next_f[s] = n
+                fp = fps[s]
+                if fp < base:
+                    fp = base
+                    fps[s] = fp
+                p = next_pos[s]
+                if p < fp:
+                    p = mask.find(s + 1, fp)
+                    if p < 0:
+                        p = streams.refill(self, s + 1, fp)
+                    next_pos[s] = p
+                next_f[s] = p // width
             return state
 
-        key_lists, next_i, next_key, cur_wins = bind(level, scan_from)
+        mask, next_pos, streams = bind(level, scan_from)
         beta = controller.beta
         gstate = controller.state(gid)
         safe = gstate.safe_level
@@ -831,12 +789,12 @@ class _VectorizedEngine:
         advance_steady_transitions = controller.advance_steady_transitions
         apply_failures_at_cycles = controller.apply_failures_at_cycles
         lvl_below = controller.table.level_below
-        #: per Set, every committed key of the whole run — decoded and logged
-        #: as one array chunk at the end (per-key scalar logging would
-        #: dominate the failure hot path) — and the run's last committed key,
+        #: per Set, every selected position of the whole run — decoded and
+        #: logged as one array chunk at the end (per-failure scalar logging
+        #: would dominate the failure hot path) — and the run's last one,
         #: which alone determines the Set's final stall bound.
-        span_keys: List[List[int]] = [[] for _ in range(k)]
-        last_keys = [-1] * k
+        span_pos: List[List[int]] = [[] for _ in range(k)]
+        last_pos = [-1] * k
         single = k == 1
         pair = k == 2
         sets_range = range(k)
@@ -865,40 +823,25 @@ class _VectorizedEngine:
                     scan_from = t
                     # Inlined warm-path bind (one call per level flip makes
                     # the call overhead itself measurable; ``bind`` handles
-                    # the cold first-sight path).
+                    # a level's first visit in the run).
                     state = level_state.get(new_level)
                     if state is None:
-                        key_lists, next_i, next_key, cur_wins = \
-                            bind(new_level, t)
+                        mask, next_pos, streams = bind(new_level, t)
                     else:
-                        key_lists, next_i, next_key, cur_wins = state
-                        base = (t << shift) - 1
+                        mask, next_pos, streams = state
+                        base = t * width
                         for s in sets_range:
-                            fk = fks[s]
-                            if fk < base:
-                                fk = base
-                                fks[s] = fk
-                            key = next_key[s]
-                            if key > fk:
-                                next_f[s] = key >> shift \
-                                    if key < EXHAUSTED else n
-                                continue
-                            keys = key_lists[s]
-                            m = len(keys)
-                            i = next_i[s]
-                            if i < m and keys[i] <= fk:
-                                i = bisect_right(keys, fk, i + 1)
-                            if i >= m and cur_wins is not None:
-                                i = cur_wins.refill(s, fk, key_lists, i,
-                                                    min(fks))
-                                m = len(keys)
-                            next_i[s] = i
-                            if i < m:
-                                next_key[s] = keys[i]
-                                next_f[s] = keys[i] >> shift
-                            else:
-                                next_key[s] = EXHAUSTED
-                                next_f[s] = n
+                            fp = fps[s]
+                            if fp < base:
+                                fp = base
+                                fps[s] = fp
+                            p = next_pos[s]
+                            if p < fp:
+                                p = mask.find(s + 1, fp)
+                                if p < 0:
+                                    p = streams.refill(self, s + 1, fp)
+                                next_pos[s] = p
+                            next_f[s] = p // width
                 elif gstate.a_level == lvl_below(gstate.a_level):
                     # Steady ladder floor: the safe counter sits at ``beta``
                     # (every transition lands it there) and the a-level is
@@ -923,7 +866,7 @@ class _VectorizedEngine:
             # transition out, and the run ends exactly at the first
             # beta-long failure-free gap.  The inner loop chains through the
             # run without touching the controller — cycle f consumes the
-            # current level's streams, the rest the safe level's — and the
+            # current level's mask, the rest the safe level's — and the
             # whole run is then applied to Algorithm 2 in one closed-form
             # ``apply_failures_at_cycles`` call: no per-failure controller
             # round-trip, no per-failure transition bookkeeping.
@@ -932,94 +875,57 @@ class _VectorizedEngine:
             cur = f
             while True:
                 # Every Set whose next eligible candidate sits at ``cur``
-                # fails (streams are tie-broken by the reference loop's
-                # member visit order, baked into the packed keys).
-                cycle_end_key = (cur + 1) << shift
+                # fails (within a cycle, positions follow the reference
+                # loop's member visit order).
+                cycle_end = (cur + 1) * width
                 for s in sets_range:
                     if next_f[s] != cur:
                         continue
-                    keys = key_lists[s]
-                    m = len(keys)
-                    i = next_i[s]
-                    fk = fks[s]
-                    acc = span_keys[s]
-                    # The candidate at ``i`` cleared the frontier when
-                    # peeked; with recompute > 0 one selection suppresses
-                    # the rest of the cycle, with recompute == 0 every later
-                    # same-cycle key clears the moved frontier automatically.
-                    while i < m:
-                        key = keys[i]
-                        if key >= cycle_end_key:
-                            break
-                        acc.append(key)
-                        last_keys[s] = key
-                        fk = key + jump
-                        i += 1
-                        if recompute > 0:
-                            break
-                    fks[s] = fk
-                    # Inlined peek refresh: ``i`` is a valid lo bound —
-                    # everything before it is permanently ineligible.  A
-                    # recompute window suppresses only a handful of keys in
-                    # dense streams, so probe a few linearly before paying
-                    # for a bisect.
-                    probe_limit = i + 4
-                    while i < m and keys[i] <= fk:
-                        i += 1
-                        if i >= probe_limit:
-                            if i < m and keys[i] <= fk:
-                                i = bisect_right(keys, fk, i + 1)
-                            break
-                    if i >= m and cur_wins is not None:
-                        i = cur_wins.refill(s, fk, key_lists, i, min(fks))
-                        m = len(keys)
-                    next_i[s] = i
-                    if i < m:
-                        next_key[s] = keys[i]
-                        next_f[s] = keys[i] >> shift
-                    else:
-                        next_key[s] = EXHAUSTED
-                        next_f[s] = n
+                    code = s + 1
+                    p = next_pos[s]
+                    acc = span_pos[s]
+                    acc.append(p)
+                    if recompute == 0:
+                        # No stall window: every later same-cycle candidate
+                        # of the Set fails as well.
+                        q = mask.find(code, p + 1, cycle_end)
+                        while q >= 0:
+                            acc.append(q)
+                            p = q
+                            q = mask.find(code, p + 1, cycle_end)
+                    last_pos[s] = p
+                    fp = p + jump
+                    fps[s] = fp
+                    p = mask.find(code, fp)
+                    if p < 0:
+                        p = streams.refill(self, code, fp)
+                    next_pos[s] = p
+                    next_f[s] = p // width
                 if cur == f and safe != level:
                     # First failure of the run: the level drops to safe and
-                    # the chain continues on the safe level's streams
-                    # (inlined warm-path bind, as in the transition branch).
+                    # the chain continues on the safe level's mask (inlined
+                    # warm-path bind, as in the transition branch).
                     level = safe
                     break_cycles.append(f + 1)
                     break_levels.append(safe)
                     state = level_state.get(safe)
                     if state is None:
-                        key_lists, next_i, next_key, cur_wins = \
-                            bind(safe, f + 1)
+                        mask, next_pos, streams = bind(safe, f + 1)
                     else:
-                        key_lists, next_i, next_key, cur_wins = state
-                        base = ((f + 1) << shift) - 1
+                        mask, next_pos, streams = state
+                        base = (f + 1) * width
                         for s in sets_range:
-                            fk = fks[s]
-                            if fk < base:
-                                fk = base
-                                fks[s] = fk
-                            key = next_key[s]
-                            if key > fk:
-                                next_f[s] = key >> shift \
-                                    if key < EXHAUSTED else n
-                                continue
-                            keys = key_lists[s]
-                            m = len(keys)
-                            i = next_i[s]
-                            if i < m and keys[i] <= fk:
-                                i = bisect_right(keys, fk, i + 1)
-                            if i >= m and cur_wins is not None:
-                                i = cur_wins.refill(s, fk, key_lists, i,
-                                                    min(fks))
-                                m = len(keys)
-                            next_i[s] = i
-                            if i < m:
-                                next_key[s] = keys[i]
-                                next_f[s] = keys[i] >> shift
-                            else:
-                                next_key[s] = EXHAUSTED
-                                next_f[s] = n
+                            fp = fps[s]
+                            if fp < base:
+                                fp = base
+                                fps[s] = fp
+                            p = next_pos[s]
+                            if p < fp:
+                                p = mask.find(s + 1, fp)
+                                if p < 0:
+                                    p = streams.refill(self, s + 1, fp)
+                                next_pos[s] = p
+                            next_f[s] = p // width
                 if single:
                     nf = next_f[0]
                 elif pair:
@@ -1042,28 +948,26 @@ class _VectorizedEngine:
             scan_from = cur + 1
 
         if recompute > 0:
-            # Selections are time-ordered per Set, so its last committed key
-            # alone determines the final stall bound per row.
+            # Selections are time-ordered per Set, so its last one alone
+            # determines the final stall bound per row.
             for s in range(k):
-                key = last_keys[s]
-                if key >= 0:
-                    c = key >> shift
-                    r = key & mask
+                p = last_pos[s]
+                if p >= 0:
+                    c, local = divmod(p, width)
+                    r = lo + local
                     for row in set_row_lists[s]:
                         end = c + recompute + (1 if row <= r else 0)
                         if end > stall_end[row]:
                             stall_end[row] = end
 
-        # Decode and log every committed selection as one array chunk per
-        # Set (the same materialization shape as the no-level-change kernel
-        # path).
+        # Decode and log every selection as one array chunk per Set (the
+        # same materialization shape as the no-level-change kernel path).
         for s in range(k):
-            acc = span_keys[s]
+            acc = span_pos[s]
             if not acc:
                 continue
-            sel = np.asarray(acc, dtype=np.int64)
-            sel_c = sel >> shift
-            sel_r = sel & mask
+            sel_c, sel_r = np.divmod(np.asarray(acc, dtype=np.int64), width)
+            sel_r += lo
             self.fail_chunk_rows.append(sel_r)
             self.fail_chunk_cycles.append(sel_c)
             for row, count in zip(*(arr.tolist() for arr in
@@ -1082,7 +986,7 @@ class _VectorizedEngine:
         self.next_sched[gid] = next_sched
 
     # ------------------------------------------------------------------ #
-    # heap-scheduled event loop (coupled groups)
+    # heap-scheduled event loop (coupled and oversized groups)
     # ------------------------------------------------------------------ #
     def _push_next_fail(self, gid: int, heap: list, gpos: Dict[int, int]) -> None:
         nf = self._query_next_fail(gid)

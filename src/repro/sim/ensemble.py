@@ -19,21 +19,19 @@ one):
   amortizes the dominant cold-run cost; row ``i`` still consumes exactly
   the per-seed RNG stream a lone run would, so traces stay bit-identical.
   Members sharing a seed (a beta grid) share one generation.
-* **physics** — the candidate streams of the levels each member is certain
-  to visit (its initial level, or a ``booster`` member's safe level) are
-  built up front, *directly*: for independent groups one full-matrix
-  monitor compare per (group, level) plus one transposed ``nonzero`` per
-  Set yields the packed key streams already in merge order, and the
-  per-row candidates from the same mask
-  (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`).
-  Set-coupled groups go through the full cache derivation (the heap
-  scheduler bisects per-row cycle lists).  A ``booster`` member's other
-  boost-ladder levels are not prebuilt — the span kernel binds them
-  thousands of times but consumes only a handful of candidates per bind,
-  so on a level's first sight in the process its streams materialize over
-  expanding cycle windows (:class:`~repro.sim.engine._LazyLevelStreams`),
-  and a later bind derives and caches its full streams (the repeat rule,
-  :meth:`~repro.sim.engine._VectorizedEngine._ladder_entry`).
+* **physics** — a member whose levels never change (``dvfs``,
+  ``booster_safe``) gets its one level per group built up front,
+  *directly*: for independent groups one full-matrix monitor compare per
+  (group, level) plus one transposed ``nonzero`` per Set yields the packed
+  key streams already in merge order, and the per-row candidates from the
+  same mask (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`).
+  A ``booster`` member's span groups prebuild nothing: the span kernel binds
+  every level it visits, its safe level included, as a candidate byte mask
+  that grows over expanding cycle windows and that the level cache shares
+  across runs (:class:`~repro.sim.engine._LazyLevelStreams`).  Groups under
+  the heap scheduler go through the full cache derivation of their initial
+  level, and of a ``booster`` member's safe level (the heap scheduler
+  bisects per-row cycle lists).
 * **events** — members whose level never changes (``dvfs``,
   ``booster_safe``) resolve each group through the *runs-axis* timeline
   kernels (:func:`~repro.sim.kernels.select_failures_runs`, re-armed via
@@ -41,7 +39,8 @@ one):
   member's failure timeline for a Set.  ``booster`` members keep their
   per-member span kernel (Algorithm-2 state is inherently sequential per
   run) but run group-major so each group's shared structures stay hot.
-  Set-coupled groups run each member's heap scheduler.
+  Set-coupled groups, and a ``booster`` group with more Sets than a mask
+  byte codes, run each member's heap scheduler.
 
 Equivalence contract: for every member, the returned
 :class:`~repro.sim.results.SimulationResult` is *bit-identical in every
@@ -204,29 +203,27 @@ def _batch_activity(engines: List[_VectorizedEngine]) -> None:
 def _prebuild_physics(engines: List[_VectorizedEngine]) -> None:
     """Derive every member's certain-to-visit level entries up front.
 
-    That is a group's initial level, or a stepping (``booster``) member's
-    safe level — every IRFailure lands there.  A stepping member's distinct
-    initial level is its starting boost-ladder level, so its span kernel
-    binds it like any other ladder level (the repeat rule,
-    :meth:`~repro.sim.engine._VectorizedEngine._ladder_entry`); coupled
-    groups, whose heap scheduler bisects per-row candidate lists, take the
-    full ``_cache`` derivation of both.  Independent groups get their
-    streams built directly (``_prebuild_streams``: keys land pre-sorted,
-    bit-identical to the merge).  Every entry lands in the engine's private
-    memo, so the batch is immune to shared-cache eviction pressure.
+    A member whose levels never change gets each group's one level: an
+    independent group's streams are built directly (``_prebuild_streams``:
+    keys land pre-sorted, bit-identical to the merge), a heap group takes
+    the full ``_cache`` derivation.  A stepping (``booster``) member's heap
+    groups take ``_cache`` of their initial and safe levels, the levels the
+    heap scheduler is certain to visit (every IRFailure lands on safe); its
+    span groups prebuild nothing, since the span kernel binds every level
+    it visits as a candidate mask.  Every entry lands in the engine's
+    private memo, so the batch is immune to shared-cache eviction pressure.
     """
     for engine in engines:
-        coupled = set(engine.coupled_groups)
+        heap = set(engine.heap_groups)
         for gid in engine.groups:
-            levels = [engine.level[gid]]
-            if engine.stepping:
-                safe = engine.controller.state(gid).safe_level
-                levels = [levels[0], safe] if gid in coupled else [safe]
-            for level in levels:
-                if gid in coupled:
-                    engine._cache(gid, level)
-                else:
-                    engine._prebuild_streams(gid, level)
+            level = engine.level[gid]
+            if gid in heap:
+                engine._cache(gid, level)
+                if engine.stepping:
+                    engine._cache(
+                        gid, engine.controller.state(gid).safe_level)
+            elif not engine.stepping:
+                engine._prebuild_streams(gid, level)
 
 
 # ---------------------------------------------------------------------- #
@@ -276,24 +273,20 @@ def _run_group_kernel_runs(members: List[_VectorizedEngine],
 def _run_events_batch(engines: List[_VectorizedEngine]) -> None:
     """Event processing for the whole batch: independent groups through the
     timeline kernels (runs-axis for no-level-change members, the span
-    kernel per ``booster`` member), coupled groups through each member's
-    heap scheduler, then the final controller flush."""
+    kernel per ``booster`` member), heap groups through each member's heap
+    scheduler, then the final controller flush."""
     flat = [engine for engine in engines if not engine.stepping]
     stepping = [engine for engine in engines if engine.stepping]
     if flat:
         for gid in flat[0].independent_groups:
             _run_group_kernel_runs(flat, gid)
-        for engine in flat:
-            if engine.coupled_groups:
-                engine._run_events_heap(engine.coupled_groups)
     if stepping:
-        # Group-major: each group's shared Set/merge structures stay hot
-        # across the per-member span kernels.
-        for gid in stepping[0].independent_groups:
+        # Group-major: each group's shared Set structures and candidate
+        # masks stay hot across the per-member span kernels.
+        for gid in stepping[0].span_groups:
             for engine in stepping:
                 engine._run_group_span_kernel(gid)
-        for engine in stepping:
-            if engine.coupled_groups:
-                engine._run_events_heap(engine.coupled_groups)
     for engine in engines:
+        if engine.heap_groups:
+            engine._run_events_heap(engine.heap_groups)
         engine._finish_events()

@@ -29,8 +29,11 @@ to "every candidate fails", a single slice.
 A single *frontier key* — "only keys strictly greater are eligible" — is the
 kernel's entire carry-over state (``(cycle << shift) - 1`` encodes "every row
 at ``cycle``").  It survives level changes unchanged (stall windows are
-level-independent), which is how the engine resumes a ``booster`` group's
-Sets across level-stable spans.
+level-independent), which is how the engine's span kernel resumes a
+``booster`` group's Sets across level-stable spans; that kernel holds the
+same frontier as a position in a per-level candidate byte mask
+(:class:`~repro.sim.engine._LazyLevelStreams`), whose positions order like
+the packed keys.
 
 Implementation
 --------------

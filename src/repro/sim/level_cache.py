@@ -12,7 +12,12 @@ immutable, eviction is byte-budgeted, and correctness never depends on a
 hit.  The engine keeps each run's activity here too — the per-macro traces
 as row views of one stacked matrix, its prefix sums and row statistics,
 under keys led by ``"activity"`` — and nowhere else: the flip matrices the
-activity derives from are not memoized.
+activity derives from are not memoized.  A ``booster`` run's span kernel
+keeps one candidate byte mask per (group, level) here, under the level's
+physics key led by ``"candidates"``
+(:class:`~repro.sim.engine._LazyLevelStreams`): a mask grows in place as
+runs refill it, is charged its full-horizon size up front, and is never
+published to a shared store.
 
 Key derivation
 --------------
@@ -86,7 +91,7 @@ class LevelEntry:
     #: per member, sorted candidate cycle indices — or ``None`` for a
     #: *physics-only* entry (drop matrix only, no candidate pipeline).  A
     #: full-trace materialization of a level whose candidates were consumed
-    #: through windowed streams builds such an entry;
+    #: through a candidate mask builds such an entry;
     #: ``_VectorizedEngine._cache`` completes one in place on the first run
     #: that needs the candidate streams.
     fail_cycles: Optional[List[np.ndarray]]

@@ -269,7 +269,10 @@ def test_chaos_equivalence_all_faults_armed(tmp_path, salt):
     fault-free serial baseline."""
     clear_level_cache()
     detach_shared_store()
-    spec = tiny_spec(seeds=2)
+    # The dvfs point publishes level entries: the booster runs publish only
+    # their activity, which the kill and hang rebuilds' first-publish flips
+    # could quarantine entirely, leaving the warm pass nothing to load.
+    spec = tiny_spec(seeds=2, controllers=("booster", "dvfs"))
     baseline = SweepRunner(spec, SerialExecutor()).run()
     clear_level_cache()
 

@@ -570,17 +570,22 @@ class TestServiceLifecycle:
 
     def test_graceful_shutdown_drains_and_restart_completes(
             self, tmp_path, wide_baseline):
-        service = SweepService(str(tmp_path), checkpoint_every=1).start()
-        job_id = None
-        try:
-            job, _ = service.submit(wide_spec().to_json_dict(), job_key="g")
-            job_id = job.job_id
-            deadline = time.monotonic() + 60
-            while service.status(job_id)["records_done"] < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-        finally:
-            service.shutdown(timeout=60)
+        # The second run sleeps, so the drain lands mid-flight however fast
+        # the other 15 runs are; the restart runs disarmed.
+        with faults.injected_faults(FaultSpec(
+                kind="hang", match="t/p0000/s001", hang_seconds=0.5)):
+            service = SweepService(str(tmp_path), checkpoint_every=1).start()
+            job_id = None
+            try:
+                job, _ = service.submit(wide_spec().to_json_dict(),
+                                        job_key="g")
+                job_id = job.job_id
+                deadline = time.monotonic() + 60
+                while service.status(job_id)["records_done"] < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            finally:
+                service.shutdown(timeout=60)
         drained = service.status(job_id)
         assert drained["state"] == "running"          # journaled mid-flight
         assert drained["records_done"] >= 1

@@ -492,15 +492,18 @@ class TestPoolExecutorSharedStore:
             [r.to_json_dict() for r in again.sorted_records()]
         assert store.cross_worker_hits() > 0
 
-    def test_booster_fleet_publishes_level_entries(self, fresh_cache,
-                                                   tmp_path):
-        """Every run prebuilds its safe level's streams directly, and that
-        entry carries per-row candidates, so a pool fleet publishes level
-        entries even though its ladder levels are windowed in-process."""
+    def test_booster_fleet_publishes_activity_only(self, fresh_cache,
+                                                  tmp_path):
+        """A booster run prebuilds no level: its span kernel derives every
+        level it visits as a candidate mask, which stays in-process, and
+        materialization's physics-only entries are never published.  So a
+        pool fleet of booster runs on independent groups shares activity
+        alone."""
         SweepRunner(store_sweep_spec(), PoolExecutor(
             processes=2, shared_cache_dir=str(tmp_path))).run()
         counts = SharedPhysicsStore(str(tmp_path)).kind_counts()
-        assert counts.get("level", 0) >= 1
+        assert counts.get("activity", 0) >= 1
+        assert "level" not in counts
 
     def test_explicit_dir_left_in_place(self, fresh_cache, tmp_path):
         spec = store_sweep_spec()

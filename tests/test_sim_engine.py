@@ -26,7 +26,7 @@ from repro.sim import (
     set_level_cache_budget,
     simulate,
 )
-from repro.sim.engine import _VectorizedEngine
+from repro.sim.engine import MAX_MASK_SETS, _VectorizedEngine
 from repro.sim.ensemble import run_engines
 from repro.sim.level_cache import LEVEL_CACHE, LevelEntry
 from repro.sweep import WorkloadSpec, build_compiled_workload
@@ -280,7 +280,7 @@ class TestLevelCacheSharing:
         assert not np.shares_memory(engines[0].A, engines[1].A)
         assert {key[0] for key in LEVEL_CACHE._entries
                 if isinstance(key[0], str)} == {
-            "activity", "activity_prefix", "activity_stats"}
+            "activity", "activity_prefix", "activity_stats", "candidates"}
 
     def test_budget_eviction_is_lru_and_bounded(self, fresh_level_cache):
         compiled = self.make_compiled()
@@ -309,48 +309,94 @@ class TestLevelCacheSharing:
         assert level_cache_stats()["misses"] == misses_before
 
 
-class TestLadderLevelRepeatRule:
-    """A lone ``booster`` run windows the boost-ladder levels it sees for the
-    first time in the process; a repeat over the same physics derives and
-    caches their full streams.  Neither choice may move a result bit."""
+class TestCandidateMasks:
+    """A ``booster`` run's span kernel binds every level it visits as a
+    windowed candidate byte mask, cached in the level cache and shared by
+    every later run on the same physics.  Neither windowing nor sharing may
+    move a result bit."""
+
+    KWARGS = dict(cycles=600, controller="booster", beta=4,
+                  recompute_cycles=4, flip_mean=0.8, monitor_noise=0.01,
+                  seed=2)
 
     @staticmethod
-    def streamed_levels():
-        """(group, level) of every cached per-level entry that carries
-        candidate streams (level keys start with the physics share key)."""
-        return {(key[1], key[2]) for key, value in LEVEL_CACHE._entries.items()
-                if isinstance(key[0], tuple) and isinstance(value, LevelEntry)
-                and value.fail_cycles is not None}
+    def cached_masks():
+        return {key: value for key, value in LEVEL_CACHE._entries.items()
+                if key[0] == "candidates"}
 
     @staticmethod
     def metrics(result):
         return {name: getattr(result, name) for name in METRIC_NAMES}
 
     @pytest.mark.parametrize("traces", ["full", "none"])
-    def test_cold_run_windows_ladder_repeat_caches_it(self, fresh_level_cache,
-                                                      traces):
-        compiled = build_compiled_workload(contained_sets_spec("ladder-rule"))
-        kwargs = dict(cycles=600, controller="booster", beta=4,
-                      recompute_cycles=4, flip_mean=0.8, monitor_noise=0.01,
-                      seed=2, traces=traces)
+    def test_one_mask_per_visited_level_reused_by_a_repeat(
+            self, fresh_level_cache, traces):
+        compiled = build_compiled_workload(contained_sets_spec("masks"))
+        kwargs = dict(self.KWARGS, traces=traces)
         # The levels each group visits, from the oracle (no level cache).
         reference = simulate(compiled, RuntimeConfig(engine="reference",
                                                      **kwargs))
-        safe = {(g.group_id, g.safe_level) for g in reference.group_results}
-        ladder = {(g.group_id, int(level)) for g in reference.group_results
-                  for level in np.unique(g.level_trace)
-                  if level != g.safe_level}
-        assert ladder                               # the groups did climb
+        visited = {(g.group_id, int(level)) for g in reference.group_results
+                   for level in np.unique(g.level_trace)}
+        assert any(level != g.safe_level for g in reference.group_results
+                   for level in np.unique(g.level_trace))  # groups climbed
 
         cold = simulate(compiled, RuntimeConfig(**kwargs))
-        assert safe <= self.streamed_levels()       # prebuilt directly
-        assert not ladder & self.streamed_levels()  # windowed only
+        masks = self.cached_masks()
+        assert {(key[2], key[3]) for key in masks} == visited
+        assert not [key for key, value in LEVEL_CACHE._entries.items()
+                    if isinstance(value, LevelEntry)
+                    and value.fail_cycles is not None]
 
         warm = simulate(compiled, RuntimeConfig(**kwargs))
-        assert ladder <= self.streamed_levels()     # derived and cached
+        again = self.cached_masks()
+        assert again.keys() == masks.keys()
+        assert all(again[key] is masks[key] for key in masks)
         assert self.metrics(warm) == self.metrics(cold)
         assert self.metrics(cold) == pytest.approx(self.metrics(reference),
                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        contained_sets_spec("masks-full"),
+        synthetic_spec("masks-full-2sets")], ids=["one-set", "two-sets"])
+    def test_refilled_mask_equals_full_horizon_fail_mask(
+            self, fresh_level_cache, spec):
+        compiled = build_compiled_workload(spec)
+        engine = _VectorizedEngine(PIMRuntime(compiled, RuntimeConfig(
+            traces="none", **dict(self.KWARGS, cycles=3000))))
+        run_engines([engine])
+        masks = self.cached_masks().values()
+        assert any(streams.upto < engine.n for streams in masks)  # windowed
+        for streams in masks:
+            gid, pair = streams.gid, streams.pair
+            lo, hi = engine.group_rows[gid]
+            width = hi - lo
+            assert streams.refill(engine, 1, engine.n * width) \
+                == engine.n * width
+            assert streams.upto == engine.n
+            codes = np.zeros(width, dtype=np.uint8)
+            for code, rows in enumerate(engine._group_sets(gid), 1):
+                codes[rows - lo] = code
+            drop = engine.ir_model.drop_array(engine.A[lo:hi], pair.voltage,
+                                              pair.frequency)
+            full = engine._fail_mask(gid, pair, drop)
+            assert bytes(streams.mask) == (full.T * codes).tobytes()
+
+    def test_group_beyond_a_mask_byte_matches_reference(
+            self, fresh_level_cache):
+        """One group of 260 one-macro Sets: more Set codes than a byte
+        holds, so the group runs under the heap scheduler."""
+        compiled = build_compiled_workload(synthetic_spec(
+            "masks-wide", groups=1, macros_per_group=260, operator_rows=8,
+            n_operators=260))
+        kwargs = dict(cycles=300, **FAILURE_DENSE_STRESS)
+        engine = _VectorizedEngine(PIMRuntime(compiled,
+                                              RuntimeConfig(**kwargs)))
+        engine._setup_structure()
+        assert len(engine._group_sets(0)) > MAX_MASK_SETS
+        assert engine.span_groups == [] and engine.heap_groups == [0]
+        result = assert_oracle_chain(compiled, **kwargs)
+        assert result.total_failures > 100
 
 
 class TestDefaultVFTable:

@@ -12,18 +12,26 @@ runtime.  It times both engines on
   the vectorized engine;
 * the :mod:`repro.sweep` runner: serial vs. ``multiprocessing.Pool`` executors
   over a beta x seed grid on the reference chip (the sweeps themselves are
-  embarrassingly parallel, so pool throughput tracks the core count).
+  embarrassingly parallel, so pool throughput tracks the core count);
+* process start-up (``test_startup_imports``, the ``startup`` section): the
+  wall seconds and resident memory of ``import repro.sweep`` and ``import
+  repro.service`` in fresh interpreters, and the scipy modules they load.
 
 Results (cycles/second per engine, speedups, sweep throughput, and the
 equivalence of the aggregate failure counts) are written to
 ``BENCH_runtime.json`` at the repo root so future PRs can track the trajectory.
 """
 
+import json
 import os
+import statistics
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.analysis import format_ratio, format_table
 from repro.core.ir_booster import BoosterMode
 from repro.sweep import (
@@ -78,6 +86,24 @@ POOL_BAR_MIN = os.environ.get("REPRO_BENCH_POOL_BAR_MIN")
 #: (fractional: 0.05 == 5%).  Overridable for noisy shared runners.
 SUPERVISED_MAX_OVERHEAD = float(
     os.environ.get("REPRO_BENCH_SUPERVISED_MAX_OVERHEAD", "0.05"))
+
+#: The imports a sweep or service process starts with, and how many fresh
+#: interpreters time each one.
+STARTUP_IMPORTS = ("repro.sweep", "repro.service")
+STARTUP_INTERPRETERS = 2 if SMOKE else 5
+#: One fresh interpreter's ``import {module}``: the import's wall seconds,
+#: the process's VmRSS after it, and the scipy modules and packages loaded.
+#: The verify skill's start-up probe is the same line.
+STARTUP_PROBE = (
+    "import json, sys, time; t = time.perf_counter(); import {module}; "
+    "s = time.perf_counter() - t; "
+    "rss = next(int(l.split()[1]) for l in open('/proc/self/status') "
+    "if l.startswith('VmRSS:')); "
+    "scipy = [m for m in sys.modules if m.startswith('scipy')]; "
+    "print(json.dumps({{'seconds': round(s, 3), "
+    "'vmrss_mb': round(rss / 1024, 1), 'scipy_modules': len(scipy), "
+    "'scipy_packages': sorted(m for m in scipy "
+    "if hasattr(sys.modules[m], '__path__'))}}))")
 
 
 def _materialization_spec(controller: str, traces: str) -> SweepSpec:
@@ -190,6 +216,35 @@ def _time_sweep_executors():
         "pool_processes": processes,
         "records_identical": identical,
     }
+
+
+def _time_startup():
+    """:data:`STARTUP_PROBE` for each of :data:`STARTUP_IMPORTS`, medians.
+
+    One untimed interpreter per import first compiles the bytecode, so the
+    timed ones pay what every later process start pays.
+    """
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    section = {"interpreters": STARTUP_INTERPRETERS, "imports": {}}
+    for module in STARTUP_IMPORTS:
+        command = [sys.executable, "-c", STARTUP_PROBE.format(module=module)]
+        probes = [json.loads(subprocess.run(
+            command, env=env, check=True, capture_output=True, text=True,
+            timeout=120).stdout) for _ in range(STARTUP_INTERPRETERS + 1)][1:]
+        assert all(p["scipy_packages"] == probes[0]["scipy_packages"]
+                   for p in probes), probes
+        section["imports"][module] = {
+            "median_seconds": statistics.median(p["seconds"] for p in probes),
+            "median_vmrss_mb": statistics.median(p["vmrss_mb"]
+                                                 for p in probes),
+            "scipy_modules": probes[0]["scipy_modules"],
+            "scipy_packages": probes[0]["scipy_packages"],
+        }
+    return section
+
 
 #: (label, controller, lhr, wds, mapping) — the headline's four simulate()
 #: calls per model (baseline = DVFS on the unoptimized compile, AIM = booster
@@ -355,3 +410,18 @@ def test_runtime_engine_speedup(benchmark):
         elif (sweep["cpu_count"] or 1) >= 2:
             bar = float(POOL_BAR_MIN) if POOL_BAR_MIN else 1.15
             assert sweep["speedup"] > bar, sweep
+
+
+def test_startup_imports():
+    """Process start-up: the ``startup`` section of ``BENCH_runtime.json``."""
+    section = _time_startup()
+    update_bench_runtime({"startup": section})
+    print()
+    print(format_table(
+        ["import", "median s", "VmRSS MB", "scipy modules", "scipy packages"],
+        [[f"import {module}", f"{data['median_seconds']:.3f}",
+          f"{data['median_vmrss_mb']:.1f}", str(data["scipy_modules"]),
+          ", ".join(data["scipy_packages"])]
+         for module, data in section["imports"].items()],
+        title=f"Start-up, medians of {section['interpreters']} fresh "
+              "interpreters (BENCH_runtime.json: startup)"))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["LinearFit", "pearson_correlation", "linear_fit", "rank_correlation"]
 
@@ -45,6 +44,7 @@ def rank_correlation(x: Sequence[float], y: Sequence[float]) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.size < 2 or np.allclose(x.std(), 0) or np.allclose(y.std(), 0):
         return 0.0
+    from scipy import stats     # imported on first use: ~1 s per process
     result = stats.spearmanr(x, y)
     return float(result.correlation)
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = ["PDNResult", "PowerDeliveryNetwork"]
 
@@ -57,6 +55,9 @@ class PowerDeliveryNetwork:
         self.bump_resistance = bump_resistance
         self.bump_nodes = self._place_bumps(bumps_per_edge)
         self._laplacian = self._build_laplacian()
+        # scipy.sparse is imported on first use: the sweep and service paths
+        # never build a PDN and so never pay for it.
+        import scipy.sparse.linalg as spla
         self._factorized = spla.factorized(self._laplacian.tocsc())
 
     # ------------------------------------------------------------------ #
@@ -78,8 +79,9 @@ class PowerDeliveryNetwork:
             positions.add(self._node_index(r, self.cols - 1))
         return sorted(positions)
 
-    def _build_laplacian(self) -> sp.csr_matrix:
+    def _build_laplacian(self) -> "scipy.sparse.csr_matrix":
         """Conductance (Laplacian) matrix of the mesh plus bump conductances."""
+        import scipy.sparse as sp
         n = self.rows * self.cols
         g_rail = 1.0 / self.rail_resistance
         g_bump = 1.0 / self.bump_resistance

@@ -81,9 +81,11 @@ import numpy as np
 from ..power.energy import EnergyBreakdown
 from ..power.monitor import IRMonitor
 from ..power.vf_table import VFPair
-# ``select_failures`` has no caller here since the runs-axis kernel took
-# over every no-level-change group; it stays importable from this module
-# because e2ebench/tracer.py wraps it under this path.
+# ``merge_candidates`` and ``select_failures`` have no caller here:
+# ``_prebuild_streams`` builds every merged stream directly, and the
+# runs-axis kernel took over every no-level-change group.  Both stay
+# importable from this module because e2ebench/tracer.py wraps them under
+# this path.
 from .kernels import MergedCandidates, merge_candidates, \
     select_failures  # noqa: F401
 from .level_cache import LEVEL_CACHE, LevelEntry, workload_cache_key
@@ -563,12 +565,13 @@ class _VectorizedEngine:
         levels never change: one full-matrix threshold compare and one
         transposed ``nonzero`` per Set yield each Set's packed-key stream
         already sorted (cycle-major, and Set rows ascend within a cycle —
-        ``set_rows`` is sorted), skipping the concatenate-and-sort merge of
-        :meth:`_merged`.  Same mask, same key packing — the exact ints
-        ``merge_candidates`` would produce, so the timeline kernels walk
-        identical streams.  The per-row candidates are split from the same
-        mask and attached as well, so the entry is complete and a shared
-        store publishes it.
+        ``set_rows`` is sorted), with no concatenate-and-sort merge.  Same
+        mask, same key packing — the exact ints ``merge_candidates`` would
+        produce from the per-row candidates, so the timeline kernels walk
+        identical streams.  This is the only place ``entry.merged`` is
+        set.  The per-row candidates are split from the same mask and
+        attached as well, so the entry is complete and a shared store
+        publishes it.
         """
         pair, shared_key, entry = self._shared(gid, level)
         if entry is None:
@@ -637,27 +640,6 @@ class _VectorizedEngine:
                                              dtype=np.int64))
             self._group_sets_memo[gid] = cached
         return cached
-
-    def _merged(self, gid: int, entry: LevelEntry) -> List[MergedCandidates]:
-        """Per-Set merged packed-key candidate streams of one entry.
-
-        Memoized on the (shared) entry: the Set partition is a pure function
-        of the workload the entry is already keyed on, so reuse across runs —
-        and across processes via the shared store — is sound.  Keys pack
-        ``(cycle, global row)`` — the reference loop's visit order.
-        """
-        merged = entry.merged
-        if merged is None:
-            lo, _ = self.group_rows[gid]
-            shift = self.row_shift
-            merged = []
-            for set_rows in self._group_sets(gid):
-                row_ids = set_rows.tolist()
-                merged.append(merge_candidates(
-                    [entry.fail_cycles[row - lo] for row in row_ids],
-                    row_ids, shift))
-            entry.merged = merged
-        return merged
 
     def _apply_set_selection(self, set_rows: np.ndarray,
                              out: List[int]) -> int:

@@ -248,8 +248,7 @@ def _run_group_kernel_runs(members: List[_VectorizedEngine],
     shift = first.row_shift
     last_cycles = [-1] * len(members)
     for s, set_rows in enumerate(set_arrays):
-        streams = [engine._merged(gid, engine.cur_cache[gid])[s]
-                   for engine in members]
+        streams = [engine.cur_cache[gid].merged[s] for engine in members]
         frontiers = [frontier_key(engine.scan_from[gid], -1, shift)
                      for engine in members]
         next_keys, _ = resume_frontiers_runs(streams, frontiers)

@@ -95,9 +95,10 @@ class LevelEntry:
     #: ``_VectorizedEngine._cache`` completes one in place on the first run
     #: that needs the candidate streams.
     fail_cycles: Optional[List[np.ndarray]]
-    #: lazily-built per-Set merged candidate streams (kernel hot path); keyed
-    #: implicitly by the owning group's Set partition, which is a pure
-    #: function of the workload the entry is already keyed on.
+    #: per-Set merged candidate streams (kernel hot path), set by
+    #: ``_VectorizedEngine._prebuild_streams``; keyed implicitly by the
+    #: owning group's Set partition, which is a pure function of the
+    #: workload the entry is already keyed on.
     merged: Optional[List] = field(default=None, compare=False)
     _fail_lists: Optional[List[List[int]]] = field(default=None, compare=False)
 

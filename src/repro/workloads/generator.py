@@ -14,18 +14,86 @@ Two generators are provided:
 * :class:`ActivationStreamGenerator` — full integer activation waves matching a
   dataset's statistics, used when the exact bit-serial Rtog trace of a macro is
   wanted (Fig. 4/5 experiments).
+
+Both run their AR(1) recurrences through :data:`lfilter`: scipy's compiled
+IIR routine, loaded on its own so that importing this module does not import
+:mod:`scipy.signal`, whose package init pulls in ``scipy.stats``,
+``interpolate`` and ``optimize`` and costs each process over a second of
+start-up and about 70 MB.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
+# numpy imports ``numpy.random`` on first use.  Every run draws from it, so it
+# is loaded here, with the rest of a process's start-up, and not inside the
+# first run of each daemon or pool worker.
+import numpy.random  # noqa: F401
 
 __all__ = ["flip_factor_sequence", "flip_factor_matrix",
            "ActivationStreamGenerator", "dataset_activation_stats"]
+
+
+def _compiled_lfilter():
+    """``scipy.signal.lfilter`` for an IIR denominator, without ``scipy.signal``.
+
+    Executes the ``scipy.signal._sigtools`` extension found in scipy's
+    ``signal`` directory, without running that package's ``__init__``, and
+    calls its ``_linear_filter`` exactly as ``lfilter`` does when ``a`` has
+    two or more coefficients.  The extension's single-phase init registers it
+    in ``sys.modules``; that entry is put back as it was, so a later
+    ``import scipy.signal`` loads its own copy the usual way.  Raises
+    ``ImportError`` or ``AttributeError`` when scipy's layout differs.
+    """
+    import scipy
+    from importlib.machinery import PathFinder
+    from importlib.util import module_from_spec
+
+    name = "scipy.signal._sigtools"
+    spec = PathFinder.find_spec(
+        name, [os.path.join(path, "signal") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"{name} not found")
+    previous = sys.modules.get(name)
+    try:
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if previous is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = previous
+    linear_filter = module._linear_filter
+
+    def lfilter(b, a, x, axis=-1, zi=None):
+        b = np.atleast_1d(b)
+        a = np.atleast_1d(a)
+        x = np.asarray(x)
+        if zi is None:
+            return linear_filter(b, a, x, axis)
+        return linear_filter(b, a, x, axis, np.asarray(zi))
+
+    return lfilter
+
+
+def _bind_lfilter():
+    """The compiled core, or ``scipy.signal.lfilter`` when it cannot load."""
+    try:
+        return _compiled_lfilter()
+    except (ImportError, AttributeError):
+        from scipy.signal import lfilter
+        return lfilter
+
+
+#: ``lfilter(b, a, x, axis=-1, zi=None)``: ``scipy.signal.lfilter``'s
+#: results, bit for bit, for a denominator of two or more coefficients (every
+#: call here); bound once per process.
+lfilter = _bind_lfilter()
 
 
 def flip_factor_sequence(cycles: int, mean: float = 0.6, std: float = 0.15,
@@ -36,7 +104,8 @@ def flip_factor_sequence(cycles: int, mean: float = 0.6, std: float = 0.15,
     ``correlation`` controls how slowly activity changes cycle to cycle; the
     stationary distribution keeps the requested mean/std.  The recurrence
     ``state[t] = correlation * state[t-1] + innovation[t]`` runs through
-    :func:`scipy.signal.lfilter`, which evaluates the same arithmetic in C.
+    :data:`lfilter` (scipy's compiled ``lfilter`` core), which evaluates the
+    same arithmetic in C.
     """
     if cycles <= 0:
         return np.zeros(0)
@@ -57,10 +126,10 @@ def flip_factor_matrix(seeds: Sequence[int], cycles: int, mean: float = 0.6,
 
     Row ``i`` is bit-identical to ``flip_factor_sequence(cycles, ..., seed=seeds[i])``
     — each row consumes its own RNG stream — but the AR(1) recurrences of all
-    rows run in a single :func:`scipy.signal.lfilter` call.  Nothing is
-    memoized: the engine caches the activity derived from the matrix under
-    the run's activity key (:mod:`repro.sim.level_cache`).  The matrix is
-    returned read-only; copy before mutating.
+    rows run in a single :data:`lfilter` call.  Nothing is memoized: the
+    engine caches the activity derived from the matrix under the run's
+    activity key (:mod:`repro.sim.level_cache`).  The matrix is returned
+    read-only; copy before mutating.
     """
     seeds = tuple(int(s) for s in seeds)
     if cycles <= 0 or not seeds:
@@ -107,11 +176,11 @@ class ActivationStreamGenerator:
     def generate(self, waves: int) -> np.ndarray:
         """Return (waves, rows) signed integer activations.
 
-        The AR(1) recurrence over waves runs through
-        :func:`scipy.signal.lfilter` (axis 0, all rows at once), the same
-        formulation as :func:`flip_factor_matrix`.  RNG consumption matches
-        the historical per-wave Python loop exactly — one ``rows``-sized draw
-        for wave 0, then one ``(waves - 1, rows)`` batch whose C-order layout
+        The AR(1) recurrence over waves runs through :data:`lfilter` (axis
+        0, all rows at once), the same formulation as
+        :func:`flip_factor_matrix`.  RNG consumption matches the historical
+        per-wave Python loop exactly — one ``rows``-sized draw for wave 0,
+        then one ``(waves - 1, rows)`` batch whose C-order layout
         consumes the stream in the loop's wave-by-wave order — so the emitted
         integer codes are bit-identical to the loop's (for the default
         ``mean=0`` the intermediate floats are too; equivalence is enforced by

@@ -179,10 +179,11 @@ def corpus_scenarios(count: int = 9, master_seed: int = 2025) -> Tuple[Scenario,
 #: run is a batch of one); its variants differ in what the process-level
 #: level cache holds and in the batch size:
 #:
-#: * ``lone-cold`` — a lone run on a cleared cache, which windows its
-#:   boost-ladder levels;
-#: * ``lone-repeat`` — the same run repeated, which binds those levels' full
-#:   streams through the cache;
+#: * ``lone-cold`` — a lone run on a cleared cache, which derives every
+#:   level it visits; a ``booster`` span group binds each as a candidate
+#:   mask, refilled window by window as the run reaches it;
+#: * ``lone-repeat`` — the same run repeated, which binds the cold run's
+#:   cached entries and candidate masks, the masks already refilled;
 #: * ``batch`` — a batch of two members (a second seed), compared on its
 #:   first member: batched activity and the runs-axis kernels over both.
 #:

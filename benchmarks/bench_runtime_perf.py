@@ -50,7 +50,7 @@ from common import (
     SIM_CYCLES,
     SMOKE,
     SWEEP_MASTER_SEED,
-    assert_records_equivalent,
+    assert_records_equal,
     compiled_workload,
     reference_chip_workload,
     reference_workload_spec,
@@ -75,7 +75,7 @@ SWEEP_CYCLES = SIM_CYCLES if SMOKE and not POOL_BAR else max(SIM_CYCLES, 5000)
 
 #: Materialization benchmark: the scalar-record fast path (traces="none") vs
 #: full-trace materialization on the reference chip.  Long horizon so the
-#: per-run trace work dominates over setup.
+#: per-run trace gathers dominate over setup.
 MAT_CYCLES = SIM_CYCLES if SMOKE else 8000
 MAT_SEEDS = 1 if SMOKE else 3
 
@@ -119,13 +119,13 @@ def _materialization_spec(controller: str, traces: str) -> SweepSpec:
 def _time_materialization():
     """Full-trace vs scalar-record sweep wall time on the reference chip.
 
-    ``booster_safe`` is the materialization-dominated scenario (its failure
-    timeline resolves through one closed-form kernel call per Set, so trace
-    gathers and stall-mask rebuilds dominate the full-trace run); ``dvfs``
-    (no failures at all — pure materialization) and ``booster`` (event-path
-    heavy, so the ratio is smaller) are recorded alongside.  Record
-    equivalence between the two modes is asserted in the same run: discrete
-    metrics bit-identical, float metrics <= 1e-9 rtol.
+    Both modes run the same closed-form scalar pass; a full-trace run then
+    gathers the per-cycle drop, level and chip-drop traces and copies the
+    activity traces, so ``full_seconds - none_seconds`` is what those
+    gathers cost.  ``booster_safe`` and ``dvfs`` (no failures at all) are
+    materialization-dominated; ``booster`` is event-path heavy, so its
+    ratio is smaller.  The two modes' records are asserted exactly equal in
+    the same run.
     """
     build_compiled_workload(
         reference_workload_spec("vit", mode=BoosterMode.LOW_POWER,
@@ -136,10 +136,10 @@ def _time_materialization():
         spec_full = _materialization_spec(controller, "full")
         spec_none = _materialization_spec(controller, "none")
         # Warm pass: populate the level cache and activity aggregates (the
-        # steady state of any sweep), and assert record equivalence.
+        # steady state of any sweep), and assert record equality.
         full_result = SweepRunner(spec_full, SerialExecutor()).run()
         none_result = SweepRunner(spec_none, SerialExecutor()).run()
-        assert_records_equivalent(full_result, none_result)
+        assert_records_equal(full_result, none_result)
 
         full_seconds = min(
             _timed(lambda: SweepRunner(spec_full, SerialExecutor()).run())
@@ -152,7 +152,7 @@ def _time_materialization():
             "full_seconds": full_seconds,
             "none_seconds": none_seconds,
             "speedup": full_seconds / none_seconds,
-            "records_equivalent": True,
+            "records_equal": True,
         }
     return report
 
@@ -391,9 +391,10 @@ def test_runtime_engine_speedup(benchmark):
         assert headline["speedup"] >= 20.0, headline
         assert long_run["speedup"] >= 20.0, long_run
         assert report["reference_chip"]["speedup"] >= 10.0
-        # The scalar-record fast path must clear 1.5x on the
-        # materialization-dominated scenario (equivalence asserted in-run).
-        assert mat["controllers"]["booster_safe"]["speedup"] >= 1.5, mat
+        # Skipping the trace gathers must save time on every controller
+        # (record equality asserted in-run).
+        for data in mat["controllers"].values():
+            assert data["none_seconds"] < data["full_seconds"], mat
 
     # Wall-clock pool speedup is only a meaningful bar when the machine has
     # cores to use (the records equality above always is).  Armed outside

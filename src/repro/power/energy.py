@@ -143,36 +143,6 @@ class EnergyModel:
                 self.dynamic_power(voltage, frequency, activity) * cycle_time
         breakdown.elapsed_time += cycle_time
 
-    def accumulate_trace_rows(self, voltages: np.ndarray, frequencies: np.ndarray,
-                              activity_rows: np.ndarray,
-                              macs_per_cycle_rows: np.ndarray,
-                              stalled_rows: np.ndarray) -> list:
-        """Energy of macros sharing per-cycle V/f traces, one row each.
-
-        ``activity_rows``/``stalled_rows`` are ``(rows, cycles)`` blocks (one
-        row per macro of a group), ``voltages``/``frequencies`` the group's
-        shared per-cycle operating point.  Returns one fresh
-        :class:`EnergyBreakdown` per row.  Per cycle, dynamic energy is
-        ``k_dyn * act * V^2 * f * (1/f) = k_dyn * act * V^2`` and static
-        energy is ``k_static * V / f``, so the whole trace reduces to one
-        matrix-vector product, one dot product and one sum; results match
-        looped :meth:`accumulate_cycle` up to floating-point summation order.
-        """
-        voltages = np.asarray(voltages, dtype=np.float64)
-        activity_rows = np.asarray(activity_rows, dtype=np.float64)
-        inverse_f = 1.0 / np.asarray(frequencies, dtype=np.float64)
-        n = voltages.size
-        stalled_rows = np.asarray(stalled_rows, dtype=bool)
-        weights = np.where(stalled_rows, self.STALL_DYNAMIC_FRACTION, 1.0)
-        dynamic = self._k_dynamic * ((activity_rows * weights) @ (voltages ** 2))
-        static = self._k_static * float(np.dot(voltages, inverse_f))
-        elapsed = float(inverse_f.sum())
-        worked = n - stalled_rows.sum(axis=1)
-        return [EnergyBreakdown(dynamic_energy=float(dynamic[i]),
-                                static_energy=static, elapsed_time=elapsed,
-                                completed_macs=float(macs_per_cycle_rows[i]) * int(worked[i]))
-                for i in range(activity_rows.shape[0])]
-
     def span_breakdowns(self, span_rows: np.ndarray, voltages: np.ndarray,
                         frequencies: np.ndarray, lengths: np.ndarray,
                         activity_span_sums: np.ndarray,
@@ -181,21 +151,19 @@ class EnergyModel:
                         macs_per_cycle_rows: np.ndarray) -> list:
         """Closed-form row breakdowns from a table of level-stable spans.
 
-        The trace-free counterpart of :meth:`accumulate_trace_rows`: instead
-        of per-cycle operating-point vectors it takes one entry per
-        ``(row, span)`` pair — ``span_rows`` names each entry's row,
-        ``voltages``/``frequencies``/``lengths`` describe its span and
-        ``activity_span_sums`` is the row's activity summed over it (from
-        cached prefix sums) — plus, per row, ``stalled_activity_v2``: the
-        row's ``sum(activity * V^2)`` over its energy-stalled cycles
-        (recompute windows plus failure cycles).  Per cycle the dynamic
-        energy is ``k_dyn * act * V^2`` and a stalled cycle burns
-        :data:`STALL_DYNAMIC_FRACTION` of it, so each row's run reduces to
-        one weighted ``bincount`` over its entries plus the stall
-        correction; static energy and elapsed time are ``bincount`` sums
-        of the span terms.  Matches :meth:`accumulate_trace_rows` up to
-        floating-point summation order (<= 1e-9 rtol in the engine
-        equivalence suite).
+        One entry per ``(row, span)`` pair: ``span_rows`` names each
+        entry's row, ``voltages``/``frequencies``/``lengths`` describe its
+        span and ``activity_span_sums`` is the row's activity summed over
+        it (from cached prefix sums).  Per row, ``stalled_activity_v2`` is
+        the row's ``sum(activity * V^2)`` over its energy-stalled cycles
+        (recompute windows plus failure cycles) and ``worked_cycles`` its
+        unstalled cycle count.  Returns one fresh :class:`EnergyBreakdown`
+        per row.  Per cycle the dynamic energy is ``k_dyn * act * V^2`` and
+        a stalled cycle burns :data:`STALL_DYNAMIC_FRACTION` of it, so each
+        row's run reduces to one weighted ``bincount`` over its entries
+        plus the stall correction; static energy and elapsed time are
+        ``bincount`` sums of the span terms.  Matches looped
+        :meth:`accumulate_cycle` up to floating-point summation order.
         """
         rows = len(worked_cycles)
         voltages = np.asarray(voltages, dtype=np.float64)

@@ -10,7 +10,13 @@ from .level_cache import (
     level_cache_stats,
     set_level_cache_budget,
 )
-from .results import GroupResult, MacroResult, SimulationResult, assemble_result
+from .results import (
+    GroupResult,
+    MacroResult,
+    SimulationResult,
+    assemble_result,
+    attach_traces,
+)
 from .runtime import CONTROLLERS, PIMRuntime, RuntimeConfig, simulate
 from .scheduler import OperatorSchedule, SchedulePhase, schedule_operators
 from .trace import (
@@ -28,6 +34,7 @@ __all__ = [
     "attach_shared_store", "clear_level_cache", "detach_shared_store",
     "level_cache_stats", "set_level_cache_budget",
     "SimulationResult", "MacroResult", "GroupResult", "assemble_result",
+    "attach_traces",
     "OperatorSchedule", "SchedulePhase", "schedule_operators",
     "OperatorRtogProfile", "profile_operator_rtog", "profile_task_rtog", "rtog_histogram",
 ]

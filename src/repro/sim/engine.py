@@ -17,9 +17,9 @@ once per activity key and cached in the level cache:
   cycle-indexed noise stream (see :class:`~repro.power.monitor.IRMonitor`), so
   *candidate failure cycles* per (group, level) are precomputable with one
   vectorized compare + ``nonzero``;
-* energy reduces to dot products of activity against per-cycle ``V^2`` and
-  ``1/f`` vectors (:meth:`~repro.power.energy.EnergyModel.\
-accumulate_trace_rows`).
+* energy closes over level-stable spans: a span's activity sum (two gathers
+  of cached prefix sums) times ``V^2``, and its length times ``V/f``
+  (:meth:`~repro.power.energy.EnergyModel.span_breakdowns`).
 
 A lone run (:func:`run_vectorized`) is a batch of one through the phases of
 :func:`repro.sim.ensemble.run_engines`.  A run whose levels never change
@@ -51,20 +51,21 @@ cycles are replayed with the exact scalar ordering of the reference loop
 (failures propagate recompute stalls to the failing macro's logical Set
 *within* the cycle, which suppresses later samples).  Controllers without
 feedback (``dvfs``, ``booster_safe``) have no scheduled transitions at all,
-so a failure-free run is a single fully vectorized pass.  Materialization is
-mode-dependent: ``traces="full"`` (default) assembles every per-cycle trace,
-stall mask (rebuilt from logged recompute windows with one
-``bincount``/``cumsum`` pass) and energy matrix product once at the end;
-``traces="none"`` — the scalar-record fast path sweeps run on — skips all of
-that and computes the scalar record fields closed-form in one pass over a
-table of every row's level-stable spans, from the cached activity prefix
-sums and the spans' peak activity
-(:meth:`_VectorizedEngine._materialize_scalar`).
+so a failure-free run is a single fully vectorized pass.  Materialization
+computes every scalar record field closed-form in one pass over a table of
+every row's level-stable spans, from the cached activity prefix sums, the
+spans' peak activity and the logged recompute windows and failure points
+(:meth:`_VectorizedEngine._materialize_scalar`).  ``traces="none"`` — the
+scalar-record fast path sweeps run on — stops there; ``traces="full"``
+(default) then gathers the per-cycle drop, level and chip-drop traces
+(:meth:`_VectorizedEngine._materialize`), so a run's scalars are the same
+in both modes.
 
 This is the one event path; the reference loop in :mod:`repro.sim.runtime`
 is its oracle.  Bit-for-bit equivalence with it (same seed, same failures,
-same stalls, same level traces; energy equal up to floating-point summation
-order) is enforced by ``tests/test_sim_engine.py`` and the oracle chain of
+same stalls, same drop and level traces; energy and mean drop equal up to
+floating-point summation order) is enforced by ``tests/test_sim_engine.py``
+and the oracle chain of
 ``tests/test_kernels.py``, and golden sweep records
 (``tests/test_golden_records.py``) pin the outputs themselves.
 """
@@ -78,7 +79,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..power.energy import EnergyBreakdown
 from ..power.monitor import IRMonitor
 from ..power.vf_table import VFPair
 # ``merge_candidates`` and ``select_failures`` have no caller here:
@@ -89,7 +89,7 @@ from ..power.vf_table import VFPair
 from .kernels import MergedCandidates, merge_candidates, \
     select_failures  # noqa: F401
 from .level_cache import LEVEL_CACHE, LevelEntry, workload_cache_key
-from .results import SimulationResult, assemble_scalar_result
+from .results import SimulationResult, assemble_result, attach_traces
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import PIMRuntime
@@ -240,6 +240,11 @@ class _VectorizedEngine:
         #: by :func:`repro.sim.ensemble._batch_activity`.
         self.activity: Optional[Dict[int, np.ndarray]] = None
         self.A: Optional[np.ndarray] = None
+        #: the matrix's ``(n_rows, cycles + 1)`` prefix sums and per-row
+        #: mean and max, bound with it for the scalar materialization.
+        self.prefix: Optional[np.ndarray] = None
+        self.rtog_means: Optional[np.ndarray] = None
+        self.rtog_peaks: Optional[np.ndarray] = None
         self.controller = runtime._controller()
 
         # Group membership in the reference engine's processing order: groups
@@ -349,8 +354,9 @@ class _VectorizedEngine:
             for gid in self.groups}
         self.stall_end = [0] * self.n_rows
         # Recompute windows and failure points are *logged* during event
-        # processing (every window spans `recompute_cycles`) and rebuilt into
-        # the stall mask with one bincount/cumsum pass at materialization.
+        # processing (every window spans `recompute_cycles`); the scalar
+        # materialization merges each row's windows and charges them, and
+        # the failure points, to the level-stable spans they fall in.
         self.stall_log_rows: List[int] = []
         self.stall_log_starts: List[int] = []
         self.fail_log_rows: List[int] = []
@@ -393,11 +399,16 @@ class _VectorizedEngine:
         return [seeds[i] for i in order], [hrs[i] for i in order]
 
     def _bind_activity(self, traces: Dict[int, np.ndarray]) -> None:
-        """Adopt the run's per-macro traces and their stacked matrix.
+        """Adopt the run's per-macro traces and their stacked matrix, and
+        bind the prefix sums and row stats the scalar materialization reads.
 
         Traces built by this engine are row views of one matrix
         (:class:`ActivityTraces`); traces a shared store loaded are stacked
-        here in processing order.
+        here in processing order.  The prefix sums and stats are looked up
+        (and built on a miss) once per run, here, next to the matrix's
+        generation: deferred to materialization, they
+        cost a serial 24-run stress@64 sweep 48,000 more minor page faults
+        (120,000 against 72,000) and about 3% of its end-to-end time.
         """
         A = getattr(traces, "matrix", None)
         if A is None:
@@ -405,12 +416,14 @@ class _VectorizedEngine:
             A.setflags(write=False)
         self.activity = traces
         self.A = A
+        self.prefix = self._activity_prefix()
+        self.rtog_means, self.rtog_peaks = self._activity_stats()
 
     def _activity_prefix(self) -> np.ndarray:
         """``(n_rows, cycles + 1)`` activity prefix sums (cache-shared).
 
-        The scalar fast path turns any span's per-row activity sum into two
-        gathers, so warm trace-free runs never scan the activity matrix.
+        The scalar materialization turns any span's per-row activity sum
+        into two gathers, so warm runs never scan the activity matrix.
         """
         key = ("activity_prefix",) + self._activity_key[1:]
         prefix = LEVEL_CACHE.get(key)
@@ -1147,7 +1160,8 @@ class _VectorizedEngine:
         return starts, ends, levels
 
     def _materialize_scalar(self) -> SimulationResult:
-        """Trace-free materialization (``RuntimeConfig.traces == "none"``).
+        """The scalar materialization every run takes (all of it under
+        ``RuntimeConfig.traces == "none"``).
 
         One pass over a single row-major table of ``(row, span)`` entries —
         each activity row against every level-stable span of its group —
@@ -1160,19 +1174,17 @@ class _VectorizedEngine:
         engine's logged recompute windows and failure points over the same
         table's entries, and every per-row total is a ``bincount``
         (:meth:`~repro.power.energy.EnergyModel.span_breakdowns` for energy).
-        No drop/level/chip trace is gathered, no stall mask is rebuilt, no
-        activity copy is made; results are equivalent to the full-trace path
-        (discrete fields and extremal statistics bit-identical, float
-        reductions to 1e-9 rtol) with every trace field ``None``.
+        No trace is gathered and no activity copy is made: every trace field
+        is ``None``.  :meth:`_materialize` attaches the traces to this same
+        result, so both trace modes report identical scalars.
         """
         n, n_rows = self.n, self.n_rows
         recompute = self.cfg.recompute_cycles
         # Flat views.  A *key* ``row * width + cycle`` indexes the activity
         # prefix sums directly (row stride ``n + 1``).
         width = n + 1
-        prefix = self._activity_prefix().reshape(-1)
+        prefix = self.prefix.reshape(-1)
         activity = self.A.reshape(-1)
-        rtog_means, rtog_peaks = self._activity_stats()
         groups = self.groups
 
         # Every group's level-stable spans, concatenated in group (= row)
@@ -1271,42 +1283,37 @@ class _VectorizedEngine:
             n - stall_counts - fail_counts, self.macs_per_cycle)
 
         macros = self.proc_order
-        return assemble_scalar_result(
+        return assemble_result(
             self.compiled, self.cfg, dict(zip(macros, breakdowns)),
             dict(zip(macros, (drop_sums / n).tolist())),
             dict(zip(macros, drop_peaks.tolist())),
-            dict(zip(macros, rtog_means.tolist())),
-            dict(zip(macros, rtog_peaks.tolist())),
+            dict(zip(macros, self.rtog_means.tolist())),
+            dict(zip(macros, self.rtog_peaks.tolist())),
             dict(zip(macros, self.fail_counts)),
             dict(zip(macros, stall_counts.tolist())),
             {gid: float(total) / n for gid, total in zip(groups, level_sums)},
             self.controller, self.group_members)
 
     def _materialize(self) -> SimulationResult:
+        """Full-trace materialization (``RuntimeConfig.traces == "full"``):
+        the scalar pass, then the drop, level and chip-drop trace gathers,
+        with private copies of the activity traces attached alongside."""
+        result = self._materialize_scalar()
         n, n_rows = self.n, self.n_rows
         drops = np.zeros((n_rows, n))
-        # Operating points are shared within a group: one V / one f vector per
-        # group instead of (n_rows, cycles) matrices.
-        group_voltage: Dict[int, np.ndarray] = {}
-        group_frequency: Dict[int, np.ndarray] = {}
         level_traces: Dict[int, np.ndarray] = {}
         for gid in self.groups:
             lo, hi = self.group_rows[gid]
-            voltage = np.empty(n)
-            frequency = np.empty(n)
             # Level breakpoints -> spans, in one array pass (failure-heavy
             # booster runs log thousands of breaks per group).
             starts, ends, levels = self._group_spans(gid)
-            level_trace = np.repeat(levels, ends - starts)
-            level_traces[gid] = level_trace
+            level_traces[gid] = np.repeat(levels, ends - starts)
             distinct_levels = np.unique(levels)
             if starts.size <= max(4, 2 * distinct_levels.size):
                 for start, end, level in zip(starts.tolist(), ends.tolist(),
                                              levels.tolist()):
                     cache = self._physics_cache(gid, level)
                     drops[lo:hi, start:end] = cache.drop_rows[:, start:end]
-                    voltage[start:end] = cache.pair.voltage
-                    frequency[start:end] = cache.pair.frequency
             else:
                 # Thousands of short spans: one per-cycle slot gather replaces
                 # the span loop.  Slot k holds the k-th distinct level's cached
@@ -1330,64 +1337,14 @@ class _VectorizedEngine:
                     LEVEL_CACHE.put(stack_key, stacked, stacked.nbytes)
                 drops[lo:hi] = np.take_along_axis(
                     stacked, slots[np.newaxis, np.newaxis, :], axis=0)[0]
-                pair_voltages = np.array([cache.pair.voltage
-                                          for cache in slot_caches])
-                pair_frequencies = np.array([cache.pair.frequency
-                                             for cache in slot_caches])
-                voltage = pair_voltages[slots]
-                frequency = pair_frequencies[slots]
-            group_voltage[gid] = voltage
-            group_frequency[gid] = frequency
         chip_drop = drops.max(axis=0) if n_rows else np.zeros(n)
-
-        # Rebuild the stall mask from the logged recompute windows (scalar
-        # logs from the event loops plus array chunks from the kernel paths):
-        # +1/-1 boundary counts per row (bincount) and a running sum.
-        rows, starts = self._logged_stall_windows()
-        if rows.size:
-            width = n + 1
-            ends = np.minimum(starts + self.cfg.recompute_cycles, n)
-            size = n_rows * width
-            boundaries = (np.bincount(rows * width + starts, minlength=size)
-                          - np.bincount(rows * width + ends, minlength=size))
-            # int32 accumulation: window-nesting depths are tiny and the
-            # running sum is memory-bound on long horizons.
-            stall_mask = boundaries.reshape(n_rows, width) \
-                .cumsum(axis=1, dtype=np.int32)[:, :n] > 0
-        else:
-            stall_mask = np.zeros((n_rows, n), dtype=bool)
-        energy_stalled = stall_mask.copy()
-        fail_rows, fail_cycles = self._logged_failures()
-        if fail_rows.size:
-            energy_stalled[fail_rows, fail_cycles] = True
-        stall_sums = stall_mask.sum(axis=1) if n_rows else np.zeros(0)
-
-        energy: Dict[int, EnergyBreakdown] = {}
-        drop_traces: Dict[int, np.ndarray] = {}
-        failures: Dict[int, int] = {}
-        stall_total: Dict[int, int] = {}
-        for gid in self.groups:
-            lo, hi = self.group_rows[gid]
-            breakdowns = self.energy_model.accumulate_trace_rows(
-                group_voltage[gid], group_frequency[gid], self.A[lo:hi],
-                self.macs_per_cycle[lo:hi], energy_stalled[lo:hi])
-            for local, breakdown in enumerate(breakdowns):
-                row = lo + local
-                macro_index = self.proc_order[row]
-                energy[macro_index] = breakdown
-                drop_traces[macro_index] = drops[row]
-                failures[macro_index] = self.fail_counts[row]
-                stall_total[macro_index] = int(stall_sums[row])
-
         # Hand out private copies of the (shared, read-only) cached activity
         # traces so results stay independently mutable, exactly as the
         # reference engine's are.
-        activity_out = {macro: np.array(trace)
-                        for macro, trace in self.activity.items()}
-        return self.runtime._collect(
-            energy, drop_traces, activity_out, failures, stall_total,
-            level_traces, chip_drop, self.controller,
-            group_members=self.group_members)
+        return attach_traces(
+            result, {macro: np.array(trace)
+                     for macro, trace in self.activity.items()},
+            dict(zip(self.proc_order, drops)), level_traces, chip_drop)
 
     # ------------------------------------------------------------------ #
     def materialize(self) -> SimulationResult:

@@ -152,9 +152,7 @@ def _batch_activity(engines: List[_VectorizedEngine]) -> None:
     (so evicting a key frees its bytes); the per-macro traces cached under
     the key are row views of it (:class:`~repro.sim.engine.ActivityTraces`).
     Members sharing a key (a shared-seed beta grid) share one generation,
-    even with the cache disabled.  Trace-free members' activity prefix sums
-    and row stats are then built once per distinct key so the scalar
-    materialization of the whole batch shares them.
+    even with the cache disabled.
     """
     pending: Dict[tuple, List[_VectorizedEngine]] = {}
     for engine in engines:
@@ -186,18 +184,6 @@ def _batch_activity(engines: List[_VectorizedEngine]) -> None:
             LEVEL_CACHE.put(key, traces, matrix.nbytes)
             for engine in members:
                 engine._bind_activity(traces)
-    # One prefix/stats build per distinct key serves every trace-free
-    # member sharing it (the scalar fast path's span aggregates).
-    built = set()
-    for engine in engines:
-        if engine.cfg.traces != "none":
-            continue
-        key = engine._activity_key[1:]
-        if key in built:
-            continue
-        built.add(key)
-        engine._activity_prefix()
-        engine._activity_stats()
 
 
 def _prebuild_physics(engines: List[_VectorizedEngine]) -> None:

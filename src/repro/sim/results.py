@@ -14,57 +14,47 @@ import numpy as np
 from ..power.energy import EnergyBreakdown
 
 __all__ = ["MacroResult", "GroupResult", "SimulationResult", "assemble_result",
-           "assemble_scalar_result"]
+           "attach_traces"]
 
 
 @dataclass
 class MacroResult:
     """Per-macro statistics for one simulation run.
 
-    Under the trace-free fast path (``RuntimeConfig.traces == "none"``) the
-    per-cycle traces are ``None`` and the scalar statistics below are
-    populated instead; the trace-backed properties transparently fall back to
-    them, so record-level consumers never notice the difference.
+    The scalar statistics are always set.  The per-cycle traces are set
+    when the run materialized them (the reference engine, or
+    ``RuntimeConfig.traces == "full"``) and are ``None`` otherwise.
     """
 
     macro_index: int
     group_id: int
     task_id: Optional[int]
     hamming_rate: float
-    rtog_trace: Optional[np.ndarray]   #: per-cycle realized Rtog (or None)
-    drop_trace: Optional[np.ndarray]   #: per-cycle IR-drop in volts (or None)
     energy: EnergyBreakdown
-    failures: int = 0
-    stall_cycles: int = 0
-    #: scalar statistics of the trace-free fast path (None in full mode).
-    rtog_peak: Optional[float] = None
-    rtog_mean: Optional[float] = None
-    drop_peak: Optional[float] = None
-    drop_mean: Optional[float] = None
+    failures: int
+    stall_cycles: int
+    rtog_peak: float
+    rtog_mean: float
+    drop_peak: float                   #: volts
+    drop_mean: float                   #: volts
+    rtog_trace: Optional[np.ndarray] = None   #: per-cycle realized Rtog
+    drop_trace: Optional[np.ndarray] = None   #: per-cycle IR-drop in volts
 
     @property
     def peak_rtog(self) -> float:
-        if self.rtog_trace is None:
-            return float(self.rtog_peak or 0.0)
-        return float(self.rtog_trace.max()) if self.rtog_trace.size else 0.0
+        return self.rtog_peak
 
     @property
     def mean_rtog(self) -> float:
-        if self.rtog_trace is None:
-            return float(self.rtog_mean or 0.0)
-        return float(self.rtog_trace.mean()) if self.rtog_trace.size else 0.0
+        return self.rtog_mean
 
     @property
     def worst_drop(self) -> float:
-        if self.drop_trace is None:
-            return float(self.drop_peak or 0.0)
-        return float(self.drop_trace.max()) if self.drop_trace.size else 0.0
+        return self.drop_peak
 
     @property
     def mean_drop(self) -> float:
-        if self.drop_trace is None:
-            return float(self.drop_mean or 0.0)
-        return float(self.drop_trace.mean()) if self.drop_trace.size else 0.0
+        return self.drop_mean
 
     @property
     def average_power_mw(self) -> float:
@@ -75,24 +65,20 @@ class MacroResult:
 class GroupResult:
     """Per-group statistics: levels visited, failures, final state.
 
-    ``level_trace`` is ``None`` under the trace-free fast path; the scalar
-    ``level_mean`` carries the same information for :attr:`mean_level`.
+    ``level_trace`` is set alongside the macros' traces, and is ``None``
+    otherwise; ``level_mean`` is always set.
     """
 
     group_id: int
     safe_level: int
     final_level: int
-    level_trace: Optional[np.ndarray]
     failures: int
-    level_mean: Optional[float] = None
+    level_mean: float
+    level_trace: Optional[np.ndarray] = None
 
     @property
     def mean_level(self) -> float:
-        if self.level_trace is None:
-            return float(self.level_mean) if self.level_mean is not None \
-                else float(self.final_level)
-        return float(self.level_trace.mean()) if self.level_trace.size \
-            else float(self.final_level)
+        return self.level_mean
 
 
 @dataclass
@@ -104,9 +90,8 @@ class SimulationResult:
     cycles: int
     macro_results: List[MacroResult] = field(default_factory=list)
     group_results: List[GroupResult] = field(default_factory=list)
-    #: per-cycle worst macro drop; None under the trace-free fast path.
-    chip_drop_trace: Optional[np.ndarray] = \
-        field(default_factory=lambda: np.zeros(0))
+    #: per-cycle worst macro drop; set alongside the macros' traces.
+    chip_drop_trace: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # chip-level aggregates
@@ -114,14 +99,12 @@ class SimulationResult:
     @property
     def worst_ir_drop(self) -> float:
         """Worst macro IR-drop seen anywhere during the run (volts)."""
-        drops = [m.worst_drop for m in self.macro_results
-                 if m.drop_trace is None or m.drop_trace.size]
+        drops = [m.worst_drop for m in self.macro_results]
         return float(max(drops)) if drops else 0.0
 
     @property
     def mean_ir_drop(self) -> float:
-        drops = [m.mean_drop for m in self.macro_results
-                 if m.drop_trace is None or m.drop_trace.size]
+        drops = [m.mean_drop for m in self.macro_results]
         return float(np.mean(drops)) if drops else 0.0
 
     @property
@@ -174,43 +157,40 @@ class SimulationResult:
 
 
 def assemble_result(compiled, config, energy: Dict[int, EnergyBreakdown],
-                    drop_traces: Dict[int, np.ndarray],
-                    activity: Dict[int, np.ndarray],
+                    drop_mean: Dict[int, float], drop_peak: Dict[int, float],
+                    rtog_mean: Dict[int, float], rtog_peak: Dict[int, float],
                     failures: Dict[int, int], stall_total: Dict[int, int],
-                    level_traces: Dict[int, np.ndarray],
-                    chip_drop_trace: np.ndarray, controller,
-                    group_members: Optional[Dict[int, List[int]]] = None
+                    group_level_means: Dict[int, float], controller,
+                    group_members: Dict[int, List[int]]
                     ) -> "SimulationResult":
-    """Build a :class:`SimulationResult` from per-macro/per-group accumulators.
+    """Build a :class:`SimulationResult` from per-macro and per-group scalar
+    accumulators, with every trace field ``None``.
 
-    Shared by both simulation engines; accepts plain lists or preallocated
-    arrays for the traces (``np.asarray`` makes array inputs zero-copy).
-    ``group_members`` maps group id to its loaded macro indices and is used to
-    tally per-group failures for the DVFS baseline without scanning the whole
-    chip; when omitted it is reconstructed from the loaded macros.
+    Shared by both simulation engines; a run that materializes traces adds
+    them with :func:`attach_traces`.  Groups appear in
+    ``group_level_means`` order; ``group_members`` maps a group id to its
+    loaded macro indices and tallies the DVFS baseline's per-group
+    failures.
     """
     chip_cfg = compiled.chip_config
-    macro_results: List[MacroResult] = []
     macro_task = {m: t for t, m in compiled.mapping.assignment.items()}
+    macro_results: List[MacroResult] = []
     for macro_index in sorted(energy):
         gid, _ = chip_cfg.macro_location(macro_index)
         task_id = macro_task.get(macro_index)
         hr = compiled.tasks[task_id].hamming_rate if task_id is not None else 0.0
         macro_results.append(MacroResult(
-            macro_index=macro_index, group_id=gid, task_id=task_id, hamming_rate=hr,
-            rtog_trace=np.asarray(activity[macro_index]),
-            drop_trace=np.asarray(drop_traces[macro_index]),
-            energy=energy[macro_index], failures=failures[macro_index],
-            stall_cycles=stall_total[macro_index]))
-
-    if group_members is None:
-        group_members = {}
-        for macro_index in sorted(energy):
-            gid, _ = chip_cfg.macro_location(macro_index)
-            group_members.setdefault(gid, []).append(macro_index)
+            macro_index=macro_index, group_id=gid, task_id=task_id,
+            hamming_rate=hr, energy=energy[macro_index],
+            failures=failures[macro_index],
+            stall_cycles=stall_total[macro_index],
+            rtog_peak=float(rtog_peak[macro_index]),
+            rtog_mean=float(rtog_mean[macro_index]),
+            drop_peak=float(drop_peak[macro_index]),
+            drop_mean=float(drop_mean[macro_index])))
 
     group_results: List[GroupResult] = []
-    for gid, levels in level_traces.items():
+    for gid in group_level_means:
         if controller is not None:
             state = controller.state(gid)
             safe = state.safe_level
@@ -222,69 +202,23 @@ def assemble_result(compiled, config, energy: Dict[int, EnergyBreakdown],
             group_fail = sum(failures[m] for m in group_members.get(gid, ()))
         group_results.append(GroupResult(
             group_id=gid, safe_level=safe, final_level=final,
-            level_trace=np.asarray(levels), failures=group_fail))
-
-    return SimulationResult(
-        controller=config.controller, mode=config.mode,
-        cycles=config.cycles, macro_results=macro_results,
-        group_results=group_results,
-        chip_drop_trace=np.asarray(chip_drop_trace))
-
-
-def assemble_scalar_result(compiled, config, energy: Dict[int, EnergyBreakdown],
-                           drop_mean: Dict[int, float],
-                           drop_peak: Dict[int, float],
-                           rtog_mean: Dict[int, float],
-                           rtog_peak: Dict[int, float],
-                           failures: Dict[int, int],
-                           stall_total: Dict[int, int],
-                           group_level_means: Dict[int, float], controller,
-                           group_members: Dict[int, List[int]]
-                           ) -> "SimulationResult":
-    """Build a trace-free :class:`SimulationResult` from scalar accumulators.
-
-    The fast-path counterpart of :func:`assemble_result`
-    (``RuntimeConfig.traces == "none"``): per-macro and per-group statistics
-    arrive as scalars, every trace field is ``None``, and the trace-backed
-    properties fall back to the scalars — so anything consuming only scalar
-    records (:class:`repro.sweep.records.RunRecord` metrics, the chip-level
-    aggregate properties) sees results equivalent to the full-trace path
-    (discrete fields bit-identical, float reductions to 1e-9 rtol).
-    """
-    chip_cfg = compiled.chip_config
-    macro_task = {m: t for t, m in compiled.mapping.assignment.items()}
-    macro_results: List[MacroResult] = []
-    for macro_index in sorted(energy):
-        gid, _ = chip_cfg.macro_location(macro_index)
-        task_id = macro_task.get(macro_index)
-        hr = compiled.tasks[task_id].hamming_rate if task_id is not None else 0.0
-        macro_results.append(MacroResult(
-            macro_index=macro_index, group_id=gid, task_id=task_id,
-            hamming_rate=hr, rtog_trace=None, drop_trace=None,
-            energy=energy[macro_index], failures=failures[macro_index],
-            stall_cycles=stall_total[macro_index],
-            rtog_peak=float(rtog_peak[macro_index]),
-            rtog_mean=float(rtog_mean[macro_index]),
-            drop_peak=float(drop_peak[macro_index]),
-            drop_mean=float(drop_mean[macro_index])))
-
-    group_results: List[GroupResult] = []
-    for gid in group_level_means:            # engine group order, as in
-        if controller is not None:           # assemble_result's level_traces
-            state = controller.state(gid)
-            safe = state.safe_level
-            final = state.level
-            group_fail = state.failures
-        else:
-            safe = 100
-            final = 100
-            group_fail = sum(failures[m] for m in group_members.get(gid, ()))
-        group_results.append(GroupResult(
-            group_id=gid, safe_level=safe, final_level=final,
-            level_trace=None, failures=group_fail,
-            level_mean=float(group_level_means[gid])))
+            failures=group_fail, level_mean=float(group_level_means[gid])))
 
     return SimulationResult(
         controller=config.controller, mode=config.mode, cycles=config.cycles,
-        macro_results=macro_results, group_results=group_results,
-        chip_drop_trace=None)
+        macro_results=macro_results, group_results=group_results)
+
+
+def attach_traces(result: SimulationResult, rtog: Dict[int, np.ndarray],
+                  drop: Dict[int, np.ndarray], levels: Dict[int, np.ndarray],
+                  chip_drop: np.ndarray) -> SimulationResult:
+    """Set ``result``'s per-cycle traces in place and return it: each
+    macro's Rtog and drop trace, each group's level trace (keyed by macro
+    index and group id) and the chip-wide worst drop."""
+    for macro in result.macro_results:
+        macro.rtog_trace = rtog[macro.macro_index]
+        macro.drop_trace = drop[macro.macro_index]
+    for group in result.group_results:
+        group.level_trace = levels[group.group_id]
+    result.chip_drop_trace = chip_drop
+    return result

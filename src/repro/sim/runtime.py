@@ -33,7 +33,7 @@ from ..power.vf_table import VFPair, VFTable
 from ..workloads.generator import flip_factor_matrix
 from .compiler import CompiledWorkload
 from .engine import ENGINES, run_vectorized
-from .results import SimulationResult, assemble_result
+from .results import SimulationResult, assemble_result, attach_traces
 
 __all__ = ["RuntimeConfig", "PIMRuntime", "simulate", "CONTROLLERS",
            "ENGINES", "TRACE_MODES"]
@@ -88,16 +88,15 @@ class RuntimeConfig:
     #: one of :data:`~repro.sim.engine.ENGINES` — "vectorized" (default) or
     #: the original "reference" loop kept as the behavioural oracle.
     engine: str = "vectorized"
-    #: result materialization, one of :data:`TRACE_MODES`.  ``"full"``
-    #: (default) materializes every per-cycle trace; ``"none"`` is the
-    #: scalar-record fast path: the vectorized engine skips all trace
-    #: gathers and stall-mask rebuilds and computes the scalar fields
-    #: (failures, stalls, mean/worst drop, the full energy breakdown)
-    #: closed-form per level-stable span — equivalent to the full-trace
-    #: path (discrete fields bit-identical, float reductions to 1e-9 rtol)
-    #: with every trace field ``None``.  Sweeps default to it since records
-    #: are scalar-only.  The reference engine ignores this field (it is the
-    #: behavioural oracle and always materializes traces).
+    #: result materialization, one of :data:`TRACE_MODES`.  The vectorized
+    #: engine always computes the scalar fields (failures, stalls, mean/worst
+    #: drop, the full energy breakdown) closed-form per level-stable span.
+    #: ``"full"`` (default) also gathers every per-cycle trace; ``"none"``
+    #: is the scalar-record fast path, which skips the trace gathers and
+    #: leaves every trace field ``None``.  Both modes give exactly the same
+    #: scalars.  Sweeps default to ``"none"`` since records are scalar-only.
+    #: The reference engine ignores this field (it is the behavioural
+    #: oracle and always materializes traces).
     traces: str = "full"
 
     def validate(self) -> None:
@@ -249,8 +248,8 @@ class PIMRuntime:
 
         Equivalence guarantee: for equal configs the engines agree bit-for-bit
         on failures, stalls, drop/level/chip traces and Rtog activity; energy
-        agrees to floating-point summation order (1e-9 rtol) because the
-        vectorized engine accumulates per-cycle energy with array reductions.
+        and mean drop agree to floating-point summation order (1e-9 rtol)
+        because the vectorized engine closes them over level-stable spans.
         ``tests/test_sim_engine.py`` enforces this across all controllers,
         modes, seeds and stress settings.  The call is deterministic in
         ``config.seed`` and side-effect-free on the compiled workload, so runs
@@ -349,22 +348,20 @@ class PIMRuntime:
                 for gid in group_members:
                     controller.step(gid, ir_failure=cycle_failures[gid])
 
-        return self._collect(energy, drop_traces, activity, failures, stall_total,
-                             level_traces, chip_drop_trace, controller,
-                             group_members=group_members)
-
-    # ------------------------------------------------------------------ #
-    # result assembly
-    # ------------------------------------------------------------------ #
-    def _collect(self, energy, drop_traces, activity, failures, stall_total,
-                 level_traces, chip_drop_trace, controller,
-                 group_members=None) -> SimulationResult:
-        return assemble_result(
-            compiled=self.compiled, config=self.config, energy=energy,
-            drop_traces=drop_traces, activity=activity, failures=failures,
-            stall_total=stall_total, level_traces=level_traces,
-            chip_drop_trace=chip_drop_trace, controller=controller,
-            group_members=group_members)
+        # The scalar statistics are reduced from the run's own traces.
+        drops = {m: np.asarray(trace) for m, trace in drop_traces.items()}
+        levels = {gid: np.asarray(trace) for gid, trace in level_traces.items()}
+        result = assemble_result(
+            self.compiled, cfg, energy,
+            {m: float(trace.mean()) for m, trace in drops.items()},
+            {m: float(trace.max()) for m, trace in drops.items()},
+            {m: float(trace.mean()) for m, trace in activity.items()},
+            {m: float(trace.max()) for m, trace in activity.items()},
+            failures, stall_total,
+            {gid: float(trace.mean()) for gid, trace in levels.items()},
+            controller, group_members)
+        return attach_traces(result, activity, drops, levels,
+                             np.asarray(chip_drop_trace))
 
 
 def simulate(compiled: CompiledWorkload, config: Optional[RuntimeConfig] = None,

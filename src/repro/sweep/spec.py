@@ -229,10 +229,9 @@ class RunSpec:
     monitor_noise: float = 0.003
     #: result materialization (``RuntimeConfig.traces``).  Sweeps default to
     #: the scalar fast path — records hold only scalar metrics, so the
-    #: trace-free run returns equivalent records (discrete fields
-    #: bit-identical, float reductions to 1e-9 rtol) while skipping all
-    #: trace materialization.  Deliberately *not* part of ``point_key``:
-    #: it changes how results materialize, not what they are.
+    #: trace-free run returns the same records while skipping every trace
+    #: gather.  Deliberately *not* part of ``point_key``: it changes how
+    #: results materialize, not what they are.
     traces: str = "none"
 
     @property
@@ -377,9 +376,9 @@ class SweepSpec:
     master_seed: int = 0
     #: result materialization for every run (``RuntimeConfig.traces``);
     #: ``"none"`` (default) is the scalar-record fast path — sweep records
-    #: are scalar-only, so nothing is lost and all trace materialization is
-    #: skipped.  Set ``"full"`` to re-run the slow path (the record
-    #: equivalence between the two is asserted by the benchmark harnesses).
+    #: are scalar-only, so nothing is lost and every trace gather is
+    #: skipped.  ``"full"`` also gathers the traces; its records are
+    #: exactly the same.
     traces: str = "none"
     #: seed derivation: "per_point" (default — every run draws an independent
     #: seed from its grid coordinates) or "shared" (common random numbers —

@@ -229,7 +229,13 @@ def assert_oracle_chain(compiled, table=None, **kwargs):
 # equivalence assertions
 # ---------------------------------------------------------------------- #
 def assert_results_equivalent(reference, vectorized):
-    """Exact equality on discrete outcomes, tight allclose on energy."""
+    """Exact equality on discrete outcomes, traces and extremal statistics;
+    tight allclose on energy, mean drop and mean level.
+
+    The vectorized engine computes its scalars closed-form while the
+    reference loop reduces its own traces, so this checks the scalar
+    materialization against an independent source.
+    """
     assert len(reference.macro_results) == len(vectorized.macro_results)
     for ref, vec in zip(reference.macro_results, vectorized.macro_results):
         assert ref.macro_index == vec.macro_index
@@ -237,6 +243,11 @@ def assert_results_equivalent(reference, vectorized):
         assert ref.stall_cycles == vec.stall_cycles
         assert np.array_equal(ref.rtog_trace, vec.rtog_trace)
         assert np.array_equal(ref.drop_trace, vec.drop_trace)
+        # Extremal statistics pick existing floats: exactly equal.
+        assert ref.worst_drop == vec.worst_drop
+        assert ref.peak_rtog == vec.peak_rtog
+        assert ref.mean_rtog == vec.mean_rtog
+        assert np.isclose(ref.mean_drop, vec.mean_drop, rtol=1e-9, atol=0.0)
         assert np.isclose(ref.energy.dynamic_energy, vec.energy.dynamic_energy,
                           rtol=1e-9)
         assert np.isclose(ref.energy.static_energy, vec.energy.static_energy,
@@ -252,6 +263,8 @@ def assert_results_equivalent(reference, vectorized):
         assert ref.final_level == vec.final_level
         assert ref.failures == vec.failures
         assert np.array_equal(ref.level_trace, vec.level_trace)
+        assert np.isclose(ref.mean_level, vec.mean_level, rtol=1e-12,
+                          atol=0.0)
     assert np.array_equal(reference.chip_drop_trace, vectorized.chip_drop_trace)
 
 
@@ -259,14 +272,14 @@ def assert_results_equivalent(reference, vectorized):
 EXACT_METRICS = ("total_failures", "total_stall_cycles")
 
 
-def assert_scalar_equivalent(full, scalar, rtol=1e-9):
-    """Scalar (``traces="none"``) result vs full-trace result: the
+def assert_scalar_equivalent(reference, scalar, rtol=1e-9):
+    """Scalar (``traces="none"``) result vs the reference loop's: the
     record-level contract — discrete fields bit-identical, float reductions
     to ``rtol``, extremal statistics exactly equal."""
     from repro.sweep.records import METRIC_NAMES
     assert scalar.chip_drop_trace is None
-    assert len(full.macro_results) == len(scalar.macro_results)
-    for ref, fast in zip(full.macro_results, scalar.macro_results):
+    assert len(reference.macro_results) == len(scalar.macro_results)
+    for ref, fast in zip(reference.macro_results, scalar.macro_results):
         assert fast.rtog_trace is None and fast.drop_trace is None
         assert ref.macro_index == fast.macro_index
         assert ref.failures == fast.failures
@@ -283,18 +296,73 @@ def assert_scalar_equivalent(full, scalar, rtol=1e-9):
         assert np.isclose(ref.energy.elapsed_time, fast.energy.elapsed_time,
                           rtol=rtol)
         assert ref.energy.completed_macs == fast.energy.completed_macs
-    assert len(full.group_results) == len(scalar.group_results)
-    for ref, fast in zip(full.group_results, scalar.group_results):
+    assert len(reference.group_results) == len(scalar.group_results)
+    for ref, fast in zip(reference.group_results, scalar.group_results):
         assert fast.level_trace is None
         assert ref.group_id == fast.group_id
         assert ref.safe_level == fast.safe_level
         assert ref.final_level == fast.final_level
         assert ref.failures == fast.failures
-        assert np.isclose(ref.mean_level, fast.mean_level, rtol=1e-12)
+        assert np.isclose(ref.mean_level, fast.mean_level, rtol=1e-12,
+                          atol=0.0)
     for name in METRIC_NAMES:
-        ref_value = getattr(full, name)
+        ref_value = getattr(reference, name)
         fast_value = getattr(scalar, name)
         if name in EXACT_METRICS:
             assert ref_value == fast_value, name
         else:
             assert np.isclose(ref_value, fast_value, rtol=rtol, atol=0.0), name
+
+
+def scalar_fields(result) -> Dict:
+    """Every scalar a result reports, keyed by ``(owner, field)``: each
+    macro's energy components, failures, stalls and drop and Rtog
+    statistics, each group's levels and failures, and the record metrics."""
+    from repro.sweep.records import METRIC_NAMES
+    fields = {}
+    for macro in result.macro_results:
+        owner = ("macro", macro.macro_index)
+        for name, value in dataclasses.asdict(macro.energy).items():
+            fields[owner + (name,)] = value
+        for name in ("failures", "stall_cycles", "mean_drop", "worst_drop",
+                     "mean_rtog", "peak_rtog"):
+            fields[owner + (name,)] = getattr(macro, name)
+    for group in result.group_results:
+        owner = ("group", group.group_id)
+        for name in ("safe_level", "final_level", "failures", "mean_level"):
+            fields[owner + (name,)] = getattr(group, name)
+    for name in METRIC_NAMES:
+        fields[("record", name)] = getattr(result, name)
+    return fields
+
+
+def assert_trace_modes_equal(full, scalar):
+    """A vectorized full-trace result and its trace-free twin: both take the
+    same scalar pass, so every scalar field is exactly equal, and the
+    trace-free result carries no trace."""
+    assert scalar.chip_drop_trace is None
+    assert all(macro.rtog_trace is None and macro.drop_trace is None
+               for macro in scalar.macro_results)
+    assert all(group.level_trace is None for group in scalar.group_results)
+    full_fields, scalar_fields_ = scalar_fields(full), scalar_fields(scalar)
+    assert full_fields.keys() == scalar_fields_.keys()
+    differ = [key for key in full_fields
+              if full_fields[key] != scalar_fields_[key]]
+    assert not differ, differ
+
+
+def assert_trace_modes_agree(compiled, **kwargs):
+    """Run ``compiled`` on the reference loop and on the vectorized engine
+    under both trace modes: the full-trace run must match the reference
+    (:func:`assert_results_equivalent`) and the trace-free run must report
+    exactly its scalars (:func:`assert_trace_modes_equal`).
+
+    Returns the full-trace vectorized result.
+    """
+    from repro.sim import RuntimeConfig, simulate
+    reference = simulate(compiled, RuntimeConfig(engine="reference", **kwargs))
+    full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
+    scalar = simulate(compiled, RuntimeConfig(traces="none", **kwargs))
+    assert_results_equivalent(reference, full)
+    assert_trace_modes_equal(full, scalar)
+    return full

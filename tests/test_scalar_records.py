@@ -1,14 +1,18 @@
 """Scalar-record fast path (``RuntimeConfig.traces == "none"``) equivalence.
 
-The trace-free materialization must produce scalar records equivalent to the
-full-trace path — discrete fields (failures, stalls, levels) bit-identical,
-float reductions (energy, mean drop, elapsed time) to 1e-9 rtol, and extremal
-statistics (worst drop, peak Rtog) exactly equal — across all three
-controllers, both operating modes, both sweep seed modes, the shared-corpus
-stress axes, and every engine variant of the oracle chain,
+The scalar materialization must produce scalar records equivalent to the
+full-trace reference loop — discrete fields (failures, stalls, levels)
+bit-identical, float reductions (energy, mean drop, elapsed time) to 1e-9
+rtol, and extremal statistics (worst drop, peak Rtog) exactly equal — across
+all three controllers, both operating modes, both sweep seed modes, the
+shared-corpus stress axes, and every engine variant of the oracle chain,
 including workloads whose logical Sets straddle group boundaries (the
-coupled-group heap path).
+coupled-group heap path).  The vectorized engine's full-trace runs take the
+same scalar pass plus the trace gathers, so every scalar they report equals
+the trace-free run's exactly.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,12 +27,16 @@ from repro.sweep import (
     WorkloadSpec,
     build_compiled_workload,
 )
+from repro.sweep.records import METRIC_NAMES
 
 from tests.helpers import (
     ENGINE_VARIANTS,
     EXACT_METRICS,
     STRESS_AXES,
+    assert_results_equivalent,
     assert_scalar_equivalent,
+    assert_trace_modes_agree,
+    assert_trace_modes_equal,
     contained_sets_spec,
     corpus_scenarios,
     run_engine_variant,
@@ -53,32 +61,25 @@ class TestScalarEquivalence:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_controllers_modes_seeds(self, controller, mode, seed):
         compiled = contained_sets_workload()
-        kwargs = dict(cycles=400, controller=controller, mode=mode, seed=seed)
-        full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
-        scalar = simulate(compiled, RuntimeConfig(traces="none", **kwargs))
-        assert_scalar_equivalent(full, scalar)
+        assert_trace_modes_agree(compiled, cycles=400, controller=controller,
+                                 mode=mode, seed=seed)
 
     @pytest.mark.parametrize("stress", STRESS_AXES)
     def test_stress_axes(self, stress):
         compiled = contained_sets_workload()
-        kwargs = dict(cycles=500, controller="booster", seed=7, **stress)
-        full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
-        scalar = simulate(compiled, RuntimeConfig(traces="none", **kwargs))
-        assert_scalar_equivalent(full, scalar)
+        assert_trace_modes_agree(compiled, cycles=500, controller="booster",
+                                 seed=7, **stress)
 
     @pytest.mark.parametrize("controller", ["dvfs", "booster_safe", "booster"])
     def test_group_straddling_sets(self, controller):
         """Coupled groups run the heap scheduler; the scalar materialization
         consumes its scalar logs identically."""
         compiled = straddling_sets_workload()
-        kwargs = dict(cycles=500, controller=controller, beta=4,
-                      recompute_cycles=10, flip_mean=0.8, monitor_noise=0.01,
-                      seed=7)
-        full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
-        scalar = simulate(compiled, RuntimeConfig(traces="none", **kwargs))
+        full = assert_trace_modes_agree(
+            compiled, cycles=500, controller=controller, beta=4,
+            recompute_cycles=10, flip_mean=0.8, monitor_noise=0.01, seed=7)
         if controller != "dvfs":                 # the stress must bite
             assert full.total_failures > 50
-        assert_scalar_equivalent(full, scalar)
 
     @pytest.mark.parametrize("controller", ["booster_safe", "booster"])
     def test_engine_variants_agree(self, controller):
@@ -117,11 +118,14 @@ class TestScalarEquivalence:
             n_operators=32))
         kwargs = dict(cycles=2000, controller="booster", recompute_cycles=32,
                       beta=10, flip_mean=0.9, monitor_noise=0.035, seed=5)
+        reference = simulate(compiled,
+                             RuntimeConfig(engine="reference", **kwargs))
         full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
         engine = _VectorizedEngine(PIMRuntime(
             compiled, RuntimeConfig(traces="none", **kwargs)))
         scalar, = run_engines([engine])
-        assert_scalar_equivalent(full, scalar)
+        assert_results_equivalent(reference, full)
+        assert_trace_modes_equal(full, scalar)
 
         # Level spans crossed by each logged recompute window.
         rows, starts = engine._logged_stall_windows()
@@ -142,11 +146,9 @@ class TestScalarEquivalence:
         """No loaded macro: an empty span table materializes empty records."""
         compiled = build_compiled_workload(
             synthetic_spec("scalar-empty", n_operators=0))
-        kwargs = dict(cycles=50, controller=controller)
-        full = simulate(compiled, RuntimeConfig(traces="full", **kwargs))
-        scalar = simulate(compiled, RuntimeConfig(traces="none", **kwargs))
-        assert scalar.macro_results == []
-        assert_scalar_equivalent(full, scalar)
+        full = assert_trace_modes_agree(compiled, cycles=50,
+                                        controller=controller)
+        assert full.macro_results == []
 
     def test_reference_engine_ignores_traces(self):
         """The oracle always materializes traces, whatever the config says."""
@@ -181,19 +183,28 @@ class TestSweepTraces:
 
     @pytest.mark.parametrize("seed_mode", ["per_point", "shared"])
     def test_records_equivalent_both_seed_modes(self, seed_mode):
+        """Both trace modes give exactly the same records, and every record
+        matches the reference loop's run of the same config."""
+        spec = self.spec("none", seed_mode)
         full = SweepRunner(self.spec("full", seed_mode),
                            SerialExecutor()).run()
-        scalar = SweepRunner(self.spec("none", seed_mode),
-                             SerialExecutor()).run()
-        assert full.run_ids == scalar.run_ids
-        for ref, fast in zip(full.sorted_records(), scalar.sorted_records()):
-            assert ref.point_key == fast.point_key and ref.seed == fast.seed
-            for name, value in ref.metrics.items():
+        scalar = SweepRunner(spec, SerialExecutor()).run()
+        assert ([record.to_json_dict() for record in full.sorted_records()]
+                == [record.to_json_dict()
+                    for record in scalar.sorted_records()])
+        runs = {run.run_id: run for run in spec.expand()}
+        for fast in scalar.sorted_records():
+            run = runs[fast.run_id]
+            reference = simulate(
+                build_compiled_workload(run.workload),
+                dataclasses.replace(run.runtime_config(), engine="reference"))
+            for name in METRIC_NAMES:
+                value = getattr(reference, name)
                 if name in EXACT_METRICS:
-                    assert value == fast.metrics[name], (ref.run_id, name)
+                    assert value == fast.metrics[name], (fast.run_id, name)
                 else:
                     assert np.isclose(value, fast.metrics[name], rtol=1e-9,
-                                      atol=0.0), (ref.run_id, name)
+                                      atol=0.0), (fast.run_id, name)
 
     def test_traces_survive_json_roundtrip(self):
         spec = self.spec("full")

@@ -526,26 +526,28 @@ class TestBatchedPrimitives:
         assert monitor.failure_count == 0                # counters still global
 
     def test_accumulate_cycles_matches_scalar(self):
-        """One row of the engine's per-cycle-operating-point accumulation
+        """The engine's closed-form span accumulation, one span per cycle,
         equals looped scalar accumulation."""
         model = EnergyModel()
         rng = np.random.default_rng(3)
-        activity = rng.uniform(0.1, 0.9, size=300)
-        stalled = rng.random(300) < 0.2
-        voltages = rng.choice([0.71, 0.68, 0.75], size=300)
-        frequencies = rng.choice([0.9e9, 1.0e9, 1.1e9], size=300)
+        n = 300
+        activity = rng.uniform(0.1, 0.9, size=n)
+        stalled = rng.random(n) < 0.2
+        voltages = rng.choice([0.71, 0.68, 0.75], size=n)
+        frequencies = rng.choice([0.9e9, 1.0e9, 1.1e9], size=n)
         scalar = EnergyBreakdown()
         for act, stall, volt, freq in zip(activity, stalled, voltages,
                                           frequencies):
             model.accumulate_cycle(scalar, float(volt), float(freq),
                                    float(act), 2.5, stalled=bool(stall))
-        (traced,) = model.accumulate_trace_rows(
-            voltages, frequencies, activity[np.newaxis], np.array([2.5]),
-            stalled[np.newaxis])
-        assert traced.dynamic_energy == pytest.approx(scalar.dynamic_energy)
-        assert traced.static_energy == pytest.approx(scalar.static_energy)
-        assert traced.elapsed_time == pytest.approx(scalar.elapsed_time)
-        assert traced.completed_macs == pytest.approx(scalar.completed_macs)
+        (spanned,) = model.span_breakdowns(
+            np.zeros(n, dtype=np.int64), voltages, frequencies, np.ones(n),
+            activity, np.array([np.sum((activity * voltages ** 2)[stalled])]),
+            np.array([n - stalled.sum()]), np.array([2.5]))
+        assert spanned.dynamic_energy == pytest.approx(scalar.dynamic_energy)
+        assert spanned.static_energy == pytest.approx(scalar.static_energy)
+        assert spanned.elapsed_time == pytest.approx(scalar.elapsed_time)
+        assert spanned.completed_macs == pytest.approx(scalar.completed_macs)
 
 
 def test_vectorized_results_stay_independently_mutable(fresh_level_cache):

@@ -7,9 +7,9 @@ Two measurements, two ``BENCH_runtime.json`` sections (merge-preserving —
   the 64-macro reference geometry, elevated activity and monitor noise, a
   recompute window squeezed to 2 cycles so tens of thousands of failures are
   *selected*, not merely suppressed), plus ``dvfs`` and full ``booster`` for
-  the record.  The event engine's closed-form timeline kernels
-  (:mod:`repro.sim.kernels`, warm level cache — the steady state of a sweep)
-  are timed against the reference oracle, with oracle equivalence asserted
+  the record.  The event engine's one closed-form timeline kernel (the span
+  kernel, every controller; warm level cache — the steady state of a sweep)
+  is timed against the reference oracle, with oracle equivalence asserted
   in the same run.
 
 * ``shared_store`` — the same shared-seed beta grid executed through a

@@ -86,6 +86,9 @@ POOL_BAR_MIN = os.environ.get("REPRO_BENCH_POOL_BAR_MIN")
 #: (fractional: 0.05 == 5%).  Overridable for noisy shared runners.
 SUPERVISED_MAX_OVERHEAD = float(
     os.environ.get("REPRO_BENCH_SUPERVISED_MAX_OVERHEAD", "0.05"))
+#: Alternating plain/supervised pool passes; the overhead bar compares the
+#: fastest of each, since one pass's run-to-run spread exceeds the bar.
+OVERHEAD_PASSES = 3
 
 #: The imports a sweep or service process starts with, and how many fresh
 #: interpreters time each one.
@@ -178,28 +181,30 @@ def _time_sweep_executors():
     start = time.perf_counter()
     serial_result = SweepRunner(spec, SerialExecutor()).run()
     serial_time = time.perf_counter() - start
-
-    processes = os.cpu_count() or 1
-    start = time.perf_counter()
-    pool_result = SweepRunner(spec, PoolExecutor(processes=processes)).run()
-    pool_time = time.perf_counter() - start
-
-    # The supervised pool (retry policy + deadline watchdog) on the same
-    # fault-free scenario.  Both pools run the same dispatch loop, so the
-    # difference is the retry and deadline bookkeeping alone, which must
-    # stay in the noise.
-    supervised = PoolExecutor(processes=processes,
-                              retry_policy=RetryPolicy(max_attempts=3),
-                              run_timeout=300.0)
-    start = time.perf_counter()
-    supervised_result = SweepRunner(spec, supervised).run()
-    supervised_time = time.perf_counter() - start
-
     serial_dicts = [r.to_json_dict() for r in serial_result.sorted_records()]
-    identical = serial_dicts == \
-        [r.to_json_dict() for r in pool_result.sorted_records()]
-    supervised_identical = serial_dicts == \
-        [r.to_json_dict() for r in supervised_result.sorted_records()]
+
+    def timed_pass(executor):
+        start = time.perf_counter()
+        result = SweepRunner(spec, executor).run()
+        seconds = time.perf_counter() - start
+        return seconds, serial_dicts == [
+            r.to_json_dict() for r in result.sorted_records()]
+
+    # The plain pool alternated with the supervised pool (retry policy +
+    # deadline watchdog) on the same fault-free scenario.  Both pools run
+    # the same dispatch loop, so the difference is the retry and deadline
+    # bookkeeping alone, which must stay in the noise.  The speedup and
+    # the pool bar read the first plain pass only.
+    processes = os.cpu_count() or 1
+    pool_passes, supervised_passes = [], []
+    for _ in range(OVERHEAD_PASSES):
+        pool_passes.append(timed_pass(PoolExecutor(processes=processes)))
+        supervised_passes.append(timed_pass(PoolExecutor(
+            processes=processes, retry_policy=RetryPolicy(max_attempts=3),
+            run_timeout=300.0)))
+    pool_time = pool_passes[0][0]
+    pool_best = min(seconds for seconds, _ in pool_passes)
+    supervised_best = min(seconds for seconds, _ in supervised_passes)
     return {
         "n_points": spec.n_points,
         "n_runs": spec.n_runs,
@@ -209,12 +214,17 @@ def _time_sweep_executors():
         "speedup": serial_time / pool_time,
         "serial_runs_per_sec": spec.n_runs / serial_time,
         "pool_runs_per_sec": spec.n_runs / pool_time,
-        "supervised_seconds": supervised_time,
-        "supervised_overhead": supervised_time / pool_time - 1.0,
-        "supervised_records_identical": supervised_identical,
+        "pool_pass_seconds": [seconds for seconds, _ in pool_passes],
+        "supervised_pass_seconds": [seconds
+                                    for seconds, _ in supervised_passes],
+        "pool_best_seconds": pool_best,
+        "supervised_best_seconds": supervised_best,
+        "supervised_overhead": supervised_best / pool_best - 1.0,
+        "supervised_records_identical": all(
+            same for _, same in supervised_passes),
         "cpu_count": os.cpu_count(),
         "pool_processes": processes,
-        "records_identical": identical,
+        "records_identical": all(same for _, same in pool_passes),
     }
 
 
@@ -354,12 +364,14 @@ def test_runtime_engine_speedup(benchmark):
 
     sweep = report["sweep_throughput"]
     print(format_table(
-        ["sweep grid", "serial s", "pool s", "speedup", "superv s",
-         "superv ovh", "cores"],
+        ["sweep grid", "serial s", "pool s", "speedup", "best pool s",
+         "best superv s", "superv ovh", "cores"],
         [[f"{sweep['n_points']} pts x {sweep['n_runs'] // sweep['n_points']} seeds"
           f" @{sweep['cycles']}",
           f"{sweep['serial_seconds']:.3f}", f"{sweep['pool_seconds']:.3f}",
-          format_ratio(sweep["speedup"]), f"{sweep['supervised_seconds']:.3f}",
+          format_ratio(sweep["speedup"]),
+          f"{sweep['pool_best_seconds']:.3f}",
+          f"{sweep['supervised_best_seconds']:.3f}",
           f"{sweep['supervised_overhead']:+.1%}",
           f"{sweep['cpu_count']}"]],
         title="Sweep-runner executor throughput (BENCH_runtime.json)"))
@@ -379,13 +391,13 @@ def test_runtime_engine_speedup(benchmark):
     assert sweep["records_identical"]
     assert sweep["supervised_records_identical"]
     # Supervised execution (retries + deadline watchdog) must not tax the
-    # fault-free path: <= 5% overhead vs. the plain pool, with a small
-    # absolute grace so scheduler jitter on sub-second smoke sweeps cannot
-    # fail the relative bar (the full configuration's long horizon makes the
-    # relative term dominant).
-    overhead_budget = SUPERVISED_MAX_OVERHEAD * sweep["pool_seconds"] + \
-        (0.25 if SMOKE else 0.0)
-    assert sweep["supervised_seconds"] - sweep["pool_seconds"] \
+    # fault-free path: <= 5% overhead vs. the plain pool, fastest pass
+    # against fastest pass, with a small absolute grace so scheduler jitter
+    # on sub-second smoke sweeps cannot fail the relative bar (the full
+    # configuration's long horizon makes the relative term dominant).
+    overhead_budget = SUPERVISED_MAX_OVERHEAD * sweep["pool_best_seconds"] \
+        + (0.25 if SMOKE else 0.0)
+    assert sweep["supervised_best_seconds"] - sweep["pool_best_seconds"] \
         <= overhead_budget, sweep
     if not SMOKE:
         assert headline["speedup"] >= 20.0, headline

@@ -1,7 +1,7 @@
 """The sweep daemon: a crash-safe, fault-isolated multi-job sweep service.
 
 :class:`SweepService` accepts :class:`~repro.sweep.spec.SweepSpec` jobs and
-schedules up to ``max_concurrent`` of them *concurrently* onto one executor
+schedules up to four of them *concurrently* onto one executor
 that lives for the daemon's lifetime.  A serial fleet (the default) runs in
 the daemon process, whose level cache serves every later job's repeated
 physics, as a library sweep's does.  A pool fleet (``processes > 1``) hands
@@ -152,12 +152,13 @@ class _ActiveJob:
 class SweepService:
     """The daemon: journal + registry + bounded queue + resident executor.
 
-    Up to ``max_concurrent`` jobs execute concurrently, interleaved onto the
-    fleet in fair-share rounds of ``fair_share_quantum`` work units per job.
-    Fault isolation between them is the point: each job has its own record
-    store, checkpoint cadence and circuit breaker, so one job's poison runs
-    or full disk cannot take its neighbours down.  All public methods are
-    thread-safe — the HTTP transport calls them from handler threads.
+    Up to :attr:`MAX_CONCURRENT` jobs execute concurrently, interleaved onto
+    the fleet in fair-share rounds of ``fair_share_quantum`` work units per
+    job.  Fault isolation between them is the point: each job has its own
+    record store, checkpoint cadence and circuit breaker, so one job's
+    poison runs or full disk cannot take its neighbours down.  All public
+    methods are thread-safe — the HTTP transport calls them from handler
+    threads.
 
     The fleet is ``executor`` when given; otherwise a supervised
     :class:`PoolExecutor` of ``processes`` workers sharing a physics store
@@ -168,6 +169,11 @@ class SweepService:
     serial fleet, which cannot time out a run in process.
     """
 
+    #: jobs that run concurrently on the fleet (``/health["max_concurrent"]``)
+    MAX_CONCURRENT = 4
+    #: journal bytes past which :meth:`start` compacts the journal
+    COMPACT_BYTES = 1 << 20
+
     def __init__(self, data_dir: str,
                  executor: Optional[Executor] = None,
                  processes: Optional[int] = None,
@@ -175,8 +181,6 @@ class SweepService:
                  run_timeout: Optional[float] = None,
                  max_queue: int = 8,
                  checkpoint_every: int = 4,
-                 compact_bytes: int = 1 << 20,
-                 max_concurrent: int = 4,
                  fair_share_quantum: int = 4,
                  breaker_budget: int = 2,
                  lease_ttl: float = 2.0,
@@ -186,8 +190,6 @@ class SweepService:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be a positive "
                              "record count")
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must schedule at least one job")
         if fair_share_quantum < 1:
             raise ValueError("fair_share_quantum must take at least one "
                              "work unit per job per round")
@@ -198,8 +200,6 @@ class SweepService:
         os.makedirs(data_dir, exist_ok=True)
         self.max_queue = max_queue
         self.checkpoint_every = checkpoint_every
-        self.compact_bytes = compact_bytes
-        self.max_concurrent = max_concurrent
         self.fair_share_quantum = fair_share_quantum
         self.breaker_budget = breaker_budget
         self.lease_ttl = lease_ttl
@@ -265,7 +265,7 @@ class SweepService:
             self._lease = StateDirLease(self.data_dir, ttl=self.lease_ttl,
                                         on_lost=self._on_lease_lost)
         self._lease.acquire(wait=self.lease_wait)
-        self.registry.maybe_compact(self.compact_bytes)
+        self.registry.maybe_compact(self.COMPACT_BYTES)
         self.journal.append("service_start",
                             pid=os.getpid(), data_dir=self.data_dir)
         interrupted = self.registry.recover_interrupted()
@@ -571,7 +571,7 @@ class SweepService:
             "max_queue": self.max_queue,
             "active_job": active_ids[0] if active_ids else None,
             "active_jobs": active_ids,
-            "max_concurrent": self.max_concurrent,
+            "max_concurrent": self.MAX_CONCURRENT,
             "jobs": self.registry.counts(),
             "fleet": self._fleet_liveness(),
             "scheduler_alive": (self._scheduler is not None
@@ -652,10 +652,11 @@ class SweepService:
             self._drain_all()
 
     def _admit_waiting(self) -> None:
-        """Move queued jobs into the active set up to ``max_concurrent``."""
+        """Move queued jobs into the active set up to
+        :attr:`MAX_CONCURRENT`."""
         while True:
             with self._lock:
-                if len(self._active_jobs) >= self.max_concurrent \
+                if len(self._active_jobs) >= self.MAX_CONCURRENT \
                         or not self._queue:
                     return
                 job_id = self._queue.popleft()

@@ -133,9 +133,8 @@ class JobJournal:
     and lines never interleave.
     """
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.fsync = fsync
         self.stats = JournalStats()
         self._lock = threading.Lock()
         self._seq = 0
@@ -306,9 +305,8 @@ class JobJournal:
             # torn write.  The fault tears the line and kills the process.
             faults.journal_fault(self.path, len(line),
                                  f"{event}:{job_id or ''}")
-            if self.fsync:
-                os.fsync(handle.fileno())
-                self.stats.fsyncs += 1
+            os.fsync(handle.fileno())
+            self.stats.fsyncs += 1
         except OSError:
             self._truncate_back(start)
             raise

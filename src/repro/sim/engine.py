@@ -22,36 +22,34 @@ once per activity key and cached in the level cache:
   (:meth:`~repro.power.energy.EnergyModel.span_breakdowns`).
 
 A lone run (:func:`run_vectorized`) is a batch of one through the phases of
-:func:`repro.sim.ensemble.run_engines`.  A run whose levels never change
-prebuilds each group's one level; a ``booster`` run's span kernel derives
-every level it visits itself, its safe level included, as one windowed
-candidate byte mask per (group, level) that the level cache shares across
-runs (:class:`_LazyLevelStreams`).
+:func:`repro.sim.ensemble.run_engines`.  Every level a span group visits is
+bound as one candidate byte mask per (group, level) that the level cache
+shares across runs (:class:`_LazyLevelStreams`): a ``booster`` run's span
+kernel derives each over doubling windows as it reaches it, and a run whose
+levels never change prebuilds each group's one level over the full horizon
+in one window.
 
 Event processing is split by *recompute-stall coupling*.  Stalls propagate
 within a failing macro's logical Set, so a group whose Sets all live inside its
 own row range can never interact with any other group: each such *independent*
-group's entire failure timeline resolves through the closed-form timeline
-kernels of :mod:`repro.sim.kernels` — groups whose level never changes
-(``dvfs``, ``booster_safe``) as one greedy min-gap selection per Set over a
-merged ``(cycle, row)`` candidate stream, for every run of a batch at once
-(:func:`repro.sim.ensemble._run_group_kernel_runs`), ``booster`` groups as the
-same selection resumed across level-stable spans, one ``bytearray.find`` per
-peek into the visited level's candidate mask, with each *safe-level failure
-run* (consecutive failures all within ``beta`` of each other) chained in a
-tight controller-free inner loop and applied to Algorithm 2 in one
-vectorized :meth:`~repro.core.ir_booster.IRBoosterController.\
-apply_failures_at_cycles` call (:meth:`_VectorizedEngine.\
-_run_group_span_kernel`).  Groups whose Sets
-straddle group boundaries are *coupled* and run under a lazy-invalidation
-heap scheduler that interleaves their events in global cycle order, as does
-a ``booster`` group with more Sets than a mask byte codes
-(:data:`MAX_MASK_SETS`).  Failure
+group's entire failure timeline resolves through one closed-form kernel
+(:meth:`_VectorizedEngine._run_group_span_kernel`), the greedy min-gap
+selection of :mod:`repro.sim.kernels` resumed across level-stable spans, one
+``bytearray.find`` per peek into the current level's candidate mask, with
+each *safe-level failure run* (consecutive failures all within ``beta`` of
+each other) chained in a tight controller-free inner loop and applied to
+Algorithm 2 in one vectorized :meth:`~repro.core.ir_booster.\
+IRBoosterController.apply_failures_at_cycles` call.  A group whose level
+never changes (``dvfs``, ``booster_safe``) is the same kernel with no
+scheduled transition: its one level is its safe level and the whole horizon
+is one failure run, applied to no controller.  Groups whose Sets straddle
+group boundaries are *coupled* and run under a lazy-invalidation heap
+scheduler that interleaves their events in global cycle order, as does a
+group with more Sets than a mask byte codes (:data:`MAX_MASK_SETS`); the
+routing depends on the workload alone.  Failure
 cycles are replayed with the exact scalar ordering of the reference loop
 (failures propagate recompute stalls to the failing macro's logical Set
-*within* the cycle, which suppresses later samples).  Controllers without
-feedback (``dvfs``, ``booster_safe``) have no scheduled transitions at all,
-so a failure-free run is a single fully vectorized pass.  Materialization
+*within* the cycle, which suppresses later samples).  Materialization
 computes every scalar record field closed-form in one pass over a table of
 every row's level-stable spans, from the cached activity prefix sums, the
 spans' peak activity and the logged recompute windows and failure points
@@ -81,13 +79,10 @@ import numpy as np
 
 from ..power.monitor import IRMonitor
 from ..power.vf_table import VFPair
-# ``merge_candidates`` and ``select_failures`` have no caller here:
-# ``_prebuild_streams`` builds every merged stream directly, and the
-# runs-axis kernel took over every no-level-change group.  Both stay
-# importable from this module because e2ebench/tracer.py wraps them under
-# this path.
-from .kernels import MergedCandidates, merge_candidates, \
-    select_failures  # noqa: F401
+# ``merge_candidates`` and ``select_failures`` have no caller: every
+# independent group runs the span kernel.  Both stay importable from this
+# module only because e2ebench/tracer.py wraps them under this path.
+from .kernels import merge_candidates, select_failures  # noqa: F401
 from .level_cache import LEVEL_CACHE, LevelEntry, workload_cache_key
 from .results import SimulationResult, assemble_result, attach_traces
 
@@ -100,7 +95,7 @@ __all__ = ["ENGINES", "run_vectorized"]
 ENGINES = ("vectorized", "reference")
 
 #: Most Sets a group's candidate mask codes: one byte per candidate, code 0
-#: meaning none.  A ``booster`` group with more runs under the heap scheduler.
+#: meaning none.  A group with more runs under the heap scheduler.
 MAX_MASK_SETS = 255
 
 
@@ -136,11 +131,14 @@ class _LazyLevelStreams:
     consumes only a handful of candidates per bind before the level drops
     back to safe, so the mask is derived lazily: :meth:`refill` extends it
     over doubling windows of whole cycles, contiguously from cycle 0, until
-    the peeked Set has a candidate or the horizon ends.  A window applies
-    the engine's own candidate expression (:meth:`_VectorizedEngine.\
-_fail_mask`) to a column window of the group's activity; ``drop_array`` and
-    the comparison are elementwise, so every byte equals the full-horizon
-    mask's.
+    the peeked Set has a candidate or the horizon ends.  A group whose
+    level never changes walks its whole horizon, so its one level is
+    extended to the horizon in one window up front
+    (:meth:`_VectorizedEngine._prebuild_streams`).  A window applies the
+    engine's own candidate expression (:meth:`_VectorizedEngine.\
+_fail_mask`) to a column window of the group's activity (:meth:`extend`);
+    ``drop_array`` and the comparison are elementwise, so every byte equals
+    the full-horizon mask's.
 
     The mask holds no engine arrays: :meth:`refill` reads the calling
     engine's activity block and noise.  So it is cached in the level cache
@@ -173,32 +171,36 @@ _fail_mask`) to a column window of the group's activity; ``drop_array`` and
         self.upto = 0
         self.step = self.WINDOW
 
+    def extend(self, engine: "_VectorizedEngine", end: int,
+               drop_rows: Optional[np.ndarray] = None) -> None:
+        """Derive the mask's cycles ``upto .. end`` in one window, reading
+        the drop from the group's full-horizon ``drop_rows`` when given."""
+        upto, pair = self.upto, self.pair
+        if drop_rows is None:
+            drop = engine.ir_model.drop_array(
+                engine.A[self.lo:self.hi, upto:end], pair.voltage,
+                pair.frequency)
+        else:
+            drop = drop_rows[:, upto:end]
+        fail = engine._fail_mask(self.gid, pair, drop, upto)
+        self.mask += (fail.T * self.codes).tobytes()
+        self.upto = end
+
     def refill(self, engine: "_VectorizedEngine", code: int, pos: int) -> int:
         """Extend the mask until Set ``code`` has a candidate at or after
         position ``pos``; return that position, or ``n * width`` when the
         horizon holds none.  Only called when ``mask.find`` missed."""
         mask = self.mask
-        lo, hi = self.lo, self.hi
-        width = hi - lo
+        width = self.hi - self.lo
         n = engine.n
-        upto = self.upto
         step = self.step
-        block = engine.A[lo:hi]
-        pair = self.pair
         found = -1
-        while found < 0 and upto < n:
-            end = upto + step
-            if end > n:
-                end = n
-            drop = engine.ir_model.drop_array(
-                block[:, upto:end], pair.voltage, pair.frequency)
-            fail = engine._fail_mask(self.gid, pair, drop, upto)
-            mask += (fail.T * self.codes).tobytes()
-            found = mask.find(code, max(pos, upto * width))
-            upto = end
+        while found < 0 and self.upto < n:
+            start = self.upto
+            self.extend(engine, min(start + step, n))
+            found = mask.find(code, max(pos, start * width))
             if step < self.WINDOW_MAX:
                 step <<= 1
-        self.upto = upto
         self.step = step
         return found if found >= 0 else n * width
 
@@ -272,10 +274,6 @@ class _VectorizedEngine:
         for gid, (lo, hi) in self.group_rows.items():
             for row in range(lo, hi):
                 self.group_of_row[row] = gid
-        #: bits to pack a global row into a timeline-kernel key (a pure
-        #: function of the workload, so shared merged streams stay valid).
-        self.row_shift = max(1, (self.n_rows - 1).bit_length()) \
-            if self.n_rows > 1 else 1
 
         # Logical sets (recompute stalls propagate set-wide), as row indices.
         macro_set, set_members = runtime._logical_sets()
@@ -331,21 +329,23 @@ class _VectorizedEngine:
             gid: [self.level[gid]] for gid in self.groups}
 
         self._caches: Dict[Tuple[int, int], LevelEntry] = {}
+        self._masks: Dict[Tuple[int, int], _LazyLevelStreams] = {}
 
         # Event bookkeeping.
         inf = self.n
+        #: whether Algorithm 2 moves the groups' levels (``booster``);
+        #: ``dvfs`` and ``booster_safe`` groups keep their initial level.
         self.stepping = self.cfg.controller == "booster"
-        #: independent groups the booster span kernel runs, and the groups
-        #: the heap scheduler runs: the coupled ones and, in a booster run,
-        #: any independent group with more Sets than a mask byte codes.
-        self.span_groups: List[int] = []
-        if self.stepping:
-            self.span_groups = [
-                gid for gid in self.independent_groups
-                if len({self.set_of_row[row] for row in range(
-                    *self.group_rows[gid])}) <= MAX_MASK_SETS]
-        self.heap_groups = [gid for gid in self.groups if gid in coupled or (
-            self.stepping and gid not in self.span_groups)]
+        #: independent groups the span kernel runs, and the groups the heap
+        #: scheduler runs: the coupled ones and any independent group with
+        #: more Sets than a mask byte codes.  Both are functions of the
+        #: workload alone, so every member of a batch routes alike.
+        self.span_groups = [
+            gid for gid in self.independent_groups
+            if len({self.set_of_row[row] for row in range(
+                *self.group_rows[gid])}) <= MAX_MASK_SETS]
+        span = set(self.span_groups)
+        self.heap_groups = [gid for gid in self.groups if gid not in span]
         self.synced = {gid: 0 for gid in self.groups}
         self.scan_from = {gid: 0 for gid in self.groups}
         self.next_sched = {
@@ -373,19 +373,17 @@ class _VectorizedEngine:
         self.next_fail: Dict[int, int] = {}
 
     def _bind_caches(self) -> None:
-        """Bind the initial level's candidate-bearing entry per group for
-        the event paths that read one up front: the no-level-change kernel
-        walks its merged streams, the heap scheduler bisects its per-row
-        lists (derives on a cache miss).
+        """Bind each heap group's initial-level entry, whose per-row
+        candidate lists the heap scheduler bisects (derived on a cache
+        miss).
 
-        A ``booster`` run's span groups bind nothing here: the span kernel
-        binds every level it visits itself, as a candidate mask (see
-        :meth:`_candidates`).
+        Span groups bind nothing here: the span kernel binds every level it
+        visits itself, as a candidate mask (see :meth:`_candidates`).
         """
-        groups = self.heap_groups if self.stepping else self.groups
-        #: the active level's cache per group (refreshed on level changes)
+        #: the active level's cache per heap group (refreshed on level
+        #: changes)
         self.cur_cache = {gid: self._cache(gid, self.level[gid])
-                          for gid in groups}
+                          for gid in self.heap_groups}
 
     # ------------------------------------------------------------------ #
     # cross-run-shared activity forms
@@ -476,20 +474,14 @@ class _VectorizedEngine:
                    start: int = 0) -> np.ndarray:
         """The boolean candidate mask at ``pair`` — exactly the reference
         comparison: ``(V - drop) + noise < (V - allowed) + margin`` — for
-        the drop columns of cycles ``start`` onward.  Shared by the full
-        derivation, the physics-only upgrade path, the direct stream
-        prebuild and the candidate masks' windows, so every consumer
+        the drop columns of cycles ``start`` onward.  Shared by the heap
+        groups' entries and the candidate masks' windows, so every consumer
         evaluates bit-identical floats."""
         allowed_drop = self.ir_model.drop(
             min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
         threshold = (pair.voltage - allowed_drop) + self.min_voltage_margin
         noise = self._noise(gid)[start:start + drop_rows.shape[1]]
         return (pair.voltage - drop_rows) + noise < threshold
-
-    @staticmethod
-    def _row_candidates(fail_rows: np.ndarray) -> List[np.ndarray]:
-        """Per-row sorted candidate cycles of a candidate mask."""
-        return [np.nonzero(row)[0] for row in fail_rows]
 
     def _physics_key(self, gid: int, pair: VFPair) -> tuple:
         """The level-cache key of one (group, pair)'s physics.  The physics
@@ -515,30 +507,38 @@ class _VectorizedEngine:
         return LevelEntry(pair=pair, drop_rows=drop_rows, fail_cycles=None)
 
     def _cache(self, gid: int, level: int) -> LevelEntry:
-        """The level's full entry, physics plus per-row candidates: derived
-        on a miss, or completed in place from a physics-only entry (reusing
-        its drop matrix)."""
+        """A heap group's full entry at ``level``, physics plus per-row
+        candidates (derived on a miss).
+
+        Only heap groups bind entries here and only span groups leave
+        physics-only entries (:meth:`_physics_cache`); which a group is
+        depends on the workload its physics key names, so an entry found
+        here always carries its candidates.
+        """
         key = (gid, level)
         cached = self._caches.get(key)
-        if cached is not None and cached.fail_cycles is not None:
+        if cached is not None:
             return cached
         pair, shared_key, entry = self._shared(gid, level)
         if entry is None:
             entry = self._derive_physics(gid, pair)
-        if entry.fail_cycles is None:
-            entry.fail_cycles = self._row_candidates(
-                self._fail_mask(gid, pair, entry.drop_rows))
+            entry.fail_cycles = [np.nonzero(row)[0] for row in
+                                 self._fail_mask(gid, pair, entry.drop_rows)]
             LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
         self._caches[key] = entry
         return entry
 
     def _candidates(self, gid: int, level: int) -> _LazyLevelStreams:
-        """The level's candidate mask for the span kernel: the level cache's
-        under the ``"candidates"``-led physics key, or a new empty one.
+        """A span group's candidate mask at ``level``: the level cache's
+        under the ``"candidates"``-led physics key, or a new empty one,
+        held by the engine for the rest of the run.
 
         The mask grows in place as runs refill it, so it is charged its
         full-horizon size up front; a shared store never publishes it.
         """
+        streams = self._masks.get((gid, level))
+        if streams is not None:
+            return streams
         pair = self._pair_for(level)
         key = ("candidates",) + self._physics_key(gid, pair)
         streams = LEVEL_CACHE.get(key)
@@ -549,6 +549,7 @@ class _VectorizedEngine:
                 codes[set_rows - lo] = code
             streams = _LazyLevelStreams(gid, lo, hi, pair, codes)
             LEVEL_CACHE.put(key, streams, (hi - lo) * self.n + 512)
+        self._masks[(gid, level)] = streams
         return streams
 
     def _physics_cache(self, gid: int, level: int) -> LevelEntry:
@@ -571,39 +572,24 @@ class _VectorizedEngine:
         self._caches[key] = entry
         return entry
 
-    def _prebuild_streams(self, gid: int, level: int) -> LevelEntry:
-        """Physics entry plus candidate streams, built directly.
+    def _prebuild_streams(self, gid: int, level: int) -> _LazyLevelStreams:
+        """The candidate mask of a span group's one level in a run whose
+        levels never change, extended to the horizon in one window.
 
-        The prebuild of an independent group's one level in a run whose
-        levels never change: one full-matrix threshold compare and one
-        transposed ``nonzero`` per Set yield each Set's packed-key stream
-        already sorted (cycle-major, and Set rows ascend within a cycle —
-        ``set_rows`` is sorted), with no concatenate-and-sort merge.  Same
-        mask, same key packing — the exact ints ``merge_candidates`` would
-        produce from the per-row candidates, so the timeline kernels walk
-        identical streams.  This is the only place ``entry.merged`` is
-        set.  The per-row candidates are split from the same mask and
-        attached as well, so the entry is complete and a shared store
-        publishes it.
+        The span kernel walks such a group's whole horizon at that level,
+        so the doubling windows of :meth:`_LazyLevelStreams.refill` would
+        only split the same bytes over more ``drop_array`` calls.  A mask
+        an earlier run left short is extended from where it stopped.  A
+        full-trace run gathers this level's drop rows at materialization
+        anyway, so it derives them here once and reads the mask off them.
+        (e2ebench/tracer.py times this method under its name.)
         """
-        pair, shared_key, entry = self._shared(gid, level)
-        if entry is None:
-            entry = self._derive_physics(gid, pair)
-        if entry.merged is None:
-            fail_rows = self._fail_mask(gid, pair, entry.drop_rows)
-            lo, _ = self.group_rows[gid]
-            shift = self.row_shift
-            merged = []
-            for set_rows in self._group_sets(gid):
-                c_idx, r_idx = np.nonzero(fail_rows[set_rows - lo].T)
-                keys = (c_idx.astype(np.int64) << shift) | set_rows[r_idx]
-                merged.append(MergedCandidates(keys.tolist(), shift))
-            entry.merged = merged
-            if entry.fail_cycles is None:
-                entry.fail_cycles = self._row_candidates(fail_rows)
-                LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
-        self._caches[(gid, level)] = entry
-        return entry
+        streams = self._candidates(gid, level)
+        if streams.upto < self.n:
+            drop_rows = self._physics_cache(gid, level).drop_rows \
+                if self.cfg.traces == "full" else None
+            streams.extend(self, self.n, drop_rows)
+        return streams
 
     # ------------------------------------------------------------------ #
     # event queries
@@ -654,49 +640,12 @@ class _VectorizedEngine:
             self._group_sets_memo[gid] = cached
         return cached
 
-    def _apply_set_selection(self, set_rows: np.ndarray,
-                             out: List[int]) -> int:
-        """Decode and log one Set's selected packed keys (chunked).
-
-        The per-run half of the runs-axis no-level-change kernel
-        (:func:`repro.sim.ensemble._run_group_kernel_runs`) — per-key
-        failure chunks, per-row failure counts, stall window chunks and the
-        final per-row stall bound.  Returns the last selected cycle (``-1``
-        when the selection is empty).
-        """
-        if not out:
-            return -1
-        shift = self.row_shift
-        recompute = self.cfg.recompute_cycles
-        stall_end = self.stall_end
-        fail_counts = self.fail_counts
-        sel = np.asarray(out, dtype=np.int64)
-        sel_c = sel >> shift
-        sel_r = sel & ((1 << shift) - 1)
-        self.fail_chunk_rows.append(sel_r)
-        self.fail_chunk_cycles.append(sel_c)
-        for row, count in zip(*(arr.tolist() for arr in
-                                np.unique(sel_r, return_counts=True))):
-            fail_counts[row] += count
-        f = int(sel_c[-1])
-        if recompute > 0:
-            # start = f + 1 for members at or before the failing row
-            # (already visited this cycle), f for later members.
-            starts = sel_c[:, None] + (set_rows[None, :] <= sel_r[:, None])
-            self.stall_chunk_rows.append(np.tile(set_rows, sel_c.size))
-            self.stall_chunk_starts.append(starts.ravel())
-            last_r = int(sel_r[-1])
-            for row in set_rows.tolist():
-                end = f + recompute + (1 if row <= last_r else 0)
-                if end > stall_end[row]:
-                    stall_end[row] = end
-        return f
-
     def _run_group_span_kernel(self, gid: int) -> None:
-        """Kernel-driven timeline for a stall-independent ``booster`` group.
+        """Kernel-driven timeline for a stall-independent group.
 
         Between level breaks the group is exactly a no-level-change span, so
-        each Set advances through the current level's candidate mask
+        each Set advances by the greedy min-gap rule of
+        :mod:`repro.sim.kernels` through the current level's candidate mask
         (:class:`_LazyLevelStreams`) with the kernel's frontier, kept as a
         mask position: the first position still eligible.  A Set's peek is
         one ``mask.find(code, frontier)``, refilling the mask on a miss
@@ -715,10 +664,15 @@ class _VectorizedEngine:
         per Set at the end (``cycle = pos // width``, ``row = lo + pos %
         width``).  Event ordering matches the reference loop exactly
         (scheduled transitions before failure detection at the same cycle).
+
+        A group whose level never changes (``dvfs``, ``booster_safe``) runs
+        this same kernel with no scheduled transition: its one level is its
+        safe level, ``beta`` is the horizon, so the whole run is one failure
+        run, and no Algorithm-2 call is made.
         """
         n = self.n
         recompute = self.cfg.recompute_cycles
-        controller = self.controller
+        controller = self.controller if self.stepping else None
         stall_end = self.stall_end
         fail_counts = self.fail_counts
         break_cycles = self.break_cycles[gid]
@@ -777,19 +731,24 @@ class _VectorizedEngine:
             return state
 
         mask, next_pos, streams = bind(level, scan_from)
-        beta = controller.beta
-        gstate = controller.state(gid)
-        safe = gstate.safe_level
-        advance_to_transition = controller.advance_to_transition
-        advance_steady_transitions = controller.advance_steady_transitions
-        apply_failures_at_cycles = controller.apply_failures_at_cycles
-        lvl_below = controller.table.level_below
-        #: per Set, every selected position of the whole run — decoded and
-        #: logged as one array chunk at the end (per-failure scalar logging
-        #: would dominate the failure hot path) — and the run's last one,
-        #: which alone determines the Set's final stall bound.
+        if controller is None:
+            # ``next_sched`` is the horizon: the transition branch only ends
+            # the loop, and the one failure run chains to the horizon.
+            beta, safe = n, level
+        else:
+            beta = controller.beta
+            gstate = controller.state(gid)
+            safe = gstate.safe_level
+            advance_to_transition = controller.advance_to_transition
+            advance_steady_transitions = \
+                controller.advance_steady_transitions
+            apply_failures_at_cycles = controller.apply_failures_at_cycles
+            lvl_below = controller.table.level_below
+        #: per Set, every selected position of the whole run, in time order —
+        #: decoded and logged as one array chunk at the end (per-failure
+        #: scalar logging would dominate the failure hot path); the last
+        #: one alone determines the Set's final stall bound.
         span_pos: List[List[int]] = [[] for _ in range(k)]
-        last_pos = [-1] * k
         single = k == 1
         pair = k == 2
         sets_range = range(k)
@@ -872,7 +831,6 @@ class _VectorizedEngine:
                 # Every Set whose next eligible candidate sits at ``cur``
                 # fails (within a cycle, positions follow the reference
                 # loop's member visit order).
-                cycle_end = (cur + 1) * width
                 for s in sets_range:
                     if next_f[s] != cur:
                         continue
@@ -883,12 +841,12 @@ class _VectorizedEngine:
                     if recompute == 0:
                         # No stall window: every later same-cycle candidate
                         # of the Set fails as well.
+                        cycle_end = (cur + 1) * width
                         q = mask.find(code, p + 1, cycle_end)
                         while q >= 0:
                             acc.append(q)
                             p = q
                             q = mask.find(code, p + 1, cycle_end)
-                    last_pos[s] = p
                     fp = p + jump
                     fps[s] = fp
                     p = mask.find(code, fp)
@@ -937,18 +895,18 @@ class _VectorizedEngine:
             # One controller call for the whole run (failures are per
             # *cycle*: several Sets failing the same cycle are one
             # Algorithm-2 event, exactly as in the reference loop).
-            _, gap = apply_failures_at_cycles(gid, run_offsets)
+            if controller is not None:
+                _, gap = apply_failures_at_cycles(gid, run_offsets)
+                next_sched = cur + 1 + gap
             synced = cur + 1
-            next_sched = cur + 1 + gap
             scan_from = cur + 1
 
         if recompute > 0:
             # Selections are time-ordered per Set, so its last one alone
             # determines the final stall bound per row.
             for s in range(k):
-                p = last_pos[s]
-                if p >= 0:
-                    c, local = divmod(p, width)
+                if span_pos[s]:
+                    c, local = divmod(span_pos[s][-1], width)
                     r = lo + local
                     for row in set_row_lists[s]:
                         end = c + recompute + (1 if row <= r else 0)
@@ -956,7 +914,7 @@ class _VectorizedEngine:
                             stall_end[row] = end
 
         # Decode and log every selection as one array chunk per Set (the
-        # same materialization shape as the no-level-change kernel path).
+        # heap scheduler logs its failures as scalars instead).
         for s in range(k):
             acc = span_pos[s]
             if not acc:

@@ -19,28 +19,22 @@ one):
   amortizes the dominant cold-run cost; row ``i`` still consumes exactly
   the per-seed RNG stream a lone run would, so traces stay bit-identical.
   Members sharing a seed (a beta grid) share one generation.
-* **physics** — a member whose levels never change (``dvfs``,
-  ``booster_safe``) gets its one level per group built up front,
-  *directly*: for independent groups one full-matrix monitor compare per
-  (group, level) plus one transposed ``nonzero`` per Set yields the packed
-  key streams already in merge order, and the per-row candidates from the
-  same mask (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`).
-  A ``booster`` member's span groups prebuild nothing: the span kernel binds
-  every level it visits, its safe level included, as a candidate byte mask
-  that grows over expanding cycle windows and that the level cache shares
-  across runs (:class:`~repro.sim.engine._LazyLevelStreams`).  Groups under
-  the heap scheduler go through the full cache derivation of their initial
-  level, and of a ``booster`` member's safe level (the heap scheduler
-  bisects per-row cycle lists).
-* **events** — members whose level never changes (``dvfs``,
-  ``booster_safe``) resolve each group through the *runs-axis* timeline
-  kernels (:func:`~repro.sim.kernels.select_failures_runs`, re-armed via
-  :func:`~repro.sim.kernels.resume_frontiers_runs`): one call selects every
-  member's failure timeline for a Set.  ``booster`` members keep their
-  per-member span kernel (Algorithm-2 state is inherently sequential per
-  run) but run group-major so each group's shared structures stay hot.
-  Set-coupled groups, and a ``booster`` group with more Sets than a mask
-  byte codes, run each member's heap scheduler.
+* **physics** — a span group binds every level it visits as a candidate
+  byte mask that the level cache shares across runs
+  (:class:`~repro.sim.engine._LazyLevelStreams`).  A member whose levels
+  never change (``dvfs``, ``booster_safe``) gets each span group's one
+  level's mask extended to the horizon in one window up front
+  (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`); a
+  ``booster`` member's span kernel grows each mask over expanding cycle
+  windows as it reaches it.  Groups under the heap scheduler go through
+  the full cache derivation of their initial level, and of a ``booster``
+  member's safe level (the heap scheduler bisects per-row cycle lists).
+* **events** — every member runs each independent group through the one
+  span kernel, group-major so each group's shared structures and masks
+  stay hot; Algorithm-2 state is sequential per run, so the kernel runs
+  per member.  Set-coupled groups, and a group with more Sets than a mask
+  byte codes, run each member's heap scheduler.  The routing depends on
+  the workload alone, so every member of a batch routes alike.
 
 Equivalence contract: for every member, the returned
 :class:`~repro.sim.results.SimulationResult` is *bit-identical in every
@@ -68,12 +62,10 @@ import numpy as np
 from ..workloads.generator import flip_factor_matrix
 from .compiler import CompiledWorkload
 from .engine import ActivityTraces, _VectorizedEngine
-from .kernels import (
-    EXHAUSTED_KEY,
-    frontier_key,
-    resume_frontiers_runs,
-    select_failures_runs,
-)
+# The runs-axis kernels have no caller: every independent group runs the
+# span kernel.  Both stay importable from this module only because
+# e2ebench/tracer.py wraps them under this path.
+from .kernels import resume_frontiers_runs, select_failures_runs  # noqa: F401
 from .level_cache import LEVEL_CACHE
 from .results import SimulationResult
 from .runtime import PIMRuntime, RuntimeConfig
@@ -187,90 +179,38 @@ def _batch_activity(engines: List[_VectorizedEngine]) -> None:
 
 
 def _prebuild_physics(engines: List[_VectorizedEngine]) -> None:
-    """Derive every member's certain-to-visit level entries up front.
+    """Derive every member's certain-to-visit levels up front.
 
-    A member whose levels never change gets each group's one level: an
-    independent group's streams are built directly (``_prebuild_streams``:
-    keys land pre-sorted, bit-identical to the merge), a heap group takes
-    the full ``_cache`` derivation.  A stepping (``booster``) member's heap
-    groups take ``_cache`` of their initial and safe levels, the levels the
-    heap scheduler is certain to visit (every IRFailure lands on safe); its
-    span groups prebuild nothing, since the span kernel binds every level
-    it visits as a candidate mask.  Every entry lands in the engine's
+    A heap group takes the full ``_cache`` derivation of its initial level
+    and, in a stepping (``booster``) member, of its safe level: the levels
+    the heap scheduler is certain to visit (every IRFailure lands on safe).
+    A member whose levels never change gets each span group's one level as
+    a full-horizon candidate mask (``_prebuild_streams``); a ``booster``
+    member's span groups prebuild nothing, since the span kernel binds
+    every level it visits.  Every entry and mask lands in the engine's
     private memo, so the batch is immune to shared-cache eviction pressure.
     """
     for engine in engines:
-        heap = set(engine.heap_groups)
-        for gid in engine.groups:
-            level = engine.level[gid]
-            if gid in heap:
-                engine._cache(gid, level)
-                if engine.stepping:
-                    engine._cache(
-                        gid, engine.controller.state(gid).safe_level)
-            elif not engine.stepping:
-                engine._prebuild_streams(gid, level)
+        for gid in engine.heap_groups:
+            engine._cache(gid, engine.level[gid])
+            if engine.stepping:
+                engine._cache(gid, engine.controller.state(gid).safe_level)
+        if not engine.stepping:
+            for gid in engine.span_groups:
+                engine._prebuild_streams(gid, engine.level[gid])
 
 
 # ---------------------------------------------------------------------- #
 # batched events
 # ---------------------------------------------------------------------- #
-def _run_group_kernel_runs(members: List[_VectorizedEngine],
-                           gid: int) -> None:
-    """Closed-form timeline of one no-level-change group for every member.
-
-    ``dvfs`` and ``booster_safe`` groups never change level, so each
-    logical Set's whole failure timeline is one greedy min-gap selection
-    over its merged candidate stream (see :mod:`repro.sim.kernels`).  Every
-    member's timeline for each Set is resolved in one
-    :func:`select_failures_runs` call over the members' candidate streams;
-    :func:`resume_frontiers_runs` pre-peeks the batch so exhausted members
-    skip selection.  Per-member decoding goes through the engine's own
-    ``_apply_set_selection``, which logs failures and stall windows as
-    array chunks.
-    """
-    first = members[0]
-    set_arrays = first._group_sets(gid)
-    shift = first.row_shift
-    last_cycles = [-1] * len(members)
-    for s, set_rows in enumerate(set_arrays):
-        streams = [engine.cur_cache[gid].merged[s] for engine in members]
-        frontiers = [frontier_key(engine.scan_from[gid], -1, shift)
-                     for engine in members]
-        next_keys, _ = resume_frontiers_runs(streams, frontiers)
-        live = [i for i, key in enumerate(next_keys) if key < EXHAUSTED_KEY]
-        if not live:
-            continue
-        outs, _ = select_failures_runs(
-            [streams[i] for i in live],
-            [members[i].n for i in live],
-            [members[i].cfg.recompute_cycles for i in live],
-            [frontiers[i] for i in live])
-        for i, out in zip(live, outs):
-            f = members[i]._apply_set_selection(set_rows, out)
-            if f > last_cycles[i]:
-                last_cycles[i] = f
-    for i, engine in enumerate(members):
-        if last_cycles[i] >= 0:
-            engine.scan_from[gid] = last_cycles[i] + 1
-
-
 def _run_events_batch(engines: List[_VectorizedEngine]) -> None:
-    """Event processing for the whole batch: independent groups through the
-    timeline kernels (runs-axis for no-level-change members, the span
-    kernel per ``booster`` member), heap groups through each member's heap
-    scheduler, then the final controller flush."""
-    flat = [engine for engine in engines if not engine.stepping]
-    stepping = [engine for engine in engines if engine.stepping]
-    if flat:
-        for gid in flat[0].independent_groups:
-            _run_group_kernel_runs(flat, gid)
-    if stepping:
-        # Group-major: each group's shared Set structures and candidate
-        # masks stay hot across the per-member span kernels.
-        for gid in stepping[0].span_groups:
-            for engine in stepping:
-                engine._run_group_span_kernel(gid)
+    """Event processing for the whole batch: every member's span kernel,
+    group-major so each group's shared Set structures and candidate masks
+    stay hot, then each member's heap scheduler and the final controller
+    flush."""
+    for gid in engines[0].span_groups if engines else ():
+        for engine in engines:
+            engine._run_group_span_kernel(gid)
     for engine in engines:
         if engine.heap_groups:
             engine._run_events_heap(engine.heap_groups)

@@ -1,10 +1,11 @@
-"""Closed-form failure-timeline kernels for no-level-change group spans.
+"""The closed-form failure-timeline rule for no-level-change group spans.
 
 For groups whose V-f level never changes — every ``dvfs`` and
 ``booster_safe`` group, and ``booster`` groups between two level breaks — a
 group's failure timeline needs no event-by-event walk: it is a *greedy
-min-gap selection* over one merged candidate stream, which this module
-resolves in closed form for the event engine (:mod:`repro.sim.engine`).
+min-gap selection* over one merged candidate stream.  This module states
+that rule over packed ``(cycle, row)`` keys; the event engine
+(:mod:`repro.sim.engine`) applies it over candidate byte masks.
 
 The selection rule
 ------------------
@@ -30,19 +31,26 @@ A single *frontier key* — "only keys strictly greater are eligible" — is the
 kernel's entire carry-over state (``(cycle << shift) - 1`` encodes "every row
 at ``cycle``").  It survives level changes unchanged (stall windows are
 level-independent), which is how the engine's span kernel resumes a
-``booster`` group's Sets across level-stable spans; that kernel holds the
-same frontier as a position in a per-level candidate byte mask
-(:class:`~repro.sim.engine._LazyLevelStreams`), whose positions order like
-the packed keys.
+``booster`` group's Sets across level-stable spans.
 
 Implementation
 --------------
-One pure-Python selection loop (:func:`select_failures`) runs ``bisect``
-over a plain list of keys (a scalar list bisect is several times faster than
-a scalar ``np.searchsorted``), and skips even that when the next key already
-clears the frontier.  The runs-axis entry points the ensemble engine calls
-loop the same kernel over their streams, so every path selects
-bit-identically.
+The engine has one kernel, the span kernel
+(:meth:`~repro.sim.engine._VectorizedEngine._run_group_span_kernel`): every
+independent group runs it, whatever its controller, holding the frontier as
+a position in a per-level candidate byte mask
+(:class:`~repro.sim.engine._LazyLevelStreams`), whose positions order like
+the packed keys, with ``bytearray.find`` in place of the bisect.  A group
+whose level never changes is that kernel with no scheduled transition.
+
+The packed-key functions below have no caller in the engine.  One
+pure-Python selection loop (:func:`select_failures`) runs ``bisect`` over a
+plain list of keys and skips even that when the next key already clears
+the frontier; :func:`select_failures_runs` and
+:func:`resume_frontiers_runs` loop it over many streams.  They are the
+rule's executable statement, which ``tests/test_kernels.py`` checks against
+a brute-force model of the reference loop, and they stay importable
+because e2ebench/tracer.py wraps them.
 """
 
 from __future__ import annotations
@@ -148,8 +156,8 @@ def select_failures_runs(streams: Sequence[MergedCandidates],
                          ) -> Tuple[List[List[int]], List[int]]:
     """Runs-axis :func:`select_failures`: one call resolves many timelines.
 
-    ``streams[r]`` is an independent merged candidate stream — one ensemble
-    member's view of one Set — selected up to ``end_cycles[r]`` with stall
+    ``streams[r]`` is an independent merged candidate stream — one run's
+    view of one Set — selected up to ``end_cycles[r]`` with stall
     window ``recomputes[r]`` from frontier ``frontiers[r]``.  Returns the
     per-run selections and final frontiers, each run bit-identical to a
     per-run :func:`select_failures` call.
@@ -171,9 +179,7 @@ def resume_frontiers_runs(streams: Sequence[MergedCandidates],
 
     For every stream, returns the first key strictly greater than its
     frontier (:data:`EXHAUSTED_KEY` when none is left) together with its
-    index — the bound a span-resume ``bisect`` would have produced.  The
-    ensemble engine uses it to re-arm a whole batch of member timelines in
-    one call when a group's level-stable span opens.
+    index — the bound a span-resume ``bisect`` would have produced.
     """
     next_keys: List[int] = []
     indices: List[int] = []

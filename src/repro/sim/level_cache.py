@@ -12,12 +12,11 @@ immutable, eviction is byte-budgeted, and correctness never depends on a
 hit.  The engine keeps each run's activity here too — the per-macro traces
 as row views of one stacked matrix, its prefix sums and row statistics,
 under keys led by ``"activity"`` — and nowhere else: the flip matrices the
-activity derives from are not memoized.  A ``booster`` run's span kernel
-keeps one candidate byte mask per (group, level) here, under the level's
-physics key led by ``"candidates"``
-(:class:`~repro.sim.engine._LazyLevelStreams`): a mask grows in place as
-runs refill it, is charged its full-horizon size up front, and is never
-published to a shared store.
+activity derives from are not memoized.  The span kernel keeps one
+candidate byte mask per (group, level) here, under the level's physics key
+led by ``"candidates"`` (:class:`~repro.sim.engine._LazyLevelStreams`): a
+mask grows in place as runs refill it, is charged its full-horizon size up
+front, and is never published to a shared store.
 
 Key derivation
 --------------
@@ -78,28 +77,20 @@ class LevelEntry:
     Entries are immutable once built (``drop_rows`` is marked read-only) and
     shared across runs through :data:`LEVEL_CACHE` — and, when a shared store
     is attached, across *processes* as read-only ``np.memmap`` views (see
-    :mod:`repro.sim.shared_store`).  Both derived representations are built
-    lazily per process, so each event path only pays for what it consumes:
-    ``merged`` holds the per-Set packed-key candidate streams the timeline
-    kernels walk (:mod:`repro.sim.kernels`), :attr:`fail_lists` the
-    per-member plain-list mirror the coupled-group heap scheduler bisects
-    over.
+    :mod:`repro.sim.shared_store`).  The heap scheduler bisects
+    :attr:`fail_lists`, the per-member plain-list mirror of the candidates,
+    built lazily per process.
     """
 
     pair: VFPair
     drop_rows: np.ndarray           #: (members, cycles) Eq.-2 drop at this pair
     #: per member, sorted candidate cycle indices — or ``None`` for a
-    #: *physics-only* entry (drop matrix only, no candidate pipeline).  A
-    #: full-trace materialization of a level whose candidates were consumed
-    #: through a candidate mask builds such an entry;
-    #: ``_VectorizedEngine._cache`` completes one in place on the first run
-    #: that needs the candidate streams.
+    #: *physics-only* entry (drop matrix only): a full-trace
+    #: materialization of a level whose candidates were consumed through a
+    #: candidate mask builds one.  Only span groups consume masks and only
+    #: heap groups read candidates here, so no run ever needs to complete
+    #: a physics-only entry.
     fail_cycles: Optional[List[np.ndarray]]
-    #: per-Set merged candidate streams (kernel hot path), set by
-    #: ``_VectorizedEngine._prebuild_streams``; keyed implicitly by the
-    #: owning group's Set partition, which is a pure function of the
-    #: workload the entry is already keyed on.
-    merged: Optional[List] = field(default=None, compare=False)
     _fail_lists: Optional[List[List[int]]] = field(default=None, compare=False)
 
     @property
@@ -120,9 +111,9 @@ class LevelEntry:
         """Byte-budget charge for this entry, wherever it was built.
 
         Candidate bytes count 7x: the arrays themselves (1x) plus the
-        lazily-built derived forms — the merged key lists and the plain
-        ``fail_lists``, both boxed ints — a deliberate overestimate so
-        derived data stays inside the budget.  Drop bytes count 3x, an
+        lazily-built plain ``fail_lists`` of boxed ints — a deliberate
+        overestimate that, like the 3x below, sets the eviction pace and
+        therefore peak memory.  Drop bytes count 3x, an
         overestimate of the rows alone that is kept because, with
         :data:`_DEFAULT_BUDGET_BYTES`, it sets the eviction pace and
         therefore peak memory.  The engine and the shared store both charge

@@ -109,6 +109,10 @@ def random_workload_spec(label: str, rng: np.random.Generator,
 FAILURE_DENSE_STRESS = dict(controller="booster", beta=4, recompute_cycles=10,
                             flip_mean=0.8, monitor_noise=0.01, seed=7)
 
+#: Flip and noise settings at which even the ``dvfs`` signoff level fails
+#: densely (``FAILURE_DENSE_STRESS``'s barely bite it).
+DVFS_DENSE_STRESS = dict(flip_mean=0.9, monitor_noise=0.035)
+
 #: Stress axes for trace-vs-scalar and engine-variant sweeps: each entry
 #: isolates one regime (dense bursts, long stalls, zero recompute, zero
 #: noise, heavy-tailed flips).
@@ -180,12 +184,12 @@ def corpus_scenarios(count: int = 9, master_seed: int = 2025) -> Tuple[Scenario,
 #: level cache holds and in the batch size:
 #:
 #: * ``lone-cold`` — a lone run on a cleared cache, which derives every
-#:   level it visits; a ``booster`` span group binds each as a candidate
-#:   mask, refilled window by window as the run reaches it;
+#:   level it visits; a span group binds each as a candidate mask, refilled
+#:   window by window as a ``booster`` run reaches it;
 #: * ``lone-repeat`` — the same run repeated, which binds the cold run's
 #:   cached entries and candidate masks, the masks already refilled;
 #: * ``batch`` — a batch of two members (a second seed), compared on its
-#:   first member: batched activity and the runs-axis kernels over both.
+#:   first member: batched activity and the span kernels run group-major.
 #:
 #: Every variant must stay bit-identical on discrete outcomes.
 ENGINE_VARIANTS = ("reference", "lone-cold", "lone-repeat", "batch")

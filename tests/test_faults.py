@@ -269,9 +269,11 @@ def test_chaos_equivalence_all_faults_armed(tmp_path, salt):
     fault-free serial baseline."""
     clear_level_cache()
     detach_shared_store()
-    # The dvfs point publishes level entries: the booster runs publish only
-    # their activity, which the kill and hang rebuilds' first-publish flips
-    # could quarantine entirely, leaving the warm pass nothing to load.
+    # Every worker process flips its own first publish, and the kill and
+    # the deadline rebuilds start new workers, so several entries end up
+    # quarantined.  Runs publish only their activity (candidate masks stay
+    # in process), one entry per run under per-point seeds: two controllers
+    # make eight, so the warm pass still finds intact entries to load.
     spec = tiny_spec(seeds=2, controllers=("booster", "dvfs"))
     baseline = SweepRunner(spec, SerialExecutor()).run()
     clear_level_cache()

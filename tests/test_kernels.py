@@ -18,6 +18,7 @@ from repro.sim.kernels import frontier_key, merge_candidates, select_failures
 from repro.sweep import build_compiled_workload
 
 from tests.helpers import (
+    DVFS_DENSE_STRESS,
     assert_oracle_chain,
     corpus_scenarios,
     random_runtime_kwargs,
@@ -145,12 +146,18 @@ class TestKernelEngineEquivalence:
     @pytest.mark.parametrize("recompute", [0, 1, 25])
     def test_recompute_extremes(self, recompute):
         """R=0 (all candidates fail), R=1 (densest windows) and a window
-        longer than the beta period (group-wide overlapping stalls)."""
+        longer than the beta period (group-wide overlapping stalls); the
+        ``dvfs`` signoff level only fails densely at a harsher point."""
         compiled = self.synthetic("kernel-recompute")
-        for controller in ("booster_safe", "booster"):
-            assert_oracle_chain(compiled, cycles=500, controller=controller,
-                                beta=6, recompute_cycles=recompute,
-                                flip_mean=0.85, monitor_noise=0.02, seed=2)
+        stress = dict(flip_mean=0.85, monitor_noise=0.02)
+        for controller, settings in (("booster_safe", stress),
+                                     ("booster", stress),
+                                     ("dvfs", DVFS_DENSE_STRESS)):
+            result = assert_oracle_chain(
+                compiled, cycles=500, controller=controller, beta=6,
+                recompute_cycles=recompute, seed=2, **settings)
+            if controller == "dvfs":
+                assert result.total_failures > 100
 
     def test_multi_macro_sets(self):
         """Four-macro Sets: within-cycle suppression spans several rows."""
@@ -166,14 +173,17 @@ class TestKernelEngineEquivalence:
     def test_group_straddling_sets_mix_kernel_and_heap(self):
         """Two-macro Sets over 3-macro groups: straddling Sets force the heap
         scheduler while contained groups still take the kernels — both paths
-        in one run, against the oracle."""
+        in one run, against the oracle, with and without level changes."""
         compiled = self.synthetic("kernel-straddle", groups=6,
                                   macros_per_group=3, n_operators=9)
-        result = assert_oracle_chain(
-            compiled, cycles=700, controller="booster", beta=4,
-            recompute_cycles=10, flip_mean=0.8, monitor_noise=0.01, seed=7)
-        assert result.total_failures > 50
-        assert result.total_stall_cycles > 0
+        for controller, stress in (
+                ("booster", dict(flip_mean=0.8, monitor_noise=0.01)),
+                ("dvfs", DVFS_DENSE_STRESS)):
+            result = assert_oracle_chain(
+                compiled, cycles=700, controller=controller, beta=4,
+                recompute_cycles=10, seed=7, **stress)
+            assert result.total_failures > 50, controller
+            assert result.total_stall_cycles > 0, controller
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_stress_grid(self, seed):
@@ -189,7 +199,7 @@ class TestKernelEngineEquivalence:
 class TestOracleChainCorpus:
     """The unified differential test: every engine variant — the reference,
     a cold lone run (windowed ladder levels), the same run repeated (cached
-    full streams) and a batch — over the one seeded scenario corpus
+    candidate masks) and a batch — over the one seeded scenario corpus
     (geometry x controller x mode x stress x coupling).  The test id predates
     the retirement of superseded event loops from the chain."""
 

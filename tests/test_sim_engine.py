@@ -35,6 +35,7 @@ from repro.workloads import flip_factor_matrix, flip_factor_sequence
 from repro.workloads.profiles import WorkloadProfile
 
 from tests.helpers import (
+    DVFS_DENSE_STRESS,
     FAILURE_DENSE_STRESS,
     assert_oracle_chain,
     assert_results_equivalent,
@@ -310,10 +311,10 @@ class TestLevelCacheSharing:
 
 
 class TestCandidateMasks:
-    """A ``booster`` run's span kernel binds every level it visits as a
-    windowed candidate byte mask, cached in the level cache and shared by
-    every later run on the same physics.  Neither windowing nor sharing may
-    move a result bit."""
+    """The span kernel binds every level it visits as a windowed candidate
+    byte mask, cached in the level cache and shared by every later run on
+    the same physics.  Neither windowing nor sharing may move a result
+    bit."""
 
     KWARGS = dict(cycles=600, controller="booster", beta=4,
                   recompute_cycles=4, flip_mean=0.8, monitor_noise=0.01,
@@ -356,6 +357,29 @@ class TestCandidateMasks:
         assert self.metrics(cold) == pytest.approx(self.metrics(reference),
                                                    rel=1e-9)
 
+    @pytest.mark.parametrize("controller", ["dvfs", "booster_safe"])
+    def test_one_full_horizon_mask_per_group_without_level_changes(
+            self, fresh_level_cache, controller):
+        """A run whose levels never change binds each group's one level as
+        one candidate mask derived over the whole horizon up front, and
+        builds no candidate-bearing entry; at a failure-dense point it
+        matches the oracle chain."""
+        compiled = build_compiled_workload(contained_sets_spec("masks"))
+        kwargs = dict(self.KWARGS, controller=controller, **DVFS_DENSE_STRESS)
+        result = assert_oracle_chain(compiled, **kwargs)
+        assert result.total_failures > 50
+
+        clear_level_cache()
+        simulate(compiled, RuntimeConfig(**kwargs))
+        masks = self.cached_masks()
+        assert sorted(key[2] for key in masks) == \
+            sorted(g.group_id for g in result.group_results)
+        assert all(streams.upto == kwargs["cycles"]
+                   for streams in masks.values())
+        assert not [key for key, value in LEVEL_CACHE._entries.items()
+                    if isinstance(value, LevelEntry)
+                    and value.fail_cycles is not None]
+
     @pytest.mark.parametrize("spec", [
         contained_sets_spec("masks-full"),
         synthetic_spec("masks-full-2sets")], ids=["one-set", "two-sets"])
@@ -385,18 +409,24 @@ class TestCandidateMasks:
     def test_group_beyond_a_mask_byte_matches_reference(
             self, fresh_level_cache):
         """One group of 260 one-macro Sets: more Set codes than a byte
-        holds, so the group runs under the heap scheduler."""
+        holds, so the group runs under the heap scheduler whatever the
+        controller (each at a point where it fails)."""
         compiled = build_compiled_workload(synthetic_spec(
             "masks-wide", groups=1, macros_per_group=260, operator_rows=8,
             n_operators=260))
-        kwargs = dict(cycles=300, **FAILURE_DENSE_STRESS)
-        engine = _VectorizedEngine(PIMRuntime(compiled,
-                                              RuntimeConfig(**kwargs)))
-        engine._setup_structure()
-        assert len(engine._group_sets(0)) > MAX_MASK_SETS
-        assert engine.span_groups == [] and engine.heap_groups == [0]
-        result = assert_oracle_chain(compiled, **kwargs)
-        assert result.total_failures > 100
+        for controller, stress in (("booster", {}),
+                                   ("booster_safe", DVFS_DENSE_STRESS),
+                                   ("dvfs", DVFS_DENSE_STRESS)):
+            kwargs = dict(FAILURE_DENSE_STRESS, cycles=300,
+                          controller=controller, **stress)
+            engine = _VectorizedEngine(PIMRuntime(compiled,
+                                                  RuntimeConfig(**kwargs)))
+            engine._setup_structure()
+            assert len(engine._group_sets(0)) > MAX_MASK_SETS
+            assert engine.span_groups == [] and engine.heap_groups == [0], \
+                controller
+            result = assert_oracle_chain(compiled, **kwargs)
+            assert result.total_failures > 100, controller
 
 
 class TestDefaultVFTable:

@@ -6,8 +6,9 @@ The demo walks the whole robustness story of :mod:`repro.service`:
    jobs through the REST client (idempotently — resubmitting the same job
    key attaches instead of recomputing); the fair-share scheduler
    interleaves their work units onto one resident fleet;
-2. ``kill -9`` the daemon at the nastiest instant — between a durable sweep
-   checkpoint and its journal commit — via the deterministic fault registry;
+2. ``kill -9`` the daemon at the nastiest instant — right after a durable
+   record-store flush that the journal, which records lifecycle only, never
+   hears of — via the deterministic fault registry;
 3. restart the daemon over the same data directory: the lease left by the
    dead holder is taken over immediately, the journal replays, both
    interrupted jobs are re-admitted and resumed from their own sharded
@@ -59,12 +60,12 @@ JOB_KEY = "beta-window-demo"
 JOBS = ((JOB_KEY, SPEC), ("beta-window-demo-b", SPEC_B))
 
 
-def daemon_pass(data_dir: str, kill_between_checkpoint_and_commit: bool):
+def daemon_pass(data_dir: str, kill_after_store_flush: bool):
     """One daemon lifetime: start, submit (or re-attach), wait, shut down."""
     faults.disarm_faults()
-    if kill_between_checkpoint_and_commit:
+    if kill_after_store_flush:
         faults.arm_faults(FaultSpec(kind="daemon_kill",
-                                    match="daemon:post_checkpoint"))
+                                    match="recordstore:flush"))
     service = SweepService(data_dir, checkpoint_every=1).start()
     job_ids = []
     for job_key, spec in JOBS:
@@ -118,8 +119,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         data_dir = os.path.join(tmp, "svc")
 
-        print("== pass 1: daemon killed between checkpoint and journal "
-              "commit ==")
+        print("== pass 1: daemon killed right after a durable store flush ==")
         code = run_daemon(data_dir, kill=True)
         print(f"  daemon exited with status {code} "
               f"(expected {faults.KILL_EXIT_CODE} - SIGKILL site fired)")
@@ -136,7 +136,6 @@ def main() -> int:
             job = registry.find_by_key(job_key)
             print(f"  {job.job_id}: state={job.state}, "
                   f"records={job.records_done}/{job.total_runs}, "
-                  f"checkpoints={job.checkpoints}, "
                   f"recoveries={job.recoveries}")
             assert job.state == "done" and job.recoveries == 1
 

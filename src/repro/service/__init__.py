@@ -3,8 +3,8 @@
 The package turns :mod:`repro.sweep` from a library call into a resident
 service: clients submit :class:`~repro.sweep.spec.SweepSpec` jobs over a
 thin REST API, a supervised executor fleet stays warm across jobs (a serial
-fleet keeps its physics in the daemon's level cache; a pool fleet's workers
-share an on-disk physics store), and a durable write-ahead journal makes the
+fleet keeps its physics in the daemon's level cache, a pool fleet's workers
+in their own), and a durable write-ahead journal of job lifecycles makes the
 whole thing ``kill -9``-proof — a restarted daemon replays the journal, re-admits
 interrupted jobs, and resumes them from their record stores to results
 bit-identical to an uninterrupted run.

@@ -33,8 +33,7 @@ Endpoints::
                               into the queue           -> 409 not suspended
     GET  /health              fleet liveness, queue depth, active jobs,
                               lease state, degraded-mode reason rollup,
-                              journal stats, record-store damage, and a
-                              pool fleet's physics-store file counts
+                              journal stats and record-store damage
 """
 
 from __future__ import annotations
@@ -118,9 +117,11 @@ class ServiceAPI:
                     job_id, offset=offset, limit=limit, wait_seq=wait_seq,
                     wait_timeout=wait_timeout), {})
             if action == "cancel" and method == "POST":
-                return 200, self.service.cancel(job_id).public_status(), {}
+                self.service.cancel(job_id)
+                return 200, self.service.status(job_id), {}
             if action == "resume" and method == "POST":
-                return 200, self.service.resume(job_id).public_status(), {}
+                self.service.resume(job_id)
+                return 200, self.service.status(job_id), {}
         return 404, {"error": f"no route for {method} /{'/'.join(parts)}"}, {}
 
     def _submit(self, body: Dict) -> Response:
@@ -133,7 +134,9 @@ class ServiceAPI:
             raise ValueError(f"unknown body field(s) {unknown}; a job is "
                              "its 'spec' and an optional 'job_key'")
         job, created = self.service.submit(spec, job_key=body.get("job_key"))
-        payload = job.public_status()
+        # A job just created has no progress to count.
+        payload = (job.public_status() if created
+                   else self.service.status(job.job_id))
         payload["created"] = created
         return (202 if created else 200), payload, {}
 
@@ -218,7 +221,8 @@ def serve_forever(service: SweepService, host: str = "127.0.0.1",
     This is the ``python -m``-style entrypoint the demo uses: it installs
     signal handlers, then blocks until a drain is requested (signal or an
     external ``service.shutdown()``), shutting the listener before the fleet
-    so in-flight HTTP responses finish while the running job checkpoints.
+    so in-flight HTTP responses finish while the running job's store
+    flushes.
     """
     import time
 

@@ -4,33 +4,35 @@
 schedules up to four of them *concurrently* onto one executor
 that lives for the daemon's lifetime.  A serial fleet (the default) runs in
 the daemon process, whose level cache serves every later job's repeated
-physics, as a library sweep's does.  A pool fleet (``processes > 1``) hands
-its workers a :class:`~repro.sim.shared_store.SharedPhysicsStore` under
-``data_dir/store``, so physics one round's workers derive is loaded by the
-next round's.  Every lifecycle transition is journaled to the durable
-write-ahead :class:`~repro.service.journal.JobJournal`.
+physics, as a library sweep's does.  A pool fleet (``processes > 1``) keeps
+physics in its workers' own level caches, as a library pool's workers do.
+Every lifecycle transition is journaled to the durable write-ahead
+:class:`~repro.service.journal.JobJournal`; a job's progress is its record
+store's alone, so the journal holds no per-record events.
 
 Scheduling is round-based fair share: each round takes up to
-``fair_share_quantum`` work units from every active job, executes the mixed
-slice as one executor pass, and routes each outcome back to its owning job's
-:class:`~repro.sweep.runner.SweepPass` — so per-job progress, checkpointing
-and record stores stay fully independent while the fleet interleaves work
-from all of them.
+:attr:`SweepService.FAIR_SHARE_QUANTUM` work units from every active job,
+executes the mixed slice as one executor pass, and routes each outcome back
+to its owning job's :class:`~repro.sweep.runner.SweepPass` — so per-job
+progress, checkpointing and record stores stay fully independent while the
+fleet interleaves work from all of them.
 
 The robustness contract, end to end:
 
 * **Crash safety** — ``kill -9`` the daemon at any instant, restart it over
   the same data directory, and every admitted job completes with records
   bit-identical to an uninterrupted run: the journal replays the job table,
-  interrupted jobs are re-admitted, and each resumes from its last durable
-  checkpoint (deterministic seeds make re-running the tail harmless).
+  interrupted jobs are re-admitted, and each resumes from the records its
+  store holds durably (deterministic seeds make re-running the tail
+  harmless).
 * **Fault isolation (circuit breaker)** — a *poison* job whose runs
   repeatedly kill or hang workers tears the shared fleet down for everyone.
   Each fleet rebuild is attributed to the job(s) whose runs' deadlines
-  expired; a job charged with ``breaker_budget`` rebuilds is quarantined to
-  the ``suspended`` registry state (its partial records stay durable and
-  resumable) while healthy jobs keep executing.  ``resume()`` lifts the
-  quarantine explicitly; a suspended job stays suspended across restarts.
+  expired; a job charged with :attr:`SweepService.BREAKER_BUDGET` rebuilds
+  is quarantined to the ``suspended`` registry state (its partial records
+  stay durable and resumable) while healthy jobs keep executing.
+  ``resume()`` lifts the quarantine explicitly; a suspended job stays
+  suspended across restarts.
 * **Single writer (lease)** — the state dir is fenced by a heartbeat lease
   (:class:`~repro.service.lease.StateDirLease`): a second daemon refuses to
   start over a live lease, a ``kill -9``'d holder is taken over immediately
@@ -47,22 +49,20 @@ The robustness contract, end to end:
   (retries after a lost response, duplicate users asking the same question)
   attach to the existing job instead of recomputing.
 * **Cancellation** — a queued or suspended job cancels instantly; a running
-  job drains cleanly (in-flight work checkpoints, the partial result stays
+  job drains cleanly (its store flushes, the partial result stays
   resumable).
 * **Graceful shutdown** — ``shutdown()`` (wire it to SIGTERM via
-  :func:`install_signal_handlers`) stops admitting, drains every running job
-  to a checkpoint, journals a clean stop, and releases the lease; queued
-  jobs re-admit on the next start.
+  :func:`install_signal_handlers`) stops admitting, flushes every running
+  job's store, journals a clean stop, and releases the lease; drained and
+  queued jobs re-admit on the next start.
 * **Health** — :meth:`SweepService.health` reports fleet liveness, queue
-  depth, active jobs, lease state, journal and record-store counters, and a
-  pool fleet's physics-store directory counts.
+  depth, active jobs, lease state, and journal and record-store counters.
 
 On-disk layout (everything under one ``data_dir``)::
 
     data_dir/
       LEASE.json               single-writer ownership (repro.service.lease)
-      journal.jsonl            the write-ahead job journal
-      store/                   shared physics store (a pool fleet only)
+      journal.jsonl            the write-ahead job journal (lifecycle only)
       jobs/<job_id>/records/   per-job sharded record store (see repro.store)
 
 Per-job persistence goes through :class:`repro.store.ShardedRecordStore`:
@@ -80,7 +80,6 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.shared_store import scan_directory
 from ..store import ShardedRecordStore, StoreReader
 from ..sweep import faults
 from ..sweep.records import SweepResult
@@ -137,6 +136,12 @@ class _ActiveJob:
                 and len(result.records) + len(result.failed_runs)
                 >= self.total_runs)
 
+    def counts(self) -> Dict:
+        """The pass's counts, as the resting events journal them."""
+        result = self.sweep_pass.result
+        return {"records_done": len(result.records),
+                "failed_runs": len(result.failed_runs)}
+
     def store_counters(self) -> Dict:
         if self.store is None:
             return {}
@@ -153,17 +158,16 @@ class SweepService:
     """The daemon: journal + registry + bounded queue + resident executor.
 
     Up to :attr:`MAX_CONCURRENT` jobs execute concurrently, interleaved onto
-    the fleet in fair-share rounds of ``fair_share_quantum`` work units per
-    job.  Fault isolation between them is the point: each job has its own
+    the fleet in fair-share rounds of :attr:`FAIR_SHARE_QUANTUM` work units
+    per job.  Fault isolation between them is the point: each job has its own
     record store, checkpoint cadence and circuit breaker, so one job's
     poison runs or full disk cannot take its neighbours down.  All public
     methods are thread-safe — the HTTP transport calls them from handler
     threads.
 
     The fleet is ``executor`` when given; otherwise a supervised
-    :class:`PoolExecutor` of ``processes`` workers sharing a physics store
-    under ``data_dir/store`` when ``processes > 1``, else a
-    :class:`SerialExecutor` in this process.  ``retry_policy`` and
+    :class:`PoolExecutor` of ``processes`` workers when ``processes > 1``,
+    else a :class:`SerialExecutor` in this process.  ``retry_policy`` and
     ``run_timeout`` configure that built fleet: next to an explicit
     ``executor`` they raise ``ValueError``, as does ``run_timeout`` on a
     serial fleet, which cannot time out a run in process.
@@ -171,6 +175,10 @@ class SweepService:
 
     #: jobs that run concurrently on the fleet (``/health["max_concurrent"]``)
     MAX_CONCURRENT = 4
+    #: work units each active job puts into one fair-share round
+    FAIR_SHARE_QUANTUM = 4
+    #: fleet rebuilds charged to one job before its breaker trips
+    BREAKER_BUDGET = 2
     #: journal bytes past which :meth:`start` compacts the journal
     COMPACT_BYTES = 1 << 20
 
@@ -181,29 +189,17 @@ class SweepService:
                  run_timeout: Optional[float] = None,
                  max_queue: int = 8,
                  checkpoint_every: int = 4,
-                 fair_share_quantum: int = 4,
-                 breaker_budget: int = 2,
-                 lease_ttl: float = 2.0,
-                 lease_wait: float = 0.0) -> None:
+                 lease_ttl: float = 2.0) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must admit at least one job")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be a positive "
                              "record count")
-        if fair_share_quantum < 1:
-            raise ValueError("fair_share_quantum must take at least one "
-                             "work unit per job per round")
-        if breaker_budget < 1:
-            raise ValueError("breaker_budget must allow at least one "
-                             "fleet rebuild before tripping")
         self.data_dir = data_dir
         os.makedirs(data_dir, exist_ok=True)
         self.max_queue = max_queue
         self.checkpoint_every = checkpoint_every
-        self.fair_share_quantum = fair_share_quantum
-        self.breaker_budget = breaker_budget
         self.lease_ttl = lease_ttl
-        self.lease_wait = lease_wait
 
         if executor is not None:
             for name, value in (("processes", processes),
@@ -220,9 +216,7 @@ class SweepService:
             if processes is not None and processes > 1:
                 executor = PoolExecutor(
                     processes=processes, retry_policy=retry_policy,
-                    run_timeout=run_timeout,
-                    shared_cache_dir=os.path.join(data_dir, "store"),
-                    shared_cache_events=False)
+                    run_timeout=run_timeout)
             elif run_timeout is not None:
                 raise ValueError(
                     "run_timeout needs a pool fleet (processes > 1): a "
@@ -264,7 +258,7 @@ class SweepService:
         if self._lease is None:
             self._lease = StateDirLease(self.data_dir, ttl=self.lease_ttl,
                                         on_lost=self._on_lease_lost)
-        self._lease.acquire(wait=self.lease_wait)
+        self._lease.acquire()
         self.registry.maybe_compact(self.COMPACT_BYTES)
         self.journal.append("service_start",
                             pid=os.getpid(), data_dir=self.data_dir)
@@ -284,11 +278,11 @@ class SweepService:
         return self
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
-        """Graceful stop: drain, checkpoint, journal, release the lease.
+        """Graceful stop: drain, flush, journal, release the lease.
 
         Safe to call more than once.  Running jobs (if any) drain at their
         next round boundary and stay ``running`` in the journal — the next
-        :meth:`start` re-admits them and resumes from their checkpoints.
+        :meth:`start` re-admits them and resumes them from their stores.
         """
         self._draining.set()
         self._wake.set()
@@ -377,7 +371,8 @@ class SweepService:
             if job.state in ("submitted", "admitted", "suspended"):
                 # Not on the fleet: terminal immediately; the scheduler
                 # skips it if it is still queued.
-                job = self.registry.transition("cancelled", job_id)
+                job = self.registry.transition(
+                    "cancelled", job_id, **self._stored_counts(job_id))
                 self._notify_records()
                 return job
             return job    # running: the scheduler drains it mid-round
@@ -400,10 +395,27 @@ class SweepService:
         return job
 
     def status(self, job_id: str) -> Dict:
-        return self.registry.get(job_id).public_status()
+        return self._public_status(self.registry.get(job_id))
 
     def jobs(self) -> List[Dict]:
-        return [job.public_status() for job in self.registry.list_jobs()]
+        return [self._public_status(job) for job in self.registry.list_jobs()]
+
+    def _public_status(self, job: Job) -> Dict:
+        """A job's status.  Its counts are the journaled ones for a job at
+        rest, the pass's for an active job, and one read of its record
+        store for any other (queued, or drained by a shutdown)."""
+        status = job.public_status()
+        if job.state in TERMINAL_STATES or job.state == "suspended":
+            return status
+        entry = self._active_jobs.get(job.job_id)
+        status.update(entry.counts() if entry is not None
+                      else self._stored_counts(job.job_id))
+        return status
+
+    def _stored_counts(self, job_id: str) -> Dict:
+        """The record and failed-run counts the job's store holds."""
+        records, failed = StoreReader(self.store_path(job_id)).read()
+        return {"records_done": len(records), "failed_runs": len(failed)}
 
     def result(self, job_id: str, include_records: bool = True) -> Dict:
         """The result payload of a terminal job (records + aggregates).
@@ -519,24 +531,18 @@ class SweepService:
     def health(self) -> Dict:
         """Liveness + load + durability counters, for monitors and tests.
 
-        ``degraded`` aggregates every self-healing subsystem: quarantined
-        entries in the fleet's physics store, the journal's recovery
-        counters, the per-job record stores' damage counters, disk-full
-        write buffering, and a stolen lease — a daemon that survived any of
-        them keeps serving, but monitors can see it happened.
-        ``degraded_reasons`` names the live conditions (a stolen lease, a
-        full disk) as opposed to the historical counters.
-
-        ``store`` is ``None`` unless the fleet has a ``shared_cache_dir``;
-        then it holds that directory's entry and quarantined-file counts,
-        read from the directory, since a pool's loads and publishes happen
-        in its workers.
+        ``degraded`` aggregates every self-healing subsystem: the journal's
+        recovery counters, the per-job record stores' damage counters,
+        disk-full write buffering, and a stolen lease — a daemon that
+        survived any of them keeps serving, but monitors can see it
+        happened.  ``degraded_reasons`` names the live conditions (a stolen
+        lease, a full disk) as opposed to the historical counters.  A job's
+        store counters arrive with its ``running`` event, so damage the
+        store's recovery repaired on open shows while the job runs.
         """
         journal_stats = vars(self.journal.stats).copy()
         journal_stats["size_bytes"] = self.journal.size_bytes()
         journal_stats["pending_lines"] = self.journal.pending_lines()
-        store_dir = getattr(self.executor, "shared_cache_dir", None)
-        physics = None if store_dir is None else scan_directory(store_dir)
         with self._lock:
             queue_depth = len(self._queue)
             active_ids = sorted(self._active_jobs)
@@ -555,7 +561,6 @@ class SweepService:
                        for what in self._disk_degraded_reasons())
         degraded = bool(
             reasons
-            or (physics is not None and physics["quarantined"])
             or journal_stats.get("torn_tail_dropped")
             or journal_stats.get("corrupt_lines")
             or journal_stats.get("disk_full_errors")
@@ -580,7 +585,6 @@ class SweepService:
                       {"owner": lease.owner, "lost": lease.lost,
                        "takeovers": lease.takeovers, "ttl": lease.ttl}),
             "journal": journal_stats,
-            "store": physics,
             "record_stores": record_stores,
         }
 
@@ -679,18 +683,19 @@ class SweepService:
                     self._active_jobs[job_id] = entry
 
     def _activate(self, job: Job) -> Optional[_ActiveJob]:
-        """Open one admitted job's record store and plan its pending work."""
+        """Open one admitted job's record store, plan its pending work, then
+        journal ``running`` with the store's counters.  A failure before
+        that lands the job in ``failed``; a crash leaves it ``admitted``."""
         job_id = job.job_id
         store_dir = self.store_path(job_id)
         os.makedirs(os.path.dirname(store_dir), exist_ok=True)
-        self.registry.transition("running", job_id)
         job_store = None
         try:
             # Spec parsing sits inside the try: a journaled spec that no
             # longer round-trips (schema drift across versions, say) must
-            # land the job in `failed`, not wedge it in `running`.  So does
-            # the store open — an unrecoverably damaged store directory
-            # fails the job visibly instead of wedging the scheduler.
+            # land the job in `failed`, not wedge it.  So does the store
+            # open — an unrecoverably damaged store directory fails the job
+            # visibly instead of wedging the scheduler.
             spec = SweepSpec.from_json_dict(job.spec)
             job_store = ShardedRecordStore(store_dir, spec=spec)
             sweep_pass = SweepPass(SweepRunner(spec, self.executor),
@@ -705,18 +710,15 @@ class SweepService:
             self._notify_records()
             return None
         entry = _ActiveJob(job, sweep_pass, pending_items, job_store)
+        try:
+            self.registry.transition("running", job_id,
+                                     store_counters=entry.store_counters())
+        except Exception:
+            entry.close_store()
+            raise
 
-        def on_progress(progress, job_id=job_id, entry=entry) -> None:
+        def on_progress(_progress, job_id=job_id) -> None:
             self._last_progress = (job_id, time.monotonic())
-            if progress.checkpointed:
-                # The store flush is durable at this point; the kill site
-                # between it and the journal commit is the acceptance
-                # criterion's "between checkpoint and journal commit".
-                faults.service_fault(f"daemon:post_checkpoint:{job_id}")
-                self.registry.transition(
-                    "checkpoint", job_id, records_done=progress.records,
-                    failed_runs=progress.failed,
-                    store_counters=entry.store_counters())
 
         sweep_pass.progress = on_progress
         return entry
@@ -724,7 +726,7 @@ class SweepService:
     def _run_round(self) -> None:
         """One fair-share round: slice, execute, route, judge.
 
-        Takes up to ``fair_share_quantum`` runs from every active job
+        Takes up to :attr:`FAIR_SHARE_QUANTUM` runs from every active job
         (round-robin), streams the mixed slice through one executor pass of
         the jobs' :attr:`SweepPass.work_fn`, routes each outcome to its
         owning job's :class:`SweepPass`, then settles the round: breakers
@@ -749,7 +751,7 @@ class SweepService:
             if entry is None:
                 continue
             taken = 0
-            while entry.pending and taken < self.fair_share_quantum:
+            while entry.pending and taken < self.FAIR_SHARE_QUANTUM:
                 run = entry.pending[0]
                 if run.run_id in owners:
                     # Two jobs sharing a run id (same spec name) cannot fly
@@ -788,7 +790,7 @@ class SweepService:
             if entry.cancelled \
                     or self.registry.get(job_id).cancel_requested:
                 self._cancel_job(job_id)
-            elif entry.strikes >= self.breaker_budget \
+            elif entry.strikes >= self.BREAKER_BUDGET \
                     and not entry.finished:
                 self._suspend_job(job_id)
             elif not interrupted and entry.finished:
@@ -820,7 +822,8 @@ class SweepService:
         ``ExecutorStats.rebuild_victims`` lists, per teardown, the run ids
         whose deadlines expired (the suspects — innocent in-flight runs are
         requeued but not listed).  Each teardown charges one strike to every
-        distinct owning job; ``breaker_budget`` strikes trip the breaker.
+        distinct owning job; :attr:`BREAKER_BUDGET` strikes trip the
+        breaker.
         """
         for victim_ids in list(self.executor.stats.rebuild_victims):
             culprits = {owners[rid] for rid in victim_ids if rid in owners}
@@ -832,7 +835,7 @@ class SweepService:
                 logger.warning(
                     "service: job %s charged with a fleet rebuild "
                     "(strike %d/%d)", job_id, entry.strikes,
-                    self.breaker_budget)
+                    self.BREAKER_BUDGET)
 
     def _pop_active(self, job_id: str) -> Optional[_ActiveJob]:
         with self._lock:
@@ -849,6 +852,25 @@ class SweepService:
             counters = entry.store_counters()
             entry.close_store()
         return counters
+
+    def _rest(self, entry: _ActiveJob, event: str, stopped: bool,
+              **data) -> Dict:
+        """Settle a departing job's store and journal the event that brings
+        it to rest with its counts; returns the counts.
+
+        The job leaves the active set last, so until the event lands its
+        status reads its pass, never its store mid-commit.
+        """
+        try:
+            counters = self._settle_store(entry, stopped=stopped)
+            counts = entry.counts()
+            self.registry.transition(event, entry.job_id,
+                                     store_counters=counters, **counts,
+                                     **data)
+        finally:
+            self._pop_active(entry.job_id)
+        self._notify_records()
+        return counts
 
     def _finish_job(self, job_id: str) -> None:
         """Commit one complete job: flush, seal, journal ``done``.
@@ -876,75 +898,64 @@ class SweepService:
                     "until the disk recovers", job_id, error)
             entry.stalled = True
             return
-        entry = self._pop_active(job_id)
-        counters = self._settle_store(entry, stopped=False)
-        result = entry.sweep_pass.summarize()
+        entry.sweep_pass.summarize()
         faults.service_fault(f"daemon:pre_commit:{job_id}")
-        self.registry.transition(
-            "done", job_id, records_done=len(result.records),
-            failed_runs=len(result.failed_runs),
-            store_counters=counters)
+        counts = self._rest(entry, "done", stopped=False)
         logger.info("service: job %s done (%d records, %d quarantined)",
-                    job_id, len(result.records), len(result.failed_runs))
-        self._notify_records()
+                    job_id, counts["records_done"], counts["failed_runs"])
 
     def _cancel_job(self, job_id: str) -> None:
         entry = self._active_jobs.get(job_id)
-        if entry is not None and entry.finished:
+        if entry is None:
+            return
+        if entry.finished:
             # The work beat the cancellation: commit it rather than discard
             # a complete, durable result.
             self._finish_job(job_id)
             return
-        entry = self._pop_active(job_id)
-        if entry is None:
-            return
-        result = entry.sweep_pass.result
-        self._settle_store(entry, stopped=True)
-        self.registry.transition("cancelled", job_id)
+        counts = self._rest(entry, "cancelled", stopped=True)
         logger.info("service: job %s cancelled after draining (%d/%d "
-                    "records checkpointed)", job_id, len(result.records),
+                    "records stored)", job_id, counts["records_done"],
                     entry.total_runs)
-        self._notify_records()
 
     def _suspend_job(self, job_id: str) -> None:
         """Quarantine a poison job; its partial records stay resumable."""
-        entry = self._pop_active(job_id)
+        entry = self._active_jobs.get(job_id)
         if entry is None:
             return
-        counters = self._settle_store(entry, stopped=True)
-        result = entry.sweep_pass.result
         reason = (f"circuit breaker: {entry.strikes} fleet rebuild(s) "
-                  f"attributed to this job (budget {self.breaker_budget})")
-        self.registry.transition(
-            "suspend", job_id, reason=reason,
-            records_done=len(result.records),
-            failed_runs=len(result.failed_runs),
-            store_counters=counters)
+                  f"attributed to this job (budget {self.BREAKER_BUDGET})")
+        counts = self._rest(entry, "suspend", stopped=True, reason=reason)
         logger.warning(
             "service: job %s suspended — %s; %d/%d records stay durable "
-            "and resumable", job_id, reason, len(result.records),
+            "and resumable", job_id, reason, counts["records_done"],
             entry.total_runs)
-        self._notify_records()
 
     def _fail_job(self, job_id: str, error: Exception) -> None:
-        entry = self._pop_active(job_id)
-        if entry is not None:
-            try:
-                self._settle_store(entry, stopped=True)
-            except Exception:            # pragma: no cover - best effort
-                logger.exception(
-                    "service: job %s store finalize failed during failure "
-                    "handling", job_id)
-        self.registry.transition("failed", job_id, error=repr(error))
+        """Journal ``failed`` with the job's counts, after a best-effort
+        settle of its store."""
+        entry = self._active_jobs[job_id]
+        try:
+            self._settle_store(entry, stopped=True)
+        except Exception:                # pragma: no cover - best effort
+            logger.exception("service: job %s store finalize failed during "
+                             "failure handling", job_id)
+        try:
+            self.registry.transition("failed", job_id, error=repr(error),
+                                     **entry.counts())
+        finally:
+            self._pop_active(job_id)
         self._notify_records()
 
     def _drain_all(self) -> None:
-        """Shutdown path: checkpoint every active job, leave it ``running``.
+        """Shutdown path: flush every active job's store, leave it
+        ``running`` (or end it ``cancelled`` when a cancel was requested).
 
         The next :meth:`start` re-admits drained jobs and resumes them from
-        their durable stores.  When the lease was stolen the journal is
-        fenced — stores still flush (they are per-job files the thief has
-        not touched yet), but no transitions are appended.
+        their stores, which until then also serve their status counts.  When
+        the lease was stolen the journal is fenced — stores still flush
+        (they are per-job files the thief has not touched yet), but no
+        transitions are appended.
         """
         fenced = self._lease_lost.is_set()
         with self._lock:
@@ -961,16 +972,13 @@ class SweepService:
                 continue
             if fenced:
                 continue
-            result = entry.sweep_pass.result
+            counts = entry.counts()
             if self.registry.get(job_id).cancel_requested:
-                self.registry.transition("cancelled", job_id)
+                self.registry.transition("cancelled", job_id,
+                                         store_counters=counters, **counts)
                 continue
-            self.registry.transition(
-                "checkpoint", job_id, records_done=len(result.records),
-                failed_runs=len(result.failed_runs),
-                store_counters=counters)
             logger.info("service: job %s drained at %d/%d records for "
-                        "shutdown", job_id, len(result.records),
+                        "shutdown", job_id, counts["records_done"],
                         entry.total_runs)
         self._notify_records()
 

@@ -129,31 +129,23 @@ class StateDirLease:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def acquire(self, wait: float = 0.0) -> "StateDirLease":
-        """Claim the state dir, or raise :class:`LeaseHeld`.
+    def acquire(self) -> "StateDirLease":
+        """Claim the state dir, or raise :class:`LeaseHeld` at once.
 
-        ``wait > 0`` polls for up to that long for a live lease to go stale
-        (a deploy-time convenience: the old daemon is draining).  Refusal is
-        the default — silently queueing two daemons is how split brain
-        starts.
+        A live lease is refused rather than waited out — silently queueing
+        two daemons is how split brain starts.
         """
         os.makedirs(self.directory, exist_ok=True)
-        deadline = time.monotonic() + max(0.0, wait)
-        while True:
-            record = self._read()
-            if record is None or record.get("owner") == self.owner \
-                    or not self._live(record):
-                if record is not None and record.get("owner") != self.owner:
-                    self.takeovers += 1
-                break
-            if time.monotonic() >= deadline:
+        record = self._read()
+        if record is not None and record.get("owner") != self.owner:
+            if self._live(record):
                 raise LeaseHeld(
                     f"state dir {self.directory!r} is leased by "
                     f"{record.get('owner')!r} (heartbeat "
                     f"{time.time() - float(record.get('heartbeat_ts', 0)):.1f}s "
                     f"ago, ttl {self.ttl:g}s); refusing to double-run it",
                     holder=record)
-            time.sleep(min(self.ttl / 4.0, 0.2))
+            self.takeovers += 1
         self._write()
         self._stop.clear()
         self._lost.clear()

@@ -7,9 +7,7 @@ Lifecycle::
                       ^           |   \\-> cancelled
                       |           |   \\-> suspended --(resume)--> admitted
                       |           v
-                      +---- (daemon restart re-admits)    [checkpoint events
-                                                           repeat while
-                                                           running]
+                      +---- (daemon restart re-admits)
 
 ``suspended`` is the poison-job quarantine: the scheduler's per-job circuit
 breaker parks a job whose runs keep killing or hanging workers (a budget of
@@ -20,8 +18,11 @@ jobs alone, because re-running a poison job on every daemon start would
 defeat the quarantine.  A client-driven ``resume`` re-admits it (recovery
 counter untouched: nothing crashed), and ``cancel`` works from suspension.
 
-``checkpointed`` is a journaled *event*, not a resting state: it marks "the
-records completed so far are durably on disk" while the job stays ``running``.
+The journal records lifecycle only: a job's progress lives in its record
+store.  The events that bring a job to rest carry its counts, ``running``
+carries its store's counters, and an older journal's ``checkpoint`` lines
+still replay, updating the counts and leaving the state alone.
+
 Every transition is appended to the :class:`~repro.service.journal.JobJournal`
 **before** the in-memory table changes (write-ahead discipline), and replay
 applies events through the same ``_apply`` code path as live execution, so a
@@ -61,7 +62,6 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 _ALLOWED_FROM = {
     "admit": ("submitted", "admitted", "running"),   # re-admission on restart
     "running": ("admitted",),
-    "checkpoint": ("running",),
     "done": ("running",),
     "failed": ("running", "admitted"),
     "suspend": ("running",),                 # circuit breaker quarantine
@@ -70,7 +70,7 @@ _ALLOWED_FROM = {
     "cancelled": ("submitted", "admitted", "running", "suspended"),
 }
 
-#: the state each event lands in (checkpoint/cancel_request keep the state).
+#: the state each event lands in (cancel_request keeps the state).
 _LANDS_IN = {
     "admit": "admitted",
     "running": "running",
@@ -104,7 +104,6 @@ class Job:
     total_runs: int = 0
     records_done: int = 0
     failed_runs: int = 0
-    checkpoints: int = 0
     #: daemon restarts that re-admitted this job mid-flight.
     recoveries: int = 0
     error: str = ""
@@ -113,23 +112,13 @@ class Job:
     suspend_reason: str = ""
     #: times the breaker tripped over the job's lifetime (across resumes).
     suspensions: int = 0
-    #: the job's record-store counters at its last checkpoint/done event —
-    #: durability and damage-recovery visibility per job (see repro.store).
+    #: the job's record-store counters at its last ``running`` or resting
+    #: event — durability and damage-recovery visibility per job (see
+    #: repro.store).
     store_stats: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "job_id": self.job_id, "job_key": self.job_key,
-            "spec": self.spec, "state": self.state,
-            "created_ts": self.created_ts, "updated_ts": self.updated_ts,
-            "total_runs": self.total_runs, "records_done": self.records_done,
-            "failed_runs": self.failed_runs, "checkpoints": self.checkpoints,
-            "recoveries": self.recoveries, "error": self.error,
-            "cancel_requested": self.cancel_requested,
-            "suspend_reason": self.suspend_reason,
-            "suspensions": self.suspensions,
-            "store_stats": self.store_stats,
-        }
+        return {key: getattr(self, key) for key in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Job":
@@ -140,18 +129,9 @@ class Job:
 
     def public_status(self) -> Dict:
         """The status payload served over the API (spec elided to its name)."""
-        return {
-            "job_id": self.job_id, "job_key": self.job_key,
-            "state": self.state, "sweep": self.spec.get("name", ""),
-            "total_runs": self.total_runs, "records_done": self.records_done,
-            "failed_runs": self.failed_runs, "checkpoints": self.checkpoints,
-            "recoveries": self.recoveries, "error": self.error,
-            "cancel_requested": self.cancel_requested,
-            "suspend_reason": self.suspend_reason,
-            "suspensions": self.suspensions,
-            "created_ts": self.created_ts, "updated_ts": self.updated_ts,
-            "store_stats": self.store_stats,
-        }
+        status = self.to_dict()
+        status["sweep"] = status.pop("spec").get("name", "")
+        return status
 
 
 class JobRegistry:
@@ -185,10 +165,10 @@ class JobRegistry:
         Jobs replayed into ``admitted``/``running``/``submitted`` were
         interrupted by the crash (or an unclean stop).  Each is journaled
         back to ``admitted`` — with its recovery counter bumped — and
-        returned for the scheduler to queue.  Checkpoint resume makes the
-        re-run cheap: only runs the last durable checkpoint is missing
-        execute again.  ``suspended`` jobs stay quarantined: the breaker
-        tripped on their *behavior*, which a restart does not change.
+        returned for the scheduler to queue.  Resume makes the re-run
+        cheap: only the runs its record store is missing execute again.
+        ``suspended`` jobs stay quarantined: the breaker tripped on their
+        *behavior*, which a restart does not change.
         """
         with self._lock:
             interrupted = [job for job in self.jobs.values()
@@ -294,13 +274,14 @@ class JobRegistry:
                            "ignored", event, job_id)
             return
         job.updated_ts = time.time()
-        if event == "checkpoint":
-            job.records_done = int(data.get("records_done", job.records_done))
-            job.failed_runs = int(data.get("failed_runs", job.failed_runs))
-            if data.get("store_counters"):
-                job.store_stats = dict(data["store_counters"])
-            job.checkpoints += 1
-            return
+        # Counts ride on the resting events, store counters on `running`
+        # too; an older journal's `checkpoint` lines land in no state.
+        if data.get("records_done") is not None:
+            job.records_done = int(data["records_done"])
+        if data.get("failed_runs") is not None:
+            job.failed_runs = int(data["failed_runs"])
+        if data.get("store_counters"):
+            job.store_stats = dict(data["store_counters"])
         if event == "cancel_request":
             job.cancel_requested = True
             return
@@ -311,19 +292,8 @@ class JobRegistry:
         if event == "suspend":
             job.suspend_reason = str(data.get("reason", ""))
             job.suspensions += 1
-            if data.get("records_done") is not None:
-                job.records_done = int(data["records_done"])
-            if data.get("failed_runs") is not None:
-                job.failed_runs = int(data["failed_runs"])
-            if data.get("store_counters"):
-                job.store_stats = dict(data["store_counters"])
         if event == "resume":
             job.suspend_reason = ""
-        if event == "done":
-            job.records_done = int(data.get("records_done", job.records_done))
-            job.failed_runs = int(data.get("failed_runs", job.failed_runs))
-            if data.get("store_counters"):
-                job.store_stats = dict(data["store_counters"])
         landing = _LANDS_IN.get(event)
         if landing is not None:
             job.state = landing

@@ -59,7 +59,7 @@ import numpy as np
 from ..power.vf_table import VFPair
 from .level_cache import LevelEntry
 
-__all__ = ["SharedPhysicsStore", "scan_directory", "shareable_key"]
+__all__ = ["SharedPhysicsStore", "shareable_key"]
 
 logger = logging.getLogger("repro.sim.shared_store")
 
@@ -87,23 +87,6 @@ def shareable_key(key: Hashable) -> bool:
             return False
         return all(shareable_key(item) for item in key)
     return isinstance(key, (str, int, float, bool, type(None)))
-
-
-def scan_directory(directory: str) -> Dict[str, object]:
-    """A store directory's published and quarantined entry counts.
-
-    Read from the directory alone, so it sees every process's publishes and
-    quarantines, unlike one :class:`SharedPhysicsStore`'s counters.  A
-    missing or unreadable directory counts as empty.
-    """
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        names = []
-    return {"directory": directory,
-            "entries": sum(name.endswith(_SUFFIX) for name in names),
-            "quarantined": sum(name.endswith(_SUFFIX + ".corrupt")
-                               for name in names)}
 
 
 def _digest(key: Hashable) -> str:

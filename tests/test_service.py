@@ -5,11 +5,13 @@ The load-bearing guarantees:
 * the job journal is a real WAL: fsync'd appends, per-line digests, torn
   tails dropped and truncated, mid-file corruption quarantined — and replay
   reconstructs the registry through the same apply path live execution uses;
-* ``kill -9`` at the nastiest instants (between a durable checkpoint and its
-  journal commit, mid-journal-append torn writes, after the ``done`` append
-  but before the in-memory apply) + restart yields records **bit-identical**
-  to an uninterrupted run — exercised in real subprocesses, since the faults
-  ``os._exit`` the daemon;
+* ``kill -9`` at the nastiest instants (right after a durable record-store
+  flush the journal never hears of, mid-journal-append torn writes, after
+  the ``done`` append but before the in-memory apply) + restart yields
+  records **bit-identical** to an uninterrupted run — exercised in real
+  subprocesses, since the faults ``os._exit`` the daemon;
+* the journal records lifecycle only: a job's progress counts come from its
+  pass while it runs and from its record store otherwise;
 * submission is idempotent (job keys dedupe across restarts), admission is
   bounded (429-style backpressure with a retry-after hint), cancellation and
   graceful shutdown drain cleanly to resumable checkpoints;
@@ -168,7 +170,7 @@ class TestJobJournal:
     def test_midfile_corruption_quarantines(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = JobJournal(path)
-        for event in ("submit", "running", "checkpoint", "done"):
+        for event in ("submit", "admit", "running", "done"):
             journal.append(event, "j1")
         journal.close()
         with open(path, "rb") as handle:
@@ -247,12 +249,9 @@ class TestJobRegistry:
         assert created and job.state == "submitted"
         registry.transition("admit", job.job_id)
         registry.transition("running", job.job_id)
-        registry.transition("checkpoint", job.job_id, records_done=2,
-                            failed_runs=0)
         final = registry.transition("done", job.job_id, records_done=4,
                                     failed_runs=0)
         assert final.state == "done" and final.records_done == 4
-        assert final.checkpoints == 1
 
     def test_illegal_transitions_rejected(self, tmp_path):
         registry = self.open_registry(tmp_path)
@@ -269,9 +268,10 @@ class TestJobRegistry:
         registry = JobRegistry.open(JobJournal(path))
         job, _ = registry.submit({"name": "s"}, job_key="k", total_runs=4)
         registry.transition("admit", job.job_id)
-        registry.transition("running", job.job_id)
-        registry.transition("checkpoint", job.job_id, records_done=2,
-                            failed_runs=1)
+        registry.transition("running", job.job_id,
+                            store_counters={"torn_tail_dropped": 1})
+        registry.transition("suspend", job.job_id, reason="test",
+                            records_done=2, failed_runs=1)
         registry.journal.close()
 
         replayed = JobRegistry.open(JobJournal(path))
@@ -328,6 +328,36 @@ class TestJobRegistry:
         newer, _ = replayed.submit({"name": "c"}, job_key="c")
         assert newer.job_id == "j000003"
 
+    def test_journal_with_checkpoint_lines_replays(self, tmp_path):
+        """A journal from before ``checkpoint`` was deleted replays: its
+        checkpoint lines update the counts and land in no state, a
+        snapshot's ``checkpoints`` key is ignored, and a new checkpoint is
+        refused."""
+        path = str(tmp_path / "j.jsonl")
+        journal = JobJournal(path)
+        journal.compact([{"job_id": "j000001", "job_key": "snap",
+                          "spec": {"name": "s"}, "state": "admitted",
+                          "total_runs": 4, "records_done": 1,
+                          "checkpoints": 3}])
+        journal.append("running", "j000001")
+        journal.append("checkpoint", "j000001", records_done=2,
+                       failed_runs=1,
+                       store_counters={"torn_tail_dropped": 1})
+        journal.close()
+
+        registry = JobRegistry.open(JobJournal(path))
+        job = registry.get("j000001")
+        assert job.state == "running"
+        assert (job.records_done, job.failed_runs) == (2, 1)
+        assert job.store_stats == {"torn_tail_dropped": 1}
+        assert "checkpoints" not in job.to_dict()
+        with pytest.raises(JobStateError):
+            registry.transition("checkpoint", job.job_id, records_done=3)
+        assert registry.get("j000001").records_done == 2
+        registry.journal.close()
+        assert [e.event for e in JobJournal(path).replay()] == \
+            ["snapshot", "running", "checkpoint"]
+
     def test_journal_with_per_job_options_replays(self, tmp_path, baseline):
         """Jobs once carried per-job ``options``; a journal whose ``submit``
         and ``snapshot`` lines still hold them replays with the field
@@ -373,7 +403,6 @@ class TestServiceLifecycle:
             final = client.wait(job["job_id"])
             assert final["state"] == "done"
             assert final["records_done"] == tiny_spec().n_runs
-            assert final["checkpoints"] >= 2
             payload = client.result(job["job_id"])
             assert payload["n_records"] == tiny_spec().n_runs
             assert [r["run_id"] for r in payload["records"]] == \
@@ -516,8 +545,9 @@ class TestServiceLifecycle:
         service.journal.close()
 
     def test_health_reports_fleet_queue_and_store(self, tmp_path):
-        """A serial daemon keeps its physics in process: no physics store
-        directory, and ``store`` is null."""
+        """``/health`` reports the fleet, the queue and the journal and
+        record-store counters; no daemon keeps a physics store, so there is
+        no ``store`` key and no ``data_dir/store``."""
         service = SweepService(str(tmp_path)).start()
         try:
             health = InProcessClient(ServiceAPI(service)).health()
@@ -526,7 +556,7 @@ class TestServiceLifecycle:
             assert health["queue_depth"] == 0
             assert health["fleet"]["executor"] == "SerialExecutor"
             assert health["fleet"]["supervised"]
-            assert health["store"] is None
+            assert "store" not in health
             assert not os.path.exists(tmp_path / "store")
             assert health["journal"]["appended"] >= 1
             assert set(health["jobs"]) == {"submitted", "admitted", "running",
@@ -620,6 +650,91 @@ class TestServiceLifecycle:
             service.shutdown(timeout=30)
 
 
+class TestLifecycleJournal:
+    """The journal records lifecycle only; a job's progress counts come
+    from its pass while it runs and from its record store otherwise."""
+
+    def test_finished_job_journals_lifecycle_only(self, tmp_path):
+        service = SweepService(str(tmp_path), checkpoint_every=1).start()
+        try:
+            job, _ = service.submit(tiny_spec().to_json_dict(), job_key="l")
+            assert service.wait_for(job.job_id)["state"] == "done"
+        finally:
+            service.shutdown(timeout=30)
+        assert [e["event"] for e in journal_events(str(tmp_path))
+                if e.get("job_id") == job.job_id] == \
+            ["submit", "admit", "running", "done"]
+        assert sorted(os.listdir(tmp_path)) == ["jobs", "journal.jsonl"]
+
+    def test_status_counts_track_the_store_between_flushes(self, tmp_path):
+        """``records_done`` follows every run, not every fourth one."""
+        gate = threading.Semaphore(0)
+
+        class SteppedExecutor(SerialExecutor):
+            """Runs one work unit per ``gate`` release."""
+
+            def imap_unordered(self, fn, runs):
+                for run in runs:
+                    assert gate.acquire(timeout=30)
+                    yield fn(run)
+
+        spec = tiny_spec(seeds=3)
+        service = SweepService(str(tmp_path), executor=SteppedExecutor(),
+                               checkpoint_every=4).start()
+        try:
+            client = InProcessClient(ServiceAPI(service))
+            job_id = client.submit(spec, job_key="steps")["job_id"]
+            seen = []
+            for seq in range(spec.n_runs):
+                gate.release()
+                page = client.records(job_id, wait_seq=seq, wait_timeout=30)
+                assert page["total_records"] == seq + 1
+                seen.append(client.status(job_id)["records_done"])
+            assert client.wait(job_id)["records_done"] == spec.n_runs
+        finally:
+            service.shutdown(timeout=30)
+        assert seen == list(range(1, spec.n_runs + 1))
+
+    def test_store_repair_reaches_health_while_the_job_runs(self, tmp_path,
+                                                            baseline):
+        """A job whose store recovery drops a torn tail shows it in
+        ``/health`` from its ``running`` event, before any run finishes."""
+        from repro.store import ShardedRecordStore
+        release = threading.Event()
+
+        class HoldFirstExecutor(SerialExecutor):
+            def imap_unordered(self, fn, runs):
+                assert release.wait(timeout=30)
+                yield from super().imap_unordered(fn, runs)
+
+        spec = tiny_spec()
+        service = SweepService(str(tmp_path), executor=HoldFirstExecutor())
+        job, _ = service.submit(spec.to_json_dict(), job_key="torn")
+        store = ShardedRecordStore(service.store_path(job.job_id), spec=spec)
+        store.append(baseline.records[0])  # one run done before a crash
+        store.flush()
+        store.close()
+        shards = os.path.join(service.store_path(job.job_id), "shards")
+        (shard,) = os.listdir(shards)
+        with open(os.path.join(shards, shard), "ab") as handle:
+            handle.write(b'{"seq": 2, "kind": "rec')     # a torn append
+        service.start()
+        try:
+            deadline = time.monotonic() + 30
+            while job.job_id not in service.health()["active_jobs"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            health = service.health()
+            assert service.status(job.job_id)["records_done"] == 1
+            release.set()
+            assert service.wait_for(job.job_id)["state"] == "done"
+        finally:
+            release.set()
+            service.shutdown(timeout=30)
+        assert health["degraded"]
+        assert health["record_stores"]["torn_tail_dropped"] == 1
+
+
 # --------------------------------------------------------------------- #
 # HTTP transport
 # --------------------------------------------------------------------- #
@@ -703,12 +818,12 @@ def run_daemon_once(data_dir: str, spec: SweepSpec, fault_dicts=(),
 
 
 KILL_SITES = [
-    # The acceptance-criterion site: the sweep checkpoint is durable on disk
-    # but its journal commit never happened.
-    pytest.param({"kind": "daemon_kill", "match": "daemon:post_checkpoint"},
+    # Right after a durable record-store flush (a sweep checkpoint) that the
+    # journal never hears of: its next commit is the job's `done`.
+    pytest.param({"kind": "daemon_kill", "match": "recordstore:flush"},
                  id="between-checkpoint-and-journal-commit"),
-    # Torn write in the middle of a journal append (a checkpoint event).
-    pytest.param({"kind": "journal_torn", "match": "#checkpoint"},
+    # Torn write in the middle of a journal append (a `running` event).
+    pytest.param({"kind": "journal_torn", "match": "#running"},
                  id="mid-journal-append-torn"),
     # The done event hit the journal but the crash beat the in-memory apply.
     pytest.param({"kind": "daemon_kill", "match": "registry:done"},
@@ -757,7 +872,7 @@ class TestDaemonChaos:
     def test_recovery_is_attributed_in_job_status(self, tmp_path):
         data_dir = str(tmp_path / "svc")
         spec = tiny_spec()
-        fault = {"kind": "daemon_kill", "match": "daemon:post_checkpoint"}
+        fault = {"kind": "daemon_kill", "match": "recordstore:flush"}
         assert run_daemon_once(data_dir, spec, [fault]) == KILL_EXIT_CODE
         assert run_daemon_once(data_dir, spec, []) == 0
         registry = JobRegistry.open(
@@ -774,8 +889,8 @@ class TestDaemonChaos:
         """Two crashes at different sites back to back still converge."""
         data_dir = str(tmp_path / "svc")
         spec = tiny_spec()
-        first = {"kind": "daemon_kill", "match": "daemon:post_checkpoint"}
-        torn = {"kind": "journal_torn", "match": "#checkpoint"}
+        first = {"kind": "daemon_kill", "match": "recordstore:flush"}
+        torn = {"kind": "journal_torn", "match": "#running"}
         assert run_daemon_once(data_dir, spec, [first]) == KILL_EXIT_CODE
         assert run_daemon_once(data_dir, spec, [torn]) == KILL_EXIT_CODE
         assert run_daemon_once(data_dir, spec, []) == 0
@@ -816,8 +931,16 @@ class TestMultiJobScheduling:
     def test_two_jobs_interleave_and_both_complete(self, tmp_path,
                                                    wide_baseline,
                                                    second_baseline):
-        service = SweepService(str(tmp_path), checkpoint_every=1,
-                               fair_share_quantum=4).start()
+        yielded = []
+
+        class RecordingExecutor(SerialExecutor):
+            def imap_unordered(self, fn, runs):
+                for outcome in super().imap_unordered(fn, runs):
+                    yielded.append(outcome.run_id)
+                    yield outcome
+
+        service = SweepService(str(tmp_path), executor=RecordingExecutor(),
+                               checkpoint_every=1).start()
         try:
             a, _ = service.submit(wide_spec().to_json_dict(), job_key="a")
             b, _ = service.submit(second_spec().to_json_dict(), job_key="b")
@@ -833,15 +956,12 @@ class TestMultiJobScheduling:
                 records_as_dicts(second_baseline)
         finally:
             service.shutdown(timeout=30)
-        # Fair share actually interleaved: each job checkpointed before the
-        # *other* finished — a serializing scheduler would run one job's 16
-        # checkpoints and its `done` before the other's first checkpoint.
-        events = journal_events(str(tmp_path))
-        first_done = min(i for i, e in enumerate(events)
-                         if e["event"] == "done")
-        checkpointed_before = {e.get("job_id") for e in events[:first_done]
-                               if e["event"] == "checkpoint"}
-        assert checkpointed_before == {a.job_id, b.job_id}
+        # Fair share actually interleaved: the fleet's first 16 runs hold
+        # runs of both sweeps — a serializing scheduler would run all 16 of
+        # the first job's before any of the second's.
+        assert len(yielded) == 32
+        assert {run_id.split("/")[0] for run_id in yielded[:16]} == \
+            {"t", "u"}
 
     def test_run_id_collision_defers_not_corrupts(self, tmp_path, baseline):
         """Two jobs over the *same spec name* share run ids; the slice
@@ -891,8 +1011,7 @@ class TestCircuitBreaker:
         policy = RetryPolicy(max_attempts=2, backoff=0.01)
         executor = PoolExecutor(processes=2, retry_policy=policy,
                                 run_timeout=1.0)
-        return SweepService(data_dir, executor=executor, checkpoint_every=4,
-                            breaker_budget=2, fair_share_quantum=4)
+        return SweepService(data_dir, executor=executor, checkpoint_every=4)
 
     def test_poison_job_quarantined_healthy_job_unharmed(
             self, tmp_path, wide_baseline):
@@ -1305,7 +1424,7 @@ class TestRegistryEventOrderProperty:
     """Satellite: randomized interleavings of multi-job lifecycle events
     never reach an illegal state and never lose (or fork) a journal seq."""
 
-    EVENTS = ("admit", "running", "checkpoint", "suspend", "resume",
+    EVENTS = ("admit", "running", "suspend", "resume",
               "cancel_request", "cancelled", "done", "failed")
     STATES = ("submitted", "admitted", "running", "suspended", "done",
               "failed", "cancelled")
@@ -1326,10 +1445,10 @@ class TestRegistryEventOrderProperty:
             event = rng.choice(self.EVENTS)
             job_id = rng.choice(job_ids)
             kwargs = {}
-            if event == "checkpoint":
+            if event in ("done", "cancelled"):
                 kwargs = {"records_done": rng.randrange(10)}
             elif event == "suspend":
-                kwargs = {"reason": "prop"}
+                kwargs = {"reason": "prop", "records_done": rng.randrange(10)}
             elif event == "failed":
                 kwargs = {"error": "prop"}
             before = journal._seq
@@ -1370,6 +1489,8 @@ def _multi_daemon_once(data_dir, spec_dicts, fault_dicts, job_keys):
                for spec, key in zip(spec_dicts, job_keys)]
     for job_id in job_ids:
         service.wait_for(job_id, timeout=120)
+    with open(os.path.join(data_dir, "disk_full_errors"), "w") as handle:
+        handle.write(str(service.health()["journal"]["disk_full_errors"]))
     service.shutdown(timeout=60)
     os._exit(0)
 
@@ -1391,9 +1512,9 @@ def run_multi_daemon_once(data_dir, specs, fault_dicts=(),
 
 
 MULTI_KILL_SITES = [
-    pytest.param({"kind": "daemon_kill", "match": "daemon:post_checkpoint"},
+    pytest.param({"kind": "daemon_kill", "match": "recordstore:flush"},
                  id="between-checkpoint-and-journal-commit"),
-    pytest.param({"kind": "journal_torn", "match": "#checkpoint"},
+    pytest.param({"kind": "journal_torn", "match": "#running"},
                  id="mid-journal-append-torn",
                  marks=pytest.mark.skipif(not CHAOS_EXTENDED,
                                           reason="REPRO_CHAOS=1 only")),
@@ -1428,13 +1549,16 @@ class TestMultiJobDaemonChaos:
             assert records_as_dicts(stored) == records_as_dicts(expected)
 
     def test_disk_full_daemon_survives_in_one_pass(self, tmp_path, baseline):
-        """ENOSPC during journaled checkpoints must not crash the child:
-        both jobs finish in a single daemon pass (exit 0, no restart)."""
+        """ENOSPC on the journal's ``running`` appends must not crash the
+        child: both jobs finish in a single daemon pass (exit 0, no
+        restart), and every armed failure fired."""
         data_dir = str(tmp_path / "svc")
         specs = [tiny_spec(), tiny_spec(name="t2", master_seed=13)]
-        fault = {"kind": "disk_full", "match": "journal:checkpoint",
+        fault = {"kind": "disk_full", "match": "journal:running",
                  "times": 3}
         assert run_multi_daemon_once(data_dir, specs, [fault]) == 0
+        with open(os.path.join(data_dir, "disk_full_errors")) as handle:
+            assert int(handle.read()) == fault["times"]
         registry = JobRegistry.open(
             JobJournal(os.path.join(data_dir, "journal.jsonl")))
         for key in ("chaos-a", "chaos-b"):

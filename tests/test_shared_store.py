@@ -659,114 +659,32 @@ class TestPreChangeLayout:
         value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
         assert np.array_equal(value.drop_rows, entry.drop_rows)
 
-    def test_daemon_over_pre_change_store_is_not_degraded(self, fresh_cache,
-                                                          tmp_path):
-        """A pool daemon (the fleet that owns a physics store) restarted
-        over a pre-change store directory republishes into it and reports
-        the directory's counts without a quarantine."""
-        from repro.service import SweepService
-        data_dir = str(tmp_path)
-        spec = store_sweep_spec().to_json_dict()
-        service = SweepService(data_dir, processes=2).start()
-        try:
-            job, _ = service.submit(spec, job_key="before")
-            service.wait_for(job.job_id, timeout=120)
-        finally:
-            service.shutdown(timeout=30)
-        store_dir = os.path.join(data_dir, "store")
-        published = write_pre_change_layout(store_dir)
-        assert published > 0
-
-        service = SweepService(data_dir, processes=2).start()
-        try:
-            health = service.health()
-            assert not health["degraded"]
-            assert health["store"]["entries"] == 0     # old files ignored
-            job, _ = service.submit(spec, job_key="after")
-            assert service.wait_for(job.job_id, timeout=120)["state"] == \
-                "done"
-            health = service.health()
-        finally:
-            service.shutdown(timeout=30)
-        assert not health["degraded"]
-        store = health["store"]
-        assert store["directory"] == store_dir
-        assert store["quarantined"] == 0
-        assert store["entries"] > 0                   # republished
-        assert store["entries"] == len(
-            [n for n in os.listdir(store_dir) if n.endswith(".phys")])
-        assert not corrupt_files(store_dir)
-
 
 class TestDaemonPhysicsStore:
-    """Only a pool fleet gets a physics store: a serial daemon keeps its
-    physics in its level cache, as a library sweep does."""
+    """No daemon keeps a physics store: a serial daemon's physics stays in
+    its level cache and a pool daemon's in its workers' caches, as a
+    library sweep's do."""
 
     def test_default_daemon_attaches_no_store(self, fresh_cache, tmp_path):
-        from repro.service import SweepService
-        spec = store_sweep_spec()
-        service = SweepService(str(tmp_path)).start()
-        try:
-            job, _ = service.submit(spec.to_json_dict(), job_key="serial")
-            assert service.wait_for(job.job_id, timeout=120)["state"] == \
-                "done"
-            assert LEVEL_CACHE.backend is None
-            assert service.health()["store"] is None
-        finally:
-            service.shutdown(timeout=30)
-        assert level_cache_stats()["entries"] > 0     # physics in process
-        assert not os.path.exists(tmp_path / "store")
-
-    def test_pool_daemon_workers_publish_into_data_dir(self, fresh_cache,
-                                                       tmp_path):
         from repro.service import SweepService
         from repro.sweep import SweepResult
         spec = store_sweep_spec()
         serial = SweepRunner(spec, SerialExecutor()).run()
-        clear_level_cache()
-        service = SweepService(str(tmp_path), processes=2).start()
-        try:
-            job, _ = service.submit(spec.to_json_dict(), job_key="pool")
-            assert service.wait_for(job.job_id, timeout=120)["state"] == \
-                "done"
-            health = service.health()
-        finally:
-            service.shutdown(timeout=30)
-        store_dir = str(tmp_path / "store")
-        assert LEVEL_CACHE.backend is None            # the parent attaches none
-        assert SharedPhysicsStore(store_dir).stats()["entries"] > 0
-        assert health["store"]["entries"] == \
-            SharedPhysicsStore(store_dir).stats()["entries"]
-        assert health["store"]["quarantined"] == 0 and not health["degraded"]
-        stored = SweepResult.load_resumable(service.store_path(job.job_id))
-        assert [r.to_json_dict() for r in stored.sorted_records()] == \
-            [r.to_json_dict() for r in serial.sorted_records()]
-
-    def test_pool_daemon_reports_a_quarantined_entry(self, fresh_cache,
-                                                     tmp_path):
-        """A worker's flipped publish is quarantined by a later round's
-        worker; ``/health`` sees the quarantine in the directory, though no
-        counter of the daemon process ever does."""
-        from repro.service import SweepService
-        from repro.sweep import FaultSpec, SweepResult, injected_faults
-        spec = store_sweep_spec()
-        serial = SweepRunner(spec, SerialExecutor()).run()
-        clear_level_cache()
-        service = SweepService(str(tmp_path), processes=2,
-                               fair_share_quantum=1)
-        with injected_faults(FaultSpec(kind="store_flip", times=1)):
-            service.start()
+        for processes in (None, 2):
+            clear_level_cache()
+            data_dir = str(tmp_path / f"processes-{processes}")
+            service = SweepService(data_dir, processes=processes).start()
             try:
-                job, _ = service.submit(spec.to_json_dict(), job_key="flip")
+                job, _ = service.submit(spec.to_json_dict(), job_key="k")
                 assert service.wait_for(job.job_id, timeout=120)["state"] \
                     == "done"
-                health = service.health()
+                assert "store" not in service.health()
             finally:
                 service.shutdown(timeout=30)
-        quarantined = corrupt_files(tmp_path / "store")
-        assert quarantined
-        assert health["degraded"]
-        assert health["store"]["quarantined"] == len(quarantined)
-        stored = SweepResult.load_resumable(service.store_path(job.job_id))
-        assert [r.to_json_dict() for r in stored.sorted_records()] == \
-            [r.to_json_dict() for r in serial.sorted_records()]
+            assert LEVEL_CACHE.backend is None
+            assert not os.path.exists(os.path.join(data_dir, "store"))
+            if processes is None:
+                assert level_cache_stats()["entries"] > 0   # in process
+            stored = SweepResult.load_resumable(service.store_path(job.job_id))
+            assert [r.to_json_dict() for r in stored.sorted_records()] == \
+                [r.to_json_dict() for r in serial.sorted_records()]

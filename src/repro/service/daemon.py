@@ -355,7 +355,6 @@ class SweepService:
             job, created = self.registry.submit(
                 spec.to_json_dict(), job_key=job_key, total_runs=spec.n_runs)
             if created:
-                self.registry.transition("admit", job.job_id)
                 self._queue.append(job.job_id)
                 self._wake.set()
             return job, created

@@ -2,12 +2,18 @@
 
 Lifecycle::
 
-    submitted --> admitted --> running --> done
-                      ^           |   \\-> failed
-                      ^           |   \\-> cancelled
-                      |           |   \\-> suspended --(resume)--> admitted
-                      |           v
-                      +---- (daemon restart re-admits)
+    submit --> admitted --> running --> done
+                   ^           |   \\-> failed
+                   ^           |   \\-> cancelled
+                   |           |   \\-> suspended --(resume)--> admitted
+                   |           v
+                   +---- (daemon restart re-admits)
+
+A ``submit`` line lands the new job in ``admitted``, so a job costs one
+journal append to enter the queue.  A journal written before that lands it
+in ``submitted`` and journals an ``admit`` after it; both shapes still
+replay, and a ``submitted`` job the crash left without its ``admit`` is
+re-admitted on restart like any other interrupted job.
 
 ``suspended`` is the poison-job quarantine: the scheduler's per-job circuit
 breaker parks a job whose runs keep killing or hanging workers (a budget of
@@ -201,7 +207,8 @@ class JobRegistry:
                total_runs: int = 0) -> Tuple[Job, bool]:
         """Create (or idempotently attach to) a job; returns (job, created).
 
-        A duplicate ``job_key`` whose spec matches attaches without touching
+        A created job is ``admitted`` by its one ``submit`` line.  A
+        duplicate ``job_key`` whose spec matches attaches without touching
         the journal — nothing changed, so nothing is logged and nothing
         recomputes.  A duplicate key with a *different* spec raises: silently
         serving job A's records for job B's spec would be corruption.
@@ -219,7 +226,7 @@ class JobRegistry:
             self._submit_count += 1
             job_id = f"j{self._submit_count:06d}"
             job = Job(job_id=job_id, job_key=job_key or job_id,
-                      spec=spec_dict,
+                      spec=spec_dict, state="admitted",
                       created_ts=time.time(), updated_ts=time.time(),
                       total_runs=total_runs)
             payload = {key: value for key, value in job.to_dict().items()

@@ -15,45 +15,43 @@ records live in a directory of shards and nothing else::
         shard-000002.jsonl     ...
         shard-000002.jsonl.corrupt   quarantined original (post-mortem)
 
-Each shard line is one appended event::
+Each shard is a durable line log (:mod:`repro.store.lines`): its line
+format, damage rule (torn tail truncated, anything else quarantined) and
+``ENOSPC`` backlog are described once in ``docs/architecture.md``
+("Durable line logs").  A shard line is one appended event::
 
     {"seq": 17, "kind": "record", "data": {<RunRecord JSON>}, "sha256": ..}
 
 ``kind`` is ``record`` or ``failed`` (an outcome), ``spec`` (``data`` is the
 sweep's pinned spec) or ``seal`` (``data`` is ``{"records": <live record
-count>}``).  ``sha256`` is the digest of the line's canonical JSON with the
-digest field removed — the same convention as the service journal — so any
-bit damage is detectable.  ``seq`` is a store-global append counter: later
-lines supersede earlier ones with the same ``run_id`` (and a ``record``
-supersedes a ``failed`` entry), which makes duplicate appends and retried
-runs harmless by construction.
+count>}``).  What the store adds to the line log is its policy:
 
-The shards are the only authority.  The store's spec is its first intact
-``spec`` line; once a spec is pinned, every shard file written after starts
-with one.  An open pins the caller's spec over shards that carry none only
-at the first flush, after the runner has validated the stored records
-against it.  The store is sealed while its newest outcome-or-seal line is a
-``seal`` whose count matches the live records recovery finds, so a lost
-line, a truncated tail or a vanished shard voids the seal and the resume
-re-runs what was lost.  A store written before shards carried these lines
-(a ``MANIFEST.json`` index beside them) opens spec-less and unsealed, and
-the index is ignored and left in place.
+* ``seq`` is a store-global counter assigned when a line lands, so a line a
+  full disk deferred holds none.  Later lines supersede earlier ones with
+  the same ``run_id`` (and a ``record`` supersedes a ``failed`` entry),
+  which makes duplicate appends and retried runs harmless by construction.
+* Recovery (every open) keeps every intact line, after the damage too:
+  sweep records are independent and self-identifying, so dropping good
+  records would be waste.  Opening writes nothing unless it finds damage.
+* The shards are the only authority.  The store's spec is its first intact
+  ``spec`` line; once a spec is pinned, every shard file written after
+  starts with one.  An open pins the caller's spec over shards that carry
+  none only at the first flush, after the runner has validated the stored
+  records against it.  The store is sealed while its newest
+  outcome-or-seal line is a ``seal`` whose count matches the live records
+  recovery finds, so a lost line, a truncated tail or a vanished shard
+  voids the seal and the resume re-runs what was lost.  A store written
+  before shards carried these lines (a ``MANIFEST.json`` index beside
+  them) opens spec-less and unsealed, and the index is ignored and left in
+  place.
 
-Durability: appends buffer in the OS; :meth:`flush` fsyncs the current shard
-(the acknowledgement point — the runner flushes at checkpoint boundaries).
-The first flush of an open, and the first after a new shard file appears,
-also fsyncs ``shards/`` so the file's directory entry is durable.  Cost per
-flush is O(appends since the last flush) — flat in total record count.
-
-Recovery (every open): each shard is digest-scanned, and opening writes
-nothing unless it finds damage.  A damaged *final* line is a torn write —
-truncated back to the last good line, like the journal's torn tail.  Damage
-with intact lines after it is disk corruption: the original shard is
-quarantined to ``<shard>.corrupt`` and the intact lines rewritten in place.
-Unlike the journal, recovery keeps the digest-verified lines *after* the
-damage too — journal events are ordered (everything after a broken line is
-untrustworthy) but sweep records are independent and self-identifying, so
-dropping good records would be waste.
+Durability: appends reach the OS as they happen; :meth:`flush` fsyncs the
+current shard (the acknowledgement point — the runner flushes at checkpoint
+boundaries).  The first flush of an open also fsyncs ``shards/``, and a
+shard file's first fsync fsyncs its directory entry.  Cost per flush is
+O(appends since the last flush) — flat in total record count.  Records lost
+with a crashed ``ENOSPC`` backlog were never acknowledged by a flush, which
+keeps them inside the store's re-run-is-harmless contract.
 
 Compaction (:meth:`compact`, or the audit CLI) merges the closed shards
 (never the one being appended), dropping superseded lines and keeping the
@@ -62,32 +60,25 @@ spec line and the newest seal.
 Reading never mutates: :func:`scan_store` digest-verifies every line (the
 audit doctor), while :class:`StoreReader` tails a live store, parsing only
 the lines appended since its last read (the service's records endpoint).
-
-Disk exhaustion: an append that hits ``ENOSPC`` truncates any partial line
-back to the last clean boundary and defers the line to an in-memory backlog
-(``disk_full_errors`` counts the hits, :meth:`disk_degraded` reports the
-mode); every later append and every :meth:`flush` retries the backlog in
-FIFO order, so durability resumes by itself when space returns.  Records
-lost with a crashed backlog were never acknowledged by a flush, which keeps
-them inside the store's existing re-run-is-harmless contract.
+Both, and :meth:`ShardedRecordStore.to_result`, pick winners through one
+fold (:class:`_Outcomes`).
 """
 
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import logging
 import os
 import threading
-import warnings
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..sweep import faults
 from ..sweep.records import FailedRun, RunRecord, SweepResult
 from ..sweep.spec import SweepSpec
+from .lines import Backlog, LineFile, LineScan, atomic_write, fsync_dir, \
+    parse, render
 
 __all__ = ["ShardedRecordStore", "StoreError", "StoreReader",
            "StoreScanReport", "scan_store"]
@@ -104,98 +95,16 @@ class StoreError(RuntimeError):
     """A record-store invariant broke (sealed-store append, bad layout, ...)."""
 
 
-def _digest(payload: Dict, exclude: str) -> str:
-    canonical = json.dumps(
-        {key: value for key, value in payload.items() if key != exclude},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _render_line(seq: int, kind: str, data: Dict) -> bytes:
-    payload = {"seq": seq, "kind": kind, "data": data}
-    payload["sha256"] = _digest(payload, "sha256")
-    # The digest canonicalizes (sorted keys) on its own, so the stored line
-    # keeps `data`'s insertion order — a record round-trips key-for-key
-    # identical to what the runner appended.
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+    return render({"seq": seq, "kind": kind, "data": data})
 
 
-def _parse_line(raw: bytes):
-    """(``(seq, kind, data)``, None) for an intact line, (None, reason) else."""
-    try:
-        text = raw.decode()
-        if not text.endswith("\n"):
-            return None, "torn tail (no newline)"
-        payload = json.loads(text)
-        if payload.get("sha256") != _digest(payload, "sha256"):
-            return None, "line digest mismatch"
-        kind = payload.get("kind")
-        if kind not in _LINE_KINDS:
-            return None, f"unknown line kind {kind!r}"
-        return (int(payload["seq"]), kind, payload["data"]), None
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
-        return None, f"unparseable line ({error})"
-
-
-def _fsync_dir(directory: str) -> None:
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:                           # non-POSIX / odd filesystem
-        return
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    """tmp + fsync + ``os.replace`` + dir fsync — the repo's durable write."""
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    _fsync_dir(os.path.dirname(os.path.abspath(path)))
-
-
-@dataclass
-class _ShardScan:
-    """One shard file's digest-scan outcome."""
-
-    path: str
-    entries: List[Tuple[int, str, Dict]] = field(default_factory=list)
-    damage: Optional[str] = None      #: first damage reason, None when clean
-    good_prefix: int = 0              #: byte end of the last good line before damage
-    bad_lines: int = 0
-    intact_after_damage: int = 0
-
-    @property
-    def tail_only(self) -> bool:
-        """Damage confined to a single final line — a crash artifact."""
-        return (self.damage is not None and self.bad_lines == 1
-                and self.intact_after_damage == 0)
-
-
-def _scan_shard(path: str) -> _ShardScan:
-    scan = _ShardScan(path=path)
-    offset = 0
-    with open(path, "rb") as handle:
-        for raw in handle:
-            end = offset + len(raw)
-            parsed, problem = _parse_line(raw)
-            if parsed is None:
-                scan.bad_lines += 1
-                if scan.damage is None:
-                    scan.damage = problem
-            else:
-                scan.entries.append(parsed)
-                if scan.damage is None:
-                    scan.good_prefix = end
-                else:
-                    scan.intact_after_damage += 1
-            offset = end
-    return scan
+def _entry(payload: Dict) -> Tuple[int, str, Dict]:
+    """A verified shard line's ``(seq, kind, data)``."""
+    kind = payload["kind"]
+    if kind not in _LINE_KINDS:
+        raise ValueError(f"unknown line kind {kind!r}")
+    return int(payload["seq"]), kind, payload["data"]
 
 
 def _shard_names(shards_dir: str) -> List[str]:
@@ -232,6 +141,48 @@ def _seal_holds(seal: Optional[Tuple[int, Dict]], last_outcome: int,
         <= live_records + damaged_lines
 
 
+def _by_grid_point(outcome: Union[RunRecord, FailedRun]) -> Tuple[int, int]:
+    return outcome.point_index, outcome.seed_index
+
+
+class _Outcomes:
+    """The winner rule, folded over a store's lines one at a time.
+
+    Per run id the highest ``seq`` wins, and a live record supersedes any
+    failed line.  ``records`` keeps each run where its first record line
+    landed, so it iterates in append order.  The newest ``seal`` line rides
+    along for the seal check.
+    """
+
+    def __init__(self) -> None:
+        self.records: Dict[str, Tuple[int, RunRecord]] = {}
+        self.failed: Dict[str, Tuple[int, FailedRun]] = {}
+        self.lines = 0                #: outcome lines folded
+        self.last_outcome = 0         #: the newest outcome line's seq
+        self.seal: Optional[Tuple[int, Dict]] = None
+
+    def take(self, seq: int, kind: str, data: Dict) -> None:
+        if kind == "record":
+            winners, parse_outcome = self.records, RunRecord.from_json_dict
+        elif kind == "failed":
+            winners, parse_outcome = self.failed, FailedRun.from_json_dict
+        else:
+            if kind == "seal" and (self.seal is None or seq > self.seal[0]):
+                self.seal = (seq, data)
+            return
+        self.lines += 1
+        self.last_outcome = max(self.last_outcome, seq)
+        run_id = data.get("run_id")
+        if seq >= winners.get(run_id, (-1, None))[0]:
+            winners[run_id] = (seq, parse_outcome(data))
+
+    def live(self) -> Tuple[List[RunRecord], List[FailedRun]]:
+        """The winning records, and the failed runs no record superseded."""
+        return ([record for _, record in self.records.values()],
+                [failed for run_id, (_, failed) in self.failed.items()
+                 if run_id not in self.records])
+
+
 class ShardedRecordStore:
     """Append-only sharded persistence (see module docstring).
 
@@ -257,21 +208,22 @@ class ShardedRecordStore:
         self.shards_dir = os.path.join(self.directory, "shards")
         self.records_per_shard = records_per_shard
         self._lock = threading.RLock()
-        self._handle = None
-        self._pending = 0
         self._sealed = False
         self._seq = 0
         self._shards: Set[str] = set()         # shard file names
         self._current: Optional[str] = None    # current shard file name
+        self._file: Optional[LineFile] = None  # its append handle
         self._current_lines = 0                # its outcome lines
         self._current_has_spec = False
         self._record_seq: Dict[str, int] = {}  # run_id -> winning record seq
         self._failed_seq: Dict[str, int] = {}  # run_id -> winning failed seq
-        #: lines deferred by ENOSPC: (kind, data, run_id), FIFO.
-        self._backlog: Deque[Tuple[str, Dict, str]] = deque()
+        #: (kind, data, run_id) line requests a full disk deferred.
+        self._backlog = Backlog(self._write_entry,
+                                f"record store {self.directory}")
         #: directories the next flush fsyncs: ``shards/`` for the shard this
-        #: open adopts or creates, the store's own for a new ``shards/``.
-        self._unsynced_dirs = {self.shards_dir}
+        #: open adopts, the store's own for a new ``shards/`` (a shard file
+        #: this process creates fsyncs its own entry).
+        self._unsynced_dirs: Set[str] = set()
         self._counters = {
             "appended_records": 0, "appended_failed": 0, "flushes": 0,
             "fsyncs": 0, "torn_tail_dropped": 0, "corrupt_lines_dropped": 0,
@@ -286,7 +238,7 @@ class ShardedRecordStore:
     # recovery (open)
     # ------------------------------------------------------------------ #
     def _recover(self, given_spec: Optional[Dict]) -> None:
-        shard_names = self._list_shards()
+        shard_names = _shard_names(self.shards_dir)
         stored_spec: Optional[Dict] = None
         seal: Optional[Tuple[int, Dict]] = None     # the newest seal line
         last_outcome = lines = 0
@@ -322,47 +274,20 @@ class ShardedRecordStore:
         # as it found it; the first flush pins it.
         self._pinned_spec = stored_spec if shard_names else self._spec_dict
         if shard_names and lines < self.records_per_shard:
-            self._current = shard_names[-1]
-            self._current_lines = lines
-            self._current_has_spec = has_spec
+            self._open_shard(shard_names[-1], lines, has_spec)
+            self._unsynced_dirs.add(self.shards_dir)
         else:
             self._start_shard()
 
     def _recover_shard(self, name: str) -> List[Tuple[int, str, Dict]]:
-        path = os.path.join(self.shards_dir, name)
-        scan = _scan_shard(path)
-        if scan.damage is None:
-            return scan.entries
-        if scan.tail_only:
-            # A crash mid-append: truncate back to the last good line.
+        """The shard's intact lines, after the line log's damage rule."""
+        scan = LineScan(os.path.join(self.shards_dir, name), _entry)
+        scan.repair("record shard")
+        if scan.damage and scan.torn_tail:
             self._counters["torn_tail_dropped"] += 1
-            with open(path, "r+b") as handle:
-                handle.truncate(scan.good_prefix)
-                handle.flush()
-                os.fsync(handle.fileno())
-            logger.warning(
-                "record store %s: shard %s had a torn tail (%s); truncated "
-                "to %d byte(s), %d line(s) kept", self.directory, name,
-                scan.damage, scan.good_prefix, len(scan.entries))
-            return scan.entries
-        # Mid-shard corruption: quarantine the original, keep every
-        # digest-verified line (records are independent — see module doc).
-        corrupt_path = f"{path}.corrupt"
-        self._counters["shards_quarantined"] += 1
-        self._counters["corrupt_lines_dropped"] += scan.bad_lines
-        warnings.warn(
-            f"record shard {path!r} is corrupt beyond its tail "
-            f"({scan.damage}; {scan.bad_lines} bad line(s)); quarantining "
-            f"the original to {corrupt_path!r} and keeping the "
-            f"{len(scan.entries)} intact line(s)", RuntimeWarning,
-            stacklevel=4)
-        logger.error(
-            "record store %s: shard %s mid-file corruption (%s); original "
-            "quarantined to %s, %d line(s) recovered", self.directory, name,
-            scan.damage, corrupt_path, len(scan.entries))
-        os.replace(path, corrupt_path)
-        _atomic_write(path, b"".join(_render_line(seq, kind, data)
-                                     for seq, kind, data in scan.entries))
+        elif scan.damage:
+            self._counters["shards_quarantined"] += 1
+            self._counters["corrupt_lines_dropped"] += scan.dropped
         return scan.entries
 
     def _register(self, seq: int, kind: str, data: Dict) -> None:
@@ -376,9 +301,6 @@ class ShardedRecordStore:
     # ------------------------------------------------------------------ #
     # shard bookkeeping
     # ------------------------------------------------------------------ #
-    def _list_shards(self) -> List[str]:
-        return _shard_names(self.shards_dir)
-
     def _start_shard(self) -> None:
         """Name the next shard; its file appears with its first line."""
         highest = 0
@@ -388,43 +310,31 @@ class ShardedRecordStore:
                               int(name[len(_SHARD_PREFIX):-len(_SHARD_SUFFIX)]))
             except ValueError:
                 continue
-        self._current = f"{_SHARD_PREFIX}{highest + 1:06d}{_SHARD_SUFFIX}"
+        self._open_shard(f"{_SHARD_PREFIX}{highest + 1:06d}{_SHARD_SUFFIX}",
+                         0, False)
         self._shards.add(self._current)
-        self._current_lines = 0
-        self._current_has_spec = False
 
-    def _current_path(self) -> str:
-        return os.path.join(self.shards_dir, self._current)
-
-    def _shard_handle(self):
-        if self._handle is None or self._handle.closed:
-            path = self._current_path()
-            if not os.path.exists(path):
-                self._unsynced_dirs.add(self.shards_dir)
-            self._handle = open(path, "ab")
-        return self._handle
-
-    def _fsync_current(self) -> None:
-        if self._handle is not None and not self._handle.closed:
-            self._handle.flush()
-            if self._pending:
-                os.fsync(self._handle.fileno())
-                self._counters["fsyncs"] += 1
-                self._pending = 0
+    def _open_shard(self, name: str, lines: int, has_spec: bool) -> None:
+        """Make ``name``, holding ``lines`` outcome lines, the current
+        shard."""
+        self._current = name
+        self._file = LineFile(os.path.join(self.shards_dir, name),
+                              "shard_torn")
+        self._current_lines = lines
+        self._current_has_spec = has_spec
 
     def _sync(self) -> None:
         """fsync the current shard, then any directory with a new entry."""
-        self._fsync_current()
+        if self._file.sync():
+            self._counters["fsyncs"] += 1
         for directory in sorted(self._unsynced_dirs):
-            _fsync_dir(directory)
+            fsync_dir(directory)
         self._unsynced_dirs.clear()
 
     def _roll(self) -> None:
         """Close the full shard and name the next."""
-        self._fsync_current()
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._sync()
+        self._file.close()
         self._start_shard()
         faults.service_fault("recordstore:roll")
 
@@ -450,18 +360,16 @@ class ShardedRecordStore:
             # Kill-before-write site: the record was never acknowledged, so
             # losing it entirely is within contract.
             faults.service_fault(f"recordstore:append:{run_id}")
-            degraded = bool(self._backlog)
-            # FIFO behind anything a full disk already deferred.
-            self._backlog.append((kind, data, run_id))
-            self._drain_backlog_locked()
-            if self._backlog and not degraded:
-                logger.warning(
-                    "record store %s: disk full appending %s %s; deferring "
-                    "(%d line(s) backlogged)", self.directory, kind,
-                    run_id, len(self._backlog))
+            self._drain((kind, data, run_id))
 
-    def _write_entry(self, kind: str, data: Dict, run_id: str) -> None:
-        """One line, after the pinned spec when the shard lacks it."""
+    def _drain(self, *requests: Tuple[str, Dict, str]) -> None:
+        """Write ``requests`` behind the ENOSPC backlog, counting a refusal."""
+        if not self._backlog.drain(*requests):
+            self._counters["disk_full_errors"] += 1
+
+    def _write_entry(self, request: Tuple[str, Dict, str]) -> None:
+        """One line request, after the pinned spec when the shard lacks it."""
+        kind, data, run_id = request
         if kind != "spec" and not self._current_has_spec \
                 and self._pinned_spec is not None:
             self._write_line("spec", self._pinned_spec, "")
@@ -473,53 +381,14 @@ class ShardedRecordStore:
                 self._roll()
 
     def _write_line(self, kind: str, data: Dict, run_id: str) -> int:
-        """One shard-line write under the next ``seq``, which it returns; no
-        partial line survives a failure."""
-        path = self._current_path()
-        faults.disk_full_fault(path, f"shard:{run_id}")
+        """One shard line under the next ``seq``, which it returns."""
         seq = self._seq + 1
-        line = _render_line(seq, kind, data)
-        handle = self._shard_handle()
-        start = handle.tell()
-        try:
-            handle.write(line)
-            handle.flush()
-        except OSError:
-            self._truncate_back(path, start)
-            raise
+        self._file.write(_render_line(seq, kind, data), f"shard:{run_id}",
+                         f"{kind}:{run_id}")
         self._seq = seq
-        # Torn-write site: between the write and any fsync, like the
-        # journal's.  Tears the line and kills the process.
-        faults.shard_fault(path, len(line), f"{kind}:{run_id}")
-        self._pending += 1
         if kind == "spec":
             self._current_has_spec = True
         return seq
-
-    def _truncate_back(self, path: str, offset: int) -> None:
-        """Best-effort drop of a partial line (truncation releases space)."""
-        try:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-            if os.path.exists(path) and os.path.getsize(path) > offset:
-                with open(path, "r+b") as handle:
-                    handle.truncate(offset)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-        except OSError:                       # pragma: no cover - best effort
-            pass
-
-    def _drain_backlog_locked(self) -> None:
-        while self._backlog:
-            try:
-                self._write_entry(*self._backlog[0])
-            except OSError as error:
-                if error.errno != errno.ENOSPC:
-                    raise
-                self._counters["disk_full_errors"] += 1
-                return
-            self._backlog.popleft()
 
     def disk_degraded(self) -> bool:
         """True while ENOSPC-deferred lines are waiting for disk space."""
@@ -540,7 +409,7 @@ class ShardedRecordStore:
                     # The runner has validated the stored records by now.
                     self._pinned_spec = self._spec_dict
                     self._append_line("spec", self._spec_dict)
-                self._drain_backlog_locked()
+                self._drain()
                 self._sync()
             except OSError as error:
                 if error.errno != errno.ENOSPC:
@@ -552,10 +421,10 @@ class ShardedRecordStore:
             # Kill-after-fsync site: flushed records must survive this.
             faults.service_fault("recordstore:flush")
             self._counters["flushes"] += 1
-            if os.path.exists(self._current_path()):
+            if os.path.exists(self._file.path):
                 # Latent-corruption site: flips a byte *after* durability,
                 # so the next open must quarantine, not lose the flush.
-                faults.shard_corrupt_fault(self._current_path())
+                faults.shard_corrupt_fault(self._file.path)
 
     def seal(self) -> None:
         """Append a ``seal`` line counting the live records, and fsync it.
@@ -564,7 +433,7 @@ class ShardedRecordStore:
         sweep over its store writes nothing.
         """
         with self._lock:
-            self._drain_backlog_locked()
+            self._drain()
             if not (self._sealed or self._backlog):
                 self._append_line("seal", {"records": len(self._record_seq)})
             if self._backlog:
@@ -582,55 +451,28 @@ class ShardedRecordStore:
         """Release file handles; the store can be reopened later."""
         with self._lock:
             try:
-                self._drain_backlog_locked()
+                self._drain()
             except OSError:                   # pragma: no cover - best effort
                 pass
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            self._file.close()
 
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def _collect(self) -> Tuple[Dict[str, Tuple[int, Dict]],
-                                Dict[str, Tuple[int, Dict]]]:
-        with self._lock:
-            if self._handle is not None and not self._handle.closed:
-                self._handle.flush()
-            names = self._list_shards()
-        records: Dict[str, Tuple[int, Dict]] = {}
-        failed: Dict[str, Tuple[int, Dict]] = {}
-        for name in names:
-            try:
-                scan = _scan_shard(os.path.join(self.shards_dir, name))
-            except FileNotFoundError:     # compacted away mid-read
-                continue
-            for seq, kind, data in scan.entries:
-                if kind not in _OUTCOME_KINDS:
-                    continue
-                run_id = data.get("run_id")
-                winners = records if kind == "record" else failed
-                previous = winners.get(run_id)
-                if previous is None or seq >= previous[0]:
-                    winners[run_id] = (seq, data)
-        for run_id in records:
-            failed.pop(run_id, None)
-        return records, failed
+    def _collect(self) -> _Outcomes:
+        """One read of the shards, folded into the winners."""
+        return _fold_shards(self.shards_dir)
 
     def iter_records(self) -> Iterator[RunRecord]:
         """All live records, deduplicated, in ``(point_index, seed_index)``
         order.  A record supersedes any failed entry with the same run id."""
-        records, _ = self._collect()
-        parsed = [RunRecord.from_json_dict(data)
-                  for _, data in records.values()]
-        yield from sorted(parsed, key=lambda r: (r.point_index, r.seed_index))
+        records, _ = self._collect().live()
+        yield from sorted(records, key=_by_grid_point)
 
     def iter_failed(self) -> Iterator[FailedRun]:
         """Quarantined runs that no later record superseded."""
-        _, failed = self._collect()
-        parsed = [FailedRun.from_json_dict(data)
-                  for _, data in failed.values()]
-        yield from sorted(parsed, key=lambda f: (f.point_index, f.seed_index))
+        _, failed = self._collect().live()
+        yield from sorted(failed, key=_by_grid_point)
 
     def run_ids(self) -> Set[str]:
         """Run ids with a live *record* (failed-only ids excluded — their
@@ -639,17 +481,19 @@ class ShardedRecordStore:
             return set(self._record_seq)
 
     def to_result(self, spec: Optional[SweepSpec] = None) -> SweepResult:
-        """Materialize the store as a :class:`SweepResult` (for aggregation)."""
+        """Materialize the store as a :class:`SweepResult` (for aggregation)
+        from one read of the shards."""
+        records, failed = self._collect().live()
         return SweepResult(spec=spec if spec is not None else self.spec,
-                           records=list(self.iter_records()),
-                           failed_runs=list(self.iter_failed()))
+                           records=sorted(records, key=_by_grid_point),
+                           failed_runs=sorted(failed, key=_by_grid_point))
 
     def stats(self) -> Dict:
         """Counters for health/monitoring: records, failed, sealed, size and
         the error/repair counters."""
         with self._lock:
             size = 0
-            for name in self._list_shards():
+            for name in _shard_names(self.shards_dir):
                 try:
                     size += os.path.getsize(os.path.join(self.shards_dir,
                                                          name))
@@ -688,7 +532,7 @@ class ShardedRecordStore:
             for name in closed:
                 path = os.path.join(self.shards_dir, name)
                 try:
-                    scan = _scan_shard(path)
+                    scan = LineScan(path, _entry)
                 except FileNotFoundError:
                     continue
                 for entry in scan.entries:
@@ -717,9 +561,9 @@ class ShardedRecordStore:
             target = closed[0]
             target_path = os.path.join(self.shards_dir, target)
             if survivors:
-                _atomic_write(target_path,
-                              b"".join(_render_line(seq, kind, data)
-                                       for seq, kind, data in survivors))
+                atomic_write(target_path,
+                             b"".join(_render_line(seq, kind, data)
+                                      for seq, kind, data in survivors))
             else:
                 try:
                     os.unlink(target_path)
@@ -782,58 +626,64 @@ class StoreScanReport:
         }
 
 
+def _fold_shards(shards_dir: str,
+                 report: Optional[StoreScanReport] = None) -> _Outcomes:
+    """One read of a store's shards, every line folded into the winners
+    and, given a ``report``, each shard diagnosed into it.
+
+    A shard that vanishes mid-read because a compaction absorbed it changes
+    the listing, and the read starts over, so no line the compaction moved
+    is missed.  A listed shard that is gone while the listing stands
+    raises ``FileNotFoundError``.
+    """
+    names = _shard_names(shards_dir)
+    while True:
+        outcomes = _Outcomes()
+        if report is not None:
+            report.shards, report.problems = [], []
+        try:
+            for name in names:
+                scan = LineScan(os.path.join(shards_dir, name), _entry)
+                if report is not None:
+                    _diagnose(report, name, scan)
+                for entry in scan.entries:
+                    outcomes.take(*entry)
+            return outcomes
+        except FileNotFoundError:
+            listed, names = names, _shard_names(shards_dir)
+            if names == listed:
+                raise
+
+
+def _diagnose(report: StoreScanReport, name: str, scan: LineScan) -> None:
+    torn = bool(scan.damage) and scan.torn_tail
+    report.shards.append({"name": name, "lines": len(scan.entries),
+                          "bad_lines": scan.dropped, "torn_tail": torn,
+                          "mid_shard_damage": bool(scan.damage) and not torn})
+    if scan.damage:
+        kind = "torn tail" if torn else "mid-shard corruption"
+        report.problems.append(f"{name}: {kind} ({scan.damage}; "
+                               f"{scan.dropped} bad line(s))")
+
+
 def scan_store(directory: str) -> StoreScanReport:
     """Digest-verify every line of a store directory without touching it."""
     directory = os.path.abspath(os.fspath(directory))
     report = StoreScanReport(directory=directory)
     shards_dir = os.path.join(directory, "shards")
-    names = _shard_names(shards_dir)
     try:
         report.quarantined_files = sum(
             1 for name in os.listdir(shards_dir) if name.endswith(".corrupt"))
     except FileNotFoundError:
         pass
-    records: Dict[str, Tuple[int, Dict]] = {}
-    failed: Dict[str, Tuple[int, Dict]] = {}
-    seal: Optional[Tuple[int, Dict]] = None
-    outcome_lines = last_outcome = 0
-    for name in names:
-        scan = _scan_shard(os.path.join(shards_dir, name))
-        shard_report = {"name": name, "lines": len(scan.entries),
-                        "bad_lines": scan.bad_lines,
-                        "torn_tail": bool(scan.damage) and scan.tail_only,
-                        "mid_shard_damage": bool(scan.damage)
-                        and not scan.tail_only}
-        report.shards.append(shard_report)
-        if scan.damage is not None:
-            kind = "torn tail" if scan.tail_only else "mid-shard corruption"
-            report.problems.append(
-                f"{name}: {kind} ({scan.damage}; {scan.bad_lines} bad "
-                f"line(s))")
-        for seq, kind, data in scan.entries:
-            if kind == "seal" and (seal is None or seq > seal[0]):
-                seal = (seq, data)
-            if kind not in _OUTCOME_KINDS:
-                continue
-            outcome_lines += 1
-            last_outcome = max(last_outcome, seq)
-            run_id = data.get("run_id")
-            winners = records if kind == "record" else failed
-            previous = winners.get(run_id)
-            if previous is None or seq >= previous[0]:
-                winners[run_id] = (seq, data)
-    for run_id in records:
-        failed.pop(run_id, None)
+    outcomes = _fold_shards(shards_dir, report)
+    records, failed = outcomes.live()
     report.sealed = _seal_holds(
-        seal, last_outcome, len(records),
+        outcomes.seal, outcomes.last_outcome, len(records),
         sum(shard["bad_lines"] for shard in report.shards))
-    report.records = sorted(
-        (RunRecord.from_json_dict(data) for _, data in records.values()),
-        key=lambda r: (r.point_index, r.seed_index))
-    report.failed = sorted(
-        (FailedRun.from_json_dict(data) for _, data in failed.values()),
-        key=lambda f: (f.point_index, f.seed_index))
-    report.superseded_lines = outcome_lines - len(records) - len(failed)
+    report.records = sorted(records, key=_by_grid_point)
+    report.failed = sorted(failed, key=_by_grid_point)
+    report.superseded_lines = outcomes.lines - len(records) - len(failed)
     return report
 
 
@@ -852,9 +702,9 @@ class StoreReader:
 
     Records come back in **append order**: a run sits at the position of
     its first ``record`` line and carries its winning (highest-``seq``)
-    line, with a ``record`` superseding any ``failed`` line — the same
-    winners as :func:`scan_store`.  Paging by offset over that order stays
-    exact while the store grows, whatever order runs finish in.
+    line, with a ``record`` superseding any ``failed`` line — the one
+    winner fold :func:`scan_store` uses too.  Paging by offset over that
+    order stays exact while the store grows, whatever order runs finish in.
 
     When a shard it has read disappears, shrinks or is replaced (compaction
     and quarantine rewrite shards), the reader drops its state and re-reads
@@ -871,10 +721,7 @@ class StoreReader:
 
     def _reset(self) -> None:
         self._offsets: Dict[str, Tuple[int, int]] = {}   # name -> (inode, end)
-        self._records: List[RunRecord] = []              # append order
-        #: run_id -> (winning record seq, index into ``_records``)
-        self._winners: Dict[str, Tuple[int, int]] = {}
-        self._failed: Dict[str, Tuple[int, FailedRun]] = {}
+        self._outcomes = _Outcomes()
 
     def read(self) -> Tuple[List[RunRecord], List[FailedRun]]:
         """``(records, failed)`` as of now, after reading the new lines."""
@@ -882,9 +729,7 @@ class StoreReader:
             if not self._advance():
                 self._reset()
                 self._advance()
-            failed = [entry for run_id, (_, entry) in self._failed.items()
-                      if run_id not in self._winners]
-            return list(self._records), failed
+            return self._outcomes.live()
 
     def _advance(self) -> bool:
         """Consume the complete lines past each offset; False when a shard
@@ -913,25 +758,9 @@ class StoreReader:
             while start < end:
                 stop = chunk.index(b"\n", start) + 1
                 self.parsed_lines += 1
-                parsed, _ = _parse_line(chunk[start:stop])
-                if parsed is not None:
-                    self._take(*parsed)
+                entry, _ = parse(chunk[start:stop], _entry)
+                if entry is not None:
+                    self._outcomes.take(*entry)
                 start = stop
             self._offsets[name] = (status.st_ino, offset + end)
         return True
-
-    def _take(self, seq: int, kind: str, data: Dict) -> None:
-        if kind not in _OUTCOME_KINDS:
-            return
-        run_id = data.get("run_id")
-        if kind == "failed":
-            if seq >= self._failed.get(run_id, (-1, None))[0]:
-                self._failed[run_id] = (seq, FailedRun.from_json_dict(data))
-            return
-        winner = self._winners.get(run_id)
-        if winner is None:
-            self._winners[run_id] = (seq, len(self._records))
-            self._records.append(RunRecord.from_json_dict(data))
-        elif seq >= winner[0]:
-            self._winners[run_id] = (seq, winner[1])
-            self._records[winner[1]] = RunRecord.from_json_dict(data)

@@ -51,7 +51,9 @@ a crash of the *long-running process itself*:
   behind, so the two are inseparable — a daemon that kept running after one
   would corrupt its own journal mid-file, which real torn writes cannot do.
   Targets look like ``"<path>#<event>:<job_id>"``, so ``match`` can select
-  the journal event to tear;
+  the journal event to tear.  Both torn kinds fire at one site,
+  :func:`torn_write_fault`, in the line log the journal and the shards
+  share;
 * ``"disk_full"`` — raise ``OSError(ENOSPC)`` at a durability write site
   *before* the write happens (:func:`disk_full_fault` — journal appends,
   record-store shard appends, shared-store publishes).
@@ -114,14 +116,13 @@ __all__ = [
     "disarm_faults",
     "disk_full_fault",
     "injected_faults",
-    "journal_fault",
     "lease_fault",
     "maybe_fail_run",
     "service_fault",
     "set_current_attempt",
     "shard_corrupt_fault",
-    "shard_fault",
     "store_fault",
+    "torn_write_fault",
 ]
 
 #: Exit status of an injected worker kill — distinctive in pool post-mortems.
@@ -364,40 +365,26 @@ def service_fault(site: str) -> None:
             os._exit(KILL_EXIT_CODE)
 
 
-def journal_fault(path: str, line_length: int, event_tag: str = "") -> None:
-    """Journal torn-write site (called between a line's write and its fsync).
+def torn_write_fault(kind: str, path: str, line_length: int,
+                     tag: str = "") -> None:
+    """Torn-write site of a line log (between a line's write and its fsync).
 
-    The match target is ``f"{path}#{event_tag}"`` so a plan can tear the
-    append of one specific journal event.  Firing truncates the just-written
-    line roughly in half — the prefix a crashed ``write(2)`` can leave
-    behind — and then kills the process (see the module docstring: a torn
-    write without a crash would be self-inflicted mid-file corruption).
+    ``kind`` is the log's fault kind: ``"journal_torn"`` for the job
+    journal, ``"shard_torn"`` for a record shard (both append through
+    :class:`repro.store.lines.LineFile`).  The match target is
+    ``f"{path}#{tag}"``, so a plan can tear the append of one journal event
+    (``tag`` is ``"<event>:<job_id>"``) or one shard line
+    (``"record:<run_id>"``, ``"failed:<run_id>"``, ``"spec:"`` or
+    ``"seal:"``).  Firing truncates
+    the just-written line roughly in half — the prefix a crashed
+    ``write(2)`` can leave behind — and then kills the process (see the
+    module docstring: a torn write without a crash would be self-inflicted
+    mid-file corruption).
     """
     plan = active_plan()
     if plan is None:
         return
-    if plan.fire_file_faults(("journal_torn",), f"{path}#{event_tag}"):
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(max(size - line_length // 2 - 1, 0))
-        os._exit(KILL_EXIT_CODE)
-
-
-def shard_fault(path: str, line_length: int, tag: str = "") -> None:
-    """Record-shard torn-write site (between a line's write and its fsync).
-
-    The :class:`~repro.store.ShardedRecordStore` analogue of
-    :func:`journal_fault`, with the same rationale: a torn write is what a
-    crash leaves behind, so firing truncates the just-appended shard line
-    roughly in half and kills the process.  The match target is
-    ``f"{path}#{tag}"`` where ``tag`` is ``"record:<run_id>"``,
-    ``"failed:<run_id>"``, ``"spec:"`` or ``"seal:"``, so a plan can tear
-    the append of one specific record, or the seal.
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    if plan.fire_file_faults(("shard_torn",), f"{path}#{tag}"):
+    if plan.fire_file_faults((kind,), f"{path}#{tag}"):
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(max(size - line_length // 2 - 1, 0))

@@ -8,17 +8,33 @@ equivalence assertions the chain is judged by.  ``tests/test_kernels.py``,
 ``tests/test_sim_engine.py`` and ``tests/test_scalar_records.py`` all draw
 from here, so every suite stresses the same scenario space and a new engine
 variant only has to join the chain once.
+
+It also holds :func:`legacy_line`, the line format the job journal and the
+record shards were written in before they shared one writer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.pim.dataflow import Operator
+
+
+def legacy_line(payload: Dict, sort_keys: bool) -> bytes:
+    """A durable-log line as written before the job journal and the record
+    shards shared one writer: the journal stored its keys sorted
+    (``sort_keys=True``), the shards in insertion order.  Both sealed the
+    line with the sha256 of its canonical JSON without the digest field."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    line = dict(payload, sha256=hashlib.sha256(canonical.encode()).hexdigest())
+    return (json.dumps(line, sort_keys=sort_keys, separators=(",", ":"))
+            + "\n").encode()
 
 
 def make_operator(name: str, rows: int, cols: int, kind: str = "conv", bits: int = 8,

@@ -2,9 +2,11 @@
 
 The load-bearing guarantees:
 
-* the job journal is a real WAL: fsync'd appends, per-line digests, torn
-  tails dropped and truncated, mid-file corruption quarantined — and replay
-  reconstructs the registry through the same apply path live execution uses;
+* the job journal is a real WAL: fsync'd appends, per-line digests, a
+  ``seq`` gap treated as damage — and replay reconstructs the registry
+  through the same apply path live execution uses (the damage rule and the
+  ENOSPC backlog it shares with the record shards are tested over both logs
+  in ``tests/test_store.py::TestLineLogs``);
 * ``kill -9`` at the nastiest instants (right after a durable record-store
   flush the journal never hears of, mid-journal-append torn writes, after
   the ``done`` append but before the in-memory apply) + restart yields
@@ -55,6 +57,7 @@ from repro.sweep import faults
 from repro.sweep.faults import KILL_EXIT_CODE
 from repro.sweep.runner import _usable_cpus
 from repro.sweep.spec import RetryPolicy
+from tests.helpers import legacy_line
 
 CHAOS_EXTENDED = bool(os.environ.get("REPRO_CHAOS"))
 
@@ -127,28 +130,6 @@ class TestJobJournal:
         payload = json.loads(open(path).read())
         assert len(payload.pop("sha256")) == 64
 
-    def test_torn_tail_dropped_and_truncated(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        journal = JobJournal(path)
-        journal.append("submit", "j1")
-        journal.append("running", "j1")
-        journal.close()
-        # Tear the final line mid-write, the way a crash does.
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(size - 10)
-
-        reopened = JobJournal(path)
-        events = reopened.replay()
-        assert [e.event for e in events] == ["submit"]
-        assert reopened.stats.torn_tail_dropped == 1
-        # The append cursor continues from the last good line: seq 2 again.
-        entry = reopened.append("running", "j1")
-        assert entry.seq == 2
-        reopened.close()
-        assert [e.event for e in JobJournal(path).replay()] == \
-            ["submit", "running"]
-
     def test_digest_damage_at_tail_is_a_torn_tail(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = JobJournal(path)
@@ -167,32 +148,6 @@ class TestJobJournal:
         assert reopened.stats.torn_tail_dropped == 1
         reopened.close()
 
-    def test_midfile_corruption_quarantines(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        journal = JobJournal(path)
-        for event in ("submit", "admit", "running", "done"):
-            journal.append(event, "j1")
-        journal.close()
-        with open(path, "rb") as handle:
-            lines = handle.readlines()
-        lines[1] = b'{"garbage": true}\n'
-        with open(path, "wb") as handle:
-            handle.writelines(lines)
-
-        reopened = JobJournal(path)
-        with pytest.warns(RuntimeWarning, match="corrupt beyond its tail"):
-            events = reopened.replay()
-        # Only the prefix before the damage is trustworthy.
-        assert [e.event for e in events] == ["submit"]
-        assert reopened.stats.corrupt_lines == 1
-        assert os.path.exists(path + ".corrupt")
-        reopened.close()
-        # The rewritten journal is intact and appendable.
-        final = JobJournal(path)
-        assert [e.event for e in final.replay()] == ["submit"]
-        final.append("running", "j1")
-        final.close()
-
     def test_seq_gap_is_damage(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = JobJournal(path)
@@ -208,6 +163,28 @@ class TestJobJournal:
         assert [e.event for e in reopened.replay()] == ["submit"]
         reopened.close()
 
+    def test_nothing_after_a_damaged_first_line_is_kept(self, tmp_path):
+        """Replay keeps the ordered prefix before the damage: with the first
+        line damaged that prefix is empty, however intact the rest."""
+        path = str(tmp_path / "j.jsonl")
+        journal = JobJournal(path)
+        for event in ("submit", "running", "done"):
+            journal.append(event, "j1")
+        journal.close()
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+        lines[0] = b'{"garbage": true}\n'
+        with open(path, "wb") as handle:
+            handle.writelines(lines)
+
+        reopened = JobJournal(path)
+        with pytest.warns(RuntimeWarning, match="quarantining"):
+            assert reopened.replay() == []
+        assert reopened.stats.corrupt_lines == 1
+        assert reopened.append("submit", "j2").seq == 1
+        reopened.close()
+        assert [e.job_id for e in JobJournal(path).replay()] == ["j2"]
+
     def test_compaction_preserves_seq_monotonicity(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         journal = JobJournal(path)
@@ -220,21 +197,6 @@ class TestJobJournal:
         assert [e.event for e in events] == ["snapshot", "submit"]
         assert events[0].seq == 4 and entry.seq == 5
 
-    def test_torn_write_fault_site_is_covered(self, tmp_path):
-        """The journal_torn chaos fault tears the just-appended line.
-
-        The kill half (``os._exit``) can only run in a subprocess — the
-        daemon chaos tests below cover it; here we prove the injection
-        site sits between write and fsync by checking the fault fires at
-        all (via a subprocess in TestDaemonChaos).
-        """
-        path = str(tmp_path / "j.jsonl")
-        journal = JobJournal(path)
-        journal.append("submit", "j1")
-        journal.close()
-        # No plan armed: the site is a no-op and the line is intact.
-        assert len(JobJournal(path).replay()) == 1
-
 
 # --------------------------------------------------------------------- #
 # registry
@@ -246,8 +208,7 @@ class TestJobRegistry:
     def test_lifecycle_happy_path(self, tmp_path):
         registry = self.open_registry(tmp_path)
         job, created = registry.submit({"name": "s"}, total_runs=4)
-        assert created and job.state == "submitted"
-        registry.transition("admit", job.job_id)
+        assert created and job.state == "admitted"
         registry.transition("running", job.job_id)
         final = registry.transition("done", job.job_id, records_done=4,
                                     failed_runs=0)
@@ -357,6 +318,41 @@ class TestJobRegistry:
         registry.journal.close()
         assert [e.event for e in JobJournal(path).replay()] == \
             ["snapshot", "running", "checkpoint"]
+
+    def test_journal_with_submit_then_admit_replays(self, tmp_path):
+        """A job once entered the queue through two lines: a ``submit``
+        that landed it in ``submitted``, then an ``admit``.  A journal in
+        that shape — and in that era's sorted-key line format — replays,
+        and so does a ``submit`` a crash left without its ``admit``; a
+        restart re-admits both."""
+        path = str(tmp_path / "j.jsonl")
+        old_lines = [
+            ("submit", "j000001", {"job_key": "pair", "spec": {"name": "a"},
+                                   "state": "submitted", "created_ts": 1.0,
+                                   "total_runs": 4}),
+            ("admit", "j000001", {}),
+            ("submit", "j000002", {"job_key": "alone", "spec": {"name": "b"},
+                                   "state": "submitted", "created_ts": 2.0,
+                                   "total_runs": 4}),
+        ]
+        with open(path, "wb") as handle:
+            for seq, (event, job_id, data) in enumerate(old_lines, 1):
+                handle.write(legacy_line(
+                    {"seq": seq, "ts": 1.0, "event": event,
+                     "job_id": job_id, "data": data}, sort_keys=True))
+
+        registry = JobRegistry.open(JobJournal(path))
+        assert [(j.job_key, j.state) for j in registry.list_jobs()] == \
+            [("pair", "admitted"), ("alone", "submitted")]
+        interrupted = registry.recover_interrupted()
+        assert [j.job_id for j in interrupted] == ["j000001", "j000002"]
+        assert [(j.state, j.recoveries) for j in registry.list_jobs()] == \
+            [("admitted", 1), ("admitted", 1)]
+        job, created = registry.submit({"name": "c"}, job_key="new")
+        assert created and (job.job_id, job.state) == ("j000003", "admitted")
+        registry.journal.close()
+        assert [e.event for e in JobJournal(path).replay()] == \
+            ["submit", "admit", "submit", "admit", "admit", "submit"]
 
     def test_journal_with_per_job_options_replays(self, tmp_path, baseline):
         """Jobs once carried per-job ``options``; a journal whose ``submit``
@@ -663,7 +659,7 @@ class TestLifecycleJournal:
             service.shutdown(timeout=30)
         assert [e["event"] for e in journal_events(str(tmp_path))
                 if e.get("job_id") == job.job_id] == \
-            ["submit", "admit", "running", "done"]
+            ["submit", "running", "done"]
         assert sorted(os.listdir(tmp_path)) == ["jobs", "journal.jsonl"]
 
     def test_status_counts_track_the_store_between_flushes(self, tmp_path):
@@ -1160,28 +1156,6 @@ class TestStateDirLease:
 
 
 class TestDiskExhaustion:
-    def test_journal_buffers_enospc_and_drains(self, tmp_path):
-        """Unit level: appends during the outage buffer in order, health
-        counters show it, and the next good write drains everything."""
-        path = str(tmp_path / "j.jsonl")
-        journal = JobJournal(path)
-        journal.append("service_start", pid=1)
-        with faults.injected_faults(
-                FaultSpec(kind="disk_full", match="journal:", times=2)):
-            journal.append("submit", "j1", spec={"x": 1})
-            journal.append("admit", "j1")
-            assert journal.disk_degraded()
-            assert journal.pending_lines() == 2
-            assert journal.stats.disk_full_errors == 2
-        journal.append("running", "j1")          # space is back: drains all
-        assert not journal.disk_degraded()
-        assert journal.pending_lines() == 0
-        journal.close()
-        replayed = [e for e in JobJournal(path).replay()]
-        assert [e.event for e in replayed] == \
-            ["service_start", "submit", "admit", "running"]
-        assert [e.seq for e in replayed] == [1, 2, 3, 4]
-
     def test_degraded_admission_returns_503_then_recovers(self, tmp_path):
         """Service level: a full disk stops *new* admissions (503), keeps
         the daemon alive, and admission resumes once space returns."""

@@ -35,6 +35,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.service import JobJournal
 from repro.store import (
     ShardedRecordStore,
     StoreError,
@@ -61,6 +62,7 @@ from repro.sweep import faults
 from repro.sweep.faults import KILL_EXIT_CODE
 from repro.sweep.records import _bootstrap_ci
 from repro.sweep.runner import SweepPass
+from tests.helpers import legacy_line
 
 CHAOS_EXTENDED = bool(os.environ.get("REPRO_CHAOS"))
 
@@ -234,6 +236,60 @@ class TestShardedMechanics:
             reopened.close()
         assert scan_store(directory).clean
 
+    def test_load_resumable_reads_each_line_once_after_recovery(
+            self, tmp_path, baseline, monkeypatch):
+        """Opening digests every line once (recovery), and materializing the
+        result reads the shards once more: records and failed runs come from
+        one fold, not one scan each."""
+        from repro.store import lines
+        directory = str(tmp_path / "store")
+        SweepRunner(tiny_spec(), SerialExecutor()).run(store=directory)
+        stored_lines = sum(shard["lines"]
+                           for shard in scan_store(directory).shards)
+        real_parse, parsed = lines.parse, []
+
+        def counting_parse(raw, decode):
+            parsed.append(raw)
+            return real_parse(raw, decode)
+
+        monkeypatch.setattr(lines, "parse", counting_parse)
+        result = SweepResult.load_resumable(directory)
+        assert records_as_dicts(result) == records_as_dicts(baseline)
+        assert len(parsed) == 2 * stored_lines
+
+    def test_a_read_racing_a_compaction_misses_nothing(self, tmp_path,
+                                                       monkeypatch):
+        """A compaction that absorbs shards between two shard reads of
+        ``to_result`` or ``scan_store`` makes them read again, instead of
+        skipping the absorbed shards' records or raising."""
+        from repro.store import sharded
+        directory = str(tmp_path / "store")
+        writer = ShardedRecordStore(directory, records_per_shard=2)
+        for seed in range(7):
+            writer.append(make_record(0, seed))
+        writer.flush()
+        reader = ShardedRecordStore(directory, records_per_shard=2)
+        real_scan, scans = sharded.LineScan, []
+
+        def scan_then_compact(*args):
+            scans.append(real_scan(*args))
+            if len(scans) == 1:
+                writer.compact()
+            return scans[-1]
+
+        monkeypatch.setattr(sharded, "LineScan", scan_then_compact)
+        assert len(reader.to_result().records) == 7
+        assert writer.stats()["compactions"] == 1
+        scans.clear()
+        writer.append(make_record(0, 7))          # rolls a new closed shard
+        writer.append(make_record(0, 8))
+        report = scan_store(directory)
+        assert writer.stats()["compactions"] == 2
+        assert report.clean and len(report.records) == 9
+        assert len(report.shards) == len(os.listdir(reader.shards_dir))
+        writer.close()
+        reader.close()
+
     def test_records_roundtrip_byte_identical(self, tmp_path):
         """Stored records re-serialize to the same bytes they went in as —
         metric insertion order included."""
@@ -323,52 +379,6 @@ def _single_shard(directory: str) -> str:
 
 
 class TestShardedRecovery:
-    def test_torn_tail_truncated_acknowledged_records_kept(self, tmp_path):
-        directory = str(tmp_path / "store")
-        _populated_store(directory, n=4)
-        shard = _single_shard(directory)
-        with open(shard, "r+b") as handle:   # tear the last line mid-write
-            handle.truncate(os.path.getsize(shard) - 7)
-        store = ShardedRecordStore(directory)
-        try:
-            assert store.stats()["torn_tail_dropped"] == 1
-            got = list(store.iter_records())
-            assert records_as_dicts(got) \
-                == records_as_dicts([make_record(0, s) for s in range(3)])
-            # The store keeps accepting appends after the heal.
-            store.append(make_record(0, 3))
-            store.flush()
-        finally:
-            store.close()
-        report = scan_store(directory)
-        assert report.clean and len(report.records) == 4
-
-    def test_mid_shard_corruption_quarantined_intact_lines_kept(
-            self, tmp_path):
-        directory = str(tmp_path / "store")
-        _populated_store(directory, n=5)
-        shard = _single_shard(directory)
-        raw = open(shard, "rb").read()
-        lines = raw.splitlines(keepends=True)
-        # Damage line 1 of 5: lines 0 and 2-4 — before AND after the
-        # damage — must both survive recovery.
-        lines[1] = lines[1][:10] + b"\x00" + lines[1][11:]
-        open(shard, "wb").write(b"".join(lines))
-
-        with pytest.warns(RuntimeWarning, match="quarantining"):
-            store = ShardedRecordStore(directory)
-        try:
-            stats = store.stats()
-            assert stats["shards_quarantined"] == 1
-            assert stats["corrupt_lines_dropped"] == 1
-            survivors = [r.seed_index for r in store.iter_records()]
-            assert survivors == [0, 2, 3, 4]
-        finally:
-            store.close()
-        assert os.path.exists(shard + ".corrupt")
-        report = scan_store(directory)
-        assert report.clean and report.quarantined_files == 1
-
     def test_scan_store_diagnoses_without_mutating(self, tmp_path):
         directory = str(tmp_path / "store")
         _populated_store(directory, n=3)
@@ -924,41 +934,255 @@ class TestBootstrapDegenerates:
 
 
 class TestShardedDiskExhaustion:
-    """ENOSPC on the shard log is a degraded mode, not a crash (PR 10)."""
+    """ENOSPC on the shard log is a degraded mode, not a crash.  The backlog
+    itself is tested over both logs in :class:`TestLineLogs`; this is the
+    store's policy on top of it."""
 
-    def test_enospc_backlog_defers_then_drains_in_order(self, tmp_path):
+    def test_flush_and_seal_wait_for_the_backlog(self, tmp_path):
         directory = str(tmp_path / "store")
         store = ShardedRecordStore(directory)
         with faults.injected_faults(
                 FaultSpec(kind="disk_full", match="shard:", times=4)):
             store.append(make_record(0, 0))
             store.append_failed(make_failed(0, 1))
-            assert store.disk_degraded()
-            stats = store.stats()
-            assert stats["backlog"] == 2
-            assert stats["disk_full_errors"] >= 2
+            assert store.stats()["backlog"] == 2
             # A flush during the outage must not pretend durability: the
             # backlog stays deferred and nothing is acknowledged.
             store.flush()
-            assert store.disk_degraded()
+            assert store.disk_degraded() and store.stats()["flushes"] == 0
             # Sealing would be a lie while outcomes are deferred.
             with pytest.raises(StoreError, match="cannot seal"):
                 store.seal()
-        # Space returns: the next append drains the backlog FIFO first.
-        store.append(make_record(1, 0))
-        assert not store.disk_degraded()
-        assert store.stats()["backlog"] == 0
-        store.append(make_record(1, 1))
+        store.append(make_record(1, 0))          # space is back: drains
         store.flush()
         store.seal()
         store.close()
-        # Nothing acknowledged was lost, and the store audits clean.
         report = scan_store(directory)
         assert {(r.point_index, r.seed_index) for r in report.records} == \
-            {(0, 0), (1, 0), (1, 1)}
+            {(0, 0), (1, 0)}
         assert [(f.point_index, f.seed_index) for f in report.failed] == \
             [(0, 1)]
-        assert audit_main([directory]) == 0
+        assert report.sealed and audit_main([directory]) == 0
+
+
+# --------------------------------------------------------------------- #
+# the durable line log, through both of its logs
+# --------------------------------------------------------------------- #
+class _JournalLog:
+    """The job journal as a line log: its entries are ``mark`` events."""
+
+    torn_kind, disk_tag = "journal_torn", "journal:"
+    #: the journal keeps the ordered prefix before mid-file damage.
+    kept_after_damage = [0]
+    quarantine_counters = {"corrupt_lines": 1}
+
+    def __init__(self, tmp_path) -> None:
+        self.path = str(tmp_path / "journal.jsonl")
+        self.log = None
+
+    def open(self):
+        self.log = JobJournal(self.path)
+        return [event.data["n"] for event in self.log.replay()]
+
+    def append(self, n: int) -> None:
+        self.log.append("mark", f"j{n}", n=n)
+
+    def flush(self) -> None:
+        self.log.flush_pending()
+
+    def close(self) -> None:
+        self.log.close()
+
+    def stats(self):
+        return vars(self.log.stats)
+
+    def backlog(self) -> int:
+        return self.log.pending_lines()
+
+    @staticmethod
+    def torn_match(n: int) -> str:
+        return f"#mark:j{n}"
+
+    @staticmethod
+    def legacy(seq: int, n: int) -> bytes:
+        return legacy_line({"seq": seq, "ts": 1.0, "event": "mark",
+                            "job_id": f"j{n}", "data": {"n": n}},
+                           sort_keys=True)
+
+
+class _ShardLog:
+    """A record store's shard as a line log: its entries are records."""
+
+    torn_kind, disk_tag = "shard_torn", "shard:"
+    #: a store keeps every intact line, after the damage too.
+    kept_after_damage = [0, 2, 3, 4]
+    quarantine_counters = {"shards_quarantined": 1,
+                           "corrupt_lines_dropped": 1}
+
+    def __init__(self, tmp_path) -> None:
+        self.directory = str(tmp_path / "store")
+        self.path = os.path.join(self.directory, "shards",
+                                 "shard-000001.jsonl")
+        self.log = None
+
+    def open(self):
+        self.log = ShardedRecordStore(self.directory)
+        return [record.seed_index for record in self.log.iter_records()]
+
+    def append(self, n: int) -> None:
+        self.log.append(make_record(0, n))
+
+    def flush(self) -> None:
+        self.log.flush()
+
+    def close(self) -> None:
+        self.log.flush()
+        self.log.close()
+
+    def stats(self):
+        return self.log.stats()
+
+    def backlog(self) -> int:
+        return self.log.stats()["backlog"]
+
+    @staticmethod
+    def torn_match(n: int) -> str:
+        return f"#record:t/p0000/s{n:03d}"
+
+    @staticmethod
+    def legacy(seq: int, n: int) -> bytes:
+        return legacy_line({"seq": seq, "kind": "record",
+                            "data": make_record(0, n).to_json_dict()},
+                           sort_keys=False)
+
+
+def _append_torn(make_log, tmp_path, n: int) -> None:
+    """Child-process body: append ``0..n`` with the ``n``-th append armed to
+    tear, which kills the process."""
+    faults.disarm_faults()
+    log = make_log(tmp_path)
+    faults.arm_faults(FaultSpec(kind=log.torn_kind, match=log.torn_match(n)))
+    log.open()
+    for k in range(n + 1):
+        log.append(k)
+    os._exit(0)
+
+
+@pytest.fixture(params=[_JournalLog, _ShardLog], ids=["journal", "shard"])
+def line_log(request):
+    return request.param
+
+
+class TestLineLogs:
+    """The job journal and a record shard share one line log
+    (:mod:`repro.store.lines`): one damage rule, one torn-write site, one
+    ENOSPC backlog.  Each test drives both logs; only the policy differs."""
+
+    def test_torn_tail_is_truncated(self, tmp_path, line_log):
+        log = line_log(tmp_path)
+        assert log.open() == []
+        for n in range(4):
+            log.append(n)
+        log.close()
+        with open(log.path, "r+b") as handle:   # tear the last line
+            handle.truncate(os.path.getsize(log.path) - 7)
+
+        assert log.open() == [0, 1, 2]
+        assert log.stats()["torn_tail_dropped"] == 1
+        assert not os.path.exists(log.path + ".corrupt")
+        # Appends continue on the clean line boundary the truncation left.
+        log.append(3)
+        log.close()
+        assert log.open() == [0, 1, 2, 3]
+        assert log.stats()["torn_tail_dropped"] == 0
+        log.close()
+
+    def test_mid_file_damage_is_quarantined(self, tmp_path, line_log):
+        log = line_log(tmp_path)
+        log.open()
+        for n in range(5):
+            log.append(n)
+        log.close()
+        with open(log.path, "rb") as handle:
+            lines = handle.readlines()
+        # One flipped byte in line 1 of 5, its newline intact.
+        lines[1] = lines[1][:10] + b"\x00" + lines[1][11:]
+        with open(log.path, "wb") as handle:
+            handle.writelines(lines)
+
+        with pytest.warns(RuntimeWarning,
+                          match="corrupt beyond its tail.*quarantining"):
+            assert log.open() == log.kept_after_damage
+        stats = log.stats()
+        assert {key: stats[key] for key in log.quarantine_counters} \
+            == log.quarantine_counters
+        with open(log.path + ".corrupt", "rb") as handle:
+            assert handle.read() == b"".join(lines)   # kept for post-mortem
+        log.append(5)
+        log.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # the rewrite is intact
+            assert log.open() == log.kept_after_damage + [5]
+        log.close()
+
+    def test_enospc_backlog_drains_in_order(self, tmp_path, line_log):
+        log = line_log(tmp_path)
+        log.open()
+        log.append(0)
+        with faults.injected_faults(
+                FaultSpec(kind="disk_full", match=log.disk_tag, times=3)):
+            log.append(1)          # refused: deferred
+            log.append(2)          # the retry is refused; queued behind it
+            log.flush()            # retried and refused again
+            assert log.log.disk_degraded() and log.backlog() == 2
+            assert log.stats()["disk_full_errors"] == 3
+        log.append(3)              # space is back: the backlog drains first
+        assert not log.log.disk_degraded() and log.backlog() == 0
+        log.close()
+        with open(log.path, "rb") as handle:
+            assert [json.loads(line)["seq"] for line in handle] == \
+                [1, 2, 3, 4]
+        assert log.open() == [0, 1, 2, 3]
+        log.close()
+
+    def test_torn_write_kills_and_the_log_recovers(self, tmp_path,
+                                                   line_log):
+        child = multiprocessing.get_context("fork").Process(
+            target=_append_torn, args=(line_log, tmp_path, 2))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == KILL_EXIT_CODE
+
+        log = line_log(tmp_path)
+        assert log.open() == [0, 1]
+        assert log.stats()["torn_tail_dropped"] == 1
+        log.append(2)
+        log.close()
+        assert log.open() == [0, 1, 2]
+        log.close()
+
+    def test_lines_written_in_the_legacy_format_open(self, tmp_path,
+                                                     line_log):
+        """Before the logs shared one writer, the journal stored its keys
+        sorted and the shards in insertion order.  Such lines open to the
+        same entries, stay untouched, and take appends after them."""
+        log = line_log(tmp_path)
+        legacy = b"".join(log.legacy(seq, n) for seq, n in
+                          enumerate(range(3), 1))
+        os.makedirs(os.path.dirname(log.path), exist_ok=True)
+        with open(log.path, "wb") as handle:
+            handle.write(legacy)
+
+        assert log.open() == [0, 1, 2]
+        stats = log.stats()
+        assert stats["torn_tail_dropped"] == 0
+        assert all(stats[key] == 0 for key in log.quarantine_counters)
+        log.append(3)
+        log.close()
+        assert log.open() == [0, 1, 2, 3]
+        log.close()
+        with open(log.path, "rb") as handle:
+            assert handle.read().startswith(legacy)
 
 
 # --------------------------------------------------------------------- #

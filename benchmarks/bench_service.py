@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.service import SweepService
+from repro.service import TERMINAL_STATES, SweepService
 from repro.sweep import SerialExecutor, SweepResult, SweepRunner, SweepSpec, \
     WorkloadSpec
 
@@ -50,14 +50,12 @@ SHORT_SPEC = SweepSpec(
 
 FAIR_MAX = float(os.environ.get("REPRO_BENCH_SERVICE_FAIR_MAX", "0.75"))
 
-_TERMINAL = ("done", "failed", "cancelled")
-
 
 def _wait_done(service, job_id: str, deadline: float) -> float:
     """Poll until ``job_id`` is terminal; return the completion stamp."""
     while True:
         status = service.status(job_id)
-        if status["state"] in _TERMINAL:
+        if status["state"] in TERMINAL_STATES:
             assert status["state"] == "done", status
             return time.monotonic()
         if time.monotonic() > deadline:

@@ -261,38 +261,6 @@ class IRBoosterController:
         """
         self._groups[group_id].level_ups += count
 
-    def advance_and_fail(self, group_id: int,
-                         steps: int) -> Tuple[List[Tuple[int, int]], int, int]:
-        """Advance ``steps`` failure-free cycles, then apply one IRFailure step.
-
-        Closed-form equivalent of ``advance_nofail(group_id, steps)`` followed
-        by ``step(group_id, ir_failure=True)``, fused into a single call for
-        the engines' failure hot path.  Returns ``(transitions, level,
-        next_gap)`` where ``transitions`` are the failure-free level breaks of
-        the gap (as in :meth:`advance_nofail`), ``level`` is the level after
-        the failure (it applies from step ``steps + 1`` on) and ``next_gap``
-        is the distance to the next scheduled transition (always ``beta``,
-        since a failure zeroes the safe counter).
-        """
-        state = self._groups[group_id]
-        counter = state.safe_counter
-        gap = self._transition_gap(counter)
-        if steps < gap:
-            # Common hot-path case: the gap holds no transition at all, so the
-            # advance is a bare counter bump (the engines process scheduled
-            # transitions as their own events before any later failure).
-            state.safe_counter = counter + steps
-            transitions: List[Tuple[int, int]] = []
-        else:
-            transitions = self.advance_nofail(group_id, steps)
-        state.failures += 1                                 # step(): lines 4-10
-        state.level = state.safe_level
-        if state.safe_counter < 0.2 * self.beta:
-            state.a_level = self._level_down(state.a_level)
-            state.level_downs += 1
-        state.safe_counter = 0
-        return transitions, state.level, self.beta
-
     def apply_failures_at_cycles(self, group_id: int,
                                  cycles: Sequence[int]) -> Tuple[int, int]:
         """Apply one whole *safe-level failure run* in a single vectorized call.
@@ -304,9 +272,10 @@ class IRBoosterController:
         ``beta`` cycles of its predecessor, so the whole run plays out on the
         failure branch alone (lines 4-10) — after the first failure the group
         sits at its safe level and each further failure merely pushes the
-        next transition out.  Equivalent to ``advance_and_fail`` once per
-        failure, but resolved in closed form over the failure-count
-        thresholds with no per-event Python:
+        next transition out.  Equivalent to failure-free :meth:`step` calls
+        across each gap and one failing :meth:`step` per failure, but
+        resolved in closed form over the failure-count thresholds with no
+        per-event Python:
 
         * ``failures`` grows by ``len(cycles)``;
         * the a-level steps toward safe once per failure whose preceding
@@ -323,8 +292,11 @@ class IRBoosterController:
         transition would fire inside the run); the caller must split the
         batch at the first ``beta``-long gap.  The vectorized simulation
         engine drives this from its booster span kernel, one call per
-        safe-level span; ``tests/test_core_ir_booster.py`` pins it to the
-        looped per-cycle :meth:`step`.
+        safe-level span, and from its heap scheduler, one call per failure
+        (the heap applies scheduled transitions as their own events first,
+        so a lone failure always keeps the contract);
+        ``tests/test_core_ir_booster.py`` pins it to the looped per-cycle
+        :meth:`step`.
         """
         state = self._groups[group_id]
         count = len(cycles)
@@ -393,46 +365,6 @@ class IRBoosterController:
         state.level = state.safe_level
         state.safe_counter = 0
         return state.level, self.beta
-
-    def apply_failures(self, group_id: int, fail_cycles: Sequence[int],
-                       total_cycles: int) -> List[Tuple[int, int]]:
-        """Batch counterpart of per-cycle :meth:`step`: ``k`` failures plus the
-        interleaved failure-free gaps, applied in closed form.
-
-        ``fail_cycles`` are the strictly increasing cycle offsets (0-based,
-        relative to the group's current state) at which an IRFailure occurs;
-        every other cycle in ``[0, total_cycles)`` is failure-free.  Equivalent
-        to ``total_cycles`` individual ``step`` calls with ``ir_failure=True``
-        exactly at those offsets, but each gap is crossed with the closed-form
-        fast-forward instead of cycle-by-cycle iteration.
-
-        Returns the level-break list as ``(offset, level)`` pairs with the
-        :meth:`advance_nofail` convention: offset ``k`` means the level applies
-        from step ``k`` on (a failure at cycle ``c`` therefore contributes a
-        break at ``c + 1``).
-
-        This is the one-call form of the primitives the batched engine drives
-        incrementally (:meth:`advance_to_transition` / :meth:`advance_and_fail`
-        — the engine discovers each failure from the previous one's level
-        breaks, so it cannot hand over the whole run up front); the property
-        tests in ``tests/test_core_ir_booster.py`` pin all of them, and the
-        looped per-cycle :meth:`step`, to the same state machine.
-        """
-        breaks: List[Tuple[int, int]] = []
-        prev = 0
-        for cycle in fail_cycles:
-            cycle = int(cycle)
-            if cycle < prev or cycle >= total_cycles:
-                raise ValueError(
-                    "fail_cycles must be strictly increasing offsets inside "
-                    f"[0, {total_cycles}); got {cycle} after {prev - 1}")
-            transitions, level, _ = self.advance_and_fail(group_id, cycle - prev)
-            breaks.extend((prev + offset, lvl) for offset, lvl in transitions)
-            breaks.append((cycle + 1, level))
-            prev = cycle + 1
-        transitions = self.advance_nofail(group_id, total_cycles - prev)
-        breaks.extend((prev + offset, lvl) for offset, lvl in transitions)
-        return breaks
 
     def _level_down(self, level: int) -> int:
         """More conservative for the *a-level*: in the paper's convention a

@@ -25,9 +25,9 @@ Endpoints::
                               when runs finish out of order;
                               ``?wait_seq=N[&wait_timeout=S]`` long-polls
                               until more than N records exist or the job
-                              comes to rest; a wakeup reads only the lines
-                              appended since the last read, and each
-                              line's digest is checked once)
+                              comes to rest; a running job's pages come
+                              from its open store's memory, any other
+                              job's from one read-only pass)
     POST /jobs/{id}/cancel    request cancellation
     POST /jobs/{id}/resume    lift a suspended (circuit-broken) job back
                               into the queue           -> 409 not suspended
@@ -46,7 +46,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .daemon import Backpressure, ServiceUnavailable, SweepService
-from .registry import JobStateError
+from .registry import TERMINAL_STATES, JobStateError
 
 __all__ = ["ServiceAPI", "ServiceHTTPServer", "serve_forever"]
 
@@ -101,7 +101,7 @@ class ServiceAPI:
             if action == "result" and method == "GET":
                 include = query.get("records", ["1"])[0] not in ("0", "false")
                 if self.service.status(job_id)["state"] not in \
-                        ("done", "failed", "cancelled"):
+                        TERMINAL_STATES:
                     return (409, {"error": f"job {job_id} is not terminal; "
                                   "poll GET /jobs/{id} until it is"}, {})
                 return (200,

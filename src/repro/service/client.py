@@ -6,8 +6,8 @@ directly, no sockets — for :class:`ServiceClient` without changing a line.
 
 Error contract: non-2xx responses raise :class:`ServiceError` carrying the
 status code, the decoded payload, and (for 429s) the service's
-``retry_after`` hint.  :meth:`submit` can absorb backpressure itself with
-``wait_on_backpressure=True``, sleeping the hinted interval and retrying.
+``retry_after`` hint; a caller that wants to wait out backpressure sleeps
+that hint and resubmits.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from typing import Dict, List, Optional, Union
 
 from ..sweep.spec import SweepSpec
 from .api import ServiceAPI
+from .registry import TERMINAL_STATES
 
 __all__ = ["InProcessClient", "ServiceClient", "ServiceError"]
-
-_TERMINAL = ("done", "failed", "cancelled")
 
 
 class ServiceError(RuntimeError):
@@ -46,31 +45,16 @@ class _ClientCore:
         raise NotImplementedError
 
     def submit(self, spec: Union[SweepSpec, Dict],
-               job_key: Optional[str] = None,
-               wait_on_backpressure: bool = False,
-               max_wait: float = 60.0) -> Dict:
+               job_key: Optional[str] = None) -> Dict:
         """Submit a sweep; returns the job status (``created`` flags dedup).
-
-        ``wait_on_backpressure=True`` turns 429s into polite waiting: sleep
-        the service's ``retry_after`` hint and resubmit, up to ``max_wait``
-        seconds in total.
-        """
+        A full queue raises :class:`ServiceError` (429) with
+        ``retry_after``."""
         if isinstance(spec, SweepSpec):
             spec = spec.to_json_dict()
         body = {"spec": spec}
         if job_key is not None:
             body["job_key"] = job_key
-        deadline = time.monotonic() + max_wait
-        while True:
-            try:
-                return self._request("POST", "/jobs", body)
-            except ServiceError as error:
-                if not (wait_on_backpressure and error.status == 429):
-                    raise
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(min(max(error.retry_after, 0.05),
-                               max(deadline - time.monotonic(), 0.0) or 0.05))
+        return self._request("POST", "/jobs", body)
 
     def status(self, job_id: str) -> Dict:
         return self._request("GET", f"/jobs/{job_id}")
@@ -92,8 +76,8 @@ class _ClientCore:
         long-polls: the service holds the request until the store has
         *more* than ``n`` records, the job comes to rest (terminal or
         suspended — see the response's ``resting``), or ``wait_timeout``
-        seconds pass; each wakeup reads only the newly appended store lines,
-        whose digests are checked once.  Stream a live job by advancing
+        seconds pass; a running job's pages come from its open store's
+        memory, so a wakeup parses no line.  Stream a live job by advancing
         ``offset`` and ``wait_seq`` by each page's ``count`` (a page holds
         at most ``limit`` records) and stop once a page is ``resting`` with
         ``total_records`` reached.
@@ -122,7 +106,7 @@ class _ClientCore:
         deadline = time.monotonic() + timeout
         while True:
             status = self.status(job_id)
-            if status["state"] in _TERMINAL:
+            if status["state"] in TERMINAL_STATES:
                 return status
             if time.monotonic() > deadline:
                 raise TimeoutError(

@@ -80,9 +80,9 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..store import ShardedRecordStore, StoreReader
+from ..store import ShardedRecordStore, read_store
 from ..sweep import faults
-from ..sweep.records import SweepResult
+from ..sweep.records import FailedRun, RunRecord, SweepResult
 from ..sweep.runner import Executor, PoolExecutor, SerialExecutor, SweepPass, \
     SweepRunner
 from ..sweep.spec import RetryPolicy, RunSpec, SweepSpec
@@ -124,9 +124,6 @@ class _ActiveJob:
         self.cancelled = False        #: cancel observed mid-round
         self.stalled = False          #: a finalize failed on a full disk
         self.started = time.monotonic()
-        #: the records endpoint's incremental reader of this job's store
-        #: (created by the first ``records`` call; dropped with the entry).
-        self.reader = None
 
     @property
     def finished(self) -> bool:
@@ -413,7 +410,7 @@ class SweepService:
 
     def _stored_counts(self, job_id: str) -> Dict:
         """The record and failed-run counts the job's store holds."""
-        records, failed = StoreReader(self.store_path(job_id)).read()
+        records, failed = read_store(self.store_path(job_id))
         return {"records_done": len(records), "failed_runs": len(failed)}
 
     def result(self, job_id: str, include_records: bool = True) -> Dict:
@@ -427,7 +424,7 @@ class SweepService:
             raise RuntimeError(
                 f"job {job_id} is {job.state}; results exist only for "
                 f"terminal states {TERMINAL_STATES}")
-        result = self._load_job_result(job_id)
+        result = self._load_job_result(job)
         payload = result.summary_payload(include_records=include_records)
         payload.update(job.public_status())
         return payload
@@ -438,16 +435,15 @@ class SweepService:
         """A page of a job's records, straight off its record store.
 
         Unlike :meth:`result`, this works for *any* job state — a running
-        job's durable records page out while it executes (the read is
-        non-mutating, so it cannot disturb the writer) — and never
-        materializes aggregates, so it stays cheap for huge sweeps.
+        job's records page out while it executes — and never materializes
+        aggregates, so it stays cheap for huge sweeps.
 
         Records are in append order (a run sits where its first record
         landed), so ``offset`` paging stays exact while the job runs, even
-        when runs finish out of order.  An active job's pages come off one
-        shared :class:`~repro.store.StoreReader`, so each wakeup parses only
-        the lines appended since the previous read, and each line's digest
-        is checked once; a job at rest is one fresh read of its store.
+        when runs finish out of order.  An active job's pages come off its
+        open store's winner fold, which parses nothing; any other job's come
+        off one read-only pass over its store
+        (:func:`~repro.store.read_store`).
 
         Long-polling: ``wait_seq=n`` blocks (up to ``wait_timeout``
         seconds, capped at 60) until the store holds *more* than ``n``
@@ -467,14 +463,13 @@ class SweepService:
             wait_seq = max(0, int(wait_seq))
             deadline = time.monotonic() + max(0.0, min(float(wait_timeout),
                                                        60.0))
-        reader = self._records_reader(job_id)
         while True:
             with self._records_cond:
                 generation = self._records_gen
             job = self.registry.get(job_id)
             resting = (job.state in TERMINAL_STATES
                        or job.state == "suspended")
-            records, failed = reader.read()
+            records, failed = self._outcomes(job_id)
             if deadline is None or len(records) > wait_seq or resting \
                     or time.monotonic() >= deadline:
                 break
@@ -492,22 +487,27 @@ class SweepService:
             "records": [record.to_json_dict() for record in page],
         }
 
-    def _records_reader(self, job_id: str) -> StoreReader:
-        """The active job's shared reader, or a fresh one for any other."""
+    def _outcomes(self, job_id: str
+                  ) -> Tuple[List[RunRecord], List[FailedRun]]:
+        """A job's ``(records, failed)`` in append order: its open store's
+        fold while the job is active, one read-only pass over its store
+        otherwise.  A store closed since the lookup still holds its fold."""
         with self._lock:
             entry = self._active_jobs.get(job_id)
-            if entry is None:
-                return StoreReader(self.store_path(job_id))
-            if entry.reader is None:
-                entry.reader = StoreReader(self.store_path(job_id))
-            return entry.reader
+        store = entry.store if entry is not None else None
+        if store is not None:
+            return store.outcomes()
+        return read_store(self.store_path(job_id))
 
-    def _load_job_result(self, job_id: str) -> SweepResult:
-        """A job's merged result from its record store (empty before one)."""
-        store_dir = self.store_path(job_id)
-        if os.path.isdir(store_dir):
-            return SweepResult.load_resumable(store_dir)
-        return SweepResult()
+    def _load_job_result(self, job: Job) -> SweepResult:
+        """A terminal job's merged result, from one read-only pass over its
+        record store, which it leaves untouched."""
+        records, failed = read_store(self.store_path(job.job_id))
+        # The spec seeds the aggregates' bootstrap.  A job without records
+        # has nothing to aggregate, and one whose spec no longer parses
+        # failed before it opened a store.
+        spec = SweepSpec.from_json_dict(job.spec) if records else None
+        return SweepResult(spec=spec, records=records, failed_runs=failed)
 
     #: per-job record-store damage/repair counters rolled up into health.
     _STORE_DAMAGE_KEYS = ("torn_tail_dropped", "corrupt_lines_dropped",

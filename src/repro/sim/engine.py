@@ -1010,8 +1010,10 @@ class _VectorizedEngine:
                 # Advance the lazily-tracked Algorithm-2 state to this cycle,
                 # then apply the failure branch, in one closed-form call (the
                 # reference engine's ``controller.step(gid, ir_failure=True)``).
-                _, new_level, gap = self.controller.advance_and_fail(
-                    gid, cycle - self.synced[gid])
+                # The scheduled transitions up to this cycle were applied as
+                # their own events, so the gap crosses none.
+                new_level, gap = self.controller.apply_failures_at_cycles(
+                    gid, [cycle - self.synced[gid]])
                 self.synced[gid] = cycle + 1
                 if new_level != self.level[gid]:
                     self.level[gid] = new_level

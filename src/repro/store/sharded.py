@@ -57,11 +57,13 @@ Compaction (:meth:`compact`, or the audit CLI) merges the closed shards
 (never the one being appended), dropping superseded lines and keeping the
 spec line and the newest seal.
 
-Reading never mutates: :func:`scan_store` digest-verifies every line (the
-audit doctor), while :class:`StoreReader` tails a live store, parsing only
-the lines appended since its last read (the service's records endpoint).
-Both, and :meth:`ShardedRecordStore.to_result`, pick winners through one
-fold (:class:`_Outcomes`).
+Reading: one fold (:class:`_Outcomes`) picks the winners.  An open store
+keeps its fold from open to close — recovery folds each kept line, and each
+line that lands folds the object the caller appended — and serves every
+read from it, parsing nothing.  A store this process does not hold open is
+read in one read-only pass: :func:`read_store` (the service's records and
+results) and :func:`scan_store` (the audit doctor) digest-verify each line
+once, repair nothing, and start over when a compaction races them.
 """
 
 from __future__ import annotations
@@ -76,12 +78,13 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..sweep import faults
 from ..sweep.records import FailedRun, RunRecord, SweepResult
+from ..sweep.runner import RunOutcome
 from ..sweep.spec import SweepSpec
 from .lines import Backlog, LineFile, LineScan, atomic_write, fsync_dir, \
-    parse, render
+    render
 
-__all__ = ["ShardedRecordStore", "StoreError", "StoreReader",
-           "StoreScanReport", "scan_store"]
+__all__ = ["ShardedRecordStore", "StoreError", "StoreScanReport",
+           "read_store", "scan_store"]
 
 logger = logging.getLogger("repro.store")
 
@@ -130,19 +133,17 @@ def _canonical(payload: Optional[Dict]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _seal_holds(seal: Optional[Tuple[int, Dict]], last_outcome: int,
-                live_records: int, damaged_lines: int = 0) -> bool:
-    """A seal vouches for the records it counted: an outcome line after it,
-    or a count the shards no longer hold, voids it.  A scan cannot tell
-    what a damaged line held, so it may stand for a counted record."""
-    if seal is None or seal[0] <= last_outcome:
-        return False
-    return live_records <= seal[1].get("records", -1) \
-        <= live_records + damaged_lines
-
-
-def _by_grid_point(outcome: Union[RunRecord, FailedRun]) -> Tuple[int, int]:
+def _by_grid_point(outcome: RunOutcome) -> Tuple[int, int]:
     return outcome.point_index, outcome.seed_index
+
+
+def _run_id(outcome: Optional[RunOutcome]) -> str:
+    """The fault sites' tag for a line: its run id, "" for spec and seal."""
+    return "" if outcome is None else outcome.run_id
+
+
+#: A line request: its kind, its data, and the outcome object it carries.
+_Request = Tuple[str, Dict, Optional[RunOutcome]]
 
 
 class _Outcomes:
@@ -150,8 +151,8 @@ class _Outcomes:
 
     Per run id the highest ``seq`` wins, and a live record supersedes any
     failed line.  ``records`` keeps each run where its first record line
-    landed, so it iterates in append order.  The newest ``seal`` line rides
-    along for the seal check.
+    landed, so it iterates in append order.  The first ``spec`` line and
+    the newest ``seal`` line ride along for the open and the seal check.
     """
 
     def __init__(self) -> None:
@@ -159,22 +160,39 @@ class _Outcomes:
         self.failed: Dict[str, Tuple[int, FailedRun]] = {}
         self.lines = 0                #: outcome lines folded
         self.last_outcome = 0         #: the newest outcome line's seq
+        self.spec: Optional[Dict] = None
         self.seal: Optional[Tuple[int, Dict]] = None
 
     def take(self, seq: int, kind: str, data: Dict) -> None:
+        """Fold one verified shard line."""
         if kind == "record":
-            winners, parse_outcome = self.records, RunRecord.from_json_dict
+            self.land(seq, RunRecord.from_json_dict(data))
         elif kind == "failed":
-            winners, parse_outcome = self.failed, FailedRun.from_json_dict
-        else:
-            if kind == "seal" and (self.seal is None or seq > self.seal[0]):
-                self.seal = (seq, data)
-            return
+            self.land(seq, FailedRun.from_json_dict(data))
+        elif kind == "spec":
+            if self.spec is None:
+                self.spec = data
+        elif self.seal is None or seq > self.seal[0]:       # a seal line
+            self.seal = (seq, data)
+
+    def land(self, seq: int, outcome: RunOutcome) -> None:
+        """Fold one outcome whose line holds ``seq``."""
+        winners = self.records if isinstance(outcome, RunRecord) \
+            else self.failed
         self.lines += 1
         self.last_outcome = max(self.last_outcome, seq)
-        run_id = data.get("run_id")
-        if seq >= winners.get(run_id, (-1, None))[0]:
-            winners[run_id] = (seq, parse_outcome(data))
+        if seq >= winners.get(outcome.run_id, (-1, None))[0]:
+            winners[outcome.run_id] = (seq, outcome)
+
+    def sealed(self, damaged_lines: int = 0) -> bool:
+        """A seal vouches for the records it counted: an outcome line after
+        it, or a count the shards no longer hold, voids it.  A scan cannot
+        tell what a damaged line held, so it may stand for a counted
+        record."""
+        if self.seal is None or self.seal[0] <= self.last_outcome:
+            return False
+        live = len(self.records)
+        return live <= self.seal[1].get("records", -1) <= live + damaged_lines
 
     def live(self) -> Tuple[List[RunRecord], List[FailedRun]]:
         """The winning records, and the failed runs no record superseded."""
@@ -192,11 +210,13 @@ class ShardedRecordStore:
     from the spec's ``master_seed``.  ``records_per_shard`` bounds a shard's
     outcome lines before the writer rolls to a new one.
 
-    Thread-safe: appends, flushes and compaction serialize on one lock.
-    Opening is the recovery path — a store directory that went through a
-    ``kill -9``, a torn write, a flipped byte or a lost shard comes back
-    usable (with the damage counted in :meth:`stats` and quarantined files
-    left for post-mortem).
+    Thread-safe: appends, flushes, compaction and reads serialize on one
+    lock.  Opening is the recovery path — a store directory that went
+    through a ``kill -9``, a torn write, a flipped byte or a lost shard
+    comes back usable (with the damage counted in :meth:`stats` and
+    quarantined files left for post-mortem).  The store's one in-memory
+    view is its winner fold: recovery fills it, every line that lands
+    updates it, and every read is served from it.
     """
 
     def __init__(self, directory: str,
@@ -208,16 +228,14 @@ class ShardedRecordStore:
         self.shards_dir = os.path.join(self.directory, "shards")
         self.records_per_shard = records_per_shard
         self._lock = threading.RLock()
-        self._sealed = False
         self._seq = 0
         self._shards: Set[str] = set()         # shard file names
         self._current: Optional[str] = None    # current shard file name
         self._file: Optional[LineFile] = None  # its append handle
         self._current_lines = 0                # its outcome lines
         self._current_has_spec = False
-        self._record_seq: Dict[str, int] = {}  # run_id -> winning record seq
-        self._failed_seq: Dict[str, int] = {}  # run_id -> winning failed seq
-        #: (kind, data, run_id) line requests a full disk deferred.
+        self._outcomes = _Outcomes()           # every line that landed
+        #: (kind, data, outcome) line requests a full disk deferred.
         self._backlog = Backlog(self._write_entry,
                                 f"record store {self.directory}")
         #: directories the next flush fsyncs: ``shards/`` for the shard this
@@ -239,27 +257,16 @@ class ShardedRecordStore:
     # ------------------------------------------------------------------ #
     def _recover(self, given_spec: Optional[Dict]) -> None:
         shard_names = _shard_names(self.shards_dir)
-        stored_spec: Optional[Dict] = None
-        seal: Optional[Tuple[int, Dict]] = None     # the newest seal line
-        last_outcome = lines = 0
-        has_spec = False
+        lines, has_spec = 0, False               # the last shard's
         for name in shard_names:
             lines, has_spec = 0, False
             for seq, kind, data in self._recover_shard(name):
                 self._seq = max(self._seq, seq)
-                if kind == "spec":
-                    has_spec = True
-                    if stored_spec is None:
-                        stored_spec = data
-                elif kind == "seal":
-                    if seal is None or seq > seal[0]:
-                        seal = (seq, data)
-                else:
-                    lines += 1
-                    last_outcome = max(last_outcome, seq)
-                    self._register(seq, kind, data)
+                self._outcomes.take(seq, kind, data)
+                lines += kind in _OUTCOME_KINDS
+                has_spec = has_spec or kind == "spec"
         self._shards = set(shard_names)
-        self._sealed = _seal_holds(seal, last_outcome, len(self._record_seq))
+        stored_spec = self._outcomes.spec
         if given_spec is not None and stored_spec is not None \
                 and _canonical(given_spec) != _canonical(stored_spec):
             raise StoreError(
@@ -289,14 +296,6 @@ class ShardedRecordStore:
             self._counters["shards_quarantined"] += 1
             self._counters["corrupt_lines_dropped"] += scan.dropped
         return scan.entries
-
-    def _register(self, seq: int, kind: str, data: Dict) -> None:
-        run_id = data.get("run_id")
-        if run_id is None:
-            return
-        winners = self._record_seq if kind == "record" else self._failed_seq
-        if seq >= winners.get(run_id, -1):
-            winners[run_id] = seq
 
     # ------------------------------------------------------------------ #
     # shard bookkeeping
@@ -343,52 +342,58 @@ class ShardedRecordStore:
     # ------------------------------------------------------------------ #
     def append(self, record: RunRecord) -> None:
         """Add one completed record (acknowledged at the next flush)."""
-        self._append_line("record", record.to_json_dict(), record.run_id)
+        self._append_line("record", record.to_json_dict(), record)
         self._counters["appended_records"] += 1
 
     def append_failed(self, failed: FailedRun) -> None:
         """Add one quarantined run (same durability contract as records)."""
-        self._append_line("failed", failed.to_json_dict(), failed.run_id)
+        self._append_line("failed", failed.to_json_dict(), failed)
         self._counters["appended_failed"] += 1
 
-    def _append_line(self, kind: str, data: Dict, run_id: str = "") -> None:
+    def _append_line(self, kind: str, data: Dict,
+                     outcome: Optional[RunOutcome] = None) -> None:
         with self._lock:
-            if self._sealed and kind in _OUTCOME_KINDS:
+            if outcome is not None and self._outcomes.sealed():
                 raise StoreError(
                     f"store {self.directory!r} is sealed; the sweep is "
                     "complete and rejects new outcomes")
             # Kill-before-write site: the record was never acknowledged, so
             # losing it entirely is within contract.
-            faults.service_fault(f"recordstore:append:{run_id}")
-            self._drain((kind, data, run_id))
+            faults.service_fault(f"recordstore:append:{_run_id(outcome)}")
+            self._drain((kind, data, outcome))
 
-    def _drain(self, *requests: Tuple[str, Dict, str]) -> None:
+    def _drain(self, *requests: _Request) -> None:
         """Write ``requests`` behind the ENOSPC backlog, counting a refusal."""
         if not self._backlog.drain(*requests):
             self._counters["disk_full_errors"] += 1
 
-    def _write_entry(self, request: Tuple[str, Dict, str]) -> None:
+    def _write_entry(self, request: _Request) -> None:
         """One line request, after the pinned spec when the shard lacks it."""
-        kind, data, run_id = request
+        kind, data, outcome = request
         if kind != "spec" and not self._current_has_spec \
                 and self._pinned_spec is not None:
-            self._write_line("spec", self._pinned_spec, "")
-        seq = self._write_line(kind, data, run_id)
-        if kind in _OUTCOME_KINDS:
-            self._register(seq, kind, data)
+            self._write_line("spec", self._pinned_spec)
+        self._write_line(kind, data, outcome)
+        if outcome is not None:
             self._current_lines += 1
             if self._current_lines >= self.records_per_shard:
                 self._roll()
 
-    def _write_line(self, kind: str, data: Dict, run_id: str) -> int:
-        """One shard line under the next ``seq``, which it returns."""
+    def _write_line(self, kind: str, data: Dict,
+                    outcome: Optional[RunOutcome] = None) -> None:
+        """One shard line under the next ``seq``, folded in once it landed:
+        an outcome line folds the caller's object, so nothing is parsed."""
         seq = self._seq + 1
+        run_id = _run_id(outcome)
         self._file.write(_render_line(seq, kind, data), f"shard:{run_id}",
                          f"{kind}:{run_id}")
         self._seq = seq
+        if outcome is None:
+            self._outcomes.take(seq, kind, data)
+        else:
+            self._outcomes.land(seq, outcome)
         if kind == "spec":
             self._current_has_spec = True
-        return seq
 
     def disk_degraded(self) -> bool:
         """True while ENOSPC-deferred lines are waiting for disk space."""
@@ -434,18 +439,19 @@ class ShardedRecordStore:
         """
         with self._lock:
             self._drain()
-            if not (self._sealed or self._backlog):
-                self._append_line("seal", {"records": len(self._record_seq)})
+            if not (self._outcomes.sealed() or self._backlog):
+                self._append_line("seal",
+                                  {"records": len(self._outcomes.records)})
             if self._backlog:
                 raise StoreError(
                     f"store {self.directory!r} cannot seal: {len(self._backlog)}"
                     " line(s) are still deferred by a full disk")
             self._sync()
-            self._sealed = True
 
     @property
     def sealed(self) -> bool:
-        return self._sealed
+        with self._lock:
+            return self._outcomes.sealed()
 
     def close(self) -> None:
         """Release file handles; the store can be reopened later."""
@@ -459,31 +465,39 @@ class ShardedRecordStore:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def _collect(self) -> _Outcomes:
-        """One read of the shards, folded into the winners."""
-        return _fold_shards(self.shards_dir)
+    def _collect(self) -> Tuple[List[RunRecord], List[FailedRun]]:
+        """The fold's winners: live records and the failed runs no record
+        superseded, in append order.  Reads no shard."""
+        with self._lock:
+            return self._outcomes.live()
+
+    def outcomes(self) -> Tuple[List[RunRecord], List[FailedRun]]:
+        """``(records, failed)`` in append order: a run sits where its
+        first record line landed and carries its newest line, so offset
+        paging over a growing store stays exact.  Parses nothing."""
+        return self._collect()
 
     def iter_records(self) -> Iterator[RunRecord]:
         """All live records, deduplicated, in ``(point_index, seed_index)``
         order.  A record supersedes any failed entry with the same run id."""
-        records, _ = self._collect().live()
+        records, _ = self._collect()
         yield from sorted(records, key=_by_grid_point)
 
     def iter_failed(self) -> Iterator[FailedRun]:
         """Quarantined runs that no later record superseded."""
-        _, failed = self._collect().live()
+        _, failed = self._collect()
         yield from sorted(failed, key=_by_grid_point)
 
     def run_ids(self) -> Set[str]:
         """Run ids with a live *record* (failed-only ids excluded — their
         runs are still owed)."""
         with self._lock:
-            return set(self._record_seq)
+            return set(self._outcomes.records)
 
     def to_result(self, spec: Optional[SweepSpec] = None) -> SweepResult:
-        """Materialize the store as a :class:`SweepResult` (for aggregation)
-        from one read of the shards."""
-        records, failed = self._collect().live()
+        """Materialize the store as a :class:`SweepResult` (for
+        aggregation)."""
+        records, failed = self._collect()
         return SweepResult(spec=spec if spec is not None else self.spec,
                            records=sorted(records, key=_by_grid_point),
                            failed_runs=sorted(failed, key=_by_grid_point))
@@ -499,10 +513,12 @@ class ShardedRecordStore:
                                                          name))
                 except OSError:
                     pass
-            live_failed = sum(1 for run_id in self._failed_seq
-                              if run_id not in self._record_seq)
-            stats = {"kind": "sharded", "records": len(self._record_seq),
-                     "failed": live_failed, "sealed": self._sealed,
+            records = self._outcomes.records
+            live_failed = sum(1 for run_id in self._outcomes.failed
+                              if run_id not in records)
+            stats = {"kind": "sharded", "records": len(records),
+                     "failed": live_failed,
+                     "sealed": self._outcomes.sealed(),
                      "shards": len(self._shards), "size_bytes": size,
                      "backlog": len(self._backlog)}
             stats.update(self._counters)
@@ -529,6 +545,7 @@ class ShardedRecordStore:
             survivors: List[Tuple[int, str, Dict]] = []
             spec_line = seal_line = None
             total = 0
+            records, failed = self._outcomes.records, self._outcomes.failed
             for name in closed:
                 path = os.path.join(self.shards_dir, name)
                 try:
@@ -544,12 +561,10 @@ class ShardedRecordStore:
                     elif kind == "seal":
                         if seal_line is None or seq > seal_line[0]:
                             seal_line = entry
-                    elif kind == "record":
-                        if self._record_seq.get(run_id) == seq:
+                    elif kind == "record" or run_id not in records:
+                        winners = records if kind == "record" else failed
+                        if winners.get(run_id, (None,))[0] == seq:
                             survivors.append(entry)
-                    elif run_id not in self._record_seq \
-                            and self._failed_seq.get(run_id) == seq:
-                        survivors.append(entry)
             if seal_line is not None:
                 survivors.append(seal_line)
             survivors.sort(key=lambda entry: entry[0])
@@ -585,7 +600,7 @@ class ShardedRecordStore:
 
 
 # ---------------------------------------------------------------------- #
-# read-only scanning (audit CLI) and incremental reading (service paging)
+# the read-only pass (audit CLI, service records and results)
 # ---------------------------------------------------------------------- #
 @dataclass
 class StoreScanReport:
@@ -678,8 +693,7 @@ def scan_store(directory: str) -> StoreScanReport:
         pass
     outcomes = _fold_shards(shards_dir, report)
     records, failed = outcomes.live()
-    report.sealed = _seal_holds(
-        outcomes.seal, outcomes.last_outcome, len(records),
+    report.sealed = outcomes.sealed(
         sum(shard["bad_lines"] for shard in report.shards))
     report.records = sorted(records, key=_by_grid_point)
     report.failed = sorted(failed, key=_by_grid_point)
@@ -687,80 +701,14 @@ def scan_store(directory: str) -> StoreScanReport:
     return report
 
 
-class StoreReader:
-    """An incremental, non-mutating reader of a (possibly live) store.
+def read_store(directory: str) -> Tuple[List[RunRecord], List[FailedRun]]:
+    """One read-only pass over a store this process does not hold open.
 
-    Where :func:`scan_store` re-reads and re-digests every line on each
-    call, a reader remembers a byte offset per shard and each :meth:`read`
-    parses only the *complete* lines (up to the last newline) appended
-    since the previous one — so tailing a live store costs O(new lines) per
-    read, not O(store).  Each line goes through the same digest check as
-    :func:`scan_store`, once, when the reader first reaches it; a complete
-    line with a bad digest is skipped, and a torn final line is not served
-    until its newline lands.  Later on-disk damage is caught by recovery on
-    the store's next writable open and by the audit doctor, not here.
-
-    Records come back in **append order**: a run sits at the position of
-    its first ``record`` line and carries its winning (highest-``seq``)
-    line, with a ``record`` superseding any ``failed`` line — the one
-    winner fold :func:`scan_store` uses too.  Paging by offset over that
-    order stays exact while the store grows, whatever order runs finish in.
-
-    When a shard it has read disappears, shrinks or is replaced (compaction
-    and quarantine rewrite shards), the reader drops its state and re-reads
-    from byte 0.  Thread-safe: one lock serializes reads.
+    Returns ``(records, failed)`` in append order, as
+    :meth:`ShardedRecordStore.outcomes` does.  Each line is digest-verified
+    once; a damaged line (a torn tail included) is skipped, not repaired,
+    so the directory is left byte-identical.  A store with no shards reads
+    empty.
     """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = os.path.abspath(os.fspath(directory))
-        self.shards_dir = os.path.join(self.directory, "shards")
-        self._lock = threading.Lock()
-        #: complete shard lines parsed (and digest-checked) so far.
-        self.parsed_lines = 0
-        self._reset()
-
-    def _reset(self) -> None:
-        self._offsets: Dict[str, Tuple[int, int]] = {}   # name -> (inode, end)
-        self._outcomes = _Outcomes()
-
-    def read(self) -> Tuple[List[RunRecord], List[FailedRun]]:
-        """``(records, failed)`` as of now, after reading the new lines."""
-        with self._lock:
-            if not self._advance():
-                self._reset()
-                self._advance()
-            return self._outcomes.live()
-
-    def _advance(self) -> bool:
-        """Consume the complete lines past each offset; False when a shard
-        already read has vanished, shrunk or been replaced."""
-        names = _shard_names(self.shards_dir)
-        if not set(self._offsets) <= set(names):
-            return False
-        for name in names:
-            inode, offset = self._offsets.get(name, (None, 0))
-            try:
-                with open(os.path.join(self.shards_dir, name), "rb") as handle:
-                    status = os.fstat(handle.fileno())
-                    if inode is not None and (status.st_ino != inode
-                                              or status.st_size < offset):
-                        return False
-                    if status.st_size == offset:
-                        continue
-                    handle.seek(offset)
-                    chunk = handle.read()
-            except FileNotFoundError:         # compacted away mid-read
-                if inode is not None:
-                    return False
-                continue
-            end = chunk.rfind(b"\n") + 1
-            start = 0
-            while start < end:
-                stop = chunk.index(b"\n", start) + 1
-                self.parsed_lines += 1
-                entry, _ = parse(chunk[start:stop], _entry)
-                if entry is not None:
-                    self._outcomes.take(*entry)
-                start = stop
-            self._offsets[name] = (status.st_ino, offset + end)
-        return True
+    shards_dir = os.path.join(os.path.abspath(os.fspath(directory)), "shards")
+    return _fold_shards(shards_dir).live()

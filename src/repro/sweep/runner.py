@@ -861,12 +861,14 @@ class SweepRunner:
         budget, so runs exhausted under an old policy get their new
         chances).
 
-        Streaming hooks (the service layer's attachment points):
-        ``progress`` is called with a :class:`SweepProgress` snapshot after
-        every consumed outcome — *after* any checkpoint flush it
-        triggered, so a callback observing ``checkpointed=True`` can rely on
-        the records being durable.  ``should_stop`` is polled after each
-        outcome; returning True drains the sweep cleanly — the executor
+        Streaming hooks, for a library caller that watches or stops a
+        sweep (the service daemon drives a :class:`SweepPass` directly and
+        sets its ``progress``): ``progress`` is called with a
+        :class:`SweepProgress` snapshot after every consumed outcome —
+        *after* any checkpoint flush it triggered, so a callback observing
+        ``checkpointed=True`` can rely on the records being durable.
+        ``should_stop`` is polled after each outcome; returning True drains
+        the sweep cleanly — the executor
         stream is closed (its fleet torn down), everything completed so far
         is persisted, and the partial result returns.  Resuming it later
         completes the sweep bit-identically.

@@ -165,15 +165,31 @@ class TestBatchedControllerOps:
                 state.safe_counter, state.failures, state.level_ups,
                 state.level_downs)
 
+    @staticmethod
+    def fail_after(controller, gap):
+        """``gap`` failure-free cycles, then one failure, the way the heap
+        scheduler applies them: each scheduled transition inside the gap as
+        its own event, then the failure as a one-failure run.  Returns the
+        gap's level breaks (``advance_nofail``'s convention), the level after
+        the failure and the gap to the next transition."""
+        done, transitions = 0, []
+        while controller.cycles_to_next_transition(0) <= gap - done:
+            steps, level, _ = controller.advance_to_transition(0)
+            done += steps
+            transitions.append((done, level))
+        level, next_gap = controller.apply_failures_at_cycles(0, [gap - done])
+        return transitions, level, next_gap
+
     @pytest.mark.parametrize("gap", [0, 1, 3, 8, 9, 17, 19, 40])
     def test_advance_and_fail_matches_stepwise(self, table, gap):
         fast, slow = self.make_pair(table)
-        # Shift phase with a couple of failures first, then compare the fused
-        # call against advance + step at several gap lengths.
+        # Shift phase with a couple of failures first, then compare the
+        # heap scheduler's update against advance + step at several gap
+        # lengths, those that cross scheduled transitions included.
         for controller in (fast, slow):
             controller.step(0, ir_failure=True)
         for _ in range(3):
-            transitions, level, next_gap = fast.advance_and_fail(0, gap)
+            transitions, level, next_gap = self.fail_after(fast, gap)
             observed = []
             for _ in range(gap):
                 slow.step(0, ir_failure=False)
@@ -202,8 +218,10 @@ class TestBatchedControllerOps:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5])
     def test_apply_failures_matches_looped_step(self, table, seed):
-        """Property test: random failure offsets over a horizon — the batch
-        call reproduces the looped reference state and per-cycle levels."""
+        """Property test: random failure offsets over a horizon, applied as
+        ``advance_nofail`` across each failure-free gap (and the tail) and
+        a one-failure ``apply_failures_at_cycles`` per failure — the final
+        state and the per-cycle levels reproduce the looped reference."""
         import numpy as np
         rng = np.random.default_rng(seed)
         total = 400
@@ -212,7 +230,14 @@ class TestBatchedControllerOps:
 
         batch, looped = self.make_pair(table, beta=int(rng.integers(3, 30)))
         initial_level = batch.state(0).level
-        breaks = batch.apply_failures(0, offsets, total)
+        breaks, prev = [], 0
+        for cycle in offsets + [total]:
+            breaks.extend((prev + offset, lvl) for offset, lvl
+                          in batch.advance_nofail(0, cycle - prev))
+            if cycle < total:
+                level, _ = batch.apply_failures_at_cycles(0, [0])
+                breaks.append((cycle + 1, level))
+            prev = cycle + 1
 
         fails = set(offsets)
         stepwise = []
@@ -232,20 +257,6 @@ class TestBatchedControllerOps:
                 level = by_offset[cycle]
             reconstructed.append(level)
         assert reconstructed == stepwise
-
-    def test_apply_failures_rejects_bad_offsets(self, table):
-        controller, _ = self.make_pair(table)
-        with pytest.raises(ValueError):
-            controller.apply_failures(0, [5, 5], 100)    # not strictly increasing
-        with pytest.raises(ValueError):
-            controller.apply_failures(0, [100], 100)     # outside the horizon
-
-    def test_apply_failures_without_failures_is_advance_nofail(self, table):
-        fast, slow = self.make_pair(table, beta=5)
-        breaks = fast.apply_failures(0, [], 60)
-        transitions = slow.advance_nofail(0, 60)
-        assert breaks == transitions
-        assert self.snapshot(fast) == self.snapshot(slow)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5, 11])
     def test_apply_failures_at_cycles_matches_looped_step(self, table, seed):

@@ -1333,7 +1333,7 @@ class TestLongPollRecords:
         """The job's last record and ``done`` landing right after a page's
         read must not yield a resting page that is missing that record."""
         from repro.service import daemon
-        from repro.store import StoreReader
+        from repro.store import ShardedRecordStore
 
         release = threading.Event()
         armed = threading.Event()
@@ -1350,17 +1350,18 @@ class TestLongPollRecords:
         service = SweepService(str(tmp_path),
                                executor=HoldLastExecutor()).start()
 
-        class LateReader(StoreReader):
-            """Lets the last run and ``done`` land right after one read."""
+        class LateStore(ShardedRecordStore):
+            """Lets the last run and ``done`` land right after one read of
+            the active job's fold."""
 
-            def read(self):
-                view = super().read()
+            def outcomes(self):
+                view = super().outcomes()
                 if armed.is_set() and not release.is_set():
                     release.set()
                     service.wait_for(job_id, timeout=30)
                 return view
 
-        monkeypatch.setattr(daemon, "StoreReader", LateReader)
+        monkeypatch.setattr(daemon, "ShardedRecordStore", LateStore)
         try:
             client = InProcessClient(ServiceAPI(service))
             job_id = client.submit(spec, job_key="stale")["job_id"]

@@ -39,8 +39,8 @@ from repro.service import JobJournal
 from repro.store import (
     ShardedRecordStore,
     StoreError,
-    StoreReader,
     audit_store,
+    read_store,
     scan_store,
 )
 from repro.store.audit import main as audit_main
@@ -112,6 +112,19 @@ def disarmed():
 @pytest.fixture(scope="module")
 def baseline():
     return SweepRunner(tiny_spec(), SerialExecutor()).run()
+
+
+def _count_parses(monkeypatch):
+    """The raw lines :func:`repro.store.lines.parse` digests from now on."""
+    from repro.store import lines
+    real_parse, parsed = lines.parse, []
+
+    def counting_parse(raw, decode):
+        parsed.append(raw)
+        return real_parse(raw, decode)
+
+    monkeypatch.setattr(lines, "parse", counting_parse)
+    return parsed
 
 
 # --------------------------------------------------------------------- #
@@ -239,36 +252,48 @@ class TestShardedMechanics:
     def test_load_resumable_reads_each_line_once_after_recovery(
             self, tmp_path, baseline, monkeypatch):
         """Opening digests every line once (recovery), and materializing the
-        result reads the shards once more: records and failed runs come from
-        one fold, not one scan each."""
-        from repro.store import lines
+        result reads the open store's fold, not the shards."""
         directory = str(tmp_path / "store")
         SweepRunner(tiny_spec(), SerialExecutor()).run(store=directory)
         stored_lines = sum(shard["lines"]
                            for shard in scan_store(directory).shards)
-        real_parse, parsed = lines.parse, []
-
-        def counting_parse(raw, decode):
-            parsed.append(raw)
-            return real_parse(raw, decode)
-
-        monkeypatch.setattr(lines, "parse", counting_parse)
+        parsed = _count_parses(monkeypatch)
         result = SweepResult.load_resumable(directory)
         assert records_as_dicts(result) == records_as_dicts(baseline)
-        assert len(parsed) == 2 * stored_lines
+        assert len(parsed) == stored_lines
+
+    def test_resumed_sweep_reads_each_stored_line_once(
+            self, tmp_path, baseline, monkeypatch):
+        """A resume's open folds every stored line once, and its resume set
+        comes off that fold, not a second read of the shards."""
+        directory = str(tmp_path / "store")
+        runs = tiny_spec().expand()
+        store = ShardedRecordStore(directory, spec=tiny_spec())
+        for record in baseline.sorted_records()[:2]:
+            store.append(record)
+        store.append_failed(FailedRun.from_run(runs[2], "boom", attempts=3))
+        store.flush()
+        store.close()
+        stored_lines = sum(shard["lines"]
+                           for shard in scan_store(directory).shards)
+        parsed = _count_parses(monkeypatch)
+        resumed = SweepRunner(tiny_spec(), SerialExecutor()).run(
+            store=directory)
+        assert records_as_dicts(resumed) == records_as_dicts(baseline)
+        assert len(parsed) == stored_lines == 4   # the spec line too
 
     def test_a_read_racing_a_compaction_misses_nothing(self, tmp_path,
                                                        monkeypatch):
-        """A compaction that absorbs shards between two shard reads of
-        ``to_result`` or ``scan_store`` makes them read again, instead of
-        skipping the absorbed shards' records or raising."""
+        """A compaction that absorbs shards between two shard reads of the
+        read-only pass (``read_store`` or ``scan_store``) makes it read
+        again, instead of skipping the absorbed shards' records or
+        raising."""
         from repro.store import sharded
         directory = str(tmp_path / "store")
         writer = ShardedRecordStore(directory, records_per_shard=2)
         for seed in range(7):
             writer.append(make_record(0, seed))
         writer.flush()
-        reader = ShardedRecordStore(directory, records_per_shard=2)
         real_scan, scans = sharded.LineScan, []
 
         def scan_then_compact(*args):
@@ -278,7 +303,8 @@ class TestShardedMechanics:
             return scans[-1]
 
         monkeypatch.setattr(sharded, "LineScan", scan_then_compact)
-        assert len(reader.to_result().records) == 7
+        records, _ = read_store(directory)
+        assert len(records) == 7
         assert writer.stats()["compactions"] == 1
         scans.clear()
         writer.append(make_record(0, 7))          # rolls a new closed shard
@@ -286,9 +312,8 @@ class TestShardedMechanics:
         report = scan_store(directory)
         assert writer.stats()["compactions"] == 2
         assert report.clean and len(report.records) == 9
-        assert len(report.shards) == len(os.listdir(reader.shards_dir))
+        assert len(report.shards) == len(os.listdir(writer.shards_dir))
         writer.close()
-        reader.close()
 
     def test_records_roundtrip_byte_identical(self, tmp_path):
         """Stored records re-serialize to the same bytes they went in as —
@@ -449,12 +474,10 @@ class TestSpecAndSealLines:
         spec = tiny_spec()
         SweepRunner(spec, SerialExecutor()).run(store=directory)
         expected = json.dumps(records_as_dicts(baseline))
-        reader = StoreReader(directory)
-        records, failed = reader.read()
+        records, failed = read_store(directory)
         assert json.dumps(records_as_dicts(SweepResult(
             records=records))) == expected
         assert failed == []
-        assert reader.parsed_lines == spec.n_runs + 2
         store = ShardedRecordStore(directory)
         try:
             assert json.dumps(records_as_dicts(
@@ -560,6 +583,30 @@ class TestSealedStoreLosses:
         assert not any(shard["bad_lines"]
                        for shard in scan_store(directory).shards)
         self.assert_resume_reruns_the_loss(directory, baseline)
+
+    def test_outcome_line_after_the_seal_voids_it(self, tmp_path):
+        """An outcome line after the seal voids it even while the live
+        record count still matches the seal's: here, a counted run's
+        rerun."""
+        directory = str(tmp_path / "store")
+        store = ShardedRecordStore(directory)
+        for seed in range(2):
+            store.append(make_record(0, seed))
+        store.seal()
+        store.close()
+        assert scan_store(directory).sealed
+        shard = _single_shard(directory)
+        with open(shard, "rb") as handle:
+            seq = len(handle.readlines()) + 1
+        with open(shard, "ab") as handle:
+            handle.write(_render_line(seq, "record",
+                                      make_record(0, 0).to_json_dict()))
+        assert not scan_store(directory).sealed
+        store = ShardedRecordStore(directory)
+        try:
+            assert not store.sealed and len(store.run_ids()) == 2
+        finally:
+            store.close()
 
 
 class TestPreChangeStore:
@@ -1186,7 +1233,7 @@ class TestLineLogs:
 
 
 # --------------------------------------------------------------------- #
-# incremental reader (the service's records endpoint)
+# reading a store: the open store's fold and the read-only pass
 # --------------------------------------------------------------------- #
 def _as_set(items):
     return {json.dumps(item.to_json_dict(), sort_keys=True) for item in items}
@@ -1198,12 +1245,19 @@ def _shard_lines(directory: str) -> int:
 
 
 class TestStoreReader:
-    """``StoreReader`` serves the same winners as ``scan_store`` while it
-    parses each shard line once, in append order."""
+    """An open store serves its reads from its own winner fold, and a store
+    no process holds open is read by one read-only pass (``read_store``).
+    Both serve ``scan_store``'s winners, in append order."""
 
     @staticmethod
-    def assert_matches_scan(reader: StoreReader, directory: str):
-        records, failed = reader.read()
+    def assert_matches_scan(directory: str, store=None):
+        """The fold's view (of ``store``, when given) or the read-only
+        pass's, checked against ``scan_store``."""
+        if store is None:
+            records, failed = read_store(directory)
+        else:
+            records, failed = store.outcomes()
+            assert (records, failed) == read_store(directory)
         report = scan_store(directory)
         assert _as_set(records) == _as_set(report.records)
         assert _as_set(failed) == _as_set(report.failed)
@@ -1212,28 +1266,28 @@ class TestStoreReader:
     def test_superseded_duplicate_record(self, tmp_path):
         directory = str(tmp_path / "store")
         store = ShardedRecordStore(directory)
-        reader = StoreReader(directory)
         store.append(make_record(0, 0))
         store.append(make_record(0, 1))
-        self.assert_matches_scan(reader, directory)
+        self.assert_matches_scan(directory, store)
         store.append(make_record(0, 0, effective_tops=-1.0))
-        records, _ = self.assert_matches_scan(reader, directory)
+        records, _ = self.assert_matches_scan(directory, store)
         # The rerun keeps its first position and carries the newest line.
         assert [r.seed_index for r in records] == [0, 1]
         assert records[0].metrics["effective_tops"] == -1.0
-        assert reader.parsed_lines == 3
         store.close()
+        reopened = ShardedRecordStore(directory)    # recovery's fold agrees
+        assert self.assert_matches_scan(directory, reopened)[0] == records
+        reopened.close()
 
     def test_failed_line_superseded_by_record(self, tmp_path):
         directory = str(tmp_path / "store")
         store = ShardedRecordStore(directory)
-        reader = StoreReader(directory)
         store.append_failed(make_failed(0, 0))
         store.append(make_record(0, 1))
-        records, failed = self.assert_matches_scan(reader, directory)
+        records, failed = self.assert_matches_scan(directory, store)
         assert len(records) == 1 and len(failed) == 1
         store.append(make_record(0, 0))
-        records, failed = self.assert_matches_scan(reader, directory)
+        records, failed = self.assert_matches_scan(directory, store)
         # A run sits at its first *record* line, not its failed one.
         assert [r.seed_index for r in records] == [1, 0]
         assert failed == []
@@ -1247,14 +1301,14 @@ class TestStoreReader:
             raw = handle.read()
             torn = len(raw) - 9
             handle.truncate(torn)
-        reader = StoreReader(directory)
-        records, _ = self.assert_matches_scan(reader, directory)
+        before = _snapshot(directory)
+        records, _ = self.assert_matches_scan(directory)
         assert len(records) == 2
+        assert _snapshot(directory) == before  # nothing repaired
         with open(shard, "ab") as handle:      # the write completes
             handle.write(raw[torn:])
-        records, _ = self.assert_matches_scan(reader, directory)
+        records, _ = self.assert_matches_scan(directory)
         assert len(records) == 3
-        assert reader.parsed_lines == 3        # the torn tail parsed once
 
     def test_complete_line_with_bad_digest_is_skipped(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -1265,38 +1319,18 @@ class TestStoreReader:
         lines[1] = lines[1].replace(b'"seed":', b'"seed":1', 1)
         with open(shard, "wb") as handle:
             handle.write(b"".join(lines))
-        reader = StoreReader(directory)
-        records, _ = self.assert_matches_scan(reader, directory)
+        before = _snapshot(directory)
+        records, _ = self.assert_matches_scan(directory)
         assert [r.seed_index for r in records] == [0, 2]
-        assert reader.parsed_lines == 3
+        assert _snapshot(directory) == before
 
     def test_shard_roll(self, tmp_path):
         directory = str(tmp_path / "store")
         store = ShardedRecordStore(directory, records_per_shard=2)
-        reader = StoreReader(directory)
         for seed in range(5):
             store.append(make_record(0, seed))
-            self.assert_matches_scan(reader, directory)
+            self.assert_matches_scan(directory, store)
         assert store.stats()["shards"] >= 3
-        assert reader.parsed_lines == 5
-        store.close()
-
-    def test_compaction_between_reads_rereads_from_zero(self, tmp_path):
-        directory = str(tmp_path / "store")
-        store = ShardedRecordStore(directory, records_per_shard=2)
-        store.append_failed(make_failed(0, 0))
-        for _ in range(3):
-            store.append(make_record(0, 0))
-        store.append(make_record(0, 1))
-        store.flush()
-        reader = StoreReader(directory)
-        before, _ = self.assert_matches_scan(reader, directory)
-        parsed = reader.parsed_lines
-        assert store.compact() > 0
-        after, _ = self.assert_matches_scan(reader, directory)
-        assert _as_set(after) == _as_set(before)
-        # Every surviving line was parsed again, from byte 0.
-        assert reader.parsed_lines == parsed + _shard_lines(directory)
         store.close()
 
     def test_out_of_order_appends_page_exactly_once(self, tmp_path):
@@ -1304,34 +1338,41 @@ class TestStoreReader:
         even when runs land out of their (point, seed) order."""
         directory = str(tmp_path / "store")
         store = ShardedRecordStore(directory)
-        reader = StoreReader(directory)
-        seen = []
+        seen, read = [], []
         for point, seed in [(1, 1), (0, 1), (1, 0), (0, 0)]:
             store.append(make_record(point, seed))
-            records, _ = reader.read()
+            records, _ = store.outcomes()
             seen.extend(records[len(seen):len(seen) + 2])
+            records, _ = read_store(directory)
+            read.extend(records[len(read):len(read) + 2])
         store.close()
-        assert [(r.point_index, r.seed_index) for r in seen] == \
-            [(1, 1), (0, 1), (1, 0), (0, 0)]
+        expected = [(1, 1), (0, 1), (1, 0), (0, 0)]
+        assert [(r.point_index, r.seed_index) for r in seen] == expected
+        assert [(r.point_index, r.seed_index) for r in read] == expected
 
     def test_concurrent_readers_share_one_reader_safely(self, tmp_path):
-        """Threads (more than cores) reading one reader while a writer
-        appends: every line is parsed once and every view is a prefix of
-        the final append order."""
+        """Threads (more than cores) reading one store while it appends —
+        through its fold and through the read-only pass — never raise, and
+        every view is a prefix of the final append order."""
         directory = str(tmp_path / "store")
         store = ShardedRecordStore(directory, records_per_shard=16)
-        reader = StoreReader(directory)
         done = threading.Event()
         views = [[] for _ in range(6)]
+        errors = []
 
-        def poll(seen):
-            while not done.is_set():
-                view = [r.run_id for r in reader.read()[0]]
-                if not seen or view != seen[-1]:
-                    seen.append(view)
+        def poll(seen, read):
+            try:
+                while not done.is_set():
+                    view = [r.run_id for r in read()[0]]
+                    if not seen or view != seen[-1]:
+                        seen.append(view)
+            except Exception as error:       # pragma: no cover - the failure
+                errors.append(error)
 
-        threads = [threading.Thread(target=poll, args=(seen,))
-                   for seen in views]
+        readers = [store.outcomes, lambda: read_store(directory)]
+        threads = [threading.Thread(target=poll,
+                                    args=(seen, readers[i % 2]))
+                   for i, seen in enumerate(views)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1347,27 +1388,21 @@ class TestStoreReader:
             sys.setswitchinterval(interval)
             store.close()
         assert not any(thread.is_alive() for thread in threads)
-        final = [r.run_id for r in self.assert_matches_scan(reader,
-                                                            directory)[0]]
-        assert len(final) == 80
-        assert reader.parsed_lines == _shard_lines(directory) == 80
+        assert errors == []
+        final = [r.run_id
+                 for r in self.assert_matches_scan(directory, store)[0]]
+        assert len(final) == 80 == _shard_lines(directory)
+        assert all(len(seen) > 1 for seen in views)
         for seen in views:
             for view in seen:
                 assert view == final[:len(view)]
 
-    def test_long_poll_stream_parses_each_line_once(self, tmp_path,
-                                                    monkeypatch):
-        """Streaming an N-record daemon job by long-poll parses N lines in
-        total; re-scanning the store per wakeup would parse ~N^2/2."""
+    def test_long_poll_stream_parses_no_line_while_active(self, tmp_path,
+                                                          monkeypatch):
+        """Streaming a daemon job by long-poll pages its open store's fold,
+        so no shard line parses until the job rests; a rested job's page is
+        one read-only pass, which digests each line once."""
         from repro.service import InProcessClient, ServiceAPI, SweepService
-        from repro.service import daemon
-
-        readers = []
-
-        class CountedReader(StoreReader):
-            def __init__(self, directory):
-                super().__init__(directory)
-                readers.append(self)
 
         gate = threading.Semaphore(0)
 
@@ -1379,10 +1414,11 @@ class TestStoreReader:
                     assert gate.acquire(timeout=30)
                     yield fn(run)
 
-        monkeypatch.setattr(daemon, "StoreReader", CountedReader)
         spec = tiny_spec(betas=(10, 30, 50, 70), seeds=3)
         service = SweepService(str(tmp_path), executor=SteppedExecutor(),
                                checkpoint_every=1).start()
+        parsed = _count_parses(monkeypatch)
+        active_pages = 0
         try:
             client = InProcessClient(ServiceAPI(service))
             job_id = client.submit(spec, job_key="cost")["job_id"]
@@ -1395,13 +1431,44 @@ class TestStoreReader:
                 gate.release()
                 page = client.records(job_id, offset=seq, limit=4096,
                                       wait_seq=seq, wait_timeout=30)
+                if not page["resting"]:
+                    active_pages += 1
+                    assert parsed == []
                 seq += page["count"]
             client.wait(job_id)
+            parsed.clear()
+            page = client.records(job_id, limit=4096)
+            assert page["resting"] and page["count"] == spec.n_runs
+            rested = len(parsed)
         finally:
             service.shutdown(timeout=30)
-        assert len(readers) == 1               # the job's one shared reader
+        assert active_pages >= spec.n_runs - 1
         lines = _shard_lines(service.store_path(job_id))
         assert lines == spec.n_runs + 2        # the spec and seal lines too
-        # The seal may land after the reader's last read; no line parses
-        # twice.
-        assert lines - 1 <= readers[0].parsed_lines <= lines
+        assert rested == lines
+
+    def test_terminal_result_reads_each_line_once_untouched(
+            self, tmp_path, monkeypatch):
+        """A terminal job's ``result`` is one read-only pass over its store:
+        each line digested once, and the directory left byte-identical.
+        Its aggregates match a library run's (four seeds, so the bootstrap
+        intervals depend on the spec's ``master_seed``)."""
+        from repro.service import SweepService
+
+        spec = tiny_spec(seeds=4)
+        service = SweepService(str(tmp_path)).start()
+        try:
+            job, _ = service.submit(spec.to_json_dict(), job_key="r")
+            assert service.wait_for(job.job_id)["state"] == "done"
+            directory = service.store_path(job.job_id)
+            lines = _shard_lines(directory)
+            before = _snapshot(directory)
+            parsed = _count_parses(monkeypatch)
+            payload = service.result(job.job_id)
+            assert len(parsed) == lines == spec.n_runs + 2
+            assert _snapshot(directory) == before
+        finally:
+            service.shutdown(timeout=30)
+        expected = SweepRunner(spec, SerialExecutor()).run().summary_payload()
+        for key in ("records", "points", "n_failed"):
+            assert payload[key] == expected[key]

@@ -123,9 +123,10 @@ def _time_materialization():
     """Full-trace vs scalar-record sweep wall time on the reference chip.
 
     Both modes run the same closed-form scalar pass; a full-trace run then
-    gathers the per-cycle drop, level and chip-drop traces and copies the
-    activity traces, so ``full_seconds - none_seconds`` is what those
-    gathers cost.  ``booster_safe`` and ``dvfs`` (no failures at all) are
+    builds the per-cycle level traces, evaluates Eq. 2 over each group's
+    activity and level trace for the drop traces, takes the chip-drop
+    trace and copies the activity traces, so ``full_seconds -
+    none_seconds`` is what those traces cost.  ``booster_safe`` and ``dvfs`` (no failures at all) are
     materialization-dominated; ``booster`` is event-path heavy, so its
     ratio is smaller.  The two modes' records are asserted exactly equal in
     the same run.

@@ -424,9 +424,12 @@ class SweepService:
             raise RuntimeError(
                 f"job {job_id} is {job.state}; results exist only for "
                 f"terminal states {TERMINAL_STATES}")
-        result = self._load_job_result(job)
-        payload = result.summary_payload(include_records=include_records)
-        payload.update(job.public_status())
+        # Status first: the summary's ``failed_runs`` (the quarantined
+        # runs themselves) replaces the status' count, which ``n_failed``
+        # carries.
+        payload = job.public_status()
+        payload.update(self._load_job_result(job).summary_payload(
+            include_records=include_records))
         return payload
 
     def records(self, job_id: str, offset: int = 0, limit: int = 256,

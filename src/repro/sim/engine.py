@@ -9,14 +9,17 @@ boundary.  Between two events every quantity of the simulation is a closed-form
 array expression over the ``(n_macros, cycles)`` activity matrix, generated
 once per activity key and cached in the level cache:
 
-* the per-macro IR-drop is ``static + dynamic * rtog * scale(V, f)`` — one
-  ``drop_array`` call per (group, level) pair, shared through the process-level
-  :mod:`~repro.sim.level_cache` so repeated runs on the same ``(workload, seed,
-  stress settings)`` — a beta grid, a controller comparison — reuse the physics;
+* the per-macro IR-drop is Eq. 2, ``static + dynamic * rtog * scale(V, f)``,
+  a closed form the engine evaluates only where it needs it — over a cycle
+  window of a group's activity, or over a group's rows with per-cycle V and
+  f for a full-trace run's drop traces — and never keeps as a matrix;
 * the monitor decision is a thresholded comparison against the group's
   cycle-indexed noise stream (see :class:`~repro.power.monitor.IRMonitor`), so
   *candidate failure cycles* per (group, level) are precomputable with one
-  vectorized compare + ``nonzero``;
+  vectorized compare, shared through the process-level
+  :mod:`~repro.sim.level_cache` so repeated runs on the same ``(workload,
+  seed, stress settings)`` — a beta grid, a controller comparison — reuse
+  them;
 * energy closes over level-stable spans: a span's activity sum (two gathers
   of cached prefix sums) times ``V^2``, and its length times ``V/f``
   (:meth:`~repro.power.energy.EnergyModel.span_breakdowns`).
@@ -55,9 +58,10 @@ every row's level-stable spans, from the cached activity prefix sums, the
 spans' peak activity and the logged recompute windows and failure points
 (:meth:`_VectorizedEngine._materialize_scalar`).  ``traces="none"`` — the
 scalar-record fast path sweeps run on — stops there; ``traces="full"``
-(default) then gathers the per-cycle drop, level and chip-drop traces
-(:meth:`_VectorizedEngine._materialize`), so a run's scalars are the same
-in both modes.
+(default) then builds the per-cycle level traces, evaluates Eq. 2 over each
+group's activity and level trace for its drop traces, and takes the chip
+trace as their per-cycle max (:meth:`_VectorizedEngine._materialize`), so a
+run's scalars are the same in both modes.
 
 This is the one event path; the reference loop in :mod:`repro.sim.runtime`
 is its oracle.  Bit-for-bit equivalence with it (same seed, same failures,
@@ -171,17 +175,11 @@ _fail_mask`) to a column window of the group's activity (:meth:`extend`);
         self.upto = 0
         self.step = self.WINDOW
 
-    def extend(self, engine: "_VectorizedEngine", end: int,
-               drop_rows: Optional[np.ndarray] = None) -> None:
-        """Derive the mask's cycles ``upto .. end`` in one window, reading
-        the drop from the group's full-horizon ``drop_rows`` when given."""
+    def extend(self, engine: "_VectorizedEngine", end: int) -> None:
+        """Derive the mask's cycles ``upto .. end`` in one window."""
         upto, pair = self.upto, self.pair
-        if drop_rows is None:
-            drop = engine.ir_model.drop_array(
-                engine.A[self.lo:self.hi, upto:end], pair.voltage,
-                pair.frequency)
-        else:
-            drop = drop_rows[:, upto:end]
+        drop = engine.ir_model.drop_array(
+            engine.A[self.lo:self.hi, upto:end], pair.voltage, pair.frequency)
         fail = engine._fail_mask(self.gid, pair, drop, upto)
         self.mask += (fail.T * self.codes).tobytes()
         self.upto = end
@@ -470,7 +468,7 @@ class _VectorizedEngine:
         lookup = level if level in self.table.levels else 100
         return self.table.select_pair(lookup, self.cfg.mode)
 
-    def _fail_mask(self, gid: int, pair: VFPair, drop_rows: np.ndarray,
+    def _fail_mask(self, gid: int, pair: VFPair, drop: np.ndarray,
                    start: int = 0) -> np.ndarray:
         """The boolean candidate mask at ``pair`` — exactly the reference
         comparison: ``(V - drop) + noise < (V - allowed) + margin`` — for
@@ -480,8 +478,8 @@ class _VectorizedEngine:
         allowed_drop = self.ir_model.drop(
             min(pair.level, 100) / 100.0, pair.voltage, pair.frequency)
         threshold = (pair.voltage - allowed_drop) + self.min_voltage_margin
-        noise = self._noise(gid)[start:start + drop_rows.shape[1]]
-        return (pair.voltage - drop_rows) + noise < threshold
+        noise = self._noise(gid)[start:start + drop.shape[1]]
+        return (pair.voltage - drop) + noise < threshold
 
     def _physics_key(self, gid: int, pair: VFPair) -> tuple:
         """The level-cache key of one (group, pair)'s physics.  The physics
@@ -490,42 +488,36 @@ class _VectorizedEngine:
         return (self._share_key, gid, pair.level, pair.voltage,
                 pair.frequency)
 
-    def _shared(self, gid: int, level: int) -> Tuple[VFPair, tuple,
-                                                     Optional[LevelEntry]]:
-        """``(pair, shared key, cached entry)`` for one level; the entry is
-        ``None`` on a miss."""
-        pair = self._pair_for(level)
-        shared_key = self._physics_key(gid, pair)
-        return pair, shared_key, LEVEL_CACHE.get(shared_key)
+    def _physics_cache(self, gid: int, level: int) -> LevelEntry:
+        """A heap group's per-row candidate cycles at ``level``: the level
+        cache's entry, or on a miss one derived from Eq. 2 over the group's
+        rows and the candidate comparison (:meth:`_fail_mask`).  The drop
+        matrix is not kept.
 
-    def _derive_physics(self, gid: int, pair: VFPair) -> LevelEntry:
-        """A new physics-only entry: ``drop_array`` over the group's rows."""
-        lo, hi = self.group_rows[gid]
-        drop_rows = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
-                                             pair.frequency)
-        drop_rows.setflags(write=False)
-        return LevelEntry(pair=pair, drop_rows=drop_rows, fail_cycles=None)
+        Only heap groups read entries; span groups consume their
+        candidates through masks (:meth:`_candidates`).
+        """
+        pair = self._pair_for(level)
+        key = self._physics_key(gid, pair)
+        entry = LEVEL_CACHE.get(key)
+        if entry is None:
+            lo, hi = self.group_rows[gid]
+            drop = self.ir_model.drop_array(self.A[lo:hi], pair.voltage,
+                                            pair.frequency)
+            entry = LevelEntry(pair=pair, fail_cycles=[
+                np.nonzero(row)[0]
+                for row in self._fail_mask(gid, pair, drop)])
+            LEVEL_CACHE.put(key, entry, entry.nbytes_estimate())
+        return entry
 
     def _cache(self, gid: int, level: int) -> LevelEntry:
-        """A heap group's full entry at ``level``, physics plus per-row
-        candidates (derived on a miss).
-
-        Only heap groups bind entries here and only span groups leave
-        physics-only entries (:meth:`_physics_cache`); which a group is
-        depends on the workload its physics key names, so an entry found
-        here always carries its candidates.
-        """
+        """A heap group's entry at ``level``, memoized for the run so the
+        batch is immune to shared-cache eviction (:meth:`_physics_cache`
+        derives it)."""
         key = (gid, level)
-        cached = self._caches.get(key)
-        if cached is not None:
-            return cached
-        pair, shared_key, entry = self._shared(gid, level)
+        entry = self._caches.get(key)
         if entry is None:
-            entry = self._derive_physics(gid, pair)
-            entry.fail_cycles = [np.nonzero(row)[0] for row in
-                                 self._fail_mask(gid, pair, entry.drop_rows)]
-            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
-        self._caches[key] = entry
+            entry = self._caches[key] = self._physics_cache(gid, level)
         return entry
 
     def _candidates(self, gid: int, level: int) -> _LazyLevelStreams:
@@ -552,26 +544,6 @@ class _VectorizedEngine:
         self._masks[(gid, level)] = streams
         return streams
 
-    def _physics_cache(self, gid: int, level: int) -> LevelEntry:
-        """The level's entry for materialization: the full drop matrix
-        without requiring candidates.
-
-        Levels bound during event processing return their memoized entry
-        unchanged; a level the span kernel consumed through its candidate
-        mask derives a *physics-only* entry here — ``drop_array`` over the
-        same rows as the full derivation, so every float is bit-identical.
-        """
-        key = (gid, level)
-        cached = self._caches.get(key)
-        if cached is not None:
-            return cached
-        pair, shared_key, entry = self._shared(gid, level)
-        if entry is None:
-            entry = self._derive_physics(gid, pair)
-            LEVEL_CACHE.put(shared_key, entry, entry.nbytes_estimate())
-        self._caches[key] = entry
-        return entry
-
     def _prebuild_streams(self, gid: int, level: int) -> _LazyLevelStreams:
         """The candidate mask of a span group's one level in a run whose
         levels never change, extended to the horizon in one window.
@@ -579,16 +551,12 @@ class _VectorizedEngine:
         The span kernel walks such a group's whole horizon at that level,
         so the doubling windows of :meth:`_LazyLevelStreams.refill` would
         only split the same bytes over more ``drop_array`` calls.  A mask
-        an earlier run left short is extended from where it stopped.  A
-        full-trace run gathers this level's drop rows at materialization
-        anyway, so it derives them here once and reads the mask off them.
+        an earlier run left short is extended from where it stopped.
         (e2ebench/tracer.py times this method under its name.)
         """
         streams = self._candidates(gid, level)
         if streams.upto < self.n:
-            drop_rows = self._physics_cache(gid, level).drop_rows \
-                if self.cfg.traces == "full" else None
-            streams.extend(self, self.n, drop_rows)
+            streams.extend(self, self.n)
         return streams
 
     # ------------------------------------------------------------------ #
@@ -1119,6 +1087,17 @@ class _VectorizedEngine:
             starts, ends, levels = starts[keep], ends[keep], levels[keep]
         return starts, ends, levels
 
+    def _level_vf(self, levels: np.ndarray) -> Tuple[np.ndarray,
+                                                     np.ndarray]:
+        """Voltage and frequency tables indexed by level number, filled at
+        the visited ``levels``."""
+        visited = np.bincount(levels)
+        level_v, level_f = np.zeros(visited.size), np.ones(visited.size)
+        for level in np.flatnonzero(visited).tolist():
+            pair = self._pair_for(level)
+            level_v[level], level_f[level] = pair.voltage, pair.frequency
+        return level_v, level_f
+
     def _materialize_scalar(self) -> SimulationResult:
         """The scalar materialization every run takes (all of it under
         ``RuntimeConfig.traces == "none"``).
@@ -1164,11 +1143,7 @@ class _VectorizedEngine:
         lengths = ends[keep] - starts
         level_sums = np.bincount(span_group, levels * lengths,
                                  minlength=len(groups))
-        visited = np.bincount(levels)
-        level_v, level_f = np.zeros(visited.size), np.ones(visited.size)
-        for level in np.flatnonzero(visited).tolist():
-            pair = self._pair_for(level)
-            level_v[level], level_f[level] = pair.voltage, pair.frequency
+        level_v, level_f = self._level_vf(levels)
 
         # The row-major (row, span) table: row r takes each span of its
         # group in cycle order, so the entries' start keys ascend and every
@@ -1256,47 +1231,27 @@ class _VectorizedEngine:
 
     def _materialize(self) -> SimulationResult:
         """Full-trace materialization (``RuntimeConfig.traces == "full"``):
-        the scalar pass, then the drop, level and chip-drop trace gathers,
-        with private copies of the activity traces attached alongside."""
+        the scalar pass, then the level, drop and chip-drop traces, with
+        private copies of the activity traces attached alongside.
+
+        A group's drop trace is Eq. 2 over its activity rows at each
+        cycle's V-f pair, one ``drop_array`` call per group with the
+        per-cycle V and f broadcast along the rows: every cell is the
+        reference loop's scalar :meth:`~repro.power.ir_drop.IRDropModel.\
+drop`, the same IEEE operations in the same order.
+        """
         result = self._materialize_scalar()
         n, n_rows = self.n, self.n_rows
+        spans = [self._group_spans(gid) for gid in self.groups]
+        level_v, level_f = self._level_vf(np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [levels for *_, levels in spans]))
         drops = np.zeros((n_rows, n))
         level_traces: Dict[int, np.ndarray] = {}
-        for gid in self.groups:
+        for gid, (starts, ends, levels) in zip(self.groups, spans):
             lo, hi = self.group_rows[gid]
-            # Level breakpoints -> spans, in one array pass (failure-heavy
-            # booster runs log thousands of breaks per group).
-            starts, ends, levels = self._group_spans(gid)
-            level_traces[gid] = np.repeat(levels, ends - starts)
-            distinct_levels = np.unique(levels)
-            if starts.size <= max(4, 2 * distinct_levels.size):
-                for start, end, level in zip(starts.tolist(), ends.tolist(),
-                                             levels.tolist()):
-                    cache = self._physics_cache(gid, level)
-                    drops[lo:hi, start:end] = cache.drop_rows[:, start:end]
-            else:
-                # Thousands of short spans: one per-cycle slot gather replaces
-                # the span loop.  Slot k holds the k-th distinct level's cached
-                # rows; take_along_axis then assembles the whole horizon in a
-                # single indexed pass per group.  The stacked per-slot rows
-                # are themselves cached across runs (stacking copies every
-                # visited level's drop matrix, which would otherwise dominate
-                # failure-heavy materializations).
-                slot_caches = [self._physics_cache(gid, level)
-                               for level in distinct_levels.tolist()]
-                slot_of_span = np.searchsorted(distinct_levels, levels)
-                slots = np.repeat(slot_of_span, ends - starts)
-                stack_key = ("drop_stack", self._share_key, gid) + tuple(
-                    (cache.pair.level, cache.pair.voltage,
-                     cache.pair.frequency) for cache in slot_caches)
-                stacked = LEVEL_CACHE.get(stack_key)
-                if stacked is None:
-                    stacked = np.stack([cache.drop_rows
-                                        for cache in slot_caches])
-                    stacked.setflags(write=False)
-                    LEVEL_CACHE.put(stack_key, stacked, stacked.nbytes)
-                drops[lo:hi] = np.take_along_axis(
-                    stacked, slots[np.newaxis, np.newaxis, :], axis=0)[0]
+            trace = level_traces[gid] = np.repeat(levels, ends - starts)
+            drops[lo:hi] = self.ir_model.drop_array(
+                self.A[lo:hi], level_v.take(trace), level_f.take(trace))
         chip_drop = drops.max(axis=0) if n_rows else np.zeros(n)
         # Hand out private copies of the (shared, read-only) cached activity
         # traces so results stay independently mutable, exactly as the

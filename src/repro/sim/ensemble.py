@@ -26,9 +26,11 @@ one):
   level's mask extended to the horizon in one window up front
   (:meth:`~repro.sim.engine._VectorizedEngine._prebuild_streams`); a
   ``booster`` member's span kernel grows each mask over expanding cycle
-  windows as it reaches it.  Groups under the heap scheduler go through
-  the full cache derivation of their initial level, and of a ``booster``
-  member's safe level (the heap scheduler bisects per-row cycle lists).
+  windows as it reaches it.  Groups under the heap scheduler derive the
+  per-member candidate cycles of their initial level, and of a
+  ``booster`` member's safe level (the heap scheduler bisects per-row
+  cycle lists).  No member keeps a drop matrix: a full-trace member
+  evaluates Eq. 2 over its activity and level trace at materialization.
 * **events** — every member runs each independent group through the one
   span kernel, group-major so each group's shared structures and masks
   stay hot; Algorithm-2 state is sequential per run, so the kernel runs
@@ -181,7 +183,7 @@ def _batch_activity(engines: List[_VectorizedEngine]) -> None:
 def _prebuild_physics(engines: List[_VectorizedEngine]) -> None:
     """Derive every member's certain-to-visit levels up front.
 
-    A heap group takes the full ``_cache`` derivation of its initial level
+    A heap group takes the ``_cache`` derivation of its initial level
     and, in a stepping (``booster``) member, of its safe level: the levels
     the heap scheduler is certain to visit (every IRFailure lands on safe).
     A member whose levels never change gets each span group's one level as

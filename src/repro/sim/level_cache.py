@@ -2,21 +2,23 @@
 
 Sweeps simulate the same ``(workload, seed, stress settings)`` many times —
 once per beta, per controller, per mode — and every one of those runs derives
-*identical* per-(group, level) arrays from Eq. 2: the drop rows over the
-horizon and the candidate-failure cycle sets (see :class:`LevelEntry`).
-Only the *event dynamics* differ between such runs.  This module holds those
-arrays in a process-level LRU keyed on everything the physics actually
-depends on, so a Fig.-18 beta grid (or a multi-controller point) computes
-each group's physics once per process instead of once per run.  Entries are
-immutable, eviction is byte-budgeted, and correctness never depends on a
-hit.  The engine keeps each run's activity here too — the per-macro traces
-as row views of one stacked matrix, its prefix sums and row statistics,
-under keys led by ``"activity"`` — and nowhere else: the flip matrices the
-activity derives from are not memoized.  The span kernel keeps one
-candidate byte mask per (group, level) here, under the level's physics key
-led by ``"candidates"`` (:class:`~repro.sim.engine._LazyLevelStreams`): a
-mask grows in place as runs refill it, is charged its full-horizon size up
-front, and is never published to a shared store.
+*identical* per-(group, level) candidate failures from Eq. 2 and the monitor
+noise.  Only the *event dynamics* differ between such runs.  This module
+holds those candidates in a process-level LRU keyed on everything the
+physics actually depends on, so a Fig.-18 beta grid (or a multi-controller
+point) derives each group's candidates once per process instead of once per
+run.  A heap-scheduled group keeps per-row candidate cycles
+(:class:`LevelEntry`); a span group keeps one candidate byte mask per
+(group, level), under the level's physics key led by ``"candidates"``
+(:class:`~repro.sim.engine._LazyLevelStreams`): a mask grows in place as
+runs refill it, is charged its full-horizon size up front, and is never
+published to a shared store.  No drop matrix is kept: Eq. 2 is evaluated
+where a candidate window or a full-trace run's drop trace needs it.
+Entries are immutable, eviction is byte-budgeted, and correctness never
+depends on a hit.  The engine keeps each run's activity here too — the
+per-macro traces as row views of one stacked matrix, its prefix sums and
+row statistics, under keys led by ``"activity"`` — and nowhere else: the
+flip matrices the activity derives from are not memoized.
 
 Key derivation
 --------------
@@ -72,25 +74,20 @@ __all__ = [
 
 @dataclass
 class LevelEntry:
-    """Precomputed per-(group, level) physics over the full horizon.
+    """A heap-scheduled group's candidate-failure cycles at one V-f pair
+    over the full horizon.
 
-    Entries are immutable once built (``drop_rows`` is marked read-only) and
-    shared across runs through :data:`LEVEL_CACHE` — and, when a shared store
-    is attached, across *processes* as read-only ``np.memmap`` views (see
+    Entries are immutable once built and shared across runs through
+    :data:`LEVEL_CACHE` — and, when a shared store is attached, across
+    *processes* as read-only ``np.memmap`` views (see
     :mod:`repro.sim.shared_store`).  The heap scheduler bisects
     :attr:`fail_lists`, the per-member plain-list mirror of the candidates,
     built lazily per process.
     """
 
     pair: VFPair
-    drop_rows: np.ndarray           #: (members, cycles) Eq.-2 drop at this pair
-    #: per member, sorted candidate cycle indices — or ``None`` for a
-    #: *physics-only* entry (drop matrix only): a full-trace
-    #: materialization of a level whose candidates were consumed through a
-    #: candidate mask builds one.  Only span groups consume masks and only
-    #: heap groups read candidates here, so no run ever needs to complete
-    #: a physics-only entry.
-    fail_cycles: Optional[List[np.ndarray]]
+    #: per member, sorted candidate cycle indices
+    fail_cycles: List[np.ndarray]
     _fail_lists: Optional[List[List[int]]] = field(default=None, compare=False)
 
     @property
@@ -100,9 +97,6 @@ class LevelEntry:
         event hot paths).  Converted on first use and memoized."""
         lists = self._fail_lists
         if lists is None:
-            if self.fail_cycles is None:
-                raise ValueError(
-                    "physics-only LevelEntry has no candidate cycles")
             lists = [cycles.tolist() for cycles in self.fail_cycles]
             self._fail_lists = lists
         return lists
@@ -112,17 +106,13 @@ class LevelEntry:
 
         Candidate bytes count 7x: the arrays themselves (1x) plus the
         lazily-built plain ``fail_lists`` of boxed ints — a deliberate
-        overestimate that, like the 3x below, sets the eviction pace and
-        therefore peak memory.  Drop bytes count 3x, an
-        overestimate of the rows alone that is kept because, with
-        :data:`_DEFAULT_BUDGET_BYTES`, it sets the eviction pace and
-        therefore peak memory.  The engine and the shared store both charge
-        through this one estimator so locally-built and backend-loaded
-        entries weigh the same under LRU eviction.
+        overestimate that sets the eviction pace and therefore peak memory.
+        The engine and the shared store both charge through this one
+        estimator so locally-built and backend-loaded entries weigh the same
+        under LRU eviction.
         """
-        cand_bytes = sum(cycles.nbytes for cycles in self.fail_cycles) \
-            if self.fail_cycles is not None else 0
-        return int(3 * self.drop_rows.nbytes + 7 * cand_bytes + 512)
+        return int(7 * sum(cycles.nbytes for cycles in self.fail_cycles)
+                   + 512)
 
 
 class ByteBudgetCache:
@@ -249,11 +239,12 @@ class ByteBudgetCache:
         return stats
 
 
-#: Default budget: comfortably holds the level caches of dozens of
-#: reference-chip runs while bounding long multi-workload sweeps.  Sized
-#: against :meth:`LevelEntry.nbytes_estimate` (whose 3x drop charge
-#: overestimates today's entries); the two together set how much physics a
-#: process keeps, so they change together or not at all.
+#: Default budget: comfortably holds the activity, prefix sums, candidate
+#: masks and entries of dozens of reference-chip runs while bounding long
+#: multi-workload sweeps.  Each value is charged its own estimate (an
+#: activity matrix its bytes, a mask its full-horizon bytes, an entry
+#: :meth:`LevelEntry.nbytes_estimate`); the budget and those charges
+#: together set how much physics a process keeps.
 _DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 
 #: The process-level cache instance shared by every simulation engine run.

@@ -2,11 +2,12 @@
 
 The process-level :data:`~repro.sim.level_cache.LEVEL_CACHE` stops at the
 process boundary: every worker of a :class:`~repro.sweep.runner.PoolExecutor`
-fleet re-derives per-(group, level) drop/candidate arrays its siblings already
-computed.  This module is the cache's pluggable *backend* that crosses that
-boundary: entries are serialized once into flat binary files under a shared
-directory and attached by every other process as **read-only memory-mapped
-views** — the OS page cache makes a fleet share one physical copy.
+fleet re-derives activity and per-(group, level) candidate arrays its
+siblings already computed.  This module is the cache's pluggable *backend*
+that crosses that boundary: entries are serialized once into flat binary
+files under a shared directory and attached by every other process as
+**read-only memory-mapped views** — the OS page cache makes a fleet share
+one physical copy.
 
 Layout (one directory per store)::
 
@@ -41,7 +42,7 @@ workload another's physics.  Sweep-built workloads carry a deterministic
 fingerprint instead (``("spec", ...)``) and share freely.
 
 Two value kinds are understood: :class:`~repro.sim.level_cache.LevelEntry`
-(drop rows + candidate-failure cycles) and the activity-trace dict
+(a heap group's candidate-failure cycles) and the activity-trace dict
 (``{macro_index: trace}``).  Anything else is declined.
 """
 
@@ -100,18 +101,14 @@ def _digest(key: Hashable) -> str:
 def _encode(value: object) -> Optional[Tuple[str, Dict, List[Tuple[str, np.ndarray]]]]:
     """``value -> (kind, meta, named arrays)``; None when not understood."""
     if isinstance(value, LevelEntry):
-        if value.fail_cycles is None:
-            return None            # physics-only entries stay process-local
         cand = (np.concatenate(value.fail_cycles).astype(np.int64)
                 if value.fail_cycles else np.empty(0, dtype=np.int64))
         offsets = np.zeros(len(value.fail_cycles) + 1, dtype=np.int64)
         np.cumsum([len(c) for c in value.fail_cycles], out=offsets[1:])
         meta = {"pair": [int(value.pair.level), float(value.pair.voltage),
                          float(value.pair.frequency)]}
-        return "level", meta, [
-            ("drop", np.ascontiguousarray(value.drop_rows)),
-            ("cand", np.ascontiguousarray(cand)),
-            ("offsets", offsets)]
+        return "level", meta, [("cand", np.ascontiguousarray(cand)),
+                               ("offsets", offsets)]
     if (isinstance(value, dict) and value
             and all(isinstance(k, (int, np.integer)) for k in value)
             and all(isinstance(v, np.ndarray) and v.ndim == 1
@@ -127,8 +124,9 @@ def _decode(kind: str, meta: Dict, arrays: Dict[str, np.ndarray]
             ) -> Optional[Tuple[object, int]]:
     """``(kind, meta, named arrays) -> (value, nbytes)``; None when unknown."""
     if kind == "level":
+        # An entry written while entries carried a drop matrix also lists
+        # a ``drop`` array; it is not read.
         level, voltage, frequency = meta["pair"]
-        drop = arrays["drop"]
         cand = arrays["cand"]
         offsets = arrays["offsets"]
         fail_cycles = [cand[offsets[i]:offsets[i + 1]]
@@ -136,7 +134,6 @@ def _decode(kind: str, meta: Dict, arrays: Dict[str, np.ndarray]
         entry = LevelEntry(
             pair=VFPair(level=int(level), voltage=float(voltage),
                         frequency=float(frequency)),
-            drop_rows=drop,
             fail_cycles=fail_cycles)
         return entry, entry.nbytes_estimate()
     if kind == "activity":

@@ -1000,6 +1000,41 @@ class TestMultiJobScheduling:
         assert [f.run_id for f in report.failed] == [run_id]
         assert report.failed[0].fault == "raise@1,raise@2"
 
+    def test_result_lists_the_quarantined_runs(self, tmp_path):
+        """A finished job's result names each quarantined run, in process
+        and over HTTP; the count of them is ``n_failed``."""
+        spec = tiny_spec()
+        run_id = spec.expand()[0].run_id
+        service = SweepService(
+            str(tmp_path), checkpoint_every=1,
+            retry_policy=RetryPolicy(max_attempts=2, backoff=0.01))
+        with faults.injected_faults(
+                FaultSpec(kind="raise", match=run_id, times=2)):
+            service.start()
+            http = ServiceHTTPServer(service).start()
+            try:
+                job, _ = service.submit(spec.to_json_dict(), job_key="q")
+                assert service.wait_for(job.job_id, timeout=60)["state"] \
+                    == "done"
+                payloads = [
+                    InProcessClient(ServiceAPI(service)).result(job.job_id),
+                    ServiceClient(http.url).result(job.job_id)]
+            finally:
+                http.stop()
+                service.shutdown(timeout=30)
+        for payload in payloads:
+            assert payload["n_failed"] == 1
+            assert payload["n_records"] == spec.n_runs - 1
+            assert payload["records_done"] == spec.n_runs - 1
+            assert len(payload["records"]) == spec.n_runs - 1
+            assert payload["updated_ts"] > 0
+            [failed] = payload["failed_runs"]
+            assert failed["run_id"] == run_id
+            assert "InjectedFault" in failed["error"]
+            assert failed["attempts"] == 2
+            assert failed["fault"] == "raise@1,raise@2"
+        assert payloads[0] == payloads[1]
+
 
 class TestCircuitBreaker:
     def _poison_service(self, data_dir: str) -> SweepService:

@@ -50,12 +50,10 @@ def fresh_cache():
 
 def sample_entry(members=3, cycles=50, seed=0):
     rng = np.random.default_rng(seed)
-    drop = rng.random((members, cycles))
-    drop.setflags(write=False)
     fail_cycles = [np.flatnonzero(rng.random(cycles) < 0.2)
                    for _ in range(members)]
     return LevelEntry(pair=VFPair(level=40, voltage=0.68, frequency=1.1e9),
-                      drop_rows=drop, fail_cycles=fail_cycles)
+                      fail_cycles=fail_cycles)
 
 
 SPEC_KEY = ("spec", "w|fingerprint")
@@ -152,15 +150,31 @@ class TestStoreRoundtrip:
         value, nbytes = loaded
         assert nbytes > 0
         assert value.pair == entry.pair
-        assert np.array_equal(value.drop_rows, entry.drop_rows)
         assert len(value.fail_cycles) == len(entry.fail_cycles)
         for got, want in zip(value.fail_cycles, entry.fail_cycles):
             assert np.array_equal(got, want)
         assert value.fail_lists == entry.fail_lists
         # Attached arrays are read-only views of the mapped file.
-        assert not value.drop_rows.flags.writeable
+        assert not value.fail_cycles[0].flags.writeable
         with pytest.raises(ValueError):
-            value.drop_rows[0, 0] = 1.0
+            value.fail_cycles[0][0] = 1
+
+    def test_entry_with_a_drop_array_still_loads(self, tmp_path):
+        """An entry published while level entries carried a drop matrix
+        lists a ``drop`` array beside its candidates: it loads, and the
+        drop is not read."""
+        from repro.sim.shared_store import _digest, _pack
+        entry = sample_entry()
+        cand = np.concatenate(entry.fail_cycles).astype(np.int64)
+        offsets = np.cumsum([0] + [c.size for c in entry.fail_cycles])
+        with open(os.path.join(str(tmp_path), _digest(level_key())
+                               + ".phys"), "wb") as handle:
+            handle.write(_pack("level", {"pair": [40, 0.68, 1.1e9]}, [
+                ("drop", np.random.default_rng(0).random((3, 50))),
+                ("cand", cand), ("offsets", offsets.astype(np.int64))]))
+        value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
+        assert value.pair == entry.pair
+        assert value.fail_lists == entry.fail_lists
 
     def test_activity_dict_roundtrip(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
@@ -203,7 +217,7 @@ class TestStoreRoundtrip:
         writer.store(level_key(), sample_entry(seed=5), 1000)
         readers = [SharedPhysicsStore(str(tmp_path)) for _ in range(2)]
         values = [r.load(level_key())[0] for r in readers]
-        assert np.array_equal(values[0].drop_rows, values[1].drop_rows)
+        assert values[0].fail_lists == values[1].fail_lists
         # Same backing file on disk — one physical copy for the fleet.
         entry_path(tmp_path)
 
@@ -240,7 +254,6 @@ class TestStoreRoundtrip:
         for tag, seed in shared + own[0] + own[1]:
             value, _ = fresh.load(level_key(tag))
             want = sample_entry(seed=seed)
-            assert np.array_equal(value.drop_rows, want.drop_rows)
             assert value.fail_lists == want.fail_lists
         assert fresh.stats()["corrupt_rejected"] == 0
         assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp")]
@@ -271,7 +284,7 @@ class TestStaleIndexRejection:
             assert reader.stores == 1                 # republished
             assert os.path.getsize(path) == size
         value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
-        assert np.array_equal(value.drop_rows, entry.drop_rows)
+        assert value.fail_lists == entry.fail_lists
 
     def test_missing_data_file_rejected(self, tmp_path):
         store = SharedPhysicsStore(str(tmp_path))
@@ -496,9 +509,8 @@ class TestPoolExecutorSharedStore:
                                                   tmp_path):
         """A booster run prebuilds no level: its span kernel derives every
         level it visits as a candidate mask, which stays in-process, and
-        materialization's physics-only entries are never published.  So a
-        pool fleet of booster runs on independent groups shares activity
-        alone."""
+        only heap groups build level entries.  So a pool fleet of booster
+        runs on independent groups shares activity alone."""
         SweepRunner(store_sweep_spec(), PoolExecutor(
             processes=2, shared_cache_dir=str(tmp_path))).run()
         counts = SharedPhysicsStore(str(tmp_path)).kind_counts()
@@ -542,7 +554,7 @@ class TestStoreHardening:
         # Recovery is miss + republish: the slot is free again.
         assert reader.store(level_key(), entry, 1000)
         value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
-        assert np.array_equal(value.drop_rows, entry.drop_rows)
+        assert value.fail_lists == entry.fail_lists
 
     def test_verification_memoized_per_process(self, tmp_path):
         writer = SharedPhysicsStore(str(tmp_path))
@@ -657,7 +669,7 @@ class TestPreChangeLayout:
         assert reader.store(level_key(), entry, 1000)
         assert reader.stores == 1
         value, _ = SharedPhysicsStore(str(tmp_path)).load(level_key())
-        assert np.array_equal(value.drop_rows, entry.drop_rows)
+        assert value.fail_lists == entry.fail_lists
 
 
 class TestDaemonPhysicsStore:

@@ -26,7 +26,12 @@ from repro.sim import (
     set_level_cache_budget,
     simulate,
 )
-from repro.sim.engine import MAX_MASK_SETS, _VectorizedEngine
+from repro.sim.engine import (
+    MAX_MASK_SETS,
+    ActivityTraces,
+    _LazyLevelStreams,
+    _VectorizedEngine,
+)
 from repro.sim.ensemble import run_engines
 from repro.sim.level_cache import LEVEL_CACHE, LevelEntry
 from repro.sweep import WorkloadSpec, build_compiled_workload
@@ -41,6 +46,7 @@ from tests.helpers import (
     assert_results_equivalent,
     contained_sets_spec,
     make_operator,
+    straddling_sets_spec,
     synthetic_spec,
 )
 
@@ -346,8 +352,7 @@ class TestCandidateMasks:
         masks = self.cached_masks()
         assert {(key[2], key[3]) for key in masks} == visited
         assert not [key for key, value in LEVEL_CACHE._entries.items()
-                    if isinstance(value, LevelEntry)
-                    and value.fail_cycles is not None]
+                    if isinstance(value, LevelEntry)]
 
         warm = simulate(compiled, RuntimeConfig(**kwargs))
         again = self.cached_masks()
@@ -377,8 +382,7 @@ class TestCandidateMasks:
         assert all(streams.upto == kwargs["cycles"]
                    for streams in masks.values())
         assert not [key for key, value in LEVEL_CACHE._entries.items()
-                    if isinstance(value, LevelEntry)
-                    and value.fail_cycles is not None]
+                    if isinstance(value, LevelEntry)]
 
     @pytest.mark.parametrize("spec", [
         contained_sets_spec("masks-full"),
@@ -427,6 +431,47 @@ class TestCandidateMasks:
                 controller
             result = assert_oracle_chain(compiled, **kwargs)
             assert result.total_failures > 100, controller
+
+
+class TestNoDropMatrix:
+    """Eq. 2 is the engine's only description of a level's drop: a
+    full-trace run evaluates it over each group's activity and level
+    trace, so the level cache holds activity forms and candidates, never a
+    drop matrix, and the drop traces keep the reference loop's bits."""
+
+    #: the level cache's values other than entries, by their key's tag
+    KINDS = {"activity": ActivityTraces, "activity_prefix": np.ndarray,
+             "activity_stats": tuple, "candidates": _LazyLevelStreams}
+
+    @pytest.mark.parametrize("spec, kwargs, heap", [
+        (contained_sets_spec("no-drop"), FAILURE_DENSE_STRESS, False),
+        (contained_sets_spec("no-drop"),
+         dict(FAILURE_DENSE_STRESS, controller="dvfs", **DVFS_DENSE_STRESS),
+         False),
+        (straddling_sets_spec("no-drop-heap"), FAILURE_DENSE_STRESS, True),
+    ], ids=["span-booster", "span-dvfs", "heap-booster"])
+    def test_full_trace_runs_keep_no_drop_matrix(self, fresh_level_cache,
+                                                 spec, kwargs, heap):
+        compiled = build_compiled_workload(spec)
+        kwargs = dict(kwargs, cycles=600, traces="full")
+        reference = simulate(compiled, RuntimeConfig(engine="reference",
+                                                     **kwargs))
+        assert reference.total_failures > 50
+        for _ in range(2):                      # cold, then warm
+            assert_results_equivalent(
+                reference, simulate(compiled, RuntimeConfig(**kwargs)))
+
+        entries = 0
+        for key, value in LEVEL_CACHE._entries.items():
+            assert key[0] != "drop_stack"
+            if isinstance(value, LevelEntry):
+                entries += 1
+                assert set(vars(value)) == {"pair", "fail_cycles",
+                                            "_fail_lists"}
+                assert all(cycles.ndim == 1 for cycles in value.fail_cycles)
+            else:
+                assert isinstance(value, self.KINDS[key[0]]), key[0]
+        assert (entries > 0) == heap            # only heap groups read them
 
 
 class TestDefaultVFTable:
